@@ -129,49 +129,56 @@ func TestCLIExamples(t *testing.T) {
 }
 
 // TestCLITsserved starts the daemon on a free port, drives it with its own
-// -smoke client mode (batched /getts + pairwise /compare + /metrics), and
-// shuts it down.
+// -smoke client mode (session getts + pairwise /compare + /metrics), and
+// shuts it down — once per regime.
 func TestCLITsserved(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
 	bin := filepath.Join(t.TempDir(), "tsserved")
 	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/tsserved").CombinedOutput(); err != nil {
 		t.Fatalf("build tsserved: %v\n%s", err, out)
 	}
-	daemon := exec.Command(bin, "-addr", addr, "-alg", "collect", "-procs", "8")
-	if err := daemon.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		daemon.Process.Kill()
-		daemon.Wait()
-	}()
+	// collect drives the long-lived leg (pipelined batches plus the
+	// namespace leg), sqrt the one-shot leg (one attach, getTS, detach per
+	// timestamp).
+	for _, d := range []struct{ alg, procs string }{{"collect", "8"}, {"sqrt", "16"}} {
+		t.Run(d.alg, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := ln.Addr().String()
+			ln.Close()
 
-	url := "http://" + addr
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if resp, err := http.Get(url + "/healthz"); err == nil {
-			resp.Body.Close()
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("daemon did not become healthy")
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+			daemon := exec.Command(bin, "-addr", addr, "-alg", d.alg, "-procs", d.procs)
+			if err := daemon.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				daemon.Process.Kill()
+				daemon.Wait()
+			}()
 
-	out, err := exec.Command(bin, "-smoke", url).CombinedOutput()
-	if err != nil {
-		t.Fatalf("smoke: %v\n%s", err, out)
-	}
-	for _, want := range []string{"strictly ordered", "tsserved smoke ok"} {
-		if !strings.Contains(string(out), want) {
-			t.Errorf("smoke output missing %q:\n%s", want, out)
-		}
+			url := "http://" + addr
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				if resp, err := http.Get(url + "/healthz"); err == nil {
+					resp.Body.Close()
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("daemon did not become healthy")
+				}
+				time.Sleep(50 * time.Millisecond)
+			}
+
+			out, err := exec.Command(bin, "-smoke", url).CombinedOutput()
+			if err != nil {
+				t.Fatalf("smoke: %v\n%s", err, out)
+			}
+			for _, want := range []string{"8 timestamps strictly ordered", "tsserved smoke ok"} {
+				if !strings.Contains(string(out), want) {
+					t.Errorf("smoke output missing %q:\n%s", want, out)
+				}
+			}
+		})
 	}
 }

@@ -22,8 +22,7 @@
 //	tsload -smoke               short closed-loop sweep (all mixes, all
 //	                            three transports, collect + sqrt; plus a
 //	                            batch-size sweep 1/16/256 over wire v2,
-//	                            wire v3 and in process, and a
-//	                            shim-vs-batch=1 equivalence leg) gated on
+//	                            wire v3 and in process) gated on
 //	                            zero unexpected errors and zero
 //	                            happens-before violations (the crash mix
 //	                            provokes ErrDetached by design; those are
@@ -35,8 +34,7 @@
 // prices batch=1 vs 16 vs 256 on every side of the wire. The http target
 // speaks wire v2 (one session leased per worker, batches pipelined on it);
 // the binary target speaks wire v3 (the same lease over a persistent
-// binary connection — see tsspace/tsserve); the http-shim target drives
-// the deprecated single-request /getts endpoint for comparison.
+// binary connection — see tsspace/tsserve).
 //
 // Without -url, wire rows self-host a tsserved-equivalent server (HTTP
 // and binary listeners) on loopback per run, so every algorithm gets a
@@ -89,7 +87,7 @@ type options struct {
 func main() {
 	scenarios := flag.String("scenarios", "all", "comma-separated mix names, or all: "+strings.Join(tsload.MixNames(), " | "))
 	algs := flag.String("algs", "all", "comma-separated algorithm names, or all: "+strings.Join(tsspace.Algorithms(), " | "))
-	targets := flag.String("targets", "inproc,http,binary", "comma-separated backends: inproc | http | http-shim | binary")
+	targets := flag.String("targets", "inproc,http,binary", "comma-separated backends: inproc | http | binary")
 	batches := flag.String("batch", "1", "comma-separated batch sizes (timestamps per getTS op); multiplies the sweep")
 	procs := flag.Int("procs", 64, "paper-processes n for long-lived objects")
 	oneshotProcs := flag.Int("oneshot-procs", 4096, "paper-processes n (= timestamp budget M) for one-shot objects")
@@ -188,9 +186,9 @@ func main() {
 	for i, tgt := range targetList {
 		targetList[i] = strings.TrimSpace(tgt)
 		switch targetList[i] {
-		case "inproc", "http", "http-shim", "binary":
+		case "inproc", "http", "binary":
 		default:
-			fmt.Fprintf(os.Stderr, "tsload: unknown target %q (want inproc, http, http-shim or binary)\n", tgt)
+			fmt.Fprintf(os.Stderr, "tsload: unknown target %q (want inproc, http or binary)\n", tgt)
 			os.Exit(2)
 		}
 	}
@@ -352,13 +350,11 @@ func runOne(ctx context.Context, mix tsload.Mix, alg, kind string, opt options) 
 	if mix.AbandonFrac > 0 && kind != "inproc" && opt.url != "" {
 		return tsload.Result{}, true, nil
 	}
-	if mix.Namespaces > 0 {
-		// The shim target has no namespace surface; and provisioning (and
-		// force-deprovisioning) namespaces on a shared external daemon is
-		// not this driver's call to make — multi-tenant rows self-host.
-		if kind == "http-shim" || (kind != "inproc" && opt.url != "") {
-			return tsload.Result{}, true, nil
-		}
+	if mix.Namespaces > 0 && kind != "inproc" && opt.url != "" {
+		// Provisioning (and force-deprovisioning) namespaces on a shared
+		// external daemon is not this driver's call to make — multi-tenant
+		// rows self-host.
+		return tsload.Result{}, true, nil
 	}
 	var ttl time.Duration
 	if mix.AbandonFrac > 0 {
@@ -379,11 +375,7 @@ func runOne(ctx context.Context, mix tsload.Mix, alg, kind string, opt options) 
 		t := tsload.NewInProc(obj)
 		defer t.Close()
 		target = t
-	case "http", "http-shim":
-		newTarget := tsload.NewHTTP
-		if kind == "http-shim" {
-			newTarget = tsload.NewHTTPShim
-		}
+	case "http":
 		baseURL := opt.url
 		if baseURL == "" {
 			hosted, stop, err := selfHost(alg, procs, ttl)
@@ -393,7 +385,7 @@ func runOne(ctx context.Context, mix tsload.Mix, alg, kind string, opt options) 
 			defer stop()
 			baseURL = hosted.baseURL
 		}
-		t, err := newTarget(ctx, baseURL, opt.hc)
+		t, err := tsload.NewHTTP(ctx, baseURL, opt.hc)
 		if err != nil {
 			return tsload.Result{}, false, err
 		}
@@ -551,9 +543,8 @@ func row(r tsload.Result) string {
 // runSmoke is the CI gate: a short ops-bounded closed-loop sweep of every
 // mix against all three transports for a long-lived and a one-shot
 // algorithm, plus a batch-size leg (1/16/256 in process, over wire v2 and
-// over wire v3) and a deprecated-shim leg whose batch-of-1 behaviour must
-// be equivalent to wire v2's. It fails on any *unexpected* error, any
-// happens-before violation, an empty row, or a batch row whose timestamp
+// over wire v3). It fails on any *unexpected* error, any happens-before
+// violation, an empty row, or a batch row whose timestamp
 // accounting does not match its batch size — gating on total errors would
 // reject the crash mix's fault injection, whose whole point is provoking
 // ErrDetached (counted as ExpectedErrors) while happens-before holds. The
@@ -571,7 +562,7 @@ func runSmoke(ctx context.Context, out string, opt options) error {
 	opt.oneshotProcs = 2048
 
 	algs := []string{"collect", "sqrt"}
-	batchAlg := "collect" // the long-lived algorithm of the batch and shim legs
+	batchAlg := "collect" // the long-lived algorithm of the batch leg
 	if opt.url != "" {
 		// The external daemon's algorithm joins the roster, so the spawned
 		// tsserved is exercised no matter what it serves. It is known
@@ -604,14 +595,6 @@ func runSmoke(ctx context.Context, out string, opt options) error {
 		return err
 	}
 	results = append(results, batchRows...)
-
-	// Shim leg: the deprecated single-request endpoint at batch 1, to hold
-	// against the wire-v2 batch=1 row below.
-	shimRows, err := sweep(ctx, steady, []string{batchAlg}, []string{"http-shim"}, []int{1}, opt)
-	if err != nil {
-		return err
-	}
-	results = append(results, shimRows...)
 
 	path, err := writeBench(out, "smoke", results)
 	if err != nil {
@@ -669,8 +652,8 @@ func runSmoke(ctx context.Context, out string, opt options) error {
 		}
 		seen[r.Target] = true
 	}
-	if !seen["inproc"] || !seen["http"] || !seen["binary"] || !seen["http-shim"] {
-		return fmt.Errorf("smoke must cover inproc, http, binary and http-shim, saw %v", seen)
+	if !seen["inproc"] || !seen["http"] || !seen["binary"] {
+		return fmt.Errorf("smoke must cover inproc, http and binary, saw %v", seen)
 	}
 	if crashRows == 0 {
 		return fmt.Errorf("smoke ran no crash-mix rows")
@@ -684,38 +667,5 @@ func runSmoke(ctx context.Context, out string, opt options) error {
 		// must have turned at least one attach away.
 		return fmt.Errorf("smoke attach storms provoked no quota rejections — the quota never bit")
 	}
-	return checkShimEquivalence(results, batchAlg)
-}
-
-// checkShimEquivalence holds the deprecated single-request shim against
-// wire v2 at batch 1: same steady mix, same algorithm, same gates — and
-// identical single-call semantics (every getTS op yields exactly one
-// timestamp on both paths). Latencies are not compared; the shim pays an
-// extra server-side attach per op by design, and pricing that is the
-// point of keeping both rows.
-func checkShimEquivalence(results []tsload.Result, alg string) error {
-	find := func(target string) *tsload.Result {
-		for i := range results {
-			r := &results[i]
-			if r.Mix == "steady" && r.Target == target && r.Algorithm == alg && r.BatchSize == 1 {
-				return r
-			}
-		}
-		return nil
-	}
-	shim, v2 := find("http-shim"), find("http")
-	if shim == nil || v2 == nil {
-		return fmt.Errorf("shim equivalence: missing steady batch=1 rows (shim %v, v2 %v)", shim != nil, v2 != nil)
-	}
-	for _, r := range []*tsload.Result{shim, v2} {
-		if r.Timestamps != r.GetTSOps {
-			return fmt.Errorf("shim equivalence: %s issued %d timestamps over %d single-call ops", r.Target, r.Timestamps, r.GetTSOps)
-		}
-	}
-	if shim.Procs != v2.Procs || shim.Algorithm != v2.Algorithm {
-		return fmt.Errorf("shim equivalence: rows describe different objects: %s/%d vs %s/%d",
-			shim.Algorithm, shim.Procs, v2.Algorithm, v2.Procs)
-	}
-	fmt.Printf("shim ≡ batch=1: %d vs %d single-call ops, both clean\n", shim.Ops, v2.Ops)
 	return nil
 }

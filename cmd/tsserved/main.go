@@ -1,14 +1,14 @@
 // Command tsserved serves a tsspace timestamp object over HTTP/JSON: the
 // paper's getTS()/compare() object as a network service. Logical clients
-// need no process ids, sequence numbers or shared memory — they POST
-// /getts and get back a batch of timestamps; the daemon's SDK object maps
-// any number of concurrent requests onto the configured n paper-processes
-// through session leasing.
+// need no process ids, sequence numbers or shared memory — they lease a
+// session and get back batches of timestamps on it; the daemon's SDK
+// object maps any number of concurrent sessions onto the configured n
+// paper-processes through session leasing.
 //
 // Endpoints: wire v2 sessions (POST /session, POST /session/{id}/getts,
-// DELETE /session/{id}), POST /getts (deprecated single-request shim),
-// POST /compare, GET /healthz, GET /metrics (space report + throughput),
-// GET /metrics/prometheus (the same registry in text exposition format).
+// DELETE /session/{id}), POST /compare, GET /healthz, GET /metrics (space
+// report + throughput), GET /metrics/prometheus (the same registry in
+// text exposition format).
 // The namespace broker rides on top: GET /catalog lists the servable
 // algorithms, PUT/DELETE /ns/{name} provision and deprovision named
 // Objects, and every session endpoint replicates under /ns/{name}/... —
@@ -33,8 +33,9 @@
 //
 // The smoke mode is the CI gate: it leases a wire-v2 session, pipelines
 // batches on it, asserts the happens-before order across them via
-// /compare round trips (both directions), checks the deprecated
-// single-request shim agrees, and checks /metrics counted the traffic.
+// /compare round trips (both directions), and checks /metrics counted the
+// traffic. Against a one-shot daemon each timestamp is a lease of its
+// own: attach, getTS, detach.
 // The binary leg leases a wire-v3 session the same way and asserts its
 // timestamps order against the HTTP-issued stream — cross-transport
 // happens-before on one shared object. The namespace leg provisions two
@@ -74,7 +75,7 @@ func main() {
 	procs := flag.Int("procs", 64, "paper-processes n: the object's concurrency level (and, for one-shot algorithms, the total timestamp budget)")
 	sharded := flag.Bool("sharded", false, "cache-line-padded register array")
 	unmetered := flag.Bool("unmetered", false, "drop space metering from the register path (disables the /metrics space section)")
-	maxBatch := flag.Int("maxbatch", 1024, "largest getts batch (v1 or session-scoped)")
+	maxBatch := flag.Int("maxbatch", 1024, "largest getts batch")
 	sessionTTL := flag.Duration("session-ttl", 60*time.Second, "idle time before a wire session's lease is reaped and its pid recycled")
 	algs := flag.Bool("algs", false, "list the servable algorithms and exit")
 	smoke := flag.String("smoke", "", "run the smoke check against the daemon at this URL and exit")
@@ -178,7 +179,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tsserved: %v\n", err)
 		os.Exit(1)
 	case <-ctx.Done():
-		// SIGINT/SIGTERM: stop accepting, drain in-flight batches (a /getts
+		// SIGINT/SIGTERM: stop accepting, drain in-flight batches (a getts
 		// batch keeps its session leased until the last timestamp is
 		// issued), then exit cleanly so load runs against a local daemon
 		// always end with complete responses.
@@ -208,13 +209,13 @@ func main() {
 // complete before the daemon gives up and closes their connections.
 const shutdownTimeout = 5 * time.Second
 
-// runSmoke drives a wire-v2 session (two pipelined batches on one lease),
-// the deprecated single-request shim, and the /compare endpoint through a
-// running daemon, asserting the happens-before property across the whole
-// stream with round trips in both directions. With binAddr it appends a
-// wire-v3 leg: a binary session's batch must order after every
-// HTTP-issued timestamp, and the /metrics binary counters must have
-// moved — the two transports demonstrably share one object.
+// runSmoke drives a wire-v2 session (two pipelined batches on one lease)
+// and the /compare endpoint through a running daemon, asserting the
+// happens-before property across the whole stream with round trips in
+// both directions. With binAddr it appends a wire-v3 leg: a binary
+// session's batch must order after every HTTP-issued timestamp, and the
+// /metrics binary counters must have moved — the two transports
+// demonstrably share one object.
 func runSmoke(url, binAddr string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -228,11 +229,11 @@ func runSmoke(url, binAddr string) error {
 		return fmt.Errorf("healthz status %q", h.Status)
 	}
 
-	// One-shot objects serve batches of one; take the stream as separate
-	// single-call requests then — each completed request happens-before the
-	// next. Their budget is n total timestamps, so cap the smoke stream at
-	// what the daemon has left (the metrics report how many calls it
-	// already served).
+	// One-shot objects issue one timestamp per lease; take the stream as
+	// separate attach, getTS, detach rounds then — each completed round
+	// happens-before the next. Their budget is n total timestamps, so cap
+	// the smoke stream at what the daemon has left (the metrics report how
+	// many calls it already served).
 	want := 8
 	var batch []tsspace.Timestamp
 	if h.OneShot && binAddr != "" {
@@ -250,21 +251,27 @@ func runSmoke(url, binAddr string) error {
 			return fmt.Errorf("one-shot budget nearly spent (%d of %d calls served): too few timestamps left to order", m.Calls, h.Procs)
 		}
 		for i := 0; i < want; i++ {
-			one, err := c.GetTS(ctx, 1)
+			sess, err := c.Attach(ctx)
+			if err != nil {
+				return fmt.Errorf("attach %d: %w", i, err)
+			}
+			ts, err := sess.GetTS(ctx)
 			if err != nil {
 				return fmt.Errorf("getts %d: %w", i, err)
 			}
-			batch = append(batch, one...)
+			if err := sess.Detach(); err != nil {
+				return fmt.Errorf("detach %d: %w", i, err)
+			}
+			batch = append(batch, ts)
 		}
 	} else {
 		// Wire v2: one lease, two pipelined batches (ordered within and
-		// across batches), explicit detach — then the deprecated shim
-		// appends two more, which must order after the detached session's.
+		// across batches), explicit detach.
 		sess, err := c.Attach(ctx)
 		if err != nil {
 			return fmt.Errorf("session attach: %w", err)
 		}
-		buf := make([]tsspace.Timestamp, 3)
+		buf := make([]tsspace.Timestamp, want/2)
 		for b := 0; b < 2; b++ {
 			n, err := sess.GetTSBatch(ctx, buf)
 			if err != nil {
@@ -278,11 +285,6 @@ func runSmoke(url, binAddr string) error {
 		if _, err := sess.GetTS(ctx); !errors.Is(err, tsspace.ErrDetached) {
 			return fmt.Errorf("getts on a detached session = %v, want ErrDetached", err)
 		}
-		shim, err := c.GetTS(ctx, 2)
-		if err != nil {
-			return fmt.Errorf("deprecated /getts shim: %w", err)
-		}
-		batch = append(batch, shim...)
 
 		// Wire-v3 leg: a binary session's batch must order after every
 		// timestamp issued over HTTP — both transports lease from one object.

@@ -35,8 +35,8 @@ type NamespaceSpec struct {
 // implements it with a local object table; the HTTP and binary targets
 // drive a tsserved daemon's broker endpoints — so a tenants BENCH row
 // prices the same namespace routing the daemon serves in production.
-// Targets without the surface (the deprecated HTTP shim) reject
-// namespace mixes at Run with ErrBadConfig.
+// Targets without the surface reject namespace mixes at Run with
+// ErrBadConfig.
 type NamespaceProvisioner interface {
 	// ProvisionNamespace creates the named namespace. Re-provisioning
 	// the same spec is idempotent.
@@ -160,9 +160,6 @@ func (t *InProc) closeNamespaces() {
 
 // ProvisionNamespace PUTs the namespace on the daemon's broker surface.
 func (t *HTTP) ProvisionNamespace(ctx context.Context, name string, spec NamespaceSpec) error {
-	if t.shim {
-		return fmt.Errorf("%w: the http-shim target has no namespace surface", ErrBadConfig)
-	}
 	_, err := t.client.ProvisionNamespace(ctx, name, tsserve.ProvisionRequest{
 		Algorithm: spec.Algorithm, Procs: spec.Procs, MaxSessions: spec.MaxSessions,
 	})
@@ -172,9 +169,6 @@ func (t *HTTP) ProvisionNamespace(ctx context.Context, name string, spec Namespa
 // AttachNamespace leases a wire-v2 session through the namespace-scoped
 // routes (/ns/{name}/session...).
 func (t *HTTP) AttachNamespace(ctx context.Context, name string) (tsspace.SessionAPI, error) {
-	if t.shim {
-		return nil, fmt.Errorf("%w: the http-shim target has no namespace surface", ErrBadConfig)
-	}
 	s, err := t.client.Namespace(name).Attach(ctx)
 	if err != nil {
 		return nil, err
@@ -184,9 +178,6 @@ func (t *HTTP) AttachNamespace(ctx context.Context, name string) (tsspace.Sessio
 
 // DeprovisionNamespace DELETEs the namespace on the broker surface.
 func (t *HTTP) DeprovisionNamespace(ctx context.Context, name string) error {
-	if t.shim {
-		return fmt.Errorf("%w: the http-shim target has no namespace surface", ErrBadConfig)
-	}
 	_, err := t.client.DeprovisionNamespace(ctx, name)
 	return err
 }

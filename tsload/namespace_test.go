@@ -3,11 +3,9 @@ package tsload_test
 import (
 	"context"
 	"errors"
-	"net/http/httptest"
 	"testing"
 	"time"
 
-	"tsspace"
 	"tsspace/tsload"
 	"tsspace/tsserve"
 )
@@ -162,26 +160,18 @@ func TestStormMixQuotaRejectionsExpected(t *testing.T) {
 // A namespace mix against a target with no provisioner surface is a
 // configuration error, not a hang or a silent single-tenant run.
 func TestNamespaceMixNeedsProvisioner(t *testing.T) {
-	obj, err := tsspace.New(tsspace.WithAlgorithm("collect"), tsspace.WithProcs(8), tsspace.WithMetering())
-	if err != nil {
-		t.Fatal(err)
-	}
-	front := tsserve.NewServer(obj, tsserve.ServerConfig{})
-	srv := httptest.NewServer(front)
-	t.Cleanup(func() { srv.Close(); front.Close(); obj.Close() })
-	shim, err := tsload.NewHTTPShim(context.Background(), srv.URL, srv.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = tsload.Run(context.Background(), tsload.Config{
+	// Embedding the interface hides the in-process target's provisioner
+	// methods: the wrapper is a bare Target.
+	bare := struct{ tsload.Target }{newInProc(t, "collect", 8)}
+	_, err := tsload.Run(context.Background(), tsload.Config{
 		Mix:      mustMix(t, "tenants"),
-		Target:   shim,
+		Target:   bare,
 		Workers:  2,
 		Duration: time.Second,
 		MaxOps:   50,
 		Seed:     24,
 	})
 	if !errors.Is(err, tsload.ErrBadConfig) {
-		t.Fatalf("tenants mix against the shim = %v, want ErrBadConfig", err)
+		t.Fatalf("tenants mix against a target without a provisioner = %v, want ErrBadConfig", err)
 	}
 }

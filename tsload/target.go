@@ -18,8 +18,7 @@ import (
 // one session surface — tsspace.SessionAPI — so the driver's operation
 // code is identical on every backend, batches included.
 type Target interface {
-	// Kind names the backend in reports: "inproc", "http", "http-shim",
-	// or "binary".
+	// Kind names the backend in reports: "inproc", "http" or "binary".
 	Kind() string
 	// Algorithm is the registry name of the implementation under load.
 	Algorithm() string
@@ -44,12 +43,6 @@ type Target interface {
 	// Close releases whatever the target owns.
 	Close() error
 }
-
-// Session is the session surface a Target leases.
-//
-// Deprecated: targets lease tsspace.SessionAPI directly; this alias keeps
-// pre-v2 callers compiling.
-type Session = tsspace.SessionAPI
 
 // SpaceReport is the register-space footprint of a target, as recorded in
 // BENCH_*.json (cf. the paper's Θ(√n) one-shot vs Θ(n) long-lived bounds).
@@ -126,14 +119,10 @@ func (t *InProc) Close() error {
 // HTTP is the wire backend: Attach leases a wire-v2 session on a tsserved
 // daemon (POST /session), getTS batches pipeline on that lease, and
 // Detach releases it — the SDK's lease/churn semantics priced with the
-// full HTTP/JSON round trip per batch. In shim mode (NewHTTPShim) the
-// target instead drives the deprecated v1 single-request endpoint, where
-// the daemon attaches and detaches per batch: the pre-v2 behaviour, kept
-// measurable so CI can assert the shim and a v2 batch of 1 agree.
+// full HTTP/JSON round trip per batch.
 type HTTP struct {
 	client *tsserve.Client
 	health tsserve.Health
-	shim   bool
 }
 
 // NewHTTP probes the daemon at baseURL and wraps it as a wire-v2 load
@@ -141,36 +130,19 @@ type HTTP struct {
 // unusual worker counts pass a client whose transport allows enough idle
 // connections per host.
 func NewHTTP(ctx context.Context, baseURL string, hc *http.Client) (*HTTP, error) {
-	return newHTTP(ctx, baseURL, hc, false)
-}
-
-// NewHTTPShim wraps the daemon like NewHTTP but drives the deprecated v1
-// single-request endpoint (one server-side attach+batch+detach per getTS
-// op). It exists to price the shim against wire v2 — the smoke sweep
-// asserts their batch-of-1 behaviour is equivalent.
-func NewHTTPShim(ctx context.Context, baseURL string, hc *http.Client) (*HTTP, error) {
-	return newHTTP(ctx, baseURL, hc, true)
-}
-
-func newHTTP(ctx context.Context, baseURL string, hc *http.Client, shim bool) (*HTTP, error) {
 	c := tsserve.NewClient(baseURL, hc)
 	h, err := c.Health(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("tsload: probing %s: %w", baseURL, err)
 	}
 	if h.Status != "ok" {
-		return nil, fmt.Errorf("tsload: daemon at %s reports status %q", baseURL, h.Status)
+		return nil, fmt.Errorf("%w: %s reports status %q", ErrUnhealthy, baseURL, h.Status)
 	}
-	return &HTTP{client: c, health: h, shim: shim}, nil
+	return &HTTP{client: c, health: h}, nil
 }
 
-// Kind returns "http" (wire v2) or "http-shim" (deprecated v1 endpoint).
-func (t *HTTP) Kind() string {
-	if t.shim {
-		return "http-shim"
-	}
-	return "http"
-}
+// Kind returns "http".
+func (t *HTTP) Kind() string { return "http" }
 
 // Algorithm returns the daemon's algorithm, as reported by /healthz.
 func (t *HTTP) Algorithm() string { return t.health.Algorithm }
@@ -181,12 +153,8 @@ func (t *HTTP) Procs() int { return t.health.Procs }
 // OneShot reports the daemon object's one-shot flag.
 func (t *HTTP) OneShot() bool { return t.health.OneShot }
 
-// Attach leases a wire-v2 RemoteSession — or, in shim mode, returns a
-// stateless handle over the v1 endpoint (the daemon leases per request).
+// Attach leases a wire-v2 RemoteSession.
 func (t *HTTP) Attach(ctx context.Context) (tsspace.SessionAPI, error) {
-	if t.shim {
-		return shimSession{t.client}, nil
-	}
 	s, err := t.client.Attach(ctx)
 	if err != nil {
 		return nil, err
@@ -213,41 +181,3 @@ func (t *HTTP) Space(ctx context.Context) (SpaceReport, bool) {
 
 // Close is a no-op: the daemon belongs to whoever started it.
 func (t *HTTP) Close() error { return nil }
-
-// shimSession adapts the deprecated v1 single-request endpoint to
-// SessionAPI: every batch is one POST /getts, the daemon leases a fresh
-// pid per request, and Detach is free because there is nothing to hold.
-type shimSession struct{ c *tsserve.Client }
-
-var _ tsspace.SessionAPI = shimSession{}
-
-func (s shimSession) GetTS(ctx context.Context) (tsspace.Timestamp, error) {
-	var buf [1]tsspace.Timestamp
-	if _, err := s.GetTSBatch(ctx, buf[:]); err != nil {
-		return tsspace.Timestamp{}, err
-	}
-	return buf[0], nil
-}
-
-func (s shimSession) GetTSBatch(ctx context.Context, dst []tsspace.Timestamp) (int, error) {
-	if len(dst) == 0 {
-		return 0, nil
-	}
-	ts, err := s.c.GetTS(ctx, len(dst))
-	if err != nil {
-		return 0, err
-	}
-	if len(ts) > len(dst) {
-		return 0, fmt.Errorf("tsload: daemon returned %d timestamps for a batch of %d", len(ts), len(dst))
-	}
-	if len(ts) == 0 {
-		return 0, errors.New("tsload: daemon returned an empty /getts batch")
-	}
-	return copy(dst, ts), nil
-}
-
-func (s shimSession) Compare(ctx context.Context, t1, t2 tsspace.Timestamp) (bool, error) {
-	return s.c.Compare(ctx, t1, t2)
-}
-
-func (s shimSession) Detach() error { return nil }

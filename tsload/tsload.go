@@ -4,12 +4,11 @@
 //
 // A run is a Mix (steady, churn, burst, compare — the engine's scenario
 // vocabulary lifted to the session level) applied to a Target (the
-// in-process SDK, a tsserved daemon over wire v2, or the deprecated
-// single-request shim) under one of two pacing disciplines. Targets lease
-// tsspace.SessionAPI, so the driver's operation code is the same on every
-// backend; the mix's Batch knob swaps the single-call GetTS for
-// GetTSBatch of that size, pricing batch amortization against the same
-// harness. Two pacing disciplines:
+// in-process SDK, or a tsserved daemon over wire v2 or wire v3) under one
+// of two pacing disciplines. Targets lease tsspace.SessionAPI, so the
+// driver's operation code is the same on every backend; the mix's Batch
+// knob swaps the single-call GetTS for GetTSBatch of that size, pricing
+// batch amortization against the same harness. Two pacing disciplines:
 //
 //   - closed loop (Rate == 0): Workers goroutines issue operations back to
 //     back — throughput is whatever the target sustains, latency is pure
@@ -790,7 +789,7 @@ func (r *run) doOp(ctx context.Context, rng *rand.Rand, sess *tsspace.SessionAPI
 		issued, err = (*sess).GetTSBatch(ctx, buf)
 	} else {
 		// Batch 1 goes through GetTS proper, so the single-call entry
-		// point stays priced (and the shim comparison stays honest).
+		// point stays priced.
 		var ts tsspace.Timestamp
 		ts, err = (*sess).GetTS(ctx)
 		if err == nil {

@@ -238,11 +238,11 @@ func TestBatchMixInProc(t *testing.T) {
 	}
 }
 
-// Wire v2 holds one lease per worker across batches; the deprecated shim
-// attaches server-side per op. The SDK's attach counter tells them apart.
+// Wire v2 holds one lease per worker across batches; the SDK's attach
+// counter shows it.
 func TestBatchOverWireV2HoldsLeases(t *testing.T) {
 	const workers = 3
-	run := func(t *testing.T, shim bool) (tsload.Result, tsspace.Stats) {
+	t.Run("v2", func(t *testing.T) {
 		obj, err := tsspace.New(tsspace.WithAlgorithm("collect"), tsspace.WithProcs(8))
 		if err != nil {
 			t.Fatal(err)
@@ -250,11 +250,7 @@ func TestBatchOverWireV2HoldsLeases(t *testing.T) {
 		front := tsserve.NewServer(obj, tsserve.ServerConfig{})
 		srv := httptest.NewServer(front)
 		t.Cleanup(func() { srv.Close(); front.Close(); obj.Close() })
-		newTarget := tsload.NewHTTP
-		if shim {
-			newTarget = tsload.NewHTTPShim
-		}
-		target, err := newTarget(context.Background(), srv.URL, srv.Client())
+		target, err := tsload.NewHTTP(context.Background(), srv.URL, srv.Client())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,11 +266,6 @@ func TestBatchOverWireV2HoldsLeases(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkResult(t, res)
-		return res, obj.Stats()
-	}
-
-	t.Run("v2", func(t *testing.T) {
-		res, st := run(t, false)
 		if res.Target != "http" {
 			t.Errorf("target %q, want http", res.Target)
 		}
@@ -283,18 +274,8 @@ func TestBatchOverWireV2HoldsLeases(t *testing.T) {
 		}
 		// Steady workers never detach: one server-side lease per worker for
 		// the whole run, no matter how many batches crossed the wire.
-		if st.Attaches != workers {
+		if st := obj.Stats(); st.Attaches != workers {
 			t.Errorf("v2 run attached %d SDK sessions, want %d (one per worker)", st.Attaches, workers)
-		}
-	})
-	t.Run("shim", func(t *testing.T) {
-		res, st := run(t, true)
-		if res.Target != "http-shim" {
-			t.Errorf("target %q, want http-shim", res.Target)
-		}
-		// The shim leases per request: at least one attach per getTS op.
-		if st.Attaches < res.GetTSOps {
-			t.Errorf("shim run attached %d times over %d getTS ops, want ≥", st.Attaches, res.GetTSOps)
 		}
 	})
 }

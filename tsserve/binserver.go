@@ -88,17 +88,16 @@ func (s *Server) closeBinary() {
 }
 
 // binServerConn is the per-connection state of one binary client: reused
-// read/write buffers and the set of sessions attached through this
-// connection, detached when it goes away (a binary session lives and dies
-// with its connection, like the client's pooling assumes; an id is still
-// addressable from elsewhere while the connection lives, since both
-// protocols share one session table).
+// read/write buffers, and the owner its leases name. A binary session
+// lives and dies with its connection, like the client's pooling assumes:
+// the connection's teardown retires the leases it attached that are
+// still live (an id is addressable from elsewhere while the connection
+// lives, since both protocols share one session table).
 type binServerConn struct {
 	s     *Server
 	bw    *bufio.Writer
 	out   []byte // response scratch, reused per frame
 	tsBuf []tsspace.Timestamp
-	owned map[string]struct{}
 	// Latency histograms resolved once per connection, so the per-frame
 	// path records without a map lookup.
 	binGettsLat   *obs.Histogram
@@ -118,7 +117,7 @@ func (s *Server) serveBinConn(c net.Conn) {
 	bw := bufio.NewWriterSize(c, 64<<10)
 	fr := frameReader{r: br}
 	st := &binServerConn{
-		s: s, bw: bw, owned: make(map[string]struct{}),
+		s: s, bw: bw,
 		binGettsLat:   s.met.lat["binary_getts"],
 		binCompareLat: s.met.lat["binary_compare"],
 	}
@@ -159,23 +158,13 @@ func (s *Server) serveBinConn(c net.Conn) {
 	}
 }
 
-// cleanup detaches every session attached through this connection that is
-// still leased (the reaper or an explicit detach may have won already).
-// Leases released here are crash events in the flight recorder: their
-// owner vanished without detaching.
-func (st *binServerConn) cleanup() {
-	for id := range st.owned {
-		if ws, ok := st.s.remove(id); ok {
-			ws.mu.Lock()
-			calls := ws.sess.Calls()
-			pid := ws.sess.Pid()
-			_ = ws.sess.Detach()
-			ws.mu.Unlock()
-			st.s.met.crashReclaimed.Inc()
-			st.s.met.ring.RecordNS(obs.EventCrash, ws.ns.id, ws.idNum, int32(pid), int64(calls))
-		}
-	}
-}
+// cleanup retires every lease this connection attached that is still
+// leased (the reaper or an explicit detach may have won already) as a
+// crash: its owner vanished without detaching.
+func (st *binServerConn) cleanup() { st.s.retireWhere(retireCrash, st.owns) }
+
+// owns reports whether this connection attached the lease ws.
+func (st *binServerConn) owns(ws *wireSession) bool { return ws.owner == st }
 
 // handle dispatches one frame. Payload-level problems answer an error
 // frame and keep the connection: the framing is intact, so the stream
@@ -223,9 +212,9 @@ func (st *binServerConn) getTS(payload []byte) {
 	}
 	ws, ok := s.lookupKey(id)
 	if !ok {
-		s.met.unknownSessions.Inc()
-		s.met.ring.Record(obs.EventError, sessionIDNum(string(id)), -1, int64(binCodeUnknownSession))
-		st.writeError(binCodeUnknownSession, fmt.Sprintf("unknown session %q (detached, reaped, or never attached)", id))
+		// Frames carry no namespace, so the rejection books under the
+		// default namespace's id.
+		st.writeError(binCodeUnknownSession, s.rejectUnknownSession(s.defaultNS.id, string(id)))
 		return
 	}
 	// One-shot-ness is the session's namespace's property, so the check
@@ -245,7 +234,8 @@ func (st *binServerConn) getTS(payload []byte) {
 	pid := ws.sess.Pid()
 	ws.mu.Unlock()
 	if err != nil {
-		st.writeSDKError(fmt.Errorf("timestamp %d/%d: %w", n+1, count, err))
+		err = fmt.Errorf("timestamp %d/%d: %w", n+1, count, err)
+		st.writeError(s.classify(s.binCtx, ws.ns, ws.id, err), err.Error())
 		return
 	}
 	st.out = beginFrame(st.out[:0], frameGetTSOK)
@@ -260,9 +250,8 @@ func (st *binServerConn) getTS(payload []byte) {
 	}
 }
 
-// attach leases a session in the shared wire table and marks it
-// binary-attached for the metrics split. The bare attach frame binds
-// into the default namespace.
+// attach leases a session in the shared wire table, owned by this
+// connection. The bare attach frame binds into the default namespace.
 func (st *binServerConn) attach(payload []byte) {
 	if len(payload) != 0 {
 		st.writeError(binCodeBadRequest, "attach: unexpected payload")
@@ -292,27 +281,18 @@ func (st *binServerConn) attachNS(payload []byte) {
 	st.attachInto(ns, frameAttachNSOK)
 }
 
-// attachInto leases a session in ns, reserving its quota slot first so
-// a full namespace rejects with the typed quota code instead of
-// queueing for a pid.
+// attachInto leases a session in ns owned by this connection and
+// answers it in an okType frame.
 func (st *binServerConn) attachInto(ns *namespace, okType byte) {
 	s := st.s
-	if !ns.reserve() {
-		s.met.ring.RecordNS(obs.EventError, ns.id, 0, -1, int64(binCodeQuota))
-		st.writeError(binCodeQuota, fmt.Sprintf("namespace %q: session quota %d exhausted", ns.name, ns.maxSessions))
-		return
-	}
-	sess, err := ns.obj.Attach(s.binCtx)
+	ws, code, err := s.attach(s.binCtx, ns, st)
 	if err != nil {
-		ns.release()
-		st.writeSDKError(err)
+		st.writeError(code, err.Error())
 		return
 	}
-	ws := s.register(ns, sess, true)
-	st.owned[ws.id] = struct{}{}
 	st.out = beginFrame(st.out[:0], okType)
 	st.out = append(st.out, ws.id...)
-	st.out = binary.AppendUvarint(st.out, uint64(sess.Pid()))
+	st.out = binary.AppendUvarint(st.out, uint64(ws.sess.Pid()))
 	st.out = binary.AppendUvarint(st.out, uint64(s.sessionTTL.Milliseconds()))
 	st.out = endFrame(st.out, 0)
 	st.write()
@@ -326,16 +306,12 @@ func (st *binServerConn) detach(payload []byte) {
 		st.writeError(binCodeBadRequest, "detach: malformed session id")
 		return
 	}
-	ws, ok := s.removeKey(id)
-	if !ok {
-		st.writeError(binCodeUnknownSession, fmt.Sprintf("unknown session %q (detached, reaped, or never attached)", id))
+	took := s.take(anyLease, string(id))
+	if len(took) == 0 {
+		st.writeError(binCodeUnknownSession, s.rejectUnknownSession(s.defaultNS.id, string(id)))
 		return
 	}
-	delete(st.owned, ws.id)
-	ws.mu.Lock() // wait out a batch in flight, then release the pid
-	calls := ws.sess.Calls()
-	_ = ws.sess.Detach()
-	ws.mu.Unlock()
+	calls := s.retire(took[0], retireDetach)
 	st.out = beginFrame(st.out[:0], frameDetachOK)
 	st.out = binary.AppendUvarint(st.out, uint64(calls))
 	st.out = endFrame(st.out, 0)
@@ -389,42 +365,11 @@ func (st *binServerConn) writeError(code byte, msg string) {
 	st.write()
 }
 
-// writeSDKError is writeSDKError of the HTTP side in frame form: SDK
-// errors map to the shared wire codes so both protocols produce the same
-// typed errors client-side.
-func (st *binServerConn) writeSDKError(err error) {
-	switch {
-	case errors.Is(err, tsspace.ErrExhausted) || errors.Is(err, tsspace.ErrOneShot):
-		st.writeError(binCodeExhausted, err.Error())
-	case errors.Is(err, tsspace.ErrDetached):
-		st.writeError(binCodeUnknownSession, err.Error())
-	case errors.Is(err, tsspace.ErrClosed):
-		st.writeError(binCodeClosed, err.Error())
-	default:
-		st.writeError(binCodeInternal, err.Error())
-	}
-}
-
 // lookupKey is lookup for a raw id: the map access with string(id) is
 // allocation-free, which keeps the per-frame path clean.
 func (s *Server) lookupKey(id []byte) (*wireSession, bool) {
 	s.sessMu.Lock()
 	ws, ok := s.sessions[string(id)]
 	s.sessMu.Unlock()
-	return ws, ok
-}
-
-// removeKey is remove for a raw id, releasing the lease's quota slot
-// like every other removal from the session table.
-func (s *Server) removeKey(id []byte) (*wireSession, bool) {
-	s.sessMu.Lock()
-	ws, ok := s.sessions[string(id)]
-	if ok {
-		delete(s.sessions, string(id))
-	}
-	s.sessMu.Unlock()
-	if ok {
-		ws.ns.release()
-	}
 	return ws, ok
 }

@@ -172,11 +172,14 @@ func (n *namespace) reserve() bool {
 	}
 }
 
-// release returns one session slot; every removal from the session
-// table calls it exactly once.
+// release returns one session slot: retire calls it once per lease, and
+// attach when its Object attach fails.
 //
 //tslint:hotpath
 func (n *namespace) release() { n.active.Add(-1) }
+
+// holds reports whether the lease ws is bound into n.
+func (n *namespace) holds(ws *wireSession) bool { return ws.ns == n }
 
 // validNamespaceName constrains names to [a-z0-9._-]{1,63}: safe in
 // URL paths, wire frames and Prometheus label values without escaping.
@@ -387,32 +390,7 @@ func (s *Server) handleDeprovision(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("unknown namespace %q (never provisioned, or already deprovisioned)", name))
 		return
 	}
-	released := s.dropNamespaceSessions(ns)
+	released := s.retireWhere(retireDeprovision, ns.holds)
 	_ = ns.obj.Close()
 	writeJSON(w, http.StatusOK, DeprovisionResponse{Name: name, ReleasedSessions: released})
-}
-
-// dropNamespaceSessions force-detaches every live wire lease bound
-// into ns, waiting out in-flight batches. Used by deprovision; Close
-// handles all namespaces at once.
-func (s *Server) dropNamespaceSessions(ns *namespace) int {
-	var live []*wireSession
-	s.sessMu.Lock()
-	for id, ws := range s.sessions {
-		if ws.ns == ns {
-			delete(s.sessions, id)
-			live = append(live, ws)
-		}
-	}
-	s.sessMu.Unlock()
-	for _, ws := range live {
-		ws.mu.Lock() // wait out a batch in flight
-		calls := ws.sess.Calls()
-		pid := ws.sess.Pid()
-		_ = ws.sess.Detach()
-		ws.mu.Unlock()
-		ns.release()
-		s.met.ring.RecordNS(obs.EventDetach, ns.id, ws.idNum, int32(pid), int64(calls))
-	}
-	return len(live)
 }

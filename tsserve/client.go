@@ -64,9 +64,9 @@ func NewClient(baseURL string, hc *http.Client) *Client {
 // BaseURL returns the daemon URL the client talks to.
 func (c *Client) BaseURL() string { return c.base }
 
-// Namespace derives a client bound to the named namespace: its Attach,
-// GetTS and Compare calls route through /ns/{name}/... and its Health
-// reports that namespace. The namespace must be provisioned (see
+// Namespace derives a client bound to the named namespace: its Attach
+// and Compare calls route through /ns/{name}/... and its Health reports
+// that namespace. The namespace must be provisioned (see
 // ProvisionNamespace) or "default"; calls against an unprovisioned name
 // fail with ErrUnknownNamespace. The derived client shares the
 // transport.
@@ -205,26 +205,6 @@ func (s *RemoteSession) Detach() error {
 		return err
 	}
 	return nil
-}
-
-// GetTS requests one batch of count timestamps (count < 1 means 1),
-// returned in issue order: each happens-before the next.
-//
-// Deprecated: GetTS is the v1 single-request surface, kept as a thin shim
-// over wire v2 (the daemon attaches a session, issues the batch, and
-// detaches per call). Callers issuing more than one batch should Attach a
-// RemoteSession and use GetTSBatch, which keeps the lease — and the
-// paper-process identity — across batches.
-func (c *Client) GetTS(ctx context.Context, count int) ([]tsspace.Timestamp, error) {
-	var resp GetTSResponse
-	if err := c.post(ctx, c.scoped("/getts"), GetTSRequest{Count: count}, &resp); err != nil {
-		return nil, err
-	}
-	out := make([]tsspace.Timestamp, len(resp.Timestamps))
-	for i, ts := range resp.Timestamps {
-		out[i] = ts.Timestamp()
-	}
-	return out, nil
 }
 
 // Compare asks the daemon whether t1 is ordered before t2.

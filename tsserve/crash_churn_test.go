@@ -2,6 +2,7 @@ package tsserve_test
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -44,25 +45,30 @@ func TestWireCrashChurnRace(t *testing.T) {
 			// Even workers speak wire v2, odd workers wire v3; both lease
 			// from the same table.
 			var sess tsspace.SessionAPI
-			var err error
-			if w%2 == 0 {
-				sess, err = hc.Attach(ctx)
-			} else {
-				sess, err = bc.Attach(ctx)
-			}
-			if err != nil {
-				t.Errorf("worker %d attach: %v", w, err)
-				return
-			}
-			t1, err := sess.GetTS(ctx)
-			if err != nil {
-				t.Errorf("worker %d getTS: %v", w, err)
-				return
-			}
-			t2, err := sess.GetTS(ctx)
-			if err != nil {
-				t.Errorf("worker %d second getTS: %v", w, err)
-				return
+			var t1, t2 tsspace.Timestamp
+			for attempt := 1; ; attempt++ {
+				var err error
+				if w%2 == 0 {
+					sess, err = hc.Attach(ctx)
+				} else {
+					sess, err = bc.Attach(ctx)
+				}
+				if err != nil {
+					t.Errorf("worker %d attach: %v", w, err)
+					return
+				}
+				if t1, err = sess.GetTS(ctx); err == nil {
+					t2, err = sess.GetTS(ctx)
+				}
+				if err == nil {
+					break
+				}
+				// A worker descheduled past the TTL between its calls lost
+				// its idle lease to the reaper, as it should: lease again.
+				if !errors.Is(err, tsspace.ErrDetached) || attempt == 3 {
+					t.Errorf("worker %d getTS (attempt %d): %v", w, attempt, err)
+					return
+				}
 			}
 			// A worker's own stream is sequential, so its two timestamps
 			// must be ordered whatever the interleaving around it.

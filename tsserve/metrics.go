@@ -187,7 +187,7 @@ func (s *Server) sessionCounts() (wire, binary int) {
 	defer s.sessMu.Unlock()
 	for _, ws := range s.sessions {
 		wire++
-		if ws.binary {
+		if ws.owner != nil {
 			binary++
 		}
 	}

@@ -4,7 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -101,34 +104,148 @@ func TestDebugEventsShowAttachAndReap(t *testing.T) {
 	}
 }
 
-// A getts against a session id the table does not hold must surface in
-// the flight recorder as an error event carrying the unknown-session
-// wire code.
+// A request against a session id the table does not hold — getts or
+// detach, over either wire — must count one unknown-session rejection
+// and surface in the flight recorder as exactly one error event carrying
+// that id and the unknown-session wire code.
 func TestDebugEventsRecordUnknownSession(t *testing.T) {
 	ctx := context.Background()
-	c, _, front := newTestServerCfg(t, tsserve.ServerConfig{})
+	bc, c, front, _ := newBinaryServer(t, tsserve.ServerConfig{}, tsspace.WithProcs(2))
 
-	bogus := strings.Repeat("f", 16)
-	body := bytes.NewReader([]byte(`{"count":1}`))
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL()+"/session/"+bogus+"/getts", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("bogus-session getts status = %d, want 404", resp.StatusCode)
-	}
-
-	for _, e := range dumpEvents(t, front) {
-		if e.Kind == "error" && e.Session == bogus {
-			return
+	httpStatus := func(t *testing.T, method, path, body string) int {
+		t.Helper()
+		req, err := http.NewRequestWithContext(ctx, method, c.BaseURL()+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-	t.Fatalf("no error event recorded for unknown session %s", bogus)
+	binaryCode := func(t *testing.T, frame []byte) byte {
+		t.Helper()
+		conn, err := net.Dial("tcp", bc.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		req := append([]byte(tsserve.BinaryMagic), 0, 0, 0, 0)
+		binary.BigEndian.PutUint32(req[len(req)-4:], uint32(len(frame)))
+		if _, err := conn.Write(append(req, frame...)); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload := readFrame(t, conn)
+		if typ != 0xFF || len(payload) == 0 { // frameError
+			t.Fatalf("response type 0x%02x payload %v, want an error frame", typ, payload)
+		}
+		return payload[0]
+	}
+	const unknownSession = 5 // the unknown-session wire code
+	for _, tc := range []struct {
+		name, id string
+		send     func(t *testing.T, id string)
+	}{
+		{"http getts", strings.Repeat("f", 16), func(t *testing.T, id string) {
+			if got := httpStatus(t, http.MethodPost, "/session/"+id+"/getts", `{"count":1}`); got != http.StatusNotFound {
+				t.Fatalf("status %d, want 404", got)
+			}
+		}},
+		{"http detach", strings.Repeat("e", 16), func(t *testing.T, id string) {
+			if got := httpStatus(t, http.MethodDelete, "/session/"+id, ""); got != http.StatusNotFound {
+				t.Fatalf("status %d, want 404", got)
+			}
+		}},
+		{"binary getts", strings.Repeat("d", 16), func(t *testing.T, id string) {
+			if got := binaryCode(t, append(append([]byte{0x02}, id...), 1)); got != unknownSession { // frameGetTS, count 1
+				t.Fatalf("error code %d, want %d", got, unknownSession)
+			}
+		}},
+		{"binary detach", strings.Repeat("c", 16), func(t *testing.T, id string) {
+			if got := binaryCode(t, append([]byte{0x03}, id...)); got != unknownSession { // frameDetach
+				t.Fatalf("error code %d, want %d", got, unknownSession)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := front.MetricsSnapshot().UnknownSessions
+			tc.send(t, tc.id)
+			if got := front.MetricsSnapshot().UnknownSessions - before; got != 1 {
+				t.Errorf("unknown-session counter moved by %d, want 1", got)
+			}
+			var events []debugEvent
+			for _, e := range dumpEvents(t, front) {
+				if e.Session == tc.id {
+					events = append(events, e)
+				}
+			}
+			if len(events) != 1 || events[0].Kind != "error" || events[0].Detail != unknownSession {
+				t.Fatalf("events for unknown session %s = %+v, want one error event with detail %d", tc.id, events, unknownSession)
+			}
+		})
+	}
+}
+
+// A one-shot lease's whole life shows in the flight recorder on either
+// wire: each attach, each detach, and — once the budget is spent — the
+// refused attach as exactly one error event with the exhausted code.
+func TestOneShotLifecycleEvents(t *testing.T) {
+	const procs, exhausted = 2, 2 // exhausted is the wire code
+	for _, wire := range []string{"http", "binary"} {
+		t.Run(wire, func(t *testing.T) {
+			ctx := context.Background()
+			bc, c, front, _ := newBinaryServer(t, tsserve.ServerConfig{},
+				tsspace.WithAlgorithm("sqrt"), tsspace.WithProcs(procs))
+			attach := func() (interface {
+				tsspace.SessionAPI
+				ID() string
+			}, error) {
+				if wire == "binary" {
+					return bc.Attach(ctx)
+				}
+				return c.Attach(ctx)
+			}
+			var ids []string
+			for i := 0; i < procs; i++ {
+				sess, err := attach()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sess.GetTS(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if err := sess.Detach(); err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, sess.ID())
+			}
+			if _, err := attach(); !errors.Is(err, tsspace.ErrExhausted) {
+				t.Fatalf("attach past the budget = %v, want ErrExhausted", err)
+			}
+
+			kinds := map[string][]string{}
+			var exhaustions int
+			for _, e := range dumpEvents(t, front) {
+				kinds[e.Session] = append(kinds[e.Session], e.Kind)
+				if e.Kind == "error" {
+					if e.Detail != exhausted {
+						t.Errorf("error event %+v, want detail %d (exhausted)", e, exhausted)
+					}
+					exhaustions++
+				}
+			}
+			for _, id := range ids {
+				if got := strings.Join(kinds[id], ","); got != "attach,detach" {
+					t.Errorf("events for lease %s: %s, want attach,detach", id, got)
+				}
+			}
+			if exhaustions != 1 {
+				t.Errorf("%d error events for the spent budget, want 1", exhaustions)
+			}
+		})
+	}
 }
 
 // promValue extracts one scalar sample value from an exposition body.

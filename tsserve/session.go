@@ -1,6 +1,7 @@
 package tsserve
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
@@ -55,13 +56,14 @@ type wireSession struct {
 	// hex-encodes), the form the flight recorder stores per event.
 	idNum uint64
 	sess  *tsspace.Session
-	// ns is the namespace the lease is bound into (the broker released
-	// its quota slot when the session leaves the table). Set at
-	// register time, never changed.
+	// ns is the namespace the lease is bound into; it holds one of the
+	// namespace's quota slots from attach to retire. Set at attach,
+	// never changed.
 	ns *namespace
-	// binary marks a lease attached over the wire-v3 transport, for the
-	// /metrics session split.
-	binary bool
+	// owner is the binary connection that attached the lease, nil over
+	// HTTP: that connection's teardown retires exactly the leases naming
+	// it, and /metrics counts the leases with an owner as binary.
+	owner *binServerConn
 	// mu serializes session-scoped batches: the SDK session is one logical
 	// client, so concurrent HTTP requests against the same id queue here
 	// instead of racing the sequential operation stream.
@@ -75,6 +77,18 @@ type wireSession struct {
 //
 //tslint:hotpath
 func (ws *wireSession) object() *tsspace.Object { return ws.ns.obj }
+
+// retireReason is why a lease leaves the session table; retire books
+// each reason's own counter and flight-recorder event.
+type retireReason uint8
+
+const (
+	retireDetach      retireReason = iota // an explicit detach, over either wire
+	retireReap                            // idle past the TTL
+	retireCrash                           // its binary connection closed while attached
+	retireDeprovision                     // its namespace was deprovisioned
+	retireClose                           // the server shut down
+)
 
 // newSessionID returns a 16-hex-digit random id, both as the wire
 // string and as its numeric value (for the flight recorder). Ids are
@@ -102,19 +116,31 @@ func sessionIDNum(id string) uint64 {
 	return binary.BigEndian.Uint64(b[:])
 }
 
-// register stores a freshly attached session bound into ns (whose
-// quota slot the caller already reserved), records the attach in the
-// flight recorder, and returns the wire form. binary marks leases
-// attached over the wire-v3 transport.
-func (s *Server) register(ns *namespace, sess *tsspace.Session, binary bool) *wireSession {
+// attach is the wire attach of both transports: it reserves a quota slot
+// in ns before leasing an SDK session under ctx — so a full namespace
+// answers quota_exhausted at once instead of queueing on the pid pool —
+// hands the slot back if the lease fails, enters the lease in the
+// session table and records the attach. owner is the attaching binary
+// connection, nil over HTTP. A failure comes back with its wire code
+// already booked; the transport only renders code and err.
+func (s *Server) attach(ctx context.Context, ns *namespace, owner *binServerConn) (*wireSession, byte, error) {
+	if !ns.reserve() {
+		s.met.ring.RecordNS(obs.EventError, ns.id, 0, -1, int64(binCodeQuota))
+		return nil, binCodeQuota, fmt.Errorf("namespace %q: session quota %d exhausted", ns.name, ns.maxSessions)
+	}
+	sess, err := ns.obj.Attach(ctx)
+	if err != nil {
+		ns.release()
+		return nil, s.classify(ctx, ns, "", err), err
+	}
 	id, idNum := newSessionID()
-	ws := &wireSession{id: id, idNum: idNum, sess: sess, ns: ns, binary: binary}
+	ws := &wireSession{id: id, idNum: idNum, sess: sess, ns: ns, owner: owner}
 	ws.last.Store(time.Now().UnixNano())
 	s.sessMu.Lock()
-	s.sessions[ws.id] = ws
+	s.sessions[id] = ws
 	s.sessMu.Unlock()
-	s.met.ring.RecordNS(obs.EventAttach, ns.id, ws.idNum, int32(sess.Pid()), 0)
-	return ws
+	s.met.ring.RecordNS(obs.EventAttach, ns.id, idNum, int32(sess.Pid()), 0)
+	return ws, 0, nil
 }
 
 // lookupIn resolves a session id addressed through ns; the boolean is
@@ -126,45 +152,94 @@ func (s *Server) lookupIn(ns *namespace, id string) (*wireSession, bool) {
 	s.sessMu.Lock()
 	ws, ok := s.sessions[id]
 	s.sessMu.Unlock()
-	if !ok || ws.ns != ns {
+	if !ok || !ns.holds(ws) {
 		return nil, false
 	}
 	return ws, ok
 }
 
-// remove deletes a session id regardless of namespace (the binary
-// transport and connection cleanup address leases purely by
-// capability), releasing its quota slot. The boolean is false if it
-// was not present.
-func (s *Server) remove(id string) (*wireSession, bool) {
+// anyLease selects every lease: the binary transport addresses leases
+// purely by capability, and Close retires them all.
+func anyLease(*wireSession) bool { return true }
+
+// take removes the leases sel accepts from the session table and returns
+// them for the caller to retire; it is the table's only removal. Given
+// ids, only those entries are considered, so a detach costs one map
+// access; given none, every lease is.
+func (s *Server) take(sel func(*wireSession) bool, ids ...string) []*wireSession {
+	var took []*wireSession
+	consider := func(id string, ws *wireSession) {
+		if sel(ws) {
+			delete(s.sessions, id)
+			took = append(took, ws)
+		}
+	}
 	s.sessMu.Lock()
-	ws, ok := s.sessions[id]
-	if ok {
-		delete(s.sessions, id)
+	defer s.sessMu.Unlock()
+	if len(ids) == 0 {
+		for id, ws := range s.sessions {
+			consider(id, ws)
+		}
 	}
-	s.sessMu.Unlock()
-	if ok {
-		ws.ns.release()
+	for _, id := range ids {
+		if ws, ok := s.sessions[id]; ok {
+			consider(id, ws)
+		}
 	}
-	return ws, ok
+	return took
 }
 
-// removeIn is remove constrained to ns, for the namespace-scoped HTTP
-// detach: an id bound elsewhere reads as unknown.
-func (s *Server) removeIn(ns *namespace, id string) (*wireSession, bool) {
-	s.sessMu.Lock()
-	ws, ok := s.sessions[id]
-	if ok && ws.ns != ns {
-		ws, ok = nil, false
+// retire ends a lease take has removed from the table, and is the only
+// code that does: it waits out a batch in flight, hands the quota slot
+// back, books why, and detaches the SDK session. The detach comes last
+// because it frees the pid: whoever observes that — the next attach —
+// finds the books already settled. A reaped lease arrives already
+// locked — the reaper's TryLock is what proved it idle — so no batch
+// can start between that check and the detach. It returns the session's
+// lifetime call count.
+func (s *Server) retire(ws *wireSession, why retireReason) int {
+	if why != retireReap {
+		ws.mu.Lock()
 	}
-	if ok {
-		delete(s.sessions, id)
+	defer ws.mu.Unlock()
+	calls, pid := ws.sess.Calls(), ws.sess.Pid()
+	ws.ns.release()
+	kind := obs.EventDetach
+	switch why {
+	case retireReap:
+		kind = obs.EventReap
+		ws.ns.reaped.Add(1)
+		s.met.reaped.Inc()
+	case retireCrash:
+		kind = obs.EventCrash
+		s.met.crashReclaimed.Inc()
 	}
-	s.sessMu.Unlock()
-	if ok {
-		ws.ns.release()
+	if why != retireClose {
+		s.met.ring.RecordNS(kind, ws.ns.id, ws.idNum, int32(pid), int64(calls))
 	}
-	return ws, ok
+	_ = ws.sess.Detach() // idempotent; it reports no failure
+	return calls
+}
+
+// retireWhere takes every lease sel accepts and retires each for why,
+// returning how many it retired.
+func (s *Server) retireWhere(why retireReason, sel func(*wireSession) bool) int {
+	took := s.take(sel)
+	for _, ws := range took {
+		s.retire(ws, why)
+	}
+	return len(took)
+}
+
+// rejectUnknownSession books a session-scoped request against an id the
+// table does not hold — detached, reaped, never attached, or (over HTTP)
+// bound into another namespace: the unknown-session counter and one
+// error event in namespace nsID's stream. It is the one path for that
+// rejection on both wires, and returns the error message.
+func (s *Server) rejectUnknownSession(nsID uint32, id string) string {
+	s.met.unknownSessions.Inc()
+	s.met.ring.RecordNS(obs.EventError, nsID, sessionIDNum(id), -1, int64(binCodeUnknownSession))
+	return fmt.Sprintf("unknown session %q (detached, reaped, or never attached)", id)
 }
 
 // reapLoop detaches sessions whose lease has been idle past the TTL. It
@@ -186,36 +261,16 @@ func (s *Server) reapLoop() {
 	}
 }
 
-// reapIdle detaches every session idle at now, counting them in the
-// metrics. A session is idle only when no request is in flight on it
-// (TryLock) AND its last activity stamp — renewed at batch start and
-// end — is past the TTL, so a slow batch longer than the TTL is never
-// yanked and never costs the client its lease.
+// reapIdle retires every session idle at now. A session is idle only
+// when its last activity stamp — renewed at batch start and end — is
+// past the TTL AND no request is in flight on it (TryLock), so a slow
+// batch longer than the TTL is never yanked and never costs the client
+// its lease.
 func (s *Server) reapIdle(now time.Time) {
 	cutoff := now.Add(-s.sessionTTL).UnixNano()
-	var idle []*wireSession
-	s.sessMu.Lock()
-	for id, ws := range s.sessions {
-		if ws.last.Load() >= cutoff {
-			continue
-		}
-		if !ws.mu.TryLock() {
-			continue // batch in flight: not idle, try again next tick
-		}
-		delete(s.sessions, id)
-		idle = append(idle, ws)
-	}
-	s.sessMu.Unlock()
-	for _, ws := range idle {
-		calls := ws.sess.Calls()
-		pid := ws.sess.Pid()
-		_ = ws.sess.Detach()
-		ws.mu.Unlock()
-		ws.ns.release()
-		ws.ns.reaped.Add(1)
-		s.met.reaped.Inc()
-		s.met.ring.RecordNS(obs.EventReap, ws.ns.id, ws.idNum, int32(pid), int64(calls))
-	}
+	s.retireWhere(retireReap, func(ws *wireSession) bool {
+		return ws.last.Load() < cutoff && ws.mu.TryLock()
+	})
 }
 
 // Close stops the idle reaper, shuts the binary listeners and
@@ -228,19 +283,7 @@ func (s *Server) Close() error {
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.binCancel()
 	s.closeBinary()
-	s.sessMu.Lock()
-	live := make([]*wireSession, 0, len(s.sessions))
-	for id, ws := range s.sessions {
-		delete(s.sessions, id)
-		live = append(live, ws)
-	}
-	s.sessMu.Unlock()
-	for _, ws := range live {
-		ws.mu.Lock()
-		_ = ws.sess.Detach()
-		ws.mu.Unlock()
-		ws.ns.release()
-	}
+	s.retireWhere(retireClose, anyLease)
 	s.nsMu.Lock()
 	provisioned := s.namespaces
 	s.namespaces = make(map[string]*namespace)
@@ -254,10 +297,7 @@ func (s *Server) Close() error {
 }
 
 // handleAttach is POST /session and POST /ns/{name}/session: lease an
-// SDK session in the resolved namespace for this caller. The quota
-// slot is reserved before the Object attach, so a full namespace
-// answers quota_exhausted immediately instead of queueing on the pid
-// pool.
+// SDK session in the resolved namespace for this caller.
 func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request) {
 	ns, ok := s.requestNS(w, r)
 	if !ok {
@@ -268,23 +308,15 @@ func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
-	if !ns.reserve() {
-		s.met.ring.RecordNS(obs.EventError, ns.id, 0, -1, int64(binCodeQuota))
-		writeError(w, http.StatusTooManyRequests, CodeQuota,
-			fmt.Sprintf("namespace %q: session quota %d exhausted", ns.name, ns.maxSessions))
-		return
-	}
-	sess, err := ns.obj.Attach(r.Context())
+	ws, code, err := s.attach(r.Context(), ns, nil)
 	if err != nil {
-		ns.release()
-		s.writeSDKError(w, r, ns, err)
+		writeCode(w, code, err.Error())
 		return
 	}
-	ws := s.register(ns, sess, false)
 	writeJSON(w, http.StatusOK, AttachResponse{
 		SessionID: ws.id,
 		Namespace: ns.name,
-		Pid:       sess.Pid(),
+		Pid:       ws.sess.Pid(),
 		IdleTTLMs: s.sessionTTL.Milliseconds(),
 	})
 }
@@ -297,12 +329,10 @@ func (s *Server) handleSessionGetTS(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ws, ok := s.lookupIn(ns, r.PathValue("id"))
+	id := r.PathValue("id")
+	ws, ok := s.lookupIn(ns, id)
 	if !ok {
-		s.met.unknownSessions.Inc()
-		s.met.ring.RecordNS(obs.EventError, ns.id, sessionIDNum(r.PathValue("id")), -1, int64(binCodeUnknownSession))
-		writeError(w, http.StatusNotFound, CodeUnknownSession,
-			fmt.Sprintf("unknown session %q (detached, reaped, or never attached)", r.PathValue("id")))
+		writeCode(w, binCodeUnknownSession, s.rejectUnknownSession(ns.id, id))
 		return
 	}
 	var req GetTSRequest
@@ -335,7 +365,8 @@ func (s *Server) handleSessionGetTS(w http.ResponseWriter, r *http.Request) {
 		// A short batch burns nothing the caller can recover over the wire:
 		// report the failure (with how far the batch got) and let the
 		// client retry on a fresh request.
-		s.writeSDKError(w, r, ns, fmt.Errorf("timestamp %d/%d: %w", n+1, count, err))
+		err = fmt.Errorf("timestamp %d/%d: %w", n+1, count, err)
+		writeCode(w, s.classify(r.Context(), ns, id, err), err.Error())
 		return
 	}
 	resp := GetTSResponse{Pid: ws.sess.Pid(), Timestamps: make([]TS, n)}
@@ -353,19 +384,11 @@ func (s *Server) handleDetach(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ws, ok := s.removeIn(ns, r.PathValue("id"))
-	if !ok {
-		s.met.unknownSessions.Inc()
-		s.met.ring.RecordNS(obs.EventError, ns.id, sessionIDNum(r.PathValue("id")), -1, int64(binCodeUnknownSession))
-		writeError(w, http.StatusNotFound, CodeUnknownSession,
-			fmt.Sprintf("unknown session %q (detached, reaped, or never attached)", r.PathValue("id")))
+	id := r.PathValue("id")
+	took := s.take(ns.holds, id)
+	if len(took) == 0 {
+		writeCode(w, binCodeUnknownSession, s.rejectUnknownSession(ns.id, id))
 		return
 	}
-	ws.mu.Lock() // wait out a batch in flight, then release the pid
-	calls := ws.sess.Calls()
-	pid := ws.sess.Pid()
-	_ = ws.sess.Detach()
-	ws.mu.Unlock()
-	s.met.ring.RecordNS(obs.EventDetach, ws.ns.id, ws.idNum, int32(pid), int64(calls))
-	writeJSON(w, http.StatusOK, DetachResponse{Calls: calls})
+	writeJSON(w, http.StatusOK, DetachResponse{Calls: s.retire(took[0], retireDetach)})
 }

@@ -14,10 +14,6 @@
 //	GET    /metrics                      → space report + throughput counters
 //	                                       + per-endpoint latency percentiles
 //
-// The v1 endpoint survives as a deprecated shim over the same machinery:
-//
-//	POST /getts {"count": k}             — attach + one batch + detach
-//
 // Wire v3 is the same session surface over a persistent-connection,
 // length-prefixed binary protocol (ServeBinary / BinaryClient — see
 // binary.go for the framing), sharing the lease table, TTL reaper and
@@ -229,8 +225,8 @@ type ErrorBody struct {
 
 // ServerConfig tunes NewServer.
 type ServerConfig struct {
-	// MaxBatch caps the count of one getts request (v1 or session-scoped);
-	// values < 1 mean 1024.
+	// MaxBatch caps the count of one getts request or frame; values < 1
+	// mean 1024.
 	MaxBatch int
 	// SessionTTL is how long a wire session's lease may sit idle before
 	// the reaper detaches it and recycles its pid. Values <= 0 mean 60s.
@@ -336,7 +332,6 @@ func NewServer(obj *tsspace.Object, cfg ServerConfig) *Server {
 	s.mux.HandleFunc("POST /session", s.timed("attach", s.handleAttach))
 	s.mux.HandleFunc("POST /session/{id}/getts", s.timed("getts", s.handleSessionGetTS))
 	s.mux.HandleFunc("DELETE /session/{id}", s.handleDetach)
-	s.mux.HandleFunc("POST /getts", s.timed("getts", s.handleGetTS))
 	s.mux.HandleFunc("POST /compare", s.timed("compare", s.handleCompare))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -351,7 +346,6 @@ func NewServer(obj *tsspace.Object, cfg ServerConfig) *Server {
 	s.mux.HandleFunc("POST /ns/{name}/session", s.timed("attach", s.handleAttach))
 	s.mux.HandleFunc("POST /ns/{name}/session/{id}/getts", s.timed("getts", s.handleSessionGetTS))
 	s.mux.HandleFunc("DELETE /ns/{name}/session/{id}", s.handleDetach)
-	s.mux.HandleFunc("POST /ns/{name}/getts", s.timed("getts", s.handleGetTS))
 	s.mux.HandleFunc("POST /ns/{name}/compare", s.timed("compare", s.handleCompare))
 	s.mux.HandleFunc("GET /ns/{name}/healthz", s.handleHealthz)
 	go s.reapLoop()
@@ -378,81 +372,28 @@ func (s *Server) timed(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// handleGetTS is the deprecated v1 endpoint: a thin shim composing wire
-// v2's attach + one session-scoped batch + detach into a single request,
-// kept so existing clients (and the single-call Client.GetTS) keep
-// working. New callers should hold a session across batches instead.
-func (s *Server) handleGetTS(w http.ResponseWriter, r *http.Request) {
-	ns, ok := s.requestNS(w, r)
-	if !ok {
-		return
-	}
-	var req GetTSRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
-	}
-	count := req.Count
-	if count < 1 {
-		count = 1
-	}
-	if count > s.maxBatch {
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Sprintf("count %d exceeds the batch cap %d", count, s.maxBatch))
-		return
-	}
-	if ns.obj.OneShot() && count > 1 {
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Sprintf("a one-shot object issues one timestamp per process; ask for count 1, not %d", count))
-		return
-	}
-
-	sess, err := ns.obj.Attach(r.Context())
-	if err != nil {
-		s.writeSDKError(w, r, ns, err)
-		return
-	}
-	defer sess.Detach()
-
-	buf := make([]tsspace.Timestamp, count)
-	n, err := sess.GetTSBatch(r.Context(), buf)
-	if err != nil {
-		s.writeSDKError(w, r, ns, fmt.Errorf("timestamp %d/%d: %w", n+1, count, err))
-		return
-	}
-	resp := GetTSResponse{Pid: sess.Pid(), Timestamps: make([]TS, n)}
-	for i := 0; i < n; i++ {
-		resp.Timestamps[i] = FromTimestamp(buf[i])
-	}
-	s.met.batches.Inc()
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// writeSDKError maps SDK errors to their wire codes, so clients can
-// recover typed errors via APIError.Is regardless of where in the request
-// the failure happened (attach or mid-batch). Flight-recorder events
-// carry the namespace the failure happened in.
-func (s *Server) writeSDKError(w http.ResponseWriter, r *http.Request, ns *namespace, err error) {
+// classify maps an SDK error to its wire code and books it, once for
+// both transports: an error event in ns's flight-recorder stream naming
+// the lease id ("" when there is none), with ErrDetached — the lease
+// vanished between lookup and execution, because the reaper or a
+// concurrent detach won the race — rejected as an unknown session. A
+// failure caused by ctx ending (the caller went away) is internal and
+// books nothing. Transports only render the returned code.
+func (s *Server) classify(ctx context.Context, ns *namespace, id string, err error) byte {
+	code := binCodeInternal
 	switch {
 	case errors.Is(err, tsspace.ErrExhausted) || errors.Is(err, tsspace.ErrOneShot):
-		s.met.ring.RecordNS(obs.EventError, ns.id, 0, -1, int64(binCodeExhausted))
-		writeError(w, http.StatusConflict, CodeExhausted, err.Error())
+		code = binCodeExhausted
 	case errors.Is(err, tsspace.ErrDetached):
-		// The lease vanished between lookup and execution (reaper or a
-		// concurrent DELETE won the race): same verdict as an unknown id.
-		s.met.unknownSessions.Inc()
-		s.met.ring.RecordNS(obs.EventError, ns.id, 0, -1, int64(binCodeUnknownSession))
-		writeError(w, http.StatusNotFound, CodeUnknownSession, err.Error())
+		s.rejectUnknownSession(ns.id, id)
+		return binCodeUnknownSession
 	case errors.Is(err, tsspace.ErrClosed):
-		s.met.ring.RecordNS(obs.EventError, ns.id, 0, -1, int64(binCodeClosed))
-		writeError(w, http.StatusServiceUnavailable, CodeClosed, err.Error())
-	case r.Context().Err() != nil:
-		// The client went away while queued or mid-batch; any status works.
-		writeError(w, http.StatusServiceUnavailable, CodeInternal, err.Error())
-	default:
-		s.met.ring.RecordNS(obs.EventError, ns.id, 0, -1, int64(binCodeInternal))
-		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
+		code = binCodeClosed
+	case ctx.Err() != nil:
+		return binCodeInternal
 	}
+	s.met.ring.RecordNS(obs.EventError, ns.id, sessionIDNum(id), -1, int64(code))
+	return code
 }
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
@@ -508,4 +449,21 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, ErrorBody{Code: code, Error: msg})
+}
+
+// writeCode answers with the error body of a wire code from the lease
+// paths, at the HTTP status that code stands for.
+func writeCode(w http.ResponseWriter, code byte, msg string) {
+	status := http.StatusInternalServerError
+	switch code {
+	case binCodeExhausted:
+		status = http.StatusConflict
+	case binCodeClosed:
+		status = http.StatusServiceUnavailable
+	case binCodeUnknownSession:
+		status = http.StatusNotFound
+	case binCodeQuota:
+		status = http.StatusTooManyRequests
+	}
+	writeError(w, status, binCodeString(code), msg)
 }

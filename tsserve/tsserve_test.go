@@ -34,6 +34,23 @@ func newTestServerCfg(t *testing.T, cfg tsserve.ServerConfig, opts ...tsspace.Op
 	return tsserve.NewClient(srv.URL, srv.Client()), obj, front
 }
 
+// attachedBatch takes one batch of count timestamps on a fresh lease and
+// detaches it again.
+func attachedBatch(t *testing.T, c *tsserve.Client, count int) []tsspace.Timestamp {
+	t.Helper()
+	ctx := context.Background()
+	sess, err := c.Attach(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Detach()
+	batch := make([]tsspace.Timestamp, count)
+	if n, err := sess.GetTSBatch(ctx, batch); err != nil || n != count {
+		t.Fatalf("batch of %d = (%d, %v)", count, n, err)
+	}
+	return batch
+}
+
 // A batch is issued by one session back to back, so it must be strictly
 // increasing under the object's compare — verified both client-side and
 // over the /compare endpoint.
@@ -41,13 +58,7 @@ func TestBatchedGetTSHappensBefore(t *testing.T) {
 	ctx := context.Background()
 	c, obj := newTestServer(t, tsspace.WithProcs(4), tsspace.WithMetering())
 
-	batch, err := c.GetTS(ctx, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != 5 {
-		t.Fatalf("got %d timestamps, want 5", len(batch))
-	}
+	batch := attachedBatch(t, c, 5)
 	for i := 0; i+1 < len(batch); i++ {
 		if !obj.Compare(batch[i], batch[i+1]) {
 			t.Errorf("batch[%d] %v not before batch[%d] %v", i, batch[i], i+1, batch[i+1])
@@ -63,19 +74,12 @@ func TestBatchedGetTSHappensBefore(t *testing.T) {
 	}
 }
 
-// Batches from different requests are ordered too when they do not
+// Batches from different leases are ordered too when they do not
 // overlap: a completed batch happens-before a later one.
 func TestSequentialBatchesOrdered(t *testing.T) {
-	ctx := context.Background()
 	c, obj := newTestServer(t, tsspace.WithProcs(4))
-	first, err := c.GetTS(ctx, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := c.GetTS(ctx, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := attachedBatch(t, c, 3)
+	second := attachedBatch(t, c, 3)
 	if last, head := first[len(first)-1], second[0]; !obj.Compare(last, head) {
 		t.Errorf("batch boundary unordered: %v vs %v", last, head)
 	}
@@ -91,7 +95,13 @@ func TestConcurrentClientsOverFewPids(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := c.GetTS(ctx, 2); err != nil {
+			sess, err := c.Attach(ctx)
+			if err != nil {
+				t.Errorf("client attach: %v", err)
+				return
+			}
+			defer sess.Detach()
+			if _, err := sess.GetTSBatch(ctx, make([]tsspace.Timestamp, 2)); err != nil {
 				t.Errorf("client: %v", err)
 			}
 		}()
@@ -106,30 +116,36 @@ func TestConcurrentClientsOverFewPids(t *testing.T) {
 	}
 }
 
+// On a one-shot object every timestamp is a lease of its own: attach,
+// getTS, detach. Completed leases order, and once the budget is spent
+// the next attach fails with the typed exhaustion error.
 func TestOneShotSemanticsOverTheWire(t *testing.T) {
 	ctx := context.Background()
 	c, _ := newTestServer(t, tsspace.WithAlgorithm("sqrt"), tsspace.WithProcs(2))
 
 	// Batches are rejected up front on one-shot objects.
 	var apiErr *tsserve.APIError
-	if _, err := c.GetTS(ctx, 2); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
+	sess, err := c.Attach(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.GetTSBatch(ctx, make([]tsspace.Timestamp, 2)); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
 		t.Fatalf("one-shot batch err = %v, want 400", err)
 	}
-
-	t1, err := c.GetTS(ctx, 1)
+	t1, err := sess.GetTS(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := c.GetTS(ctx, 1)
-	if err != nil {
+	if err := sess.Detach(); err != nil {
 		t.Fatal(err)
 	}
-	if before, err := c.Compare(ctx, t1[0], t2[0]); err != nil || !before {
+	t2 := attachedBatch(t, c, 1)[0]
+	if before, err := c.Compare(ctx, t1, t2); err != nil || !before {
 		t.Errorf("one-shot pair unordered: (%v, %v)", before, err)
 	}
 
 	// Budget spent: the typed exhaustion error crosses the wire.
-	_, err = c.GetTS(ctx, 1)
+	_, err = c.Attach(ctx)
 	if !errors.Is(err, tsspace.ErrExhausted) {
 		t.Errorf("exhausted err = %v, want ErrExhausted via APIError.Is", err)
 	}
@@ -152,9 +168,7 @@ func TestHealthzAndMetricsShape(t *testing.T) {
 		t.Error("health missing the catalog summary")
 	}
 
-	if _, err := c.GetTS(ctx, 1); err != nil {
-		t.Fatal(err)
-	}
+	attachedBatch(t, c, 1)
 	m, err := c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -184,10 +198,15 @@ func TestMetricsEndpointLatency(t *testing.T) {
 	}
 
 	const batches = 20
+	sess, err := c.Attach(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Detach()
 	var first, last tsspace.Timestamp
+	ts := make([]tsspace.Timestamp, 2)
 	for i := 0; i < batches; i++ {
-		ts, err := c.GetTS(ctx, 2)
-		if err != nil {
+		if _, err := sess.GetTSBatch(ctx, ts); err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
@@ -443,19 +462,25 @@ func TestDefaultClientReusesConnections(t *testing.T) {
 }
 
 func TestRequestValidation(t *testing.T) {
-	c, obj := newTestServer(t, tsspace.WithProcs(2))
+	c, _ := newTestServer(t, tsspace.WithProcs(2))
 	srvURL := strings.TrimSuffix(clientBase(c), "/")
+	sess, err := c.Attach(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Detach()
+	getts := "/session/" + sess.ID() + "/getts"
 
 	cases := []struct {
 		name, method, path, body string
 		wantStatus               int
 	}{
-		{"oversized batch", "POST", "/getts", `{"count": 17}`, http.StatusBadRequest},
-		{"negative count means 1", "POST", "/getts", `{"count": -3}`, http.StatusOK},
-		{"empty body means 1", "POST", "/getts", ``, http.StatusOK},
-		{"unknown field", "POST", "/getts", `{"size": 2}`, http.StatusBadRequest},
+		{"oversized batch", "POST", getts, `{"count": 17}`, http.StatusBadRequest},
+		{"negative count means 1", "POST", getts, `{"count": -3}`, http.StatusOK},
+		{"empty body means 1", "POST", getts, ``, http.StatusOK},
+		{"unknown field", "POST", getts, `{"size": 2}`, http.StatusBadRequest},
 		{"malformed json", "POST", "/compare", `{`, http.StatusBadRequest},
-		{"wrong method getts", "GET", "/getts", ``, http.StatusMethodNotAllowed},
+		{"wrong method getts", "GET", getts, ``, http.StatusMethodNotAllowed},
 		{"wrong method healthz", "POST", "/healthz", ``, http.StatusMethodNotAllowed},
 		{"unknown path", "GET", "/nope", ``, http.StatusNotFound},
 	}
@@ -475,7 +500,6 @@ func TestRequestValidation(t *testing.T) {
 			}
 		})
 	}
-	_ = obj
 }
 
 // clientBase exposes the client's base URL for raw-request tests.
