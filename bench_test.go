@@ -254,8 +254,7 @@ func BenchmarkE9_MBounded(b *testing.B) {
 }
 
 // E10 — throughput under real goroutine contention (engineering sanity,
-// not from the paper), on both the flat and the cache-line-padded register
-// arrays.
+// not from the paper).
 func BenchmarkGetTS_Collect(b *testing.B) {
 	benchThroughput(b, func(n int) timestamp.Algorithm { return timestamp.MustNew("collect", n) })
 }
@@ -268,28 +267,21 @@ func BenchmarkGetTS_Dense(b *testing.B) {
 func benchThroughput(b *testing.B, mk func(int) timestamp.Algorithm) {
 	const callsPer = 64
 	for _, n := range []int{4, 32} {
-		for _, sharded := range []bool{false, true} {
-			mem := "flat"
-			if sharded {
-				mem = "sharded"
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			alg := mk(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// Unmetered: the shared meter would serialize the very
+				// contention this experiment measures.
+				run(b, engine.Config[timestamp.Timestamp]{
+					Alg: alg, World: engine.Atomic, N: n,
+					Workload:  engine.LongLived{CallsPerProc: callsPer},
+					Unmetered: true,
+				})
 			}
-			b.Run(fmt.Sprintf("n=%d/%s", n, mem), func(b *testing.B) {
-				alg := mk(n)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					// Unmetered: the shared meter would serialize the very
-					// contention this experiment measures.
-					run(b, engine.Config[timestamp.Timestamp]{
-						Alg: alg, World: engine.Atomic, N: n,
-						Workload:  engine.LongLived{CallsPerProc: callsPer},
-						Sharded:   sharded,
-						Unmetered: true,
-					})
-				}
-				perCall(b, n*callsPer)
-			})
-		}
+			perCall(b, n*callsPer)
+		})
 	}
 }
 
@@ -346,49 +338,39 @@ func BenchmarkGetTS_Simple(b *testing.B) {
 func BenchmarkSession_GetTS_Parallel(b *testing.B) {
 	ctx := context.Background()
 	for _, alg := range []string{"collect", "dense"} {
-		for _, sharded := range []bool{false, true} {
-			mem := "flat"
-			if sharded {
-				mem = "sharded"
+		b.Run(alg, func(b *testing.B) {
+			// One paper-process per parallel worker, so Attach never
+			// blocks regardless of GOMAXPROCS.
+			procs := runtime.GOMAXPROCS(0) * 2
+			obj, err := tsspace.New(tsspace.WithAlgorithm(alg), tsspace.WithProcs(procs))
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.Run(fmt.Sprintf("%s/%s", alg, mem), func(b *testing.B) {
-				// One paper-process per parallel worker, so Attach never
-				// blocks regardless of GOMAXPROCS.
-				procs := runtime.GOMAXPROCS(0) * 2
-				opts := []tsspace.Option{tsspace.WithAlgorithm(alg), tsspace.WithProcs(procs)}
-				if sharded {
-					opts = append(opts, tsspace.WithSharded())
-				}
-				obj, err := tsspace.New(opts...)
+			defer obj.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				s, err := obj.Attach(ctx)
 				if err != nil {
-					b.Fatal(err)
+					b.Error(err)
+					return
 				}
-				defer obj.Close()
-				b.ReportAllocs()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					s, err := obj.Attach(ctx)
-					if err != nil {
+				defer s.Detach()
+				for pb.Next() {
+					if _, err := s.GetTS(ctx); err != nil {
 						b.Error(err)
 						return
 					}
-					defer s.Detach()
-					for pb.Next() {
-						if _, err := s.GetTS(ctx); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				})
+				}
 			})
-		}
+		})
 	}
 }
 
 // BenchmarkSession_GetTSBatch prices batch amortization on the SDK hot
 // path: one op is one GetTSBatch of the given size into a caller-owned
-// buffer, under real parallel sessions on flat and sharded scalar
-// arrays. allocs/op must be 0 at every size (the v2 acceptance bar); the
+// buffer, under real parallel sessions on the scalar register array.
+// allocs/op must be 0 at every size (the v2 acceptance bar); the
 // ns/ts metric is the per-timestamp cost the EXPERIMENTS.md E13 table
 // tracks — batch=1 pays the full per-call guard tax, batch=256 amortizes
 // it to noise, and the register accesses per timestamp (the paper's
@@ -396,67 +378,31 @@ func BenchmarkSession_GetTS_Parallel(b *testing.B) {
 func BenchmarkSession_GetTSBatch(b *testing.B) {
 	ctx := context.Background()
 	for _, size := range []int{1, 16, 256} {
-		for _, sharded := range []bool{false, true} {
-			mem := "flat"
-			if sharded {
-				mem = "sharded"
+		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
+			procs := runtime.GOMAXPROCS(0) * 2
+			obj, err := tsspace.New(tsspace.WithProcs(procs))
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.Run(fmt.Sprintf("batch=%d/%s", size, mem), func(b *testing.B) {
-				procs := runtime.GOMAXPROCS(0) * 2
-				opts := []tsspace.Option{tsspace.WithProcs(procs)}
-				if sharded {
-					opts = append(opts, tsspace.WithSharded())
-				}
-				obj, err := tsspace.New(opts...)
+			defer obj.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				s, err := obj.Attach(ctx)
 				if err != nil {
-					b.Fatal(err)
+					b.Error(err)
+					return
 				}
-				defer obj.Close()
-				b.ReportAllocs()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					s, err := obj.Attach(ctx)
-					if err != nil {
+				defer s.Detach()
+				buf := make([]tsspace.Timestamp, size)
+				for pb.Next() {
+					if _, err := s.GetTSBatch(ctx, buf); err != nil {
 						b.Error(err)
 						return
 					}
-					defer s.Detach()
-					buf := make([]tsspace.Timestamp, size)
-					for pb.Next() {
-						if _, err := s.GetTSBatch(ctx, buf); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				})
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(size)), "ns/ts")
+				}
 			})
-		}
-	}
-}
-
-// Ablation — the line-13 scan's equality strategy: the paper's
-// value-equality double collect (sound by Claim 6.1(b)) vs the
-// version-stamped variant (sound universally). Same behaviour, different
-// equality cost.
-func BenchmarkAblationScan(b *testing.B) {
-	for _, versioned := range []bool{false, true} {
-		name := "value-equality"
-		if versioned {
-			name = "versioned"
-		}
-		b.Run(name, func(b *testing.B) {
-			const n = 256
-			alg := sqrt.New(n)
-			alg.UseVersionedScan(versioned)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run(b, engine.Config[timestamp.Timestamp]{
-					Alg: alg, World: engine.Atomic, N: n,
-					Workload: engine.Sequential{}, Unmetered: true,
-				})
-			}
-			perCall(b, n)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(size)), "ns/ts")
 		})
 	}
 }

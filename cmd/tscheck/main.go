@@ -32,7 +32,7 @@
 //
 // Usage:
 //
-//	tscheck [-n 4] [-visits 2000] [-samples 100] [-reps 20] [-sharded]
+//	tscheck [-n 4] [-visits 2000] [-samples 100] [-reps 20]
 //	        [-explore] [-exploren 2,3] [-por] [-compare] [-fuzz N]
 //	        [-fuzzn 8] [-shrink] [-mutant] [-cexdir DIR] [-seed 42]
 package main
@@ -61,7 +61,6 @@ func main() {
 	samples := flag.Int("samples", 100, "random schedules per algorithm (classic suite)")
 	reps := flag.Int("reps", 20, "real-concurrency repetitions per algorithm")
 	seed := flag.Int64("seed", 42, "schedule sampling seed")
-	sharded := flag.Bool("sharded", false, "use the cache-line-padded register array for concurrent runs")
 	explore := flag.Bool("explore", false, "exhaustive model checking of every algorithm (internal/mc)")
 	exploreNs := flag.String("exploren", "2,3", "process counts for -explore")
 	por := flag.Bool("por", true, "partial-order reduction (sleep sets + state hashing) for -explore")
@@ -84,7 +83,7 @@ func main() {
 			cexDir: *cexDir, seed: *seed,
 		}))
 	}
-	classic(*n, *visits, *samples, *reps, *seed, *sharded)
+	classic(*n, *visits, *samples, *reps, *seed)
 }
 
 type modelCheckConfig struct {
@@ -277,7 +276,7 @@ func writeCex(dir, alg string, n, calls int, err error) {
 }
 
 // classic is the original tscheck suite, rostered from the registry.
-func classic(n, visits, samples, reps int, seed int64, sharded bool) {
+func classic(n, visits, samples, reps int, seed int64) {
 	failed := false
 	for _, fam := range timestamp.All() {
 		if n < fam.MinProcs {
@@ -292,7 +291,7 @@ func classic(n, visits, samples, reps int, seed int64, sharded bool) {
 		}
 		cfg := func(world engine.World, wl engine.Workload) engine.Config[timestamp.Timestamp] {
 			return engine.Config[timestamp.Timestamp]{
-				Alg: alg, World: world, N: n, Workload: wl, Seed: seed, Sharded: sharded,
+				Alg: alg, World: world, N: n, Workload: wl, Seed: seed,
 			}
 		}
 

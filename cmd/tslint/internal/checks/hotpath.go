@@ -10,7 +10,7 @@ import (
 
 // Hotpath protects the committed 0 allocs/op trajectory (PR 5/6): every
 // function reachable inside its package from a //tslint:hotpath-annotated
-// root — Session.GetTS/GetTSBatch, the scalar register arrays, the binary
+// root — Session.GetTS/GetTSBatch, the scalar register array, the binary
 // codec steady state — must not call into fmt, allocate (make, new,
 // closures, heap-escaping or slice/map composite literals), box concrete
 // values into interfaces, or acquire sync mutexes. Cold branches that are

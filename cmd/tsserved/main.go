@@ -23,7 +23,7 @@
 // Usage:
 //
 //	tsserved [-addr :8037] [-binary-addr :8038] [-debug-addr 127.0.0.1:8039]
-//	         [-alg collect] [-procs 64] [-sharded] [-unmetered]
+//	         [-alg collect] [-procs 64] [-unmetered]
 //	         [-maxbatch 1024] [-session-ttl 60s]
 //	tsserved -algs                 list the servable algorithms
 //	tsserved -smoke URL            run the end-to-end smoke check against
@@ -73,7 +73,6 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "debug listen address (e.g. 127.0.0.1:8039) serving net/http/pprof, expvar, and GET /debug/events (flight-recorder dump); empty disables")
 	alg := flag.String("alg", "collect", "algorithm: one of "+strings.Join(tsspace.Algorithms(), " | "))
 	procs := flag.Int("procs", 64, "paper-processes n: the object's concurrency level (and, for one-shot algorithms, the total timestamp budget)")
-	sharded := flag.Bool("sharded", false, "cache-line-padded register array")
 	unmetered := flag.Bool("unmetered", false, "drop space metering from the register path (disables the /metrics space section)")
 	maxBatch := flag.Int("maxbatch", 1024, "largest getts batch")
 	sessionTTL := flag.Duration("session-ttl", 60*time.Second, "idle time before a wire session's lease is reaped and its pid recycled")
@@ -102,9 +101,6 @@ func main() {
 	}
 
 	opts := []tsspace.Option{tsspace.WithAlgorithm(*alg), tsspace.WithProcs(*procs)}
-	if *sharded {
-		opts = append(opts, tsspace.WithSharded())
-	}
 	if !*unmetered {
 		opts = append(opts, tsspace.WithMetering())
 	}

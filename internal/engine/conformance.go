@@ -72,14 +72,10 @@ type opCounter struct {
 }
 
 // counted is the per-process counting middleware behind call-span
-// tracking, preserving the VersionedMem capability like every layer.
+// tracking.
 func counted(c *opCounter) register.Middleware {
 	return func(inner register.Mem) register.Mem {
-		cm := &countedMem{inner: inner, c: c}
-		if vm, ok := inner.(register.VersionedMem); ok {
-			return &countedVersioned{countedMem: cm, vm: vm}
-		}
-		return cm
+		return &countedMem{inner: inner, c: c}
 	}
 }
 
@@ -101,17 +97,6 @@ func (m *countedMem) Write(i int, v register.Value) {
 	m.c.ops++
 }
 
-type countedVersioned struct {
-	*countedMem
-	vm register.VersionedMem
-}
-
-func (m *countedVersioned) ReadVersioned(i int) (register.Value, uint64) {
-	v, ver := m.vm.ReadVersioned(i)
-	m.c.ops++
-	return v, ver
-}
-
 // newSimSystemSpans is NewSimSystem plus call-span tracking: each process's
 // operations are counted through the counting layer so that every
 // completed call knows which slice of its process's operation sequence it
@@ -123,7 +108,6 @@ func newSimSystemSpans[T any](cfg Config[T]) (*sched.System, *hbcheck.Recorder[T
 	}
 	m := cfg.Alg.Registers()
 	meter := register.NewMeterSize(m)
-	versions := register.NewVersions(m)
 	table := cfg.Alg.WriterTable()
 	metered := register.Metered(meter)
 	if cfg.Unmetered {
@@ -132,14 +116,13 @@ func newSimSystemSpans[T any](cfg Config[T]) (*sched.System, *hbcheck.Recorder[T
 	rec := &hbcheck.Recorder[T]{}
 	spans := newCallSpans()
 	sys := sched.New(cfg.N, m, func(pid int, mem register.Mem) (any, error) {
-		// The op counter sits directly above the version layer so its
-		// counts line up one-to-one with the operations the scheduler
+		// The op counter sits directly above the scheduler's memory so
+		// its counts line up one-to-one with the operations the scheduler
 		// attributes to this process. A plain int suffices: each process
 		// body is single-threaded, and the counter is read only between
 		// the process's own calls.
 		counter := &opCounter{}
 		mem = register.Wrap(mem,
-			register.Versioned(versions),
 			counted(counter),
 			metered,
 			register.DisciplineFor(table, pid),

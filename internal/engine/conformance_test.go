@@ -34,10 +34,28 @@ var roster = []rosterEntry{
 	{"fas", func(n int) engine.Algorithm[timestamp.Timestamp] { return fas.New(n) }, 2, 1},
 }
 
+// exploreStats pins every simulated exhaustive leg of TestConformanceMatrix
+// to the exploration the E11 table records (EXPERIMENTS.md), keyed by
+// algorithm and n. The counts are a fingerprint of the step sequence a
+// simulated run produces: a middleware layer that gates a scheduler step,
+// or an extra register access, shifts them.
+var exploreStats = map[string]map[int]mc.Stats{
+	"collect": {2: stats(19, 169, 63, 0, 169, 12), 3: stats(22, 276, 217, 0, 276, 12)},
+	"dense":   {2: stats(6, 28, 5, 0, 28, 6), 3: stats(11, 88, 58, 0, 88, 8)},
+	"simple":  {2: stats(8, 40, 7, 0, 40, 6), 3: stats(96, 1298, 1103, 0, 1298, 12)},
+	"sqrt":    {2: stats(8, 124, 57, 0, 124, 18), 3: stats(150, 6118, 5319, 0, 6118, 38)},
+}
+
+func stats(visited, nodes, sleepPruned, hashPruned, states, maxDepth int) mc.Stats {
+	return mc.Stats{Visited: visited, Nodes: nodes, SleepPruned: sleepPruned,
+		HashPruned: hashPruned, States: states, MaxDepth: maxDepth}
+}
+
 // TestConformanceMatrix runs every algorithm through the unified driver:
 // exhaustive POR exploration at n=2 (long-lived call counts) and n=3
-// (one-shot shape), plus seeded fuzzing at n=8. fas is not simulable and
-// must be substituted with atomic-world stress rather than silently
+// (one-shot shape), plus seeded fuzzing at n=8. Each simulated exhaustive
+// leg must explore exactly the pinned exploreStats. fas is not simulable
+// and must be substituted with atomic-world stress rather than silently
 // skipped.
 func TestConformanceMatrix(t *testing.T) {
 	for _, entry := range roster {
@@ -82,6 +100,13 @@ func TestConformanceMatrix(t *testing.T) {
 					t.Errorf("%s: checked nothing", tag)
 				}
 				t.Logf("%s: %d executions ok (%v)", tag, checked, r.Stats)
+				if r.Mode == "exhaustive" && r.World == engine.Simulated {
+					if want, ok := exploreStats[entry.name][r.N]; !ok {
+						t.Errorf("%s: no pinned exploration stats", tag)
+					} else if r.Stats != want {
+						t.Errorf("%s: explored %v, want %v", tag, r.Stats, want)
+					}
+				}
 			}
 			// fas must have been re-routed to the atomic world.
 			if entry.name == "fas" {

@@ -52,7 +52,6 @@ func newCrashRun[T any](cfg Config[T]) *crashRun[T] {
 	}
 	n := cfg.N
 	m := cfg.Alg.Registers()
-	versions := register.NewVersions(m)
 	table := cfg.Alg.WriterTable()
 	r := &crashRun[T]{
 		cfg:      cfg,
@@ -65,7 +64,6 @@ func newCrashRun[T any](cfg Config[T]) *crashRun[T] {
 		paper := spid % n
 		counter := &opCounter{}
 		mem = register.Wrap(mem,
-			register.Versioned(versions),
 			counted(counter),
 			register.DisciplineFor(table, paper),
 		)

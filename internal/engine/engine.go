@@ -103,9 +103,6 @@ type Config[T any] struct {
 	Workload Workload
 	// Seed drives the simulated world's random scheduling decisions.
 	Seed int64
-	// Sharded selects the cache-line-padded register array in the atomic
-	// world (ignored when BaseMem is set or in the simulated world).
-	Sharded bool
 	// BaseMem overrides the atomic world's backing memory, letting callers
 	// observe raw register state mid-run. It must have at least
 	// Alg.Registers() registers; extra registers are unconstrained by the
@@ -216,11 +213,7 @@ func (cfg *Config[T]) report(wl Workload, maxCalls int) *Report[T] {
 func runAtomic[T any](cfg Config[T], wl Workload, maxCalls int) (*Report[T], error) {
 	base := cfg.BaseMem
 	if base == nil {
-		if cfg.Sharded {
-			base = register.NewShardedArray(cfg.Alg.Registers())
-		} else {
-			base = register.NewAtomicArray(cfg.Alg.Registers())
-		}
+		base = register.NewAtomicArray(cfg.Alg.Registers())
 	} else if base.Size() < cfg.Alg.Registers() {
 		return nil, fmt.Errorf("engine: BaseMem has %d registers, %s needs %d",
 			base.Size(), cfg.Alg.Name(), cfg.Alg.Registers())
@@ -332,8 +325,8 @@ func SequentialTimestamps[T any](alg Algorithm[T], n, calls int, byProcess bool)
 
 // NewSimSystem builds a deterministic-scheduler system whose processes run
 // the per-process call loops of cfg's workload over the full middleware
-// stack (shared versions, shared meter, per-process discipline, per-call
-// first-op stamping). Process results are []T. Callers drive the returned
+// stack (shared meter, per-process discipline, per-call first-op
+// stamping). Process results are []T. Callers drive the returned
 // system themselves — the exploration and sampling entry points below, the
 // adversaries in internal/adversary, and the scripted scenarios all start
 // here. Unlike Run, it applies none of the config validation (no one-shot

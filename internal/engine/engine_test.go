@@ -10,8 +10,6 @@ import (
 	"tsspace/internal/engine"
 	"tsspace/internal/lowerbound"
 	"tsspace/internal/register"
-	"tsspace/internal/timestamp"
-	"tsspace/internal/timestamp/sqrt"
 )
 
 // fakeTS is a timestamp type private to this test: the engine is generic
@@ -313,25 +311,6 @@ func TestBaseMemSizing(t *testing.T) {
 	}
 }
 
-// The sharded array is a drop-in: same space accounting as the flat array.
-func TestShardedWorldEquivalence(t *testing.T) {
-	const n = 8
-	flat, err := engine.Run(cfgFor(&fake{n: n}, engine.Atomic, n, engine.Sequential{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := cfgFor(&fake{n: n}, engine.Atomic, n, engine.Sequential{})
-	cfg.Sharded = true
-	sharded, err := engine.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat.Space.Written != sharded.Space.Written || flat.Space.Writes != sharded.Space.Writes {
-		t.Errorf("flat wrote %d/%d, sharded %d/%d",
-			flat.Space.Written, flat.Space.Writes, sharded.Space.Written, sharded.Space.Writes)
-	}
-}
-
 // Explore enumerates the same interleaving count as the historical runner
 // harness did for this algorithm shape (2 procs × (2 reads + 1 write):
 // C(6,3) = 20), and Sample accepts the engine config.
@@ -346,31 +325,6 @@ func TestExploreAndSample(t *testing.T) {
 	}
 	if err := engine.Sample(cfgFor(&fake{n: 3}, engine.Simulated, 3, engine.LongLived{CallsPerProc: 2}), 10); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// The versioned middleware makes the ablation's version-stamped scan work
-// under the simulated world — before the engine, it ran on real memory
-// only (the scheduler's register file has no native versions).
-func TestVersionedScanUnderSimulation(t *testing.T) {
-	const n = 6
-	alg := sqrt.New(n)
-	alg.UseVersionedScan(true)
-	rep, err := engine.Run(engine.Config[timestamp.Timestamp]{
-		Alg:      alg,
-		World:    engine.Simulated,
-		N:        n,
-		Workload: engine.OneShot{},
-		Seed:     3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Verify(alg.Compare); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Events) != n {
-		t.Errorf("events = %d, want %d", len(rep.Events), n)
 	}
 }
 

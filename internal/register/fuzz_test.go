@@ -6,8 +6,8 @@ import (
 	"tsspace/internal/register"
 )
 
-// sliceMem is a minimal unversioned memory, so the fuzzed stack exercises
-// the Versioned middleware's own version table rather than a substrate's.
+// sliceMem is a minimal memory with no capability beyond Mem, so the
+// generic stack exercises the plain wrapper of every layer.
 type sliceMem struct {
 	vals []register.Value
 }
@@ -16,46 +16,51 @@ func (m *sliceMem) Size() int                     { return len(m.vals) }
 func (m *sliceMem) Read(i int) register.Value     { return m.vals[i] }
 func (m *sliceMem) Write(i int, v register.Value) { m.vals[i] = v }
 
-// FuzzMiddlewareStack drives a full engine-shaped middleware stack —
-// shared version table, shared meter, per-process write discipline — with
-// an arbitrary operation stream and checks it against a plain reference
-// array: reads see exactly the reference values, versions count exactly
-// the applied writes, the meter's totals match, and the discipline panics
-// precisely on forbidden writes (before any layer below records anything).
+// FuzzMiddlewareStack drives the engine- and SDK-shaped middleware stack —
+// a shared meter under a per-process write discipline — over two
+// substrates at once: a plain slice memory, and an Int64Array whose stack
+// must keep the Int64Mem capability (the path the daemon runs). Each op is
+// three bytes: pid (bit 0x80 selects the scalar operations on the
+// Int64Array stack), register (bit 0x40 selects a write) and value. After
+// every op both stacks must agree with a plain reference array: reads see
+// exactly the reference values (⊥ reads back as ok == false on the scalar
+// path), the discipline panics precisely on forbidden writes of either
+// kind before any meter records them, and both meters' totals equal the
+// reference counts.
 func FuzzMiddlewareStack(f *testing.F) {
+	// The register byte selects r(b % 3): 0x40 is r1, 0x41 r2, 0x42 r0.
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x00, 0x07})                                     // p0 reads r0
-	f.Add([]byte{0x00, 0x40, 0x07, 0x01, 0x41, 0x09, 0x82, 0x02, 0x00}) // writes + versioned read
-	f.Add([]byte{0x03, 0x40, 0x01})                                     // p3 writing r0: forbidden
-	f.Add([]byte{0x02, 0x42, 0x05, 0x00, 0x02, 0x00})                   // free register traffic
+	f.Add([]byte{0x00, 0x40, 0x07, 0x01, 0x41, 0x09, 0x82, 0x02, 0x00}) // p0→r1 forbidden, p1→r2, p2 scalar-reads r2
+	f.Add([]byte{0x03, 0x40, 0x01})                                     // p3 writes r1
+	f.Add([]byte{0x02, 0x42, 0x05, 0x00, 0x02, 0x00})                   // p2→r0 forbidden, p0 reads ⊥ r2
+	f.Add([]byte{0x80, 0x42, 0x03, 0x81, 0x00, 0x00, 0x01, 0x00, 0x00}) // p0 scalar-writes r0, p1 reads it both ways
+	f.Add([]byte{0x83, 0x42, 0x01, 0x82, 0x01, 0x00})                   // p3 scalar→r0 forbidden, p2 scalar-reads ⊥ r1
 
 	const n, m = 4, 3
 	table := [][]int{{0, 1}, {2, 3}, nil} // 2-writer, 2-writer, free
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		base := &sliceMem{vals: make([]register.Value, m)}
-		vs := register.NewVersions(m)
-		meter := register.NewMeterSize(m)
-		handles := make([]register.Mem, n)
+		plainMeter, scalarMeter := register.NewMeterSize(m), register.NewMeterSize(m)
+		plainBase, scalarBase := &sliceMem{vals: make([]register.Value, m)}, register.NewInt64Array(m)
+		plain := make([]register.Mem, n)
+		scalar := make([]register.Int64Mem, n)
 		for pid := 0; pid < n; pid++ {
-			handles[pid] = register.Wrap(base,
-				register.Versioned(vs),
-				register.Metered(meter),
-				register.DisciplineFor(table, pid),
-			)
+			plain[pid] = register.Wrap(plainBase, register.Metered(plainMeter), register.DisciplineFor(table, pid))
+			h := register.Wrap(scalarBase, register.Metered(scalarMeter), register.DisciplineFor(table, pid))
+			im, ok := h.(register.Int64Mem)
+			if !ok {
+				t.Fatalf("stack over Int64Array lost the Int64Mem capability: %T", h)
+			}
+			scalar[pid] = im
 		}
 
 		ref := make([]register.Value, m)
-		writeCount := make([]uint64, m)
-		var reads, writes uint64
+		want := register.Totals{Registers: m}
 
-		tryWrite := func(h register.Mem, reg int, v int64) (panicked bool) {
-			defer func() {
-				if recover() != nil {
-					panicked = true
-				}
-			}()
-			h.Write(reg, v)
+		panics := func(op func()) (panicked bool) {
+			defer func() { panicked = recover() != nil }()
+			op()
 			return false
 		}
 		allowed := func(reg, pid int) bool {
@@ -71,56 +76,57 @@ func FuzzMiddlewareStack(f *testing.F) {
 		}
 
 		for i := 0; i+2 < len(data); i += 3 {
+			op := i / 3
 			pid := int(data[i] % n)
-			versioned := data[i]&0x80 != 0
+			scalarOp := data[i]&0x80 != 0
 			reg := int(data[i+1] % m)
 			isWrite := data[i+1]&0x40 != 0
 			val := int64(data[i+2])
-			h := handles[pid]
 
 			if isWrite {
-				panicked := tryWrite(h, reg, val)
-				if panicked == allowed(reg, pid) {
-					t.Fatalf("op %d: p%d write r%d: panicked=%v, allowed=%v", i/3, pid, reg, panicked, allowed(reg, pid))
+				ok := allowed(reg, pid)
+				plainPanicked := panics(func() { plain[pid].Write(reg, val) })
+				scalarPanicked := panics(func() {
+					if scalarOp {
+						scalar[pid].WriteInt64(reg, val)
+					} else {
+						scalar[pid].Write(reg, val)
+					}
+				})
+				if plainPanicked == ok || scalarPanicked == ok {
+					t.Fatalf("op %d: p%d write r%d (scalar=%v): panicked plain=%v scalar=%v, allowed=%v",
+						op, pid, reg, scalarOp, plainPanicked, scalarPanicked, ok)
 				}
-				if !panicked {
+				if ok {
+					if ref[reg] == nil {
+						want.Written++
+					}
 					ref[reg] = val
-					writeCount[reg]++
-					writes++
-				}
-				continue
-			}
-			var got register.Value
-			if versioned {
-				vm, ok := h.(register.VersionedMem)
-				if !ok {
-					t.Fatalf("stack lost the VersionedMem capability: %T", h)
-				}
-				var ver uint64
-				got, ver = vm.ReadVersioned(reg)
-				if ver != writeCount[reg] {
-					t.Fatalf("op %d: r%d version = %d, want %d applied writes", i/3, reg, ver, writeCount[reg])
+					want.Writes++
 				}
 			} else {
-				got = h.Read(reg)
+				if got := plain[pid].Read(reg); got != ref[reg] {
+					t.Fatalf("op %d: p%d plain read r%d = %v, want %v", op, pid, reg, got, ref[reg])
+				}
+				if scalarOp {
+					v, ok := scalar[pid].ReadInt64(reg)
+					if ok != (ref[reg] != nil) || ok && v != ref[reg].(int64) {
+						t.Fatalf("op %d: p%d ReadInt64(r%d) = (%d, %v), want %v", op, pid, reg, v, ok, ref[reg])
+					}
+				} else if got := scalar[pid].Read(reg); got != ref[reg] {
+					t.Fatalf("op %d: p%d scalar-stack read r%d = %v, want %v", op, pid, reg, got, ref[reg])
+				}
+				want.Reads++
 			}
-			reads++
-			if got != ref[reg] {
-				t.Fatalf("op %d: p%d read r%d = %v, want %v", i/3, pid, reg, got, ref[reg])
-			}
-		}
 
-		rep := meter.Report()
-		if rep.Reads != reads || rep.Writes != writes {
-			t.Fatalf("meter totals %d/%d, reference %d/%d (forbidden writes must not be recorded)",
-				rep.Reads, rep.Writes, reads, writes)
-		}
-		// The version table must agree with the reference write counts;
-		// probe through a meter-free handle so the totals above stay valid.
-		probe := register.Wrap(base, register.Versioned(vs)).(register.VersionedMem)
-		for reg := 0; reg < m; reg++ {
-			if _, ver := probe.ReadVersioned(reg); ver != writeCount[reg] {
-				t.Fatalf("final r%d version = %d, want %d", reg, ver, writeCount[reg])
+			for _, mt := range []struct {
+				name  string
+				meter *register.Meter
+			}{{"plain", plainMeter}, {"scalar", scalarMeter}} {
+				if got := mt.meter.Totals(); got != want {
+					t.Fatalf("op %d: %s meter totals %+v, reference %+v (forbidden writes must not be recorded)",
+						op, mt.name, got, want)
+				}
 			}
 		}
 	})

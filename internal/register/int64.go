@@ -7,15 +7,14 @@ import (
 
 // Int64Mem is the boxing-free fast path for scalar-valued algorithms
 // (collect, dense): register contents are int64 timestamps, read and
-// written without the Value interface conversion and without the
-// immutable-cell allocation of the generic arrays. Algorithms probe for it
-// with a type assertion and fall back to the generic Mem operations, so
-// the same algorithm code runs on every memory.
+// written without the Value interface conversion and without the boxed
+// allocation of AtomicArray. Algorithms probe for it with a type assertion
+// and fall back to the generic Mem operations, so the same algorithm code
+// runs on every memory.
 //
-// The capability composes like VersionedMem: a middleware layer forwards
-// Int64Mem when (and only when) its substrate provides it, so a metered or
-// write-disciplined stack over an Int64Array keeps the allocation-free
-// path end to end.
+// A middleware layer forwards Int64Mem when (and only when) its substrate
+// provides it, so a metered or write-disciplined stack over an Int64Array
+// keeps the allocation-free path end to end.
 type Int64Mem interface {
 	Mem
 	// ReadInt64 returns the value of register i; ok is false for ⊥.
@@ -26,13 +25,9 @@ type Int64Mem interface {
 
 // Int64Array is a wait-free MWMR register array specialized for int64
 // values: one machine word per register, so reads are a single atomic load
-// and writes a single atomic store — no boxing, no cell allocation, no CAS
-// loop. The generic Read/Write operations interoperate with the scalar
-// ones on the same storage (a generic Write must carry an int64).
-//
-// Unlike AtomicArray it does not implement VersionedMem: a packed word has
-// no room for a write count. The versioned double-collect scan is only
-// used by the sqrt family, whose register values are not scalars anyway.
+// and writes a single atomic store — no boxing, no allocation. The generic
+// Read/Write operations interoperate with the scalar ones on the same
+// storage (a generic Write must carry an int64).
 type Int64Array struct {
 	words []atomic.Uint64
 }
@@ -102,66 +97,6 @@ func (a *Int64Array) Write(i int, v Value) {
 	x, ok := v.(int64)
 	if !ok {
 		panic(fmt.Sprintf("register: Int64Array.Write(%d, %T): scalar arrays hold int64 values only", i, v))
-	}
-	a.WriteInt64(i, x)
-}
-
-// paddedWord is one scalar register padded out to a full cache line.
-type paddedWord struct {
-	w atomic.Uint64
-	_ [cacheLineSize - 8]byte
-}
-
-// ShardedInt64Array is Int64Array with each register on its own cache
-// line: the scalar analogue of ShardedArray, for the same false-sharing
-// reason.
-type ShardedInt64Array struct {
-	cells []paddedWord
-}
-
-var _ Int64Mem = (*ShardedInt64Array)(nil)
-
-// NewShardedInt64Array returns an array of m cache-line-padded scalar
-// registers, all initialized to ⊥.
-func NewShardedInt64Array(m int) *ShardedInt64Array {
-	if m < 0 {
-		panic(fmt.Sprintf("register: negative size %d", m))
-	}
-	return &ShardedInt64Array{cells: make([]paddedWord, m)}
-}
-
-// Size returns the number of registers.
-func (a *ShardedInt64Array) Size() int { return len(a.cells) }
-
-// ReadInt64 returns the value of register i without boxing.
-//
-//tslint:hotpath
-func (a *ShardedInt64Array) ReadInt64(i int) (int64, bool) {
-	return unpackInt64(a.cells[i].w.Load())
-}
-
-// WriteInt64 atomically replaces the value of register i without
-// allocating.
-//
-//tslint:hotpath
-func (a *ShardedInt64Array) WriteInt64(i int, v int64) {
-	a.cells[i].w.Store(packInt64(v))
-}
-
-// Read returns the current value of register i boxed as a Value.
-func (a *ShardedInt64Array) Read(i int) Value {
-	v, ok := a.ReadInt64(i)
-	if !ok {
-		return nil
-	}
-	return v
-}
-
-// Write replaces register i; v must be an int64.
-func (a *ShardedInt64Array) Write(i int, v Value) {
-	x, ok := v.(int64)
-	if !ok {
-		panic(fmt.Sprintf("register: ShardedInt64Array.Write(%d, %T): scalar arrays hold int64 values only", i, v))
 	}
 	a.WriteInt64(i, x)
 }

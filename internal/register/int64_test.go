@@ -1,11 +1,8 @@
 package register
 
-import (
-	"testing"
-	"unsafe"
-)
+import "testing"
 
-// Both scalar arrays must agree with the generic contract: ⊥ until
+// The scalar array must agree with the generic contract: ⊥ until
 // written, last write wins, and the generic Read/Write interoperate with
 // the scalar operations on the same storage.
 func TestInt64ArraysSemantics(t *testing.T) {
@@ -14,7 +11,6 @@ func TestInt64ArraysSemantics(t *testing.T) {
 		mem  Int64Mem
 	}{
 		{"flat", NewInt64Array(4)},
-		{"sharded", NewShardedInt64Array(4)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := tc.mem
@@ -58,14 +54,6 @@ func TestInt64ArraysSemantics(t *testing.T) {
 			}()
 			m.Write(3, "not a scalar")
 		})
-	}
-}
-
-// Each padded scalar cell must occupy exactly one cache line, or the
-// padding buys nothing.
-func TestPaddedWordSize(t *testing.T) {
-	if sz := unsafe.Sizeof(paddedWord{}); sz != cacheLineSize {
-		t.Fatalf("paddedWord is %d bytes, want %d", sz, cacheLineSize)
 	}
 }
 

@@ -28,74 +28,32 @@ type SpaceReport struct {
 	ReadCounts, WriteCounts []uint64
 }
 
-// Meter records which registers are read and written. It is safe for
-// concurrent use. Constructed with NewMeter it is itself a Mem wrapping the
-// inner memory (forwarding ReadVersioned when the inner memory supports
-// it); constructed with NewMeterSize it is a bare collector fed through the
-// Metered middleware, and its Mem methods must not be used.
+// Meter collects the operation counts of every Metered layer built over
+// it. It is safe for concurrent use; any number of per-process stacks may
+// share one Meter.
 type Meter struct {
-	inner Mem
-	size  int
+	size int
 
-	mu        sync.Mutex
-	readCnt   []uint64
-	writeCnt  []uint64
-	maxRead   int
-	maxWrite  int
-	written   int // distinct registers written, kept incrementally for Totals
-	reads     uint64
-	writes    uint64
-	perWriter map[int]uint64 // writer pid -> writes, when attributed
+	mu       sync.Mutex
+	readCnt  []uint64
+	writeCnt []uint64
+	maxRead  int
+	maxWrite int
+	written  int // distinct registers written, kept incrementally for Totals
+	reads    uint64
+	writes   uint64
 }
 
-var _ Mem = (*Meter)(nil)
-
-// NewMeter wraps mem with operation accounting.
-func NewMeter(mem Mem) *Meter {
-	m := NewMeterSize(mem.Size())
-	m.inner = mem
-	return m
-}
-
-// NewMeterSize returns a collector-only meter for size registers, for use
-// with the Metered middleware; it has no backing memory of its own.
+// NewMeterSize returns a meter for size registers, fed through the Metered
+// middleware.
 func NewMeterSize(size int) *Meter {
 	return &Meter{
-		size:      size,
-		readCnt:   make([]uint64, size),
-		writeCnt:  make([]uint64, size),
-		maxRead:   -1,
-		maxWrite:  -1,
-		perWriter: make(map[int]uint64),
+		size:     size,
+		readCnt:  make([]uint64, size),
+		writeCnt: make([]uint64, size),
+		maxRead:  -1,
+		maxWrite: -1,
 	}
-}
-
-// Size returns the number of registers.
-func (m *Meter) Size() int { return m.size }
-
-// Read records and forwards a read of register i.
-func (m *Meter) Read(i int) Value {
-	m.recordRead(i)
-	return m.inner.Read(i)
-}
-
-// ReadVersioned forwards to the inner memory's versioned read. It panics if
-// the inner memory is not versioned.
-func (m *Meter) ReadVersioned(i int) (Value, uint64) {
-	m.recordRead(i)
-	return m.inner.(VersionedMem).ReadVersioned(i)
-}
-
-// Write records and forwards a write to register i.
-func (m *Meter) Write(i int, v Value) {
-	m.recordWrite(i, -1)
-	m.inner.Write(i, v)
-}
-
-// WriteBy records a write attributed to process pid and forwards it.
-func (m *Meter) WriteBy(pid, i int, v Value) {
-	m.recordWrite(i, pid)
-	m.inner.Write(i, v)
 }
 
 func (m *Meter) recordRead(i int) {
@@ -108,7 +66,7 @@ func (m *Meter) recordRead(i int) {
 	}
 }
 
-func (m *Meter) recordWrite(i, pid int) {
+func (m *Meter) recordWrite(i int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.writeCnt[i]++
@@ -118,9 +76,6 @@ func (m *Meter) recordWrite(i, pid int) {
 	m.writes++
 	if i > m.maxWrite {
 		m.maxWrite = i
-	}
-	if pid >= 0 {
-		m.perWriter[pid]++
 	}
 }
 
@@ -166,33 +121,4 @@ func (m *Meter) Totals() Totals {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return Totals{Registers: m.size, Written: m.written, Reads: m.reads, Writes: m.writes}
-}
-
-// WritesTo returns the number of writes applied to register i.
-func (m *Meter) WritesTo(i int) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.writeCnt[i]
-}
-
-// WritesBy returns the number of attributed writes by process pid (only
-// writes issued through WriteBy are attributed).
-func (m *Meter) WritesBy(pid int) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.perWriter[pid]
-}
-
-// Reset clears all counters, keeping the underlying memory contents.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := range m.readCnt {
-		m.readCnt[i] = 0
-		m.writeCnt[i] = 0
-	}
-	m.maxRead, m.maxWrite = -1, -1
-	m.written = 0
-	m.reads, m.writes = 0, 0
-	m.perWriter = make(map[int]uint64)
 }

@@ -1,20 +1,19 @@
 package register
 
-import "fmt"
-
-// Middleware decorates a Mem with one cross-cutting concern — metering,
-// write discipline, versioning. Layers compose with Wrap; a nil middleware
-// is skipped, so conditional layers read naturally:
+// Middleware decorates a Mem with one cross-cutting concern — metering or
+// write discipline. Layers compose with Wrap; a nil middleware is skipped,
+// so conditional layers read naturally:
 //
 //	mem = register.Wrap(base,
 //		register.Metered(meter),
 //		register.DisciplineFor(alg.WriterTable(), pid),
 //	)
 //
-// Every layer preserves the VersionedMem and Int64Mem capabilities of the
-// memory below it (and only those: a layer never *claims* versioned reads
-// or scalar operations its substrate cannot deliver, so algorithms can
-// probe with a type assertion).
+// Every layer preserves the Int64Mem capability of the memory below it
+// (and only that: a layer never claims scalar operations its substrate
+// cannot deliver, so algorithms can probe with a type assertion). Each
+// layer therefore has at most two concrete types, one plain and one
+// Int64Mem.
 type Middleware func(Mem) Mem
 
 // Wrap applies mws to mem in order: the first middleware ends up closest
@@ -31,14 +30,10 @@ func Wrap(mem Mem, mws ...Middleware) Mem {
 
 // Metered records every operation passing through the layer into meter,
 // which may be shared by any number of handles (it is safe for concurrent
-// use). Construct the meter with NewMeterSize when it only backs this
-// layer.
+// use). This layer is the only way operations reach a Meter.
 func Metered(meter *Meter) Middleware {
 	return func(inner Mem) Mem {
 		mm := &meteredMem{meter: meter, inner: inner}
-		if vm, ok := inner.(VersionedMem); ok {
-			return &meteredVersioned{meteredMem: mm, vm: vm}
-		}
 		if im, ok := inner.(Int64Mem); ok {
 			return &meteredInt64{meteredMem: mm, im: im}
 		}
@@ -59,18 +54,8 @@ func (m *meteredMem) Read(i int) Value {
 }
 
 func (m *meteredMem) Write(i int, v Value) {
-	m.meter.recordWrite(i, -1)
+	m.meter.recordWrite(i)
 	m.inner.Write(i, v)
-}
-
-type meteredVersioned struct {
-	*meteredMem
-	vm VersionedMem
-}
-
-func (m *meteredVersioned) ReadVersioned(i int) (Value, uint64) {
-	m.meter.recordRead(i)
-	return m.vm.ReadVersioned(i)
 }
 
 // meteredInt64 keeps the scalar fast path through a metered layer: the
@@ -87,7 +72,7 @@ func (m *meteredInt64) ReadInt64(i int) (int64, bool) {
 }
 
 func (m *meteredInt64) WriteInt64(i int, v int64) {
-	m.meter.recordWrite(i, -1)
+	m.meter.recordWrite(i)
 	m.im.WriteInt64(i, v)
 }
 
@@ -99,78 +84,8 @@ func DisciplineFor(table [][]int, pid int) Middleware {
 		return nil
 	}
 	return func(inner Mem) Mem {
-		h := NewWriteQuorum(inner, table).Handle(pid)
-		if vm, ok := inner.(VersionedMem); ok {
-			return &versionedView{Mem: h, vm: vm}
-		}
-		return h
+		return NewWriteQuorum(inner, table).Handle(pid)
 	}
-}
-
-// versionedView adds pass-through versioned reads to a layer whose reads
-// need no bookkeeping of their own (discipline only restricts writes).
-type versionedView struct {
-	Mem
-	vm VersionedMem
-}
-
-func (v *versionedView) ReadVersioned(i int) (Value, uint64) { return v.vm.ReadVersioned(i) }
-
-// Versions is a shared write-version table: one strictly increasing
-// counter per register, bumped after each write applied through a
-// Versioned layer. All handles of one run must share a single table, or
-// the versions would miss other processes' writes and the double-collect
-// soundness argument collapses.
-type Versions struct {
-	counts []uint64
-}
-
-// NewVersions returns a version table for m registers.
-func NewVersions(m int) *Versions {
-	return &Versions{counts: make([]uint64, m)}
-}
-
-// Versioned makes the wrapped memory a VersionedMem by tracking write
-// counts in vs. It is meant for serialized worlds (the deterministic
-// scheduler), where the substrate lacks native versions: there, the
-// scheduler grants one operation at a time and blocks the process until
-// its next gate, so the post-operation table update is globally ordered
-// with the operation itself. A substrate that already provides versions
-// (both atomic arrays do) is returned unchanged and vs is ignored.
-func Versioned(vs *Versions) Middleware {
-	return func(inner Mem) Mem {
-		if _, ok := inner.(VersionedMem); ok {
-			return inner
-		}
-		if vs == nil {
-			panic("register: Versioned over an unversioned memory requires a shared Versions table")
-		}
-		if len(vs.counts) != inner.Size() {
-			panic(fmt.Sprintf("register: version table size %d != memory size %d", len(vs.counts), inner.Size()))
-		}
-		return &versionedMem{inner: inner, vs: vs}
-	}
-}
-
-type versionedMem struct {
-	inner Mem
-	vs    *Versions
-}
-
-var _ VersionedMem = (*versionedMem)(nil)
-
-func (m *versionedMem) Size() int { return m.inner.Size() }
-
-func (m *versionedMem) Read(i int) Value { return m.inner.Read(i) }
-
-func (m *versionedMem) Write(i int, v Value) {
-	m.inner.Write(i, v) // blocks until the scheduler grants the write
-	m.vs.counts[i]++
-}
-
-func (m *versionedMem) ReadVersioned(i int) (Value, uint64) {
-	v := m.inner.Read(i) // blocks until the scheduler grants the read
-	return v, m.vs.counts[i]
 }
 
 // FirstOpStamp captures a clock stamp immediately after the first granted
@@ -193,11 +108,7 @@ type FirstOpStamp struct {
 // use (each simulated process is single-threaded).
 func StampFirstOp(inner Mem, clock func() uint64) (Mem, *FirstOpStamp) {
 	s := &FirstOpStamp{clock: clock}
-	sm := &stampedMem{inner: inner, s: s}
-	if vm, ok := inner.(VersionedMem); ok {
-		return &stampedVersioned{stampedMem: sm, vm: vm}, s
-	}
-	return sm, s
+	return &stampedMem{inner: inner, s: s}, s
 }
 
 // Stamp returns the recorded stamp, taking it now if no operation has
@@ -231,15 +142,4 @@ func (m *stampedMem) Read(i int) Value {
 func (m *stampedMem) Write(i int, v Value) {
 	m.inner.Write(i, v)
 	m.s.note()
-}
-
-type stampedVersioned struct {
-	*stampedMem
-	vm VersionedMem
-}
-
-func (m *stampedVersioned) ReadVersioned(i int) (Value, uint64) {
-	v, ver := m.vm.ReadVersioned(i)
-	m.s.note()
-	return v, ver
 }

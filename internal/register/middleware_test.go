@@ -5,8 +5,7 @@ import (
 	"testing"
 )
 
-// plainMem is an unversioned memory: the middleware tests use it to check
-// that no layer invents a VersionedMem capability its substrate lacks.
+// plainMem is a bare slice-backed memory with no capability beyond Mem.
 type plainMem struct {
 	vals []Value
 }
@@ -82,30 +81,6 @@ func TestMeteredSharedAcrossStacks(t *testing.T) {
 	}
 }
 
-// The metered layer forwards versioned reads over a versioned substrate
-// and counts them as reads; over a plain substrate it must not claim the
-// capability.
-func TestMeteredVersionedCapability(t *testing.T) {
-	meter := NewMeterSize(2)
-	versioned := Wrap(NewAtomicArray(2), Metered(meter))
-	vm, ok := versioned.(VersionedMem)
-	if !ok {
-		t.Fatal("metered atomic array lost VersionedMem")
-	}
-	versioned.Write(1, "x")
-	if _, ver := vm.ReadVersioned(1); ver != 1 {
-		t.Errorf("version = %d, want 1", ver)
-	}
-	if meter.Report().Reads != 1 {
-		t.Error("versioned read not counted")
-	}
-
-	plain := Wrap(newPlainMem(2), Metered(NewMeterSize(2)))
-	if _, ok := plain.(VersionedMem); ok {
-		t.Error("metered plain memory must not claim VersionedMem")
-	}
-}
-
 // DisciplineFor enforces the table per process and is the identity for
 // algorithms with no table.
 func TestDisciplineForEnforcement(t *testing.T) {
@@ -121,9 +96,6 @@ func TestDisciplineForEnforcement(t *testing.T) {
 	if base.Read(1) != "mine" {
 		t.Error("permitted write did not land")
 	}
-	if _, ok := own.(VersionedMem); !ok {
-		t.Error("discipline over a versioned substrate must stay versioned")
-	}
 
 	defer func() {
 		if recover() == nil {
@@ -133,59 +105,13 @@ func TestDisciplineForEnforcement(t *testing.T) {
 	own.Write(0, "foreign")
 }
 
-// The versioned layer gives a plain memory write versions shared across
-// handles, and leaves an already-versioned memory untouched.
-func TestVersionedMiddleware(t *testing.T) {
-	base := newPlainMem(2)
-	vs := NewVersions(2)
-	h0 := Wrap(base, Versioned(vs))
-	h1 := Wrap(base, Versioned(vs))
-
-	vm0, ok := h0.(VersionedMem)
-	if !ok {
-		t.Fatal("versioned layer must provide VersionedMem")
-	}
-	vm1 := h1.(VersionedMem)
-
-	if _, ver := vm0.ReadVersioned(0); ver != 0 {
-		t.Errorf("initial version = %d, want 0", ver)
-	}
-	h0.Write(0, "a")
-	h1.Write(0, "b")
-	v, ver := vm1.ReadVersioned(0)
-	if v != "b" || ver != 2 {
-		t.Errorf("ReadVersioned = (%v, %d), want (b, 2): versions must be shared across handles", v, ver)
-	}
-
-	atomicBase := NewAtomicArray(2)
-	if got := Wrap(atomicBase, Versioned(nil)); got != Mem(atomicBase) {
-		t.Error("versioned substrate must pass through unchanged (and tolerate a nil table)")
-	}
-}
-
-func TestVersionedPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"nil-table":     func() { Wrap(newPlainMem(1), Versioned(nil)) },
-		"size-mismatch": func() { Wrap(newPlainMem(2), Versioned(NewVersions(1))) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Error("must panic")
-				}
-			}()
-			f()
-		})
-	}
-}
-
 // StampFirstOp stamps right after the first operation, whichever kind it
 // is, and an operation-free call stamps at Stamp() time.
 func TestStampFirstOp(t *testing.T) {
 	var clock uint64
 	tick := func() uint64 { clock++; return clock }
 
-	for _, first := range []string{"read", "write", "versioned-read", "none"} {
+	for _, first := range []string{"read", "write", "none"} {
 		t.Run(first, func(t *testing.T) {
 			clock = 0
 			base := NewAtomicArray(1)
@@ -195,8 +121,6 @@ func TestStampFirstOp(t *testing.T) {
 				mem.Read(0)
 			case "write":
 				mem.Write(0, "x")
-			case "versioned-read":
-				mem.(VersionedMem).ReadVersioned(0)
 			case "none":
 			}
 			if got := stamp.Stamp(); got != 1 {
@@ -208,32 +132,24 @@ func TestStampFirstOp(t *testing.T) {
 			}
 		})
 	}
-
-	// A plain substrate must not gain ReadVersioned through the stamp layer.
-	mem, _ := StampFirstOp(newPlainMem(1), tick)
-	if _, ok := mem.(VersionedMem); ok {
-		t.Error("stamped plain memory must not claim VersionedMem")
-	}
 }
 
-// The full stack composes: versions at the bottom, metering above,
-// discipline on top — reads see shared versions, writes are counted and
-// checked.
+// The full stack composes: metering at the bottom, discipline on top —
+// reads see every process's writes, writes are counted and checked.
 func TestFullStackComposition(t *testing.T) {
 	base := newPlainMem(2)
-	vs := NewVersions(2)
 	meter := NewMeterSize(2)
 	table := [][]int{{0}, nil}
 
 	stack := func(pid int) Mem {
-		return Wrap(base, Versioned(vs), Metered(meter), DisciplineFor(table, pid))
+		return Wrap(base, Metered(meter), DisciplineFor(table, pid))
 	}
 
 	p0, p1 := stack(0), stack(1)
 	p0.Write(0, "zero")
 	p1.Write(1, "one")
-	if _, ver := p1.(VersionedMem).ReadVersioned(0); ver != 1 {
-		t.Errorf("p1 sees version %d of r0, want 1", ver)
+	if v := p1.Read(0); v != "zero" {
+		t.Errorf("p1 reads r0 = %v, want zero", v)
 	}
 	rep := meter.Report()
 	if rep.Writes != 2 || rep.Reads != 1 || rep.Written != 2 {
@@ -246,24 +162,6 @@ func TestFullStackComposition(t *testing.T) {
 		}
 	}()
 	p1.Write(0, "stolen")
-}
-
-// NewMeterSize meters have no backing memory: their Mem surface is not
-// usable, only the middleware path is.
-func TestMeterSizeCollectorOnly(t *testing.T) {
-	meter := NewMeterSize(4)
-	if meter.Size() != 4 {
-		t.Errorf("Size = %d, want 4", meter.Size())
-	}
-	if rep := meter.Report(); rep.Registers != 4 || rep.Writes != 0 {
-		t.Errorf("empty report = %+v", rep)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Read on a collector-only meter must panic")
-		}
-	}()
-	_ = meter.Read(0)
 }
 
 func ExampleWrap() {

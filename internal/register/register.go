@@ -6,11 +6,15 @@
 // Algorithms are written against the Mem interface so that identical
 // algorithm code runs in two worlds:
 //
-//   - AtomicArray: real concurrency on hardware atomics (goroutines +
-//     sync/atomic), used for wait-freedom validation and throughput benches;
+//   - real concurrency on hardware atomics (goroutines + sync/atomic),
+//     used for wait-freedom validation, throughput benches and the SDK:
+//     AtomicArray holds boxed values, Int64Array one-word scalars;
 //   - the deterministic step scheduler in internal/sched, used to replay
 //     adversarial schedules, block writes and covering configurations from
 //     the lower-bound proofs.
+//
+// Cross-cutting concerns — metering, write discipline, first-operation
+// stamping — are middleware layers composed over either memory with Wrap.
 //
 // Written values must be treated as immutable: a Write publishes the value
 // to concurrent readers, and mutating it afterwards is a data race in the
@@ -40,41 +44,22 @@ type Mem interface {
 	Size() int
 }
 
-// VersionedMem is implemented by memories that stamp every write of each
-// register with a strictly increasing version. Versions support a
-// linearizable double-collect scan without relying on value uniqueness;
-// they are an implementation device, not additional shared state visible to
-// the algorithms (the paper's Algorithm 4 never needs them because all its
-// written values are distinct per register, Claim 6.1(b)).
-type VersionedMem interface {
-	Mem
-	// ReadVersioned returns the value of register i together with the number
-	// of writes applied to it so far (0 for a never-written register).
-	ReadVersioned(i int) (Value, uint64)
-}
-
-// cell is one atomic register: an immutable (value, version) snapshot
-// swapped in atomically on every write.
-type cell struct {
-	val     Value
-	version uint64
-}
-
 // AtomicArray is a wait-free multi-writer multi-reader register array backed
-// by sync/atomic pointers. The zero value is unusable; construct with
-// NewAtomicArray.
+// by sync/atomic pointers: each register points at an immutable boxed
+// value, swapped in by a single atomic store. The zero value is unusable;
+// construct with NewAtomicArray.
 type AtomicArray struct {
-	cells []atomic.Pointer[cell]
+	cells []atomic.Pointer[Value]
 }
 
-var _ VersionedMem = (*AtomicArray)(nil)
+var _ Mem = (*AtomicArray)(nil)
 
 // NewAtomicArray returns an array of m registers, all initialized to ⊥.
 func NewAtomicArray(m int) *AtomicArray {
 	if m < 0 {
 		panic(fmt.Sprintf("register: negative size %d", m))
 	}
-	return &AtomicArray{cells: make([]atomic.Pointer[cell], m)}
+	return &AtomicArray{cells: make([]atomic.Pointer[Value], m)}
 }
 
 // Size returns the number of registers.
@@ -82,42 +67,14 @@ func (a *AtomicArray) Size() int { return len(a.cells) }
 
 // Read returns the current value of register i.
 func (a *AtomicArray) Read(i int) Value {
-	v, _ := a.ReadVersioned(i)
-	return v
-}
-
-// ReadVersioned returns the value and write-count of register i.
-func (a *AtomicArray) ReadVersioned(i int) (Value, uint64) {
-	c := a.cells[i].Load()
-	if c == nil {
-		return nil, 0
+	if p := a.cells[i].Load(); p != nil {
+		return *p
 	}
-	return c.val, c.version
+	return nil
 }
 
-// Write atomically replaces the value of register i. Concurrent writes
-// linearize in some order; the version of the installed cell reflects that
-// order per register.
+// Write atomically replaces the value of register i with one atomic store
+// of a fresh box; concurrent writes linearize in the order of their stores.
 func (a *AtomicArray) Write(i int, v Value) {
-	for {
-		old := a.cells[i].Load()
-		var ver uint64 = 1
-		if old != nil {
-			ver = old.version + 1
-		}
-		if a.cells[i].CompareAndSwap(old, &cell{val: v, version: ver}) {
-			return
-		}
-	}
-}
-
-// Snapshot returns a point-in-time copy of all register values. It is NOT
-// atomic across registers (use internal/snapshot for a linearizable scan);
-// it exists for tests and reporting.
-func (a *AtomicArray) Snapshot() []Value {
-	out := make([]Value, len(a.cells))
-	for i := range a.cells {
-		out[i] = a.Read(i)
-	}
-	return out
+	a.cells[i].Store(&v)
 }

@@ -16,9 +16,6 @@ func TestAtomicArrayInitialBottom(t *testing.T) {
 		if v := a.Read(i); v != nil {
 			t.Errorf("register %d initial value = %v, want ⊥ (nil)", i, v)
 		}
-		if _, ver := a.ReadVersioned(i); ver != 0 {
-			t.Errorf("register %d initial version = %d, want 0", i, ver)
-		}
 	}
 }
 
@@ -33,8 +30,12 @@ func TestAtomicArrayReadWrite(t *testing.T) {
 		t.Errorf("Read(1) = %v, want x", v)
 	}
 	a.Write(0, 43)
-	if v, ver := a.ReadVersioned(0); v != 43 || ver != 2 {
-		t.Errorf("ReadVersioned(0) = (%v, %d), want (43, 2)", v, ver)
+	if v := a.Read(0); v != 43 {
+		t.Errorf("Read(0) after overwrite = %v, want 43", v)
+	}
+	a.Write(1, nil) // writing ⊥ back is a value like any other
+	if v := a.Read(1); v != nil {
+		t.Errorf("Read(1) after writing ⊥ = %v, want nil", v)
 	}
 }
 
@@ -47,71 +48,21 @@ func TestNegativeSizePanics(t *testing.T) {
 	NewAtomicArray(-1)
 }
 
-// Versions per register must be contiguous under concurrent writers: with W
-// writers each doing K writes to one register, the final version is W*K and
-// every write got a distinct version.
-func TestAtomicArrayVersionContiguity(t *testing.T) {
-	const writers, per = 8, 200
-	a := NewAtomicArray(1)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for k := 0; k < per; k++ {
-				a.Write(0, w*per+k)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if _, ver := a.ReadVersioned(0); ver != writers*per {
-		t.Errorf("final version = %d, want %d", ver, writers*per)
-	}
-}
-
-// Readers must never observe version regression on a single register.
-func TestAtomicArrayMonotoneVersions(t *testing.T) {
-	a := NewAtomicArray(1)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 5000; i++ {
-			a.Write(0, i)
-		}
-	}()
-	var last uint64
-	for {
-		_, ver := a.ReadVersioned(0)
-		if ver < last {
-			t.Errorf("version regressed: %d after %d", ver, last)
-			break
-		}
-		last = ver
-		select {
-		case <-done:
-			return
-		default:
-		}
-	}
-}
-
-func TestSnapshotCopies(t *testing.T) {
-	a := NewAtomicArray(3)
-	a.Write(1, "v")
-	s := a.Snapshot()
-	if s[0] != nil || s[1] != "v" || s[2] != nil {
-		t.Errorf("Snapshot = %v", s)
-	}
+// meteredArray is an atomic array behind a Metered layer, the only way
+// operations reach a Meter.
+func meteredArray(size int) (Mem, *Meter) {
+	meter := NewMeterSize(size)
+	return Wrap(NewAtomicArray(size), Metered(meter)), meter
 }
 
 func TestMeterCounts(t *testing.T) {
-	m := NewMeter(NewAtomicArray(5))
+	m, meter := meteredArray(5)
 	m.Write(1, "a")
 	m.Write(3, "b")
 	m.Write(3, "c")
 	m.Read(0)
 	m.Read(4)
-	r := m.Report()
+	r := meter.Report()
 	if r.Registers != 5 {
 		t.Errorf("Registers = %d, want 5", r.Registers)
 	}
@@ -127,66 +78,33 @@ func TestMeterCounts(t *testing.T) {
 	if len(r.WrittenSet) != 2 || r.WrittenSet[0] != 1 || r.WrittenSet[1] != 3 {
 		t.Errorf("WrittenSet = %v, want [1 3]", r.WrittenSet)
 	}
-	if m.WritesTo(3) != 2 {
-		t.Errorf("WritesTo(3) = %d, want 2", m.WritesTo(3))
+	if r.WriteCounts[3] != 2 {
+		t.Errorf("WriteCounts[3] = %d, want 2", r.WriteCounts[3])
 	}
 }
 
 func TestMeterEmptyReport(t *testing.T) {
-	r := NewMeter(NewAtomicArray(3)).Report()
+	r := NewMeterSize(3).Report()
 	if r.Written != 0 || r.MaxWrittenIndex != -1 || r.MaxReadIndex != -1 {
 		t.Errorf("empty report = %+v", r)
 	}
 }
 
-func TestMeterAttributedWrites(t *testing.T) {
-	m := NewMeter(NewAtomicArray(2))
-	m.WriteBy(7, 0, "x")
-	m.WriteBy(7, 1, "y")
-	m.WriteBy(2, 0, "z")
-	if m.WritesBy(7) != 2 || m.WritesBy(2) != 1 || m.WritesBy(9) != 0 {
-		t.Errorf("WritesBy = %d,%d,%d", m.WritesBy(7), m.WritesBy(2), m.WritesBy(9))
-	}
-}
-
-func TestMeterReset(t *testing.T) {
-	m := NewMeter(NewAtomicArray(2))
-	m.Write(0, 1)
-	m.Read(1)
-	m.Reset()
-	r := m.Report()
-	if r.Writes != 0 || r.Reads != 0 || r.Written != 0 {
-		t.Errorf("after Reset report = %+v", r)
-	}
-	// Memory contents survive the reset.
-	if v := m.Read(0); v != 1 {
-		t.Errorf("contents lost on Reset: %v", v)
-	}
-}
-
-func TestMeterForwardsVersioned(t *testing.T) {
-	m := NewMeter(NewAtomicArray(1))
-	m.Write(0, "a")
-	if v, ver := m.ReadVersioned(0); v != "a" || ver != 1 {
-		t.Errorf("ReadVersioned = (%v, %d)", v, ver)
-	}
-}
-
 func TestMeterConcurrentSafety(t *testing.T) {
-	m := NewMeter(NewAtomicArray(8))
+	m, meter := meteredArray(8)
 	var wg sync.WaitGroup
 	for p := 0; p < 8; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
 			for k := 0; k < 100; k++ {
-				m.WriteBy(p, p, k)
+				m.Write(p, k)
 				m.Read((p + k) % 8)
 			}
 		}(p)
 	}
 	wg.Wait()
-	r := m.Report()
+	r := meter.Report()
 	if r.Writes != 800 || r.Reads != 800 {
 		t.Errorf("Writes = %d Reads = %d, want 800 each", r.Writes, r.Reads)
 	}
@@ -273,19 +191,19 @@ func TestSWMRTable(t *testing.T) {
 	}
 }
 
-// Property: a sequence of writes leaves the last value readable and version
-// equals number of writes (single-threaded semantics of the atomic cell).
+// Property: a sequence of writes leaves the last value readable
+// (single-threaded semantics of the atomic cell).
 func TestQuickSequentialSemantics(t *testing.T) {
 	f := func(vals []int) bool {
 		a := NewAtomicArray(1)
 		for _, v := range vals {
 			a.Write(0, v)
 		}
-		got, ver := a.ReadVersioned(0)
+		got := a.Read(0)
 		if len(vals) == 0 {
-			return got == nil && ver == 0
+			return got == nil
 		}
-		return got == vals[len(vals)-1] && ver == uint64(len(vals))
+		return got == vals[len(vals)-1]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -316,9 +234,10 @@ func BenchmarkAtomicRead(b *testing.B) {
 }
 
 func ExampleMeter() {
-	m := NewMeter(NewAtomicArray(4))
-	m.Write(2, "hello")
-	r := m.Report()
+	meter := NewMeterSize(4)
+	mem := Wrap(NewAtomicArray(4), Metered(meter))
+	mem.Write(2, "hello")
+	r := meter.Report()
 	fmt.Println(r.Written, r.MaxWrittenIndex)
 	// Output: 1 2
 }

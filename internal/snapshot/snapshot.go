@@ -4,16 +4,10 @@
 //
 // A collect reads each register in order; a scan repeatedly collects until
 // two contiguous views are identical (a successful double collect) and is
-// linearizable at any point between the last two collects.
-//
-// Two view-equality strategies are provided:
-//
-//   - ScanVersioned compares per-register write versions, which makes the
-//     double collect sound for arbitrary value universes (two writes of the
-//     same value are still distinguishable);
-//   - Scan compares the values themselves with reflect.DeepEqual, which is
-//     exactly the paper's scan and is sound for Algorithm 4 because each
-//     value written to a given register is distinct (Claim 6.1(b)).
+// linearizable at any point between the last two collects. Scan compares
+// the values themselves with reflect.DeepEqual, which is exactly the
+// paper's scan and is sound for Algorithm 4 because each value written to
+// a given register is distinct (Claim 6.1(b)), so plain registers suffice.
 //
 // The scan is not wait-free in general, but every use in this module is:
 // Algorithm 4 performs at most m−1 writes per getTS (Lemma 6.14), so the
@@ -77,33 +71,4 @@ func valueEqual(a, b register.Value) bool {
 		return a == nil && b == nil
 	}
 	return reflect.DeepEqual(a, b)
-}
-
-// ScanVersioned returns a linearizable view using per-register write
-// versions for the double collect, sound for any value universe.
-func ScanVersioned(mem register.VersionedMem) ([]register.Value, error) {
-	collect := func() ([]register.Value, []uint64) {
-		vals := make([]register.Value, mem.Size())
-		vers := make([]uint64, mem.Size())
-		for i := range vals {
-			vals[i], vers[i] = mem.ReadVersioned(i)
-		}
-		return vals, vers
-	}
-	_, prevVers := collect()
-	for c := 1; c < MaxCollects; c++ {
-		vals, vers := collect()
-		same := true
-		for i := range vers {
-			if vers[i] != prevVers[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return vals, nil
-		}
-		prevVers = vers
-	}
-	return nil, ErrLivelock
 }

@@ -33,25 +33,15 @@ func TestScanQuiescent(t *testing.T) {
 	}
 }
 
-func TestScanVersionedQuiescent(t *testing.T) {
-	mem := register.NewAtomicArray(2)
-	mem.Write(0, "x")
-	view, err := ScanVersioned(mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if view[0] != "x" || view[1] != nil {
-		t.Errorf("view = %v", view)
-	}
-}
-
 // A scan concurrent with bounded writers must return a view that is a
 // monotone cut: for a register written with increasing values, the scanned
 // value together with scan position must never show a later write in a low
 // register paired with an earlier write in a high register IF the high one
 // was written first. We verify the weaker but decisive linearizability
 // witness for single-register streams: the returned value per register is
-// one of the written values and versions never exceed the final count.
+// one of the written values. Each writer installs the distinct values
+// 1..perWriter in its own register — the Claim 6.1(b) precondition that
+// makes the value-equality double collect sound.
 func TestScanConcurrentWriters(t *testing.T) {
 	const writers, perWriter = 4, 500
 	mem := register.NewAtomicArray(writers)
@@ -68,7 +58,7 @@ func TestScanConcurrentWriters(t *testing.T) {
 	}
 	scans := 0
 	for !stop.Load() {
-		view, err := ScanVersioned(mem)
+		view, err := Scan(mem)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,33 +168,6 @@ func asInt(v register.Value) int {
 	return v.(int)
 }
 
-// Value-equality scan can be fooled by ABA when values repeat; versioned
-// scan cannot. This documents exactly why Algorithm 4 relies on value
-// distinctness (Claim 6.1(b)).
-func TestScanVersionedDefeatsABA(t *testing.T) {
-	// Writer: r0: A->B->A while bumping r1 in between. The value-equality
-	// double collect may pair r0=A from before with r0=A from after and
-	// miss r1's change... the versioned scan's view must still be a
-	// consistent cut. We assert versioned scan under the scheduler never
-	// returns (r0=A-initial, r1=final) torn pairs by checking the invariant
-	// v1 <= writes-to-r0-observed. Here we keep it simple: versioned scan
-	// must never return the pre-state (A, 0) once r1 is final, when run solo
-	// after the writer finished.
-	mem := register.NewAtomicArray(2)
-	mem.Write(0, "A")
-	mem.Write(1, 1)
-	mem.Write(0, "B")
-	mem.Write(0, "A") // ABA
-	mem.Write(1, 2)
-	view, err := ScanVersioned(mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if view[0] != "A" || view[1] != 2 {
-		t.Errorf("view = %v, want [A 2]", view)
-	}
-}
-
 func BenchmarkScan(b *testing.B) {
 	mem := register.NewAtomicArray(32)
 	for i := 0; i < 32; i++ {
@@ -213,19 +176,6 @@ func BenchmarkScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Scan(mem); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkScanVersioned(b *testing.B) {
-	mem := register.NewAtomicArray(32)
-	for i := 0; i < 32; i++ {
-		mem.Write(i, i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ScanVersioned(mem); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -251,12 +201,8 @@ func TestQuickScanQuiescentEqualsCollect(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		gotV, err := ScanVersioned(mem)
-		if err != nil {
-			return false
-		}
 		for i := range want {
-			if got[i] != want[i] || gotV[i] != want[i] {
+			if got[i] != want[i] {
 				return false
 			}
 		}

@@ -182,10 +182,11 @@ func TestReportVerifyCatchesBadCompare(t *testing.T) {
 
 func TestDisciplineAppliedPerPid(t *testing.T) {
 	alg := &fake{table: [][]int{{0}}} // register 0 writable only by pid 0
-	meter := register.NewMeter(NewMem(alg))
+	base := NewMem(alg)
+	metered := register.Wrap(base, register.Metered(register.NewMeterSize(base.Size())))
 
 	// pid 0 may write through its stack.
-	mem0 := register.Wrap(meter, register.DisciplineFor(alg.WriterTable(), 0))
+	mem0 := register.Wrap(metered, register.DisciplineFor(alg.WriterTable(), 0))
 	if _, err := alg.GetTS(mem0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestDisciplineAppliedPerPid(t *testing.T) {
 			t.Error("discipline violation not enforced")
 		}
 	}()
-	mem1 := register.Wrap(meter, register.DisciplineFor(alg.WriterTable(), 1))
+	mem1 := register.Wrap(metered, register.DisciplineFor(alg.WriterTable(), 1))
 	_, _ = alg.GetTS(mem1, 1, 0)
 }
 

@@ -63,12 +63,11 @@ func RegistersFor(m int) int {
 
 // Alg is the Algorithm 4 timestamp object.
 type Alg struct {
-	maxCalls      int
-	m             int
-	oneShot       bool
-	noRepair      bool
-	versionedScan bool
-	tracer        Tracer
+	maxCalls int
+	m        int
+	oneShot  bool
+	noRepair bool
+	tracer   Tracer
 }
 
 var _ timestamp.Algorithm = (*Alg)(nil)
@@ -111,14 +110,6 @@ func NewBounded(maxCalls int) *Alg {
 // line numbers, scans with their myrnd). Must be set before any GetTS call;
 // nil disables tracing.
 func (a *Alg) SetTracer(t Tracer) { a.tracer = t }
-
-// UseVersionedScan switches line 13 from the paper's value-equality double
-// collect (sound by the per-register value distinctness of Claim 6.1(b))
-// to the version-stamped double collect, which is sound for any value
-// universe. This is an ablation knob: both scans are linearizable here, so
-// behaviour is identical and only the equality test's cost differs (see
-// BenchmarkAblationScan). Must be set before any GetTS call.
-func (a *Alg) UseVersionedScan(on bool) { a.versionedScan = on }
 
 // NewWithoutRepair returns a deliberately broken M-bounded variant that
 // omits the line 10–11 repair ("getTS(a) overwrites register R[i] with
@@ -223,9 +214,10 @@ func (a *Alg) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, error)
 		}
 	}
 
-	// Line 13: scan (double collect; wait-free here because each getTS()
-	// writes at most m−1 times, Lemma 6.14).
-	view, err := a.scan(mem)
+	// Line 13: scan (value-equality double collect, sound because every
+	// value written to a register is distinct, Claim 6.1(b); wait-free here
+	// because each getTS() writes at most m−1 times, Lemma 6.14).
+	view, err := snapshot.Scan(mem)
 	if err != nil {
 		return timestamp.Timestamp{}, fmt.Errorf("sqrt: %w", err)
 	}
@@ -259,21 +251,6 @@ func (a *Alg) validAt(rm *Cell, jj int, vj *Cell) bool {
 		return false
 	}
 	return rm.Seq[jj-1] == vj.Last()
-}
-
-// scan dispatches line 13 to the configured double-collect flavour. The
-// versioned variant requires the memory to support versioned reads (the
-// atomic array does; the simulated memory does not, so the ablation runs
-// on real memory only).
-func (a *Alg) scan(mem register.Mem) ([]register.Value, error) {
-	if a.versionedScan {
-		vm, ok := mem.(register.VersionedMem)
-		if !ok {
-			return nil, fmt.Errorf("sqrt: versioned scan needs a VersionedMem, have %T", mem)
-		}
-		return snapshot.ScanVersioned(vm)
-	}
-	return snapshot.Scan(mem)
 }
 
 func (a *Alg) write(mem register.Mem, line int, id ID, reg int, c *Cell) {

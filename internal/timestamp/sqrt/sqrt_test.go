@@ -62,9 +62,11 @@ func TestSequentialPattern(t *testing.T) {
 func TestSequentialSpace(t *testing.T) {
 	for _, m := range []int{4, 16, 64, 144, 400} {
 		alg := NewBounded(m)
-		meter := register.NewMeter(timestamp.NewMem(alg))
+		base := timestamp.NewMem(alg)
+		meter := register.NewMeterSize(base.Size())
+		mem := register.Wrap(base, register.Metered(meter))
 		for k := 0; k < m; k++ {
-			mustTS(t, alg, meter, k, 0)
+			mustTS(t, alg, mem, k, 0)
 		}
 		rep := meter.Report()
 		if rep.Written > alg.Registers()-1 {
@@ -72,11 +74,11 @@ func TestSequentialSpace(t *testing.T) {
 		}
 		// Non-⊥ registers form a prefix (Claim 6.1(d)).
 		for i := 0; i < rep.Written; i++ {
-			if meter.Read(i) == nil {
+			if base.Read(i) == nil {
 				t.Errorf("M=%d: register %d is ⊥ inside the written prefix", m, i)
 			}
 		}
-		if meter.Read(alg.Registers()-1) != nil {
+		if base.Read(alg.Registers()-1) != nil {
 			t.Errorf("M=%d: sentinel register written", m)
 		}
 	}
@@ -277,10 +279,12 @@ func TestInvalidConstructorsPanic(t *testing.T) {
 func TestPerCallWriteBound(t *testing.T) {
 	const m = 36
 	alg := NewBounded(m)
-	meter := register.NewMeter(timestamp.NewMem(alg))
+	base := timestamp.NewMem(alg)
+	meter := register.NewMeterSize(base.Size())
+	mem := register.Wrap(base, register.Metered(meter))
 	for k := 0; k < m; k++ {
 		before := meter.Report().Writes
-		mustTS(t, alg, meter, k%6, k/6)
+		mustTS(t, alg, mem, k%6, k/6)
 		delta := meter.Report().Writes - before
 		if delta >= uint64(alg.Registers()) {
 			t.Errorf("call %d performed %d writes, must be < m = %d", k, delta, alg.Registers())
@@ -311,34 +315,3 @@ func BenchmarkGetTSSequential(b *testing.B) {
 		})
 	}
 }
-
-// The versioned-scan ablation behaves identically to the value-equality
-// scan on real memory, and errors cleanly on memories without versions.
-func TestVersionedScanAblation(t *testing.T) {
-	const m = 12
-	a := NewBounded(m)
-	b := NewBounded(m)
-	b.UseVersionedScan(true)
-	memA := timestamp.NewMem(a)
-	memB := timestamp.NewMem(b)
-	for k := 0; k < m; k++ {
-		tsA := mustTS(t, a, memA, k, 0)
-		tsB := mustTS(t, b, memB, k, 0)
-		if tsA != tsB {
-			t.Fatalf("call %d: value-scan %v != versioned-scan %v", k, tsA, tsB)
-		}
-	}
-
-	c := NewBounded(2)
-	c.UseVersionedScan(true)
-	if _, err := c.GetTS(&noVersions{timestamp.NewMem(c)}, 0, 0); err == nil {
-		t.Error("versioned scan on unversioned memory must error")
-	}
-}
-
-// noVersions hides the versioned interface of the wrapped memory.
-type noVersions struct{ inner register.Mem }
-
-func (m *noVersions) Size() int                     { return m.inner.Size() }
-func (m *noVersions) Read(i int) register.Value     { return m.inner.Read(i) }
-func (m *noVersions) Write(i int, v register.Value) { m.inner.Write(i, v) }

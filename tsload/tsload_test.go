@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -238,10 +239,24 @@ func TestBatchMixInProc(t *testing.T) {
 	}
 }
 
+// attachCounter is a Target that counts the leases a tsload run takes.
+type attachCounter struct {
+	tsload.Target
+	attaches atomic.Int64
+}
+
+func (c *attachCounter) Attach(ctx context.Context) (tsspace.SessionAPI, error) {
+	c.attaches.Add(1)
+	return c.Target.Attach(ctx)
+}
+
 // Wire v2 holds one lease per worker across batches; the SDK's attach
-// counter shows it.
+// counter shows it. Workers attach lazily on their first op, so a short
+// run may finish before every worker is scheduled: the property is that
+// each lease the run took is exactly one SDK attach and that no worker
+// leased twice, however many batches crossed the wire.
 func TestBatchOverWireV2HoldsLeases(t *testing.T) {
-	const workers = 3
+	const workers, maxOps = 3, 60
 	t.Run("v2", func(t *testing.T) {
 		obj, err := tsspace.New(tsspace.WithAlgorithm("collect"), tsspace.WithProcs(8))
 		if err != nil {
@@ -250,16 +265,17 @@ func TestBatchOverWireV2HoldsLeases(t *testing.T) {
 		front := tsserve.NewServer(obj, tsserve.ServerConfig{})
 		srv := httptest.NewServer(front)
 		t.Cleanup(func() { srv.Close(); front.Close(); obj.Close() })
-		target, err := tsload.NewHTTP(context.Background(), srv.URL, srv.Client())
+		wire, err := tsload.NewHTTP(context.Background(), srv.URL, srv.Client())
 		if err != nil {
 			t.Fatal(err)
 		}
+		target := &attachCounter{Target: wire}
 		res, err := tsload.Run(context.Background(), tsload.Config{
 			Mix:      mustMix(t, "steady").WithBatch(4),
 			Target:   target,
 			Workers:  workers,
 			Duration: 10 * time.Second,
-			MaxOps:   60,
+			MaxOps:   maxOps,
 			Seed:     12,
 		})
 		if err != nil {
@@ -272,10 +288,18 @@ func TestBatchOverWireV2HoldsLeases(t *testing.T) {
 		if res.Timestamps != res.GetTSOps*4 {
 			t.Errorf("Timestamps = %d from %d batch-of-4 ops", res.Timestamps, res.GetTSOps)
 		}
-		// Steady workers never detach: one server-side lease per worker for
-		// the whole run, no matter how many batches crossed the wire.
-		if st := obj.Stats(); st.Attaches != workers {
-			t.Errorf("v2 run attached %d SDK sessions, want %d (one per worker)", st.Attaches, workers)
+		if res.GetTSOps < maxOps {
+			t.Errorf("run ended after %d batches, want ≥ %d", res.GetTSOps, maxOps)
+		}
+		// Steady workers never detach: one server-side lease per leasing
+		// worker for the whole run, no matter how many batches crossed
+		// the wire.
+		leases := target.attaches.Load()
+		if leases < 1 || leases > workers {
+			t.Errorf("run took %d leases, want 1..%d (at most one per worker)", leases, workers)
+		}
+		if st := obj.Stats(); int64(st.Attaches) != leases {
+			t.Errorf("v2 run attached %d SDK sessions for %d leases taken, want one each", st.Attaches, leases)
 		}
 	})
 }

@@ -95,8 +95,6 @@ type ProvisionRequest struct {
 	// (both transports; 0 = unlimited). An attach beyond the cap is
 	// rejected with quota_exhausted instead of queueing for a pid.
 	MaxSessions int `json:"max_sessions,omitempty"`
-	// Sharded selects the Object's sharded register layout.
-	Sharded bool `json:"sharded,omitempty"`
 	// Unmetered disables register metering. Metering defaults on so
 	// the per-namespace space gauges (tsspace_registers_used{namespace=...})
 	// report; opt out only for peak-throughput namespaces.
@@ -142,7 +140,6 @@ type namespace struct {
 	algorithm   string
 	procs       int
 	maxSessions int
-	sharded     bool
 	metered     bool
 
 	// active counts live wire leases bound into this namespace; it is
@@ -313,8 +310,7 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 	s.nsMu.Lock()
 	if existing, ok := s.namespaces[name]; ok {
 		same := existing.algorithm == req.Algorithm && existing.procs == req.Procs &&
-			existing.maxSessions == req.MaxSessions && existing.sharded == req.Sharded &&
-			existing.metered == !req.Unmetered
+			existing.maxSessions == req.MaxSessions && existing.metered == !req.Unmetered
 		s.nsMu.Unlock()
 		if same {
 			writeJSON(w, http.StatusOK, provisionResponse(existing, false))
@@ -331,9 +327,6 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := []tsspace.Option{tsspace.WithAlgorithm(req.Algorithm), tsspace.WithProcs(req.Procs)}
-	if req.Sharded {
-		opts = append(opts, tsspace.WithSharded())
-	}
 	if !req.Unmetered {
 		opts = append(opts, tsspace.WithMetering())
 	}
@@ -352,7 +345,7 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 		name: name, id: s.nsSeq, obj: obj, owned: true,
 		summary:   algorithmSummary(req.Algorithm),
 		algorithm: req.Algorithm, procs: req.Procs, maxSessions: req.MaxSessions,
-		sharded: req.Sharded, metered: !req.Unmetered,
+		metered: !req.Unmetered,
 	}
 	s.namespaces[name] = ns
 	s.nsMu.Unlock()

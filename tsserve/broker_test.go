@@ -3,6 +3,7 @@ package tsserve_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"strings"
@@ -73,7 +74,26 @@ func TestProvisionDeprovisionTypedErrors(t *testing.T) {
 	if _, err := c.ProvisionNamespace(ctx, "Bad.Name", tsserve.ProvisionRequest{}); err == nil {
 		t.Fatal("provisioning an invalid name succeeded")
 	}
+	// A spec field the broker does not know — here "sharded", a register
+	// layout switch it does not offer — is rejected, not silently ignored.
+	req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.BaseURL()+"/ns/x",
+		strings.NewReader(`{"sharded":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body tsserve.ErrorBody
+	decErr := json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || decErr != nil || body.Code != tsserve.CodeBadRequest {
+		t.Fatalf(`PUT /ns/x {"sharded":true} = %d %+v (decode: %v), want 400 %s`,
+			resp.StatusCode, body, decErr, tsserve.CodeBadRequest)
+	}
 
+	// Only team-a was provisioned: not the rejected x.
 	names, err := c.Namespaces(ctx)
 	if err != nil {
 		t.Fatal(err)

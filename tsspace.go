@@ -112,7 +112,6 @@ func Catalog() []AlgorithmInfo {
 type config struct {
 	alg     string
 	procs   int
-	sharded bool
 	metered bool
 	ttl     time.Duration
 }
@@ -143,16 +142,6 @@ func WithProcs(n int) Option {
 			return fmt.Errorf("%w: WithProcs(%d): need at least one process", ErrBadOption, n)
 		}
 		c.procs = n
-		return nil
-	}
-}
-
-// WithSharded backs the object with the cache-line-padded register array,
-// trading memory for the elimination of false sharing between adjacent
-// registers under heavy multi-core traffic.
-func WithSharded() Option {
-	return func(c *config) error {
-		c.sharded = true
 		return nil
 	}
 }
@@ -192,7 +181,7 @@ func WithSessionTTL(d time.Duration) Option {
 }
 
 // New constructs a timestamp object. With no options it is a long-lived
-// "collect" object for 16 processes, unsharded and unmetered.
+// "collect" object for 16 processes, unmetered.
 func New(opts ...Option) (*Object, error) {
 	cfg := config{alg: "collect", procs: 16}
 	for _, opt := range opts {
@@ -211,21 +200,12 @@ func New(opts ...Option) (*Object, error) {
 	alg := info.New(cfg.procs)
 
 	// Scalar-valued algorithms (collect, dense) run on the boxing-free
-	// int64 arrays: one atomic word per register, so a getTS allocates
-	// nothing. Everything else gets the generic immutable-cell arrays.
-	scalar := false
-	if sv, ok := alg.(timestamp.ScalarValued); ok {
-		scalar = sv.ScalarValued()
-	}
+	// int64 array: one atomic word per register, so a getTS allocates
+	// nothing. Everything else gets the boxed-value array.
 	var base register.Mem
-	switch {
-	case cfg.sharded && scalar:
-		base = register.NewShardedInt64Array(alg.Registers())
-	case cfg.sharded:
-		base = register.NewShardedArray(alg.Registers())
-	case scalar:
+	if sv, ok := alg.(timestamp.ScalarValued); ok && sv.ScalarValued() {
 		base = register.NewInt64Array(alg.Registers())
-	default:
+	} else {
 		base = register.NewAtomicArray(alg.Registers())
 	}
 	var meter *register.Meter

@@ -32,7 +32,7 @@ func TestNewDefaultsAndOptions(t *testing.T) {
 		t.Error("metering must default off")
 	}
 
-	sq := mustNew(t, tsspace.WithAlgorithm("sqrt"), tsspace.WithProcs(9), tsspace.WithSharded(), tsspace.WithMetering())
+	sq := mustNew(t, tsspace.WithAlgorithm("sqrt"), tsspace.WithProcs(9), tsspace.WithMetering())
 	if sq.Algorithm() != "sqrt" || sq.Procs() != 9 || !sq.OneShot() {
 		t.Errorf("sqrt object: alg=%q procs=%d oneShot=%v", sq.Algorithm(), sq.Procs(), sq.OneShot())
 	}
@@ -222,7 +222,6 @@ func TestGetTSBatchZeroAllocs(t *testing.T) {
 	ctx := context.Background()
 	for _, opts := range [][]tsspace.Option{
 		{tsspace.WithProcs(8)},
-		{tsspace.WithProcs(8), tsspace.WithSharded()},
 		{tsspace.WithAlgorithm("dense"), tsspace.WithProcs(8)},
 	} {
 		obj := mustNew(t, opts...)
