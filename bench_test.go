@@ -272,8 +272,9 @@ func benchThroughput(b *testing.B, mk func(int) timestamp.Algorithm) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				// Unmetered: the shared meter would serialize the very
-				// contention this experiment measures.
+				// Unmetered: this experiment measures the algorithm's own
+				// contention, and a metered handle adds a counter add to
+				// every register operation.
 				run(b, engine.Config[timestamp.Timestamp]{
 					Alg: alg, World: engine.Atomic, N: n,
 					Workload:  engine.LongLived{CallsPerProc: callsPer},
@@ -374,13 +375,23 @@ func BenchmarkSession_GetTS_Parallel(b *testing.B) {
 // ns/ts metric is the per-timestamp cost the EXPERIMENTS.md E13 table
 // tracks — batch=1 pays the full per-call guard tax, batch=256 amortizes
 // it to noise, and the register accesses per timestamp (the paper's
-// measure) are identical at every size.
+// measure) are identical at every size. The last case is the
+// configuration tsserved ships: collect at n = 64 with metering on.
 func BenchmarkSession_GetTSBatch(b *testing.B) {
 	ctx := context.Background()
-	for _, size := range []int{1, 16, 256} {
-		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
-			procs := runtime.GOMAXPROCS(0) * 2
-			obj, err := tsspace.New(tsspace.WithProcs(procs))
+	procs := runtime.GOMAXPROCS(0) * 2
+	for _, c := range []struct {
+		name string
+		size int
+		opts []tsspace.Option
+	}{
+		{"batch=1", 1, []tsspace.Option{tsspace.WithProcs(procs)}},
+		{"batch=16", 16, []tsspace.Option{tsspace.WithProcs(procs)}},
+		{"batch=256", 256, []tsspace.Option{tsspace.WithProcs(procs)}},
+		{"batch=256/n=64/metered", 256, []tsspace.Option{tsspace.WithProcs(64), tsspace.WithMetering()}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			obj, err := tsspace.New(c.opts...)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -394,7 +405,7 @@ func BenchmarkSession_GetTSBatch(b *testing.B) {
 					return
 				}
 				defer s.Detach()
-				buf := make([]tsspace.Timestamp, size)
+				buf := make([]tsspace.Timestamp, c.size)
 				for pb.Next() {
 					if _, err := s.GetTSBatch(ctx, buf); err != nil {
 						b.Error(err)
@@ -402,7 +413,7 @@ func BenchmarkSession_GetTSBatch(b *testing.B) {
 					}
 				}
 			})
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(size)), "ns/ts")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(c.size)), "ns/ts")
 		})
 	}
 }

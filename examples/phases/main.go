@@ -9,10 +9,10 @@
 //
 // The walkthrough verifies the SDK-observable §6 claims: the written set
 // grows monotonically from the left, stays within the ⌈2√M⌉ budget
-// (Lemma 6.5), and the last register is the sentinel that is read but
-// never written (Lemma 6.14). The deeper per-phase invalidation
-// accounting (Claims 6.10/6.13) needs the implementation's tracer hooks:
-// see `go run ./cmd/tscover -phases`.
+// (Lemma 6.5), and the last register is the sentinel that is never
+// written (Lemma 6.14); sqrt's own tests check that it is read. The
+// deeper per-phase invalidation accounting (Claims 6.10/6.13) needs the
+// implementation's tracer hooks: see `go run ./cmd/tscover -phases`.
 //
 // Run with:
 //
@@ -70,29 +70,28 @@ func main() {
 	u, _ := obj.Usage()
 	fmt.Printf("\nregisters written: %d of %d — within the ⌈2√M⌉ budget (Lemma 6.5)\n",
 		u.Written, u.Registers)
-	if u.WriteCounts[u.Registers-1] != 0 {
-		log.Fatal("sentinel register was written — Lemma 6.14 violated")
-	}
-	if u.ReadCounts[u.Registers-1] == 0 {
-		log.Fatal("sentinel register was never read")
-	}
-	fmt.Printf("sentinel register %d: read %d times, written never (Lemma 6.14)\n",
-		u.Registers-1, u.ReadCounts[u.Registers-1])
-	for i := 1; i < len(u.WriteCounts); i++ {
-		if u.WriteCounts[i] > 0 && u.WriteCounts[i-1] == 0 {
-			log.Fatalf("register %d written before register %d: phases do not skip", i, i-1)
+	// The written set is a prefix 0..k-1: phases never skip a register.
+	for i, r := range u.WrittenSet {
+		if r != i {
+			log.Fatalf("register %d written before register %d: phases do not skip", r, i)
 		}
 	}
+	if n := len(u.WrittenSet); n > 0 && u.WrittenSet[n-1] == u.Registers-1 {
+		log.Fatal("sentinel register was written — Lemma 6.14 violated")
+	}
+	fmt.Printf("sentinel register %d: written never (Lemma 6.14)\n", u.Registers-1)
 	fmt.Println("written set is a prefix: phases consume registers strictly left to right")
 }
 
-// bar renders the per-register write footprint: ■ for written (non-⊥)
-// registers, · for ⊥.
+// bar renders the write footprint: ■ for written (non-⊥) registers, · for
+// ⊥.
 func bar(u tsspace.Usage) string {
 	var b strings.Builder
-	for _, w := range u.WriteCounts {
-		if w > 0 {
+	next := 0 // index into the increasing WrittenSet
+	for i := 0; i < u.Registers; i++ {
+		if next < len(u.WrittenSet) && u.WrittenSet[next] == i {
 			b.WriteString("■")
+			next++
 		} else {
 			b.WriteString("·")
 		}

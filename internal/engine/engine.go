@@ -7,8 +7,9 @@
 // plumbing once: it assembles the register middleware stack
 // (register.Wrap), drives the chosen workload in the chosen world, and
 // returns one Report carrying the happens-before events, the space
-// footprint with per-register operation counts, and the wall time. Adding
-// a new scenario is a ~20-line Workload implementation, not a new main().
+// footprint (operation totals and the written set), and the wall time.
+// Adding a new scenario is a ~20-line Workload implementation, not a new
+// main().
 //
 // The package is generic over the timestamp type T so that
 // internal/timestamp can layer thin compatibility shims on top of it
@@ -128,8 +129,8 @@ type Report[T any] struct {
 	N        int
 	// MaxCalls is the largest per-process call count of the workload.
 	MaxCalls int
-	// Space is the register footprint, including per-register operation
-	// counts (SpaceReport.ReadCounts / WriteCounts).
+	// Space is the register footprint: operation totals and the written
+	// set.
 	Space register.SpaceReport
 	// Events are the completed getTS intervals in start order.
 	Events []hbcheck.Event[T]

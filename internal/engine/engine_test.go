@@ -214,28 +214,6 @@ func TestDisciplineEnforcedInStack(t *testing.T) {
 	}
 }
 
-// Per-register operation counts are part of the report and consistent
-// with the totals.
-func TestPerRegisterCounts(t *testing.T) {
-	const n = 3
-	alg := &fake{n: n}
-	rep, err := engine.Run(cfgFor(alg, engine.Simulated, n, engine.LongLived{CallsPerProc: 2}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reads, writes uint64
-	for i := 0; i < n; i++ {
-		reads += rep.Space.ReadCounts[i]
-		writes += rep.Space.WriteCounts[i]
-	}
-	if reads != rep.Space.Reads || writes != rep.Space.Writes {
-		t.Errorf("per-register sums (%d, %d) != totals (%d, %d)", reads, writes, rep.Space.Reads, rep.Space.Writes)
-	}
-	if writes != uint64(n*2) {
-		t.Errorf("writes = %d, want %d (one per call)", writes, n*2)
-	}
-}
-
 // BaseMem and OnCall expose the run to the caller: the observer sees every
 // call, and the provided memory holds the final state.
 func TestBaseMemAndObserver(t *testing.T) {
@@ -261,8 +239,8 @@ func TestBaseMemAndObserver(t *testing.T) {
 }
 
 // Unmetered runs still record events but skip the space accounting — the
-// throughput benchmarks use this to keep the shared meter's lock off the
-// operation path.
+// throughput benchmarks use this to keep the per-operation counter adds
+// off the operation path.
 func TestUnmetered(t *testing.T) {
 	const n = 4
 	cfg := cfgFor(&fake{n: n}, engine.Atomic, n, engine.OneShot{})

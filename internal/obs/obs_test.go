@@ -326,6 +326,25 @@ func TestVecFuncsRenderLabeledSamples(t *testing.T) {
 	}
 }
 
+// A writer lapped by a whole ring finds a newer stamp in its slot and
+// drops its event instead of overwriting the newer one.
+func TestRingLappedWriterDrops(t *testing.T) {
+	r := NewRing(16)
+	for i := 1; i <= 17; i++ {
+		r.Record(EventAttach, uint64(i), 0, 0) // seq 17 takes over slot 0
+	}
+	// Replay a writer that claimed seq 1 and stalled until now.
+	r.seq.Store(0)
+	r.Record(EventError, 99, 0, 0)
+	r.seq.Store(17)
+
+	var dst [16]Event
+	n := r.Snapshot(dst[:])
+	if n != 16 || dst[15].Seq != 17 || dst[15].Kind != EventAttach || dst[15].Session != 17 {
+		t.Errorf("snapshot = %d events ending %+v, want 16 ending with seq 17's attach", n, dst[15])
+	}
+}
+
 // TestRingRecordNSRoundTrip pins the namespace-id packing: RecordNS
 // stores the id in the slot's meta word next to kind and pid, Snapshot
 // hands it back intact, Record means namespace 0, and ids are retained

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"runtime"
 	"sync/atomic"
 	"time"
 )
@@ -15,11 +16,15 @@ import (
 // writers beyond the claim itself).
 //
 // Consistency model: each slot carries the sequence number that last
-// wrote it as a stamp, stored 0 (in progress) before the fields and the
-// final value after. A reader accepts a slot only when the stamp reads
-// the expected sequence number both before and after the field loads —
-// Go atomics are sequentially consistent, so a writer lapping the ring
-// mid-read is detected and the slot dropped rather than surfaced torn.
+// wrote it as a stamp. A writer claims its slot by swapping the stamp to
+// a busy marker, stores the fields, then stores its sequence number, so
+// two writers of one slot never interleave their fields; a writer that
+// finds a newer stamp has been lapped by a whole ring and drops its
+// event rather than overwrite a newer one. A reader accepts a slot only
+// when the stamp reads the expected sequence number both before and
+// after the field loads — Go atomics are sequentially consistent, so a
+// writer lapping the ring mid-read is detected and the slot dropped
+// rather than surfaced torn.
 // Dropped slots are possible only when a writer laps the entire ring
 // during one snapshot, which at practical ring sizes means the
 // recording rate exceeds millions of events per second — and the
@@ -84,6 +89,10 @@ type Event struct {
 	Detail  int64
 }
 
+// slotBusy is the stamp of a slot whose writer is storing its fields. It
+// is never a sequence number, so readers skip the slot.
+const slotBusy = ^uint64(0)
+
 // ringSlot is one ring entry. All fields are atomics so concurrent
 // writers and snapshot readers are race-clean; stamp validates the rest.
 type ringSlot struct {
@@ -128,8 +137,9 @@ func (r *Ring) Cap() int { return len(r.slots) }
 func (r *Ring) Recorded() uint64 { return r.seq.Load() }
 
 // Record appends one event in the default namespace (id 0): an atomic
-// sequence claim plus five atomic stores into the claimed slot, no
-// locks and no allocations — safe to call from any request path.
+// sequence claim, a compare-and-swap claiming the slot and five atomic
+// stores, no locks and no allocations — safe to call from any request
+// path.
 //
 //tslint:hotpath
 func (r *Ring) Record(kind EventKind, session uint64, pid int32, detail int64) {
@@ -142,9 +152,21 @@ func (r *Ring) Record(kind EventKind, session uint64, pid int32, detail int64) {
 //
 //tslint:hotpath
 func (r *Ring) RecordNS(kind EventKind, ns uint32, session uint64, pid int32, detail int64) {
-	i := r.seq.Add(1) // 1-based: stamp 0 means in-progress/empty
+	i := r.seq.Add(1) // 1-based: stamp 0 means empty
 	s := &r.slots[(i-1)&r.mask]
-	s.stamp.Store(0)
+	for {
+		old := s.stamp.Load()
+		if old == slotBusy {
+			runtime.Gosched() // the slot's previous writer is mid-store
+			continue
+		}
+		if old >= i {
+			return // lapped: the ring already holds a newer event here
+		}
+		if s.stamp.CompareAndSwap(old, slotBusy) {
+			break
+		}
+	}
 	s.timeNs.Store(int64(time.Since(r.start)))
 	s.meta.Store(uint64(kind) | uint64(uint32(pid))<<8 | uint64(ns&0xffffff)<<40)
 	s.session.Store(session)

@@ -83,6 +83,7 @@ func (h *quorumHandle) check(i int) {
 			return
 		}
 	}
+	//tslint:allow hotpath panic formatting on a discipline violation, which is a broken algorithm
 	panic(fmt.Sprintf("register: process %d is not a permitted writer of register %d (writers %v)", h.pid, i, allowed))
 }
 
@@ -98,8 +99,15 @@ type quorumInt64Handle struct {
 
 var _ Int64Mem = (*quorumInt64Handle)(nil)
 
+// ReadInt64 forwards a scalar read; reads are unrestricted.
+//
+//tslint:hotpath
 func (h *quorumInt64Handle) ReadInt64(i int) (int64, bool) { return h.im.ReadInt64(i) }
 
+// WriteInt64 checks pid's permission for register i and forwards the
+// write.
+//
+//tslint:hotpath
 func (h *quorumInt64Handle) WriteInt64(i int, v int64) {
 	h.check(i)
 	h.im.WriteInt64(i, v)

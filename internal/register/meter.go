@@ -1,15 +1,14 @@
 package register
 
 import (
-	"sort"
-	"sync"
+	"math/bits"
+	"sync/atomic"
 )
 
 // SpaceReport summarizes the register footprint of an execution: it is the
 // measurement backing every space experiment (E3, E4, E8, E9). The paper
-// counts a register as "used" once it can be written; we report both the
-// written set and the read set so the sentinel register of Algorithm 4
-// (always read, never written — Lemma 6.14) is visible.
+// counts a register as "used" once it can be written, so the report is
+// built from the written set.
 type SpaceReport struct {
 	// Registers is the size of the underlying array (the allocation budget).
 	Registers int
@@ -19,91 +18,52 @@ type SpaceReport struct {
 	WrittenSet []int
 	// MaxWrittenIndex is the largest written index, or -1 if none.
 	MaxWrittenIndex int
-	// MaxReadIndex is the largest index read, or -1 if none.
-	MaxReadIndex int
 	// Reads and Writes are total operation counts.
 	Reads, Writes uint64
-	// ReadCounts and WriteCounts are per-register operation counts, indexed
-	// by register (length Registers).
-	ReadCounts, WriteCounts []uint64
 }
 
-// Meter collects the operation counts of every Metered layer built over
-// it. It is safe for concurrent use; any number of per-process stacks may
-// share one Meter.
+// Meter collects the operation counts of every Metered handle built over
+// it. Nothing on it takes a lock: each handle counts its own reads and
+// writes in its own cache line, and a write sets its register's bit in a
+// shared written-register bitmap, which costs one load once the bit is
+// set. Totals and Report sum the handles and count the bitmap when they
+// are called. Any number of per-process stacks may share one Meter, and a
+// handle may be driven from several goroutines.
 type Meter struct {
-	size int
-
-	mu       sync.Mutex
-	readCnt  []uint64
-	writeCnt []uint64
-	maxRead  int
-	maxWrite int
-	written  int // distinct registers written, kept incrementally for Totals
-	reads    uint64
-	writes   uint64
+	size    int
+	written []atomic.Uint64            // bit i of word i/64 is set once register i is written
+	handles atomic.Pointer[meteredMem] // newest handle; each links to the one before
 }
 
 // NewMeterSize returns a meter for size registers, fed through the Metered
 // middleware.
 func NewMeterSize(size int) *Meter {
-	return &Meter{
-		size:     size,
-		readCnt:  make([]uint64, size),
-		writeCnt: make([]uint64, size),
-		maxRead:  -1,
-		maxWrite: -1,
-	}
+	return &Meter{size: size, written: make([]atomic.Uint64, (size+63)/64)}
 }
 
-func (m *Meter) recordRead(i int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.readCnt[i]++
-	m.reads++
-	if i > m.maxRead {
-		m.maxRead = i
-	}
-}
-
-func (m *Meter) recordWrite(i int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.writeCnt[i]++
-	if m.writeCnt[i] == 1 {
-		m.written++
-	}
-	m.writes++
-	if i > m.maxWrite {
-		m.maxWrite = i
-	}
-}
-
-// Report returns the current space report.
-func (m *Meter) Report() SpaceReport {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r := SpaceReport{
-		Registers:       m.size,
-		MaxWrittenIndex: m.maxWrite,
-		MaxReadIndex:    m.maxRead,
-		Reads:           m.reads,
-		Writes:          m.writes,
-		ReadCounts:      append([]uint64(nil), m.readCnt...),
-		WriteCounts:     append([]uint64(nil), m.writeCnt...),
-	}
-	for i, c := range m.writeCnt {
-		if c > 0 {
-			r.Written++
-			r.WrittenSet = append(r.WrittenSet, i)
+// add pushes h onto the handle list. A handle's link is set before it is
+// published and never changes after.
+func (m *Meter) add(h *meteredMem) {
+	for {
+		h.next = m.handles.Load()
+		if m.handles.CompareAndSwap(h.next, h) {
+			return
 		}
 	}
-	sort.Ints(r.WrittenSet)
-	return r
+}
+
+// markWritten sets register i's bit. The load first keeps an already-set
+// bit a read of a shared line, so only the first write of each register
+// pays an atomic read-modify-write.
+func (m *Meter) markWritten(i int) {
+	w, bit := &m.written[i/64], uint64(1)<<(i%64)
+	if w.Load()&bit == 0 {
+		w.Or(bit)
+	}
 }
 
 // Totals is the scrape-cheap slice of a SpaceReport: the four scalar
-// space measures, with no per-register slices copied.
+// space measures, without building the written set.
 type Totals struct {
 	// Registers is the allocated array size (the budget).
 	Registers int
@@ -114,11 +74,41 @@ type Totals struct {
 	Reads, Writes uint64
 }
 
-// Totals returns the scalar space measures without copying the
-// per-register count slices, cheap enough to sample on every metrics
-// scrape of a live daemon.
+// Totals returns the scalar space measures: the bitmap's population count
+// and the sum of every handle's counters, read in that order. A write
+// counts itself before it sets its bit, so every snapshot has
+// Written ≤ Writes, and successive snapshots never decrease. Once the
+// operations have stopped, the totals are exact.
 func (m *Meter) Totals() Totals {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return Totals{Registers: m.size, Written: m.written, Reads: m.reads, Writes: m.writes}
+	t := Totals{Registers: m.size}
+	for i := range m.written {
+		t.Written += bits.OnesCount64(m.written[i].Load())
+	}
+	t.Reads, t.Writes = m.ops()
+	return t
+}
+
+// Report returns the current space report: Totals plus the written set,
+// from one pass over the bitmap.
+func (m *Meter) Report() SpaceReport {
+	r := SpaceReport{Registers: m.size, MaxWrittenIndex: -1}
+	for i := range m.written {
+		for w := m.written[i].Load(); w != 0; w &= w - 1 {
+			r.WrittenSet = append(r.WrittenSet, 64*i+bits.TrailingZeros64(w))
+		}
+	}
+	if r.Written = len(r.WrittenSet); r.Written > 0 {
+		r.MaxWrittenIndex = r.WrittenSet[r.Written-1]
+	}
+	r.Reads, r.Writes = m.ops()
+	return r
+}
+
+// ops sums the read and write counters of every handle.
+func (m *Meter) ops() (reads, writes uint64) {
+	for h := m.handles.Load(); h != nil; h = h.next {
+		reads += h.reads.Load()
+		writes += h.writes.Load()
+	}
+	return reads, writes
 }

@@ -1,5 +1,7 @@
 package register
 
+import "sync/atomic"
+
 // Middleware decorates a Mem with one cross-cutting concern — metering or
 // write discipline. Layers compose with Wrap; a nil middleware is skipped,
 // so conditional layers read naturally:
@@ -28,51 +30,72 @@ func Wrap(mem Mem, mws ...Middleware) Mem {
 	return mem
 }
 
-// Metered records every operation passing through the layer into meter,
-// which may be shared by any number of handles (it is safe for concurrent
-// use). This layer is the only way operations reach a Meter.
+// Metered counts every operation passing through the layer for meter,
+// which may be shared by any number of handles. This layer is the only way
+// operations reach a Meter. Each handle it builds registers with the meter
+// and keeps its own counters, so no register operation takes a lock.
 func Metered(meter *Meter) Middleware {
 	return func(inner Mem) Mem {
-		mm := &meteredMem{meter: meter, inner: inner}
-		if im, ok := inner.(Int64Mem); ok {
-			return &meteredInt64{meteredMem: mm, im: im}
+		// Both handle types share one layout; only the method set differs.
+		h := &meteredInt64{meteredMem{meter: meter, inner: inner}}
+		h.im, _ = inner.(Int64Mem)
+		meter.add(&h.meteredMem)
+		if h.im != nil {
+			return h
 		}
-		return mm
+		return &h.meteredMem
 	}
 }
 
+// meteredMem is one metered handle. Its counters live in the handle's own
+// allocation, which is 64 bytes on 64-bit platforms; the allocator puts
+// objects of that size on 64-byte boundaries, so each handle fills one
+// cache line and handles driven from different cores never write a
+// common line for metering. A write adds to its counter before it marks
+// its register in the meter's bitmap, which is what keeps Totals'
+// Written ≤ Writes.
 type meteredMem struct {
-	meter *Meter
-	inner Mem
+	meter         *Meter
+	inner         Mem
+	im            Int64Mem // inner's scalar path, set for meteredInt64 handles
+	reads, writes atomic.Uint64
+	next          *meteredMem // the meter's previous handle
 }
 
 func (m *meteredMem) Size() int { return m.inner.Size() }
 
 func (m *meteredMem) Read(i int) Value {
-	m.meter.recordRead(i)
+	m.reads.Add(1)
 	return m.inner.Read(i)
 }
 
 func (m *meteredMem) Write(i int, v Value) {
-	m.meter.recordWrite(i)
+	m.writes.Add(1)
+	m.meter.markWritten(i)
 	m.inner.Write(i, v)
 }
 
-// meteredInt64 keeps the scalar fast path through a metered layer: the
-// counters serialize (metering is documented as a throughput tax) but the
-// operations themselves stay boxing- and allocation-free.
+// meteredInt64 keeps the scalar fast path through a metered layer: each
+// operation adds to the handle's own counter (and a write loads one bitmap
+// word), taking no lock and allocating nothing.
 type meteredInt64 struct {
-	*meteredMem
-	im Int64Mem
+	meteredMem
 }
 
+// ReadInt64 counts a read and forwards it.
+//
+//tslint:hotpath
 func (m *meteredInt64) ReadInt64(i int) (int64, bool) {
-	m.meter.recordRead(i)
+	m.reads.Add(1)
 	return m.im.ReadInt64(i)
 }
 
+// WriteInt64 counts a write, marks register i written and forwards it.
+//
+//tslint:hotpath
 func (m *meteredInt64) WriteInt64(i int, v int64) {
-	m.meter.recordWrite(i)
+	m.writes.Add(1)
+	m.meter.markWritten(i)
 	m.im.WriteInt64(i, v)
 }
 

@@ -2,6 +2,7 @@ package register
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -56,7 +57,7 @@ func TestWrapNilIdentity(t *testing.T) {
 }
 
 // One shared meter aggregates operations from several per-process stacks,
-// and the report carries per-register counts.
+// and the report carries the written set.
 func TestMeteredSharedAcrossStacks(t *testing.T) {
 	base := NewAtomicArray(3)
 	meter := NewMeterSize(3)
@@ -76,8 +77,8 @@ func TestMeteredSharedAcrossStacks(t *testing.T) {
 	if rep.Written != 2 {
 		t.Errorf("written registers = %d, want 2", rep.Written)
 	}
-	if rep.WriteCounts[0] != 2 || rep.WriteCounts[2] != 1 || rep.ReadCounts[1] != 2 {
-		t.Errorf("per-register counts wrong: writes=%v reads=%v", rep.WriteCounts, rep.ReadCounts)
+	if !slices.Equal(rep.WrittenSet, []int{0, 2}) {
+		t.Errorf("written set = %v, want [0 2]", rep.WrittenSet)
 	}
 }
 

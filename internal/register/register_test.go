@@ -2,9 +2,11 @@ package register
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestAtomicArrayInitialBottom(t *testing.T) {
@@ -69,47 +71,98 @@ func TestMeterCounts(t *testing.T) {
 	if r.Written != 2 {
 		t.Errorf("Written = %d, want 2", r.Written)
 	}
-	if r.MaxWrittenIndex != 3 || r.MaxReadIndex != 4 {
-		t.Errorf("MaxWrittenIndex = %d MaxReadIndex = %d", r.MaxWrittenIndex, r.MaxReadIndex)
+	if r.MaxWrittenIndex != 3 {
+		t.Errorf("MaxWrittenIndex = %d, want 3", r.MaxWrittenIndex)
 	}
 	if r.Writes != 3 || r.Reads != 2 {
 		t.Errorf("Writes = %d Reads = %d", r.Writes, r.Reads)
 	}
-	if len(r.WrittenSet) != 2 || r.WrittenSet[0] != 1 || r.WrittenSet[1] != 3 {
+	if !slices.Equal(r.WrittenSet, []int{1, 3}) {
 		t.Errorf("WrittenSet = %v, want [1 3]", r.WrittenSet)
 	}
-	if r.WriteCounts[3] != 2 {
-		t.Errorf("WriteCounts[3] = %d, want 2", r.WriteCounts[3])
+	if got, want := meter.Totals(), (Totals{Registers: 5, Written: 2, Reads: 2, Writes: 3}); got != want {
+		t.Errorf("Totals = %+v, want %+v", got, want)
 	}
 }
 
 func TestMeterEmptyReport(t *testing.T) {
-	r := NewMeterSize(3).Report()
-	if r.Written != 0 || r.MaxWrittenIndex != -1 || r.MaxReadIndex != -1 {
+	meter := NewMeterSize(3)
+	r := meter.Report()
+	if r.Written != 0 || r.MaxWrittenIndex != -1 || r.WrittenSet != nil || r.Reads != 0 || r.Writes != 0 {
 		t.Errorf("empty report = %+v", r)
+	}
+	if got := meter.Totals(); got != (Totals{Registers: 3}) {
+		t.Errorf("empty totals = %+v", got)
 	}
 }
 
+// A metered handle fills whole cache lines, so the counters of handles
+// driven from different cores never share one.
+func TestMeteredHandleFillsCacheLine(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the handle layout is sized for 64-bit platforms")
+	}
+	if size := unsafe.Sizeof(meteredInt64{}); size%64 != 0 {
+		t.Errorf("a metered handle is %d bytes, want a multiple of 64", size)
+	}
+}
+
+// Each goroutine drives its own handle while another scrapes Totals in a
+// loop: every snapshot is monotone with Written ≤ Writes, and the totals
+// after the join are exact. Every write is to a fresh register, so Written
+// = Writes between operations and a snapshot that read the two out of
+// order would show Written > Writes.
 func TestMeterConcurrentSafety(t *testing.T) {
-	m, meter := meteredArray(8)
+	const procs, iters, size = 8, 64, 2 * 8 * 64
+	base := NewInt64Array(size)
+	meter := NewMeterSize(size)
+	started, done, scraped := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scraped)
+		prev := meter.Totals()
+		close(started) // the writers start once a scrape has run
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			cur := meter.Totals()
+			if cur.Written > int(cur.Writes) || cur.Written < prev.Written || cur.Reads < prev.Reads || cur.Writes < prev.Writes {
+				t.Errorf("snapshot %+v after %+v: want Written ≤ Writes and no count going back", cur, prev)
+				return
+			}
+			prev = cur
+		}
+	}()
+
+	<-started
 	var wg sync.WaitGroup
-	for p := 0; p < 8; p++ {
+	for p := 0; p < procs; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			for k := 0; k < 100; k++ {
-				m.Write(p, k)
-				m.Read((p + k) % 8)
+			h := Wrap(base, Metered(meter)).(Int64Mem)
+			for k := 0; k < iters; k++ {
+				h.WriteInt64(2*(p*iters+k), int64(k)) // the even registers, each once
+				h.ReadInt64((p + k) % size)
 			}
 		}(p)
 	}
 	wg.Wait()
-	r := meter.Report()
-	if r.Writes != 800 || r.Reads != 800 {
-		t.Errorf("Writes = %d Reads = %d, want 800 each", r.Writes, r.Reads)
+	close(done)
+	<-scraped
+
+	var written []int // every other register, across all 16 bitmap words
+	for i := 0; i < size; i += 2 {
+		written = append(written, i)
 	}
-	if r.Written != 8 {
-		t.Errorf("Written = %d, want 8", r.Written)
+	want := Totals{Registers: size, Written: len(written), Reads: procs * iters, Writes: procs * iters}
+	if got := meter.Totals(); got != want {
+		t.Errorf("Totals after join = %+v, want %+v", got, want)
+	}
+	if r := meter.Report(); !slices.Equal(r.WrittenSet, written) || r.MaxWrittenIndex != written[len(written)-1] {
+		t.Errorf("Report after join: written set %v (max %d), want %v", r.WrittenSet, r.MaxWrittenIndex, written)
 	}
 }
 

@@ -84,6 +84,43 @@ func TestSequentialSpace(t *testing.T) {
 	}
 }
 
+// countingMem counts each register's reads and writes on their way to
+// the memory below.
+type countingMem struct {
+	register.Mem
+	reads, writes []int
+}
+
+func (c *countingMem) Read(i int) register.Value {
+	c.reads[i]++
+	return c.Mem.Read(i)
+}
+
+func (c *countingMem) Write(i int, v register.Value) {
+	c.writes[i]++
+	c.Mem.Write(i, v)
+}
+
+// The last register is the sentinel of Lemma 6.14: the one-shot object's
+// calls read it but never write it.
+func TestSentinelReadNeverWritten(t *testing.T) {
+	for _, n := range []int{1, 4, 10, 64} {
+		alg := New(n)
+		base := timestamp.NewMem(alg)
+		mem := &countingMem{Mem: base, reads: make([]int, base.Size()), writes: make([]int, base.Size())}
+		for pid := 0; pid < n; pid++ {
+			mustTS(t, alg, mem, pid, 0)
+		}
+		sentinel := alg.Registers() - 1
+		if mem.writes[sentinel] != 0 {
+			t.Errorf("n=%d: sentinel register %d written %d times", n, sentinel, mem.writes[sentinel])
+		}
+		if mem.reads[sentinel] == 0 {
+			t.Errorf("n=%d: sentinel register %d never read", n, sentinel)
+		}
+	}
+}
+
 func TestOneShotRejectsRepeat(t *testing.T) {
 	alg := New(4)
 	mem := timestamp.NewMem(alg)

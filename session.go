@@ -196,22 +196,20 @@ func (o *Object) Usage() (Usage, bool) {
 	}
 	rep := o.meter.Report()
 	return Usage{
-		Registers:   rep.Registers,
-		Written:     rep.Written,
-		WrittenSet:  rep.WrittenSet,
-		Reads:       rep.Reads,
-		Writes:      rep.Writes,
-		ReadCounts:  rep.ReadCounts,
-		WriteCounts: rep.WriteCounts,
+		Registers:  rep.Registers,
+		Written:    rep.Written,
+		WrittenSet: rep.WrittenSet,
+		Reads:      rep.Reads,
+		Writes:     rep.Writes,
 	}, true
 }
 
 // SpaceTotals reports the scalar register-space measures — allocated
 // registers, distinct registers written, total reads and writes —
-// without copying the per-register breakdowns Usage carries, so a
-// metrics scraper can sample a live object cheaply. The boolean is
-// false when the object was built without WithMetering, in which case
-// only Registers is populated.
+// without building the written set Usage carries, so a metrics scraper
+// can sample a live object cheaply. The boolean is false when the object
+// was built without WithMetering, in which case only Registers is
+// populated.
 func (o *Object) SpaceTotals() (SpaceTotals, bool) {
 	if o.meter == nil {
 		return SpaceTotals{Registers: o.alg.Registers()}, false
@@ -242,15 +240,14 @@ type Usage struct {
 	// WrittenSet lists them in increasing order.
 	Written    int
 	WrittenSet []int
-	// Reads and Writes are total operation counts; ReadCounts and
-	// WriteCounts break them down per register.
-	Reads, Writes           uint64
-	ReadCounts, WriteCounts []uint64
+	// Reads and Writes are total operation counts.
+	Reads, Writes uint64
 }
 
 // SpaceTotals is the scalar slice of Usage: the live register-space
 // gauges (cf. the paper's space measures, Θ(√n) one-shot vs Θ(n)
-// long-lived) at the cost of one mutex acquisition — no slices copied.
+// long-lived). A sample counts the written-register bitmap and sums one
+// pair of counters per process, and takes no lock the getTS path takes.
 type SpaceTotals struct {
 	// Registers is the allocated array size (the budget).
 	Registers int

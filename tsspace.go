@@ -147,8 +147,12 @@ func WithProcs(n int) Option {
 }
 
 // WithMetering records the register-space footprint of the object (see
-// Usage). Metering puts shared counters on the operation path; leave it
-// off for maximum throughput.
+// Usage and SpaceTotals). Each process's stack counts its own register
+// operations, with one atomic add per operation on a cache line no other
+// process writes, and a write also loads one word of a shared
+// written-register bitmap. No register operation takes a lock, but the
+// counter adds still cost about as much as collect's scan itself; leave
+// metering off for maximum throughput.
 func WithMetering() Option {
 	return func(c *config) error {
 		c.metered = true

@@ -377,7 +377,7 @@ func TestMeteredUsageTracksSpace(t *testing.T) {
 	if u.Registers != 4 || u.Written != 4 || u.Writes != 4 || u.Reads != 16 {
 		t.Errorf("Usage = %+v, want 4 registers, 4 written, 4 writes, 16 reads", u)
 	}
-	if len(u.WrittenSet) != 4 || len(u.WriteCounts) != 4 {
-		t.Errorf("Usage sets: written %v, counts %v", u.WrittenSet, u.WriteCounts)
+	if !slices.Equal(u.WrittenSet, []int{0, 1, 2, 3}) {
+		t.Errorf("Usage.WrittenSet = %v, want [0 1 2 3]", u.WrittenSet)
 	}
 }
