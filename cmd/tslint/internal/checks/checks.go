@@ -1,8 +1,8 @@
 // Package checks implements the tslint analyzer suite: five
 // project-specific analyzers enforcing the repo's concurrency, hot-path
-// and registry invariants, plus three curated lite ports of the stock
-// x/tools passes (copylocks, nilness, unusedwrite) scoped to the
-// patterns this codebase actually exhibits.
+// and registry invariants, plus curated lite ports of the stock x/tools
+// passes (nilness, unusedwrite) scoped to the patterns this codebase
+// actually exhibits, and the one copylocks shape go vet leaves out.
 package checks
 
 import (

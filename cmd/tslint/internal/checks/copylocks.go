@@ -7,16 +7,16 @@ import (
 	"tsspace/cmd/tslint/internal/lint"
 )
 
-// CopyLocks is the curated lite port of the stock copylocks pass: values
-// whose type (transitively) contains a sync lock or a typed atomic must
-// not be copied — a copied mutex is a second, independent lock guarding
-// the same data, and a copied atomic tears the protocol. The lite port
-// covers the shapes that matter here: by-value receivers/params/results,
-// assignments that copy an existing lock-bearing value, and range loops
-// whose value variable copies lock-bearing elements.
+// CopyLocks covers the one shape of the stock copylocks pass that go vet
+// leaves out: a function result whose type (transitively) contains a sync
+// lock or a typed atomic. A copied mutex is a second, independent lock
+// guarding the same data, and a copied atomic tears the protocol, so such
+// values are handed out by pointer. vet's copylocks, which CI also runs,
+// reports every other copy: by-value receivers and parameters,
+// assignments, range values and call arguments.
 var CopyLocks = &lint.Analyzer{
 	Name: "copylocks",
-	Doc:  "values containing sync locks or typed atomics must not be copied",
+	Doc:  "function results must not hold sync locks or typed atomics by value (go vet covers the other copies)",
 	Run:  runCopyLocks,
 }
 
@@ -32,20 +32,16 @@ func containsLock(t types.Type) bool {
 }
 
 func containsLockRec(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
+	// namedIn strips one pointer level; only the value form locks.
+	if _, isPtr := t.(*types.Pointer); isPtr || t == nil || seen[t] {
 		return false
 	}
 	seen[t] = true
 	if name, ok := namedIn(t, "sync"); ok && lockTypeNames[name] {
-		// namedIn strips one pointer level; only the value form locks.
-		if _, isPtr := t.(*types.Pointer); !isPtr {
-			return true
-		}
+		return true
 	}
 	if name, ok := namedIn(t, "sync/atomic"); ok && atomicTypeNames[name] {
-		if _, isPtr := t.(*types.Pointer); !isPtr {
-			return true
-		}
+		return true
 	}
 	switch u := t.Underlying().(type) {
 	case *types.Struct:
@@ -61,85 +57,23 @@ func containsLockRec(t types.Type, seen map[types.Type]bool) bool {
 }
 
 func runCopyLocks(pass *lint.Pass) error {
-	info := pass.TypesInfo
-	exprType := func(e ast.Expr) types.Type {
-		if tv, ok := info.Types[e]; ok {
-			return tv.Type
-		}
-		return nil
-	}
-	// copiesLock reports whether evaluating e as an rvalue copies a
-	// lock-bearing value: reads of existing storage do, while fresh
-	// values (composite literals, function results) are first homes.
-	copiesLock := func(e ast.Expr) bool {
-		e = ast.Unparen(e)
-		switch e.(type) {
-		case *ast.CompositeLit, *ast.CallExpr, *ast.FuncLit:
-			return false
-		}
-		t := exprType(e)
-		return t != nil && containsLock(t)
-	}
-
-	checkFieldList := func(fl *ast.FieldList, what string) {
-		if fl == nil {
+	checkResults := func(ft *ast.FuncType) {
+		if ft.Results == nil {
 			return
 		}
-		for _, field := range fl.List {
-			if t := exprType(field.Type); t != nil && containsLock(t) {
-				pass.Reportf(field.Type.Pos(), "%s passes a lock by value: %s contains a sync lock or typed atomic", what, types.TypeString(t, types.RelativeTo(pass.Pkg)))
+		for _, field := range ft.Results.List {
+			if tv, ok := pass.TypesInfo.Types[field.Type]; ok && containsLock(tv.Type) {
+				pass.Reportf(field.Type.Pos(), "result passes a lock by value: %s contains a sync lock or typed atomic", types.TypeString(tv.Type, types.RelativeTo(pass.Pkg)))
 			}
 		}
 	}
-
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
-				checkFieldList(n.Recv, "receiver")
-				checkFieldList(n.Type.Params, "parameter")
-				checkFieldList(n.Type.Results, "result")
+				checkResults(n.Type)
 			case *ast.FuncLit:
-				checkFieldList(n.Type.Params, "parameter")
-				checkFieldList(n.Type.Results, "result")
-			case *ast.AssignStmt:
-				if len(n.Lhs) != len(n.Rhs) {
-					return true
-				}
-				for _, rhs := range n.Rhs {
-					if copiesLock(rhs) {
-						pass.Reportf(rhs.Pos(), "assignment copies a lock-bearing value")
-					}
-				}
-			case *ast.RangeStmt:
-				if n.Value == nil {
-					return true
-				}
-				t := exprType(n.Value)
-				if id, ok := n.Value.(*ast.Ident); ok {
-					if id.Name == "_" {
-						return true
-					}
-					// A `:=`-defined value variable has no Types
-					// entry; resolve it through its object instead.
-					if t == nil {
-						if obj := info.ObjectOf(id); obj != nil {
-							t = obj.Type()
-						}
-					}
-				}
-				if t != nil && containsLock(t) {
-					pass.Reportf(n.Value.Pos(), "range value copies a lock-bearing element: iterate by index instead")
-				}
-			case *ast.CallExpr:
-				if tv, ok := info.Types[n.Fun]; ok && tv.IsType() {
-					return true // conversions do not copy through this check
-				}
-				for _, arg := range n.Args {
-					if copiesLock(arg) {
-						pass.Reportf(arg.Pos(), "call copies a lock-bearing value into an argument")
-					}
-				}
+				checkResults(n.Type)
 			}
 			return true
 		})

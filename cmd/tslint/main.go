@@ -15,8 +15,9 @@
 //	atomicmix       a field accessed through sync/atomic is never also
 //	                accessed plainly outside constructors
 //
-// plus curated lite ports of the stock copylocks, nilness and
-// unusedwrite passes.
+// plus curated lite ports of the stock nilness and unusedwrite passes,
+// and a copylocks pass reduced to the one copy go vet does not report:
+// a function result that holds a lock by value.
 //
 // Usage:
 //

@@ -1,5 +1,5 @@
-// Package locks copies values that embed a mutex by value. tslint
-// fixture for the copylocks analyzer.
+// Package locks returns values that embed a mutex by value. tslint
+// fixture for the copylocks analyzer; go vet reports the other copies.
 package locks
 
 import "sync"
@@ -10,24 +10,15 @@ type Guarded struct {
 	N  int
 }
 
-// ByValue copies its receiver, splitting the lock in two.
-func (g Guarded) ByValue() int { return g.N } // want `receiver passes a lock by value`
-
-// Take copies its parameter.
-func Take(g Guarded) int { return g.N } // want `parameter passes a lock by value`
-
 // Fresh hands the caller a copy of a lock-bearing value.
 func Fresh() Guarded { // want `result passes a lock by value`
 	return Guarded{}
 }
 
-// Snapshot copies lock-bearing storage three different ways.
-func Snapshot(src *Guarded) int {
-	g := *src // want `assignment copies a lock-bearing value`
-	sum := g.N
-	all := []Guarded{{N: 1}}
-	for _, v := range all { // want `range value copies a lock-bearing element`
-		sum += v.N
-	}
-	return sum + Take(*src) // want `call copies a lock-bearing value into an argument`
+// Maker returns a function literal with the same result.
+var Maker = func() Guarded { // want `result passes a lock by value`
+	return Guarded{}
 }
+
+// FreshPtr hands out the lock by pointer, which is fine.
+func FreshPtr() *Guarded { return &Guarded{} }

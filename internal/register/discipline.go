@@ -99,10 +99,10 @@ type quorumInt64Handle struct {
 
 var _ Int64Mem = (*quorumInt64Handle)(nil)
 
-// ReadInt64 forwards a scalar read; reads are unrestricted.
+// MaxInt64 forwards a collect; reads are unrestricted.
 //
 //tslint:hotpath
-func (h *quorumInt64Handle) ReadInt64(i int) (int64, bool) { return h.im.ReadInt64(i) }
+func (h *quorumInt64Handle) MaxInt64(m int) int64 { return h.im.MaxInt64(m) }
 
 // WriteInt64 checks pid's permission for register i and forwards the
 // write.

@@ -20,22 +20,28 @@ func (m *sliceMem) Write(i int, v register.Value) { m.vals[i] = v }
 // a shared meter under a per-process write discipline — over two
 // substrates at once: a plain slice memory, and an Int64Array whose stack
 // must keep the Int64Mem capability (the path the daemon runs). Each op is
-// three bytes: pid (bit 0x80 selects the scalar operations on the
-// Int64Array stack), register (bit 0x40 selects a write) and value. After
-// every op both stacks must agree with a plain reference array: reads see
-// exactly the reference values (⊥ reads back as ok == false on the scalar
-// path), the discipline panics precisely on forbidden writes of either
-// kind before any meter records them, and both meters' totals equal the
-// reference counts.
+// three bytes: pid, register (bit 0x40 selects a write) and value. Bit
+// 0x80 of the pid byte selects the scalar operations: WriteInt64 for a
+// write, and for a read a collect of r0..reg, which the scalar stack makes
+// with one MaxInt64(reg+1) call and the plain stack with reg+1 generic
+// reads. After every op both stacks must agree with a plain reference
+// array: a read sees exactly the reference value, a collect returns the
+// reference maximum over its prefix (0 when all are ⊥), the discipline
+// panics precisely on forbidden writes of either kind before any meter
+// records them, and both meters' totals equal the reference counts, a
+// collect counting one read per register.
 func FuzzMiddlewareStack(f *testing.F) {
 	// The register byte selects r(b % 3): 0x40 is r1, 0x41 r2, 0x42 r0.
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x00, 0x07})                                     // p0 reads r0
-	f.Add([]byte{0x00, 0x40, 0x07, 0x01, 0x41, 0x09, 0x82, 0x02, 0x00}) // p0→r1 forbidden, p1→r2, p2 scalar-reads r2
+	f.Add([]byte{0x00, 0x40, 0x07, 0x01, 0x41, 0x09, 0x82, 0x02, 0x00}) // p0→r1 forbidden, p1→r2, p2 collects r0..r2
 	f.Add([]byte{0x03, 0x40, 0x01})                                     // p3 writes r1
 	f.Add([]byte{0x02, 0x42, 0x05, 0x00, 0x02, 0x00})                   // p2→r0 forbidden, p0 reads ⊥ r2
-	f.Add([]byte{0x80, 0x42, 0x03, 0x81, 0x00, 0x00, 0x01, 0x00, 0x00}) // p0 scalar-writes r0, p1 reads it both ways
-	f.Add([]byte{0x83, 0x42, 0x01, 0x82, 0x01, 0x00})                   // p3 scalar→r0 forbidden, p2 scalar-reads ⊥ r1
+	f.Add([]byte{0x80, 0x42, 0x03, 0x81, 0x00, 0x00, 0x01, 0x00, 0x00}) // p0 scalar-writes r0, p1 collects r0 alone, then reads it
+	f.Add([]byte{0x83, 0x42, 0x01, 0x82, 0x01, 0x00})                   // p3 scalar→r0 forbidden, p2 collects ⊥ r0..r1
+	f.Add([]byte{0x81, 0x02, 0x00})                                     // p1 collects r0..r2, all ⊥
+	f.Add([]byte{0x80, 0x42, 0x00, 0x81, 0x01, 0x00})                   // p0 scalar-writes 0 to r0, p1 collects r0..r1
+	f.Add([]byte{0x80, 0x42, 0x02, 0x83, 0x42, 0x09, 0x83, 0x02, 0x00}) // p0 scalar-writes r0, p3 scalar→r0 forbidden, p3 collects r0..r2
 
 	const n, m = 4, 3
 	table := [][]int{{0, 1}, {2, 3}, nil} // 2-writer, 2-writer, free
@@ -104,16 +110,25 @@ func FuzzMiddlewareStack(f *testing.F) {
 					ref[reg] = val
 					want.Writes++
 				}
+			} else if scalarOp {
+				var refMax, plainMax int64
+				for r := 0; r <= reg; r++ {
+					if v := ref[r]; v != nil {
+						refMax = max(refMax, v.(int64))
+					}
+					if v := plain[pid].Read(r); v != nil {
+						plainMax = max(plainMax, v.(int64))
+					}
+				}
+				if got := scalar[pid].MaxInt64(reg + 1); got != refMax || plainMax != refMax {
+					t.Fatalf("op %d: p%d collect r0..r%d: MaxInt64 = %d, plain = %d, want %d", op, pid, reg, got, plainMax, refMax)
+				}
+				want.Reads += uint64(reg + 1)
 			} else {
 				if got := plain[pid].Read(reg); got != ref[reg] {
 					t.Fatalf("op %d: p%d plain read r%d = %v, want %v", op, pid, reg, got, ref[reg])
 				}
-				if scalarOp {
-					v, ok := scalar[pid].ReadInt64(reg)
-					if ok != (ref[reg] != nil) || ok && v != ref[reg].(int64) {
-						t.Fatalf("op %d: p%d ReadInt64(r%d) = (%d, %v), want %v", op, pid, reg, v, ok, ref[reg])
-					}
-				} else if got := scalar[pid].Read(reg); got != ref[reg] {
+				if got := scalar[pid].Read(reg); got != ref[reg] {
 					t.Fatalf("op %d: p%d scalar-stack read r%d = %v, want %v", op, pid, reg, got, ref[reg])
 				}
 				want.Reads++

@@ -6,26 +6,33 @@ import (
 )
 
 // Int64Mem is the boxing-free fast path for scalar-valued algorithms
-// (collect, dense): register contents are int64 timestamps, read and
+// (collect, dense): register contents are int64 timestamps, collected and
 // written without the Value interface conversion and without the boxed
 // allocation of AtomicArray. Algorithms probe for it with a type assertion
 // and fall back to the generic Mem operations, so the same algorithm code
 // runs on every memory.
+//
+// The scalar algorithms read registers only to collect a maximum, so the
+// read side is that collect as one call, and each layer handles its m
+// reads at once.
 //
 // A middleware layer forwards Int64Mem when (and only when) its substrate
 // provides it, so a metered or write-disciplined stack over an Int64Array
 // keeps the allocation-free path end to end.
 type Int64Mem interface {
 	Mem
-	// ReadInt64 returns the value of register i; ok is false for ⊥.
-	ReadInt64(i int) (v int64, ok bool)
+	// MaxInt64 reads registers 0..m−1 in index order, one atomic read
+	// each — the m reads of the paper's collect — and returns the
+	// largest value read, or 0 when all of them are ⊥.
+	MaxInt64(m int) int64
 	// WriteInt64 atomically replaces the value of register i.
 	WriteInt64(i int, v int64)
 }
 
 // Int64Array is a wait-free MWMR register array specialized for int64
-// values: one machine word per register, so reads are a single atomic load
-// and writes a single atomic store — no boxing, no allocation. The generic
+// values: one machine word per register, so each read is a single atomic
+// load and a write a single atomic store — no boxing, no allocation. A
+// collect (MaxInt64) is one loop of loads over the words. The generic
 // Read/Write operations interoperate with the scalar ones on the same
 // storage (a generic Write must carry an int64).
 type Int64Array struct {
@@ -66,11 +73,21 @@ func unpackInt64(w uint64) (int64, bool) {
 // Size returns the number of registers.
 func (a *Int64Array) Size() int { return len(a.words) }
 
-// ReadInt64 returns the value of register i without boxing.
+// MaxInt64 loads registers 0..m−1 in index order and returns the largest
+// value, 0 when all are ⊥. A ⊥ word is 0 and every other word is its value
+// plus one, so the maximum word decodes to the maximum value.
 //
 //tslint:hotpath
-func (a *Int64Array) ReadInt64(i int) (int64, bool) {
-	return unpackInt64(a.words[i].Load())
+func (a *Int64Array) MaxInt64(m int) int64 {
+	var max uint64
+	words := a.words[:m]
+	for i := range words {
+		if w := words[i].Load(); w > max {
+			max = w
+		}
+	}
+	v, _ := unpackInt64(max)
+	return v
 }
 
 // WriteInt64 atomically replaces the value of register i without
@@ -82,9 +99,10 @@ func (a *Int64Array) WriteInt64(i int, v int64) {
 }
 
 // Read returns the current value of register i boxed as a Value (nil
-// for ⊥). It exists for Mem compatibility; hot paths use ReadInt64.
+// for ⊥). It exists for Mem compatibility; hot paths collect with
+// MaxInt64.
 func (a *Int64Array) Read(i int) Value {
-	v, ok := a.ReadInt64(i)
+	v, ok := unpackInt64(a.words[i].Load())
 	if !ok {
 		return nil
 	}

@@ -30,10 +30,12 @@ func Wrap(mem Mem, mws ...Middleware) Mem {
 	return mem
 }
 
-// Metered counts every operation passing through the layer for meter,
-// which may be shared by any number of handles. This layer is the only way
-// operations reach a Meter. Each handle it builds registers with the meter
-// and keeps its own counters, so no register operation takes a lock.
+// Metered counts every register operation passing through the layer for
+// meter, which may be shared by any number of handles. This layer is the
+// only way operations reach a Meter. Each handle it builds registers with
+// the meter and keeps its own counters, so no register operation takes a
+// lock. A scalar collect (Int64Mem.MaxInt64) of m registers counts as its
+// m reads, added in one step, so the totals stay exact per read.
 func Metered(meter *Meter) Middleware {
 	return func(inner Mem) Mem {
 		// Both handle types share one layout; only the method set differs.
@@ -75,19 +77,20 @@ func (m *meteredMem) Write(i int, v Value) {
 	m.inner.Write(i, v)
 }
 
-// meteredInt64 keeps the scalar fast path through a metered layer: each
-// operation adds to the handle's own counter (and a write loads one bitmap
-// word), taking no lock and allocating nothing.
+// meteredInt64 keeps the scalar fast path through a metered layer: a
+// collect of m registers adds m to the handle's own read counter once, and
+// a write adds one and loads one bitmap word, taking no lock and
+// allocating nothing.
 type meteredInt64 struct {
 	meteredMem
 }
 
-// ReadInt64 counts a read and forwards it.
+// MaxInt64 counts the collect's regs reads with one add and forwards it.
 //
 //tslint:hotpath
-func (m *meteredInt64) ReadInt64(i int) (int64, bool) {
-	m.reads.Add(1)
-	return m.im.ReadInt64(i)
+func (m *meteredInt64) MaxInt64(regs int) int64 {
+	m.reads.Add(uint64(regs))
+	return m.im.MaxInt64(regs)
 }
 
 // WriteInt64 counts a write, marks register i written and forwards it.

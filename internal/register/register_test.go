@@ -145,7 +145,7 @@ func TestMeterConcurrentSafety(t *testing.T) {
 			h := Wrap(base, Metered(meter)).(Int64Mem)
 			for k := 0; k < iters; k++ {
 				h.WriteInt64(2*(p*iters+k), int64(k)) // the even registers, each once
-				h.ReadInt64((p + k) % size)
+				h.MaxInt64(1)                         // a one-register collect: one read
 			}
 		}(p)
 	}

@@ -66,14 +66,9 @@ func (a *Alg) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, error)
 		return timestamp.Timestamp{}, fmt.Errorf("collect: pid %d out of range [0,%d)", pid, a.n)
 	}
 	if im, ok := mem.(register.Int64Mem); ok {
-		// Scalar fast path: same algorithm, no boxing and no cell allocation.
-		var max int64
-		for i := 0; i < a.n; i++ {
-			if x, ok := im.ReadInt64(i); ok && x > max {
-				max = x
-			}
-		}
-		ts := max + 1
+		// Scalar fast path: the same collect as one call, with no boxing
+		// and no cell allocation.
+		ts := im.MaxInt64(a.n) + 1
 		im.WriteInt64(pid, ts)
 		return timestamp.Timestamp{Rnd: ts}, nil
 	}

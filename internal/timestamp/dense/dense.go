@@ -104,12 +104,9 @@ func (a *Alg) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, error)
 	m := a.n - a.silent
 	var max int64
 	if im, ok := mem.(register.Int64Mem); ok {
-		// Scalar fast path: same algorithm, no boxing and no cell allocation.
-		for i := 0; i < m; i++ {
-			if x, ok := im.ReadInt64(i); ok && x > max {
-				max = x
-			}
-		}
+		// Scalar fast path: the same collect as one call, with no boxing
+		// and no cell allocation.
+		max = im.MaxInt64(m)
 		if pid >= m {
 			return timestamp.Timestamp{Rnd: max, Turn: int64(seq) + 1}, nil
 		}

@@ -148,11 +148,12 @@ func WithProcs(n int) Option {
 
 // WithMetering records the register-space footprint of the object (see
 // Usage and SpaceTotals). Each process's stack counts its own register
-// operations, with one atomic add per operation on a cache line no other
-// process writes, and a write also loads one word of a shared
-// written-register bitmap. No register operation takes a lock, but the
-// counter adds still cost about as much as collect's scan itself; leave
-// metering off for maximum throughput.
+// operations with atomic adds on a cache line no other process writes,
+// and a write also loads one word of a shared written-register bitmap.
+// No register operation takes a lock. The scalar algorithms (collect,
+// dense) collect in one call that the meter counts as its n reads with a
+// single add, so a metered getTS pays at most two adds whatever n is; the
+// boxed algorithms (sqrt, simple, fas) pay one add per register operation.
 func WithMetering() Option {
 	return func(c *config) error {
 		c.metered = true

@@ -217,12 +217,15 @@ func TestGetTSBatchTypedErrors(t *testing.T) {
 // The acceptance bar of the v2 redesign: a batch on a scalar long-lived
 // object performs zero allocations — the SDK adds none (caller-owned dst,
 // amortized guards) and the scalar register arrays add none (one atomic
-// word per register, no boxing).
+// word per register, no boxing). The metered rows pin the configuration
+// the daemon ships (collect, n = 64, metered): the meter adds none either.
 func TestGetTSBatchZeroAllocs(t *testing.T) {
 	ctx := context.Background()
 	for _, opts := range [][]tsspace.Option{
 		{tsspace.WithProcs(8)},
 		{tsspace.WithAlgorithm("dense"), tsspace.WithProcs(8)},
+		{tsspace.WithProcs(64), tsspace.WithMetering()},
+		{tsspace.WithAlgorithm("dense"), tsspace.WithProcs(8), tsspace.WithMetering()},
 	} {
 		obj := mustNew(t, opts...)
 		s, err := obj.Attach(ctx)
@@ -356,28 +359,44 @@ func TestCloseWakesAndFails(t *testing.T) {
 	}
 }
 
+// Usage books the exact register footprint of one timestamp from each of
+// four processes: Attach leases the pids in turn, 0 to 3.
 func TestMeteredUsageTracksSpace(t *testing.T) {
 	ctx := context.Background()
-	obj := mustNew(t, tsspace.WithProcs(4), tsspace.WithMetering())
-	for i := 0; i < 4; i++ {
-		s, err := obj.Attach(ctx)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		alg                string
+		registers, written int
+		reads, writes      uint64
+		writtenSet         []int
+	}{
+		// collect: every pid writes its own register once; each call
+		// collects all four.
+		{"collect", 4, 4, 16, 4, []int{0, 1, 2, 3}},
+		// dense: each call collects the n−1 = 3 registers; the silent
+		// process 3 writes none.
+		{"dense", 3, 3, 12, 3, []int{0, 1, 2}},
+	} {
+		obj := mustNew(t, tsspace.WithAlgorithm(tc.alg), tsspace.WithProcs(4), tsspace.WithMetering())
+		for i := 0; i < 4; i++ {
+			s, err := obj.Attach(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.GetTS(ctx); err != nil {
+				t.Fatal(err)
+			}
+			s.Detach()
 		}
-		if _, err := s.GetTS(ctx); err != nil {
-			t.Fatal(err)
+		u, metered := obj.Usage()
+		if !metered {
+			t.Fatalf("%s: metering on but Usage reports unmetered", tc.alg)
 		}
-		s.Detach()
-	}
-	u, metered := obj.Usage()
-	if !metered {
-		t.Fatal("metering on but Usage reports unmetered")
-	}
-	// collect: every pid writes its own register once; each call scans all.
-	if u.Registers != 4 || u.Written != 4 || u.Writes != 4 || u.Reads != 16 {
-		t.Errorf("Usage = %+v, want 4 registers, 4 written, 4 writes, 16 reads", u)
-	}
-	if !slices.Equal(u.WrittenSet, []int{0, 1, 2, 3}) {
-		t.Errorf("Usage.WrittenSet = %v, want [0 1 2 3]", u.WrittenSet)
+		if u.Registers != tc.registers || u.Written != tc.written || u.Writes != tc.writes || u.Reads != tc.reads {
+			t.Errorf("%s: Usage = %+v, want %d registers, %d written, %d writes, %d reads",
+				tc.alg, u, tc.registers, tc.written, tc.writes, tc.reads)
+		}
+		if !slices.Equal(u.WrittenSet, tc.writtenSet) {
+			t.Errorf("%s: Usage.WrittenSet = %v, want %v", tc.alg, u.WrittenSet, tc.writtenSet)
+		}
 	}
 }
