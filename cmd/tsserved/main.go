@@ -35,7 +35,9 @@
 // batches on it, asserts the happens-before order across them via
 // /compare round trips (both directions), and checks /metrics counted the
 // traffic. Against a one-shot daemon each timestamp is a lease of its
-// own: attach, getTS, detach.
+// own, which ends with its getTS: the daemon retires it before
+// answering, so the client's detach is local, and the smoke checks
+// /metrics shows the first lease gone before that detach.
 // The binary leg leases a wire-v3 session the same way and asserts its
 // timestamps order against the HTTP-issued stream — cross-transport
 // happens-before on one shared object. The namespace leg provisions two
@@ -227,9 +229,11 @@ func runSmoke(url, binAddr string) error {
 
 	// One-shot objects issue one timestamp per lease; take the stream as
 	// separate attach, getTS, detach rounds then — each completed round
-	// happens-before the next. Their budget is n total timestamps, so cap
-	// the smoke stream at what the daemon has left (the metrics report how
-	// many calls it already served).
+	// happens-before the next. The getTS ends the lease (the daemon
+	// retires it before answering), so the detach sends nothing; the
+	// first round checks /metrics between the two. Their budget is n
+	// total timestamps, so cap the smoke stream at what the daemon has
+	// left (the metrics report how many calls it already served).
 	want := 8
 	var batch []tsspace.Timestamp
 	if h.OneShot && binAddr != "" {
@@ -254,6 +258,15 @@ func runSmoke(url, binAddr string) error {
 			ts, err := sess.GetTS(ctx)
 			if err != nil {
 				return fmt.Errorf("getts %d: %w", i, err)
+			}
+			if i == 0 {
+				m, err := c.Metrics(ctx)
+				if err != nil {
+					return fmt.Errorf("metrics: %w", err)
+				}
+				if m.WireSessions != 0 {
+					return fmt.Errorf("one-shot lease still live after its getTS: %d wire sessions, want 0", m.WireSessions)
+				}
 			}
 			if err := sess.Detach(); err != nil {
 				return fmt.Errorf("detach %d: %w", i, err)

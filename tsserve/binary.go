@@ -16,8 +16,8 @@ package tsserve
 //
 // Request frames (client → server) and their responses:
 //
-//	attach    []                        → attachOK    [id(16)][pid][ttl_ms]
-//	attach_ns [len][name]               → attachNSOK  [id(16)][pid][ttl_ms]
+//	attach    []                        → attachOK    [id(16)][pid][ttl_ms][one_shot]
+//	attach_ns [len][name]               → attachNSOK  [id(16)][pid][ttl_ms][one_shot]
 //	getts     [id(16)][count]           → gettsOK     [pid][n][ts deltas]
 //	detach    [id(16)]                  → detachOK    [calls]
 //	compare   [r1][t1][r2][t2]          → compareOK   [before(byte)]
@@ -29,6 +29,15 @@ package tsserve
 // from either attach form are addressed identically afterwards — getts
 // and detach frames carry only the capability id, so the steady-state
 // path is byte-for-byte the same with or without namespaces.
+//
+// one_shot is a single byte, 1 when the session's Object is one-shot:
+// the getts frame that issues its one timestamp also retires its lease
+// server-side, so the client detaches without a frame (and a second
+// getts fails locally with tsspace.ErrOneShot). A reply that ends at
+// ttl_ms — a daemon from before the flag — means long-lived; bytes
+// after the flag are ignored, so the reply can grow again. A client
+// that ignores the flag and detaches a spent lease is answered
+// unknown_session, which the Go clients treat as a finished detach.
 //
 // Bracketed integers are varints (unsigned for id-adjacent counts, zigzag
 // for timestamp fields); session ids are the same 16-hex-digit
@@ -200,6 +209,37 @@ func sessionID(p []byte) (id, rest []byte, err error) {
 		return nil, nil, errTruncated
 	}
 	return p[:binIDLen], p[binIDLen:], nil
+}
+
+// appendAttach encodes an attach or attach_ns response payload.
+func appendAttach(dst []byte, id string, pid int, ttlMs int64, oneShot bool) []byte {
+	dst = append(dst, id...)
+	dst = binary.AppendUvarint(dst, uint64(pid))
+	dst = binary.AppendUvarint(dst, uint64(ttlMs))
+	flag := byte(0)
+	if oneShot {
+		flag = 1
+	}
+	return append(dst, flag)
+}
+
+// decodeAttach decodes an attach or attach_ns response payload into the
+// session id (aliasing p), the pid and the one-shot flag. The idle TTL
+// is advisory and skipped. A payload that ends at the TTL decodes as
+// long-lived, and bytes after the flag are ignored.
+func decodeAttach(p []byte) (id []byte, pid int, oneShot bool, err error) {
+	id, rest, err := sessionID(p)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	v, off, err := uvarint(rest, 0)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	if _, off, err = uvarint(rest, off); err != nil {
+		return nil, 0, false, err
+	}
+	return id, int(v), off < len(rest) && rest[off] != 0, nil
 }
 
 // appendTimestamps encodes a getts response payload: pid, count, then the

@@ -9,6 +9,14 @@ import (
 	"tsspace"
 )
 
+// testID is a well-formed 16-hex-digit session id.
+const testID = "0123456789abcdef"
+
+// attachFrame returns an attachOK frame carrying payload.
+func attachFrame(payload []byte) []byte {
+	return endFrame(append(beginFrame(nil, frameAttachOK), payload...), 0)
+}
+
 // FuzzBinaryFrame feeds the wire-v3 frame reader arbitrary byte streams:
 // whatever the prefix claims, next must never panic, never hand back a
 // frame past the size cap, never allocate past it, and fail only with the
@@ -24,6 +32,8 @@ func FuzzBinaryFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, frameCompare, 0x80})                     // truncated varint payload
 	f.Add(append([]byte{0, 0, 0, 3, frameError, binCodeClosed}, 'x')) // error frame
 	f.Add([]byte{0, 0, 16, 1, frameGetTSOK})                          // large claim, no bytes behind it
+	f.Add(attachFrame(append([]byte(testID), 3, 0xE0, 0xD4, 0x03)))   // attach reply ending at ttl_ms
+	f.Add(attachFrame(appendAttach(nil, testID, 3, 60000, true)))     // attach reply with the one-shot flag
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := frameReader{r: bytes.NewReader(data)}
@@ -51,8 +61,47 @@ func FuzzBinaryFrame(f *testing.F) {
 			var dst [8]tsspace.Timestamp
 			_, _, _ = decodeTimestamps(payload, dst[:])
 			_ = decodeError(payload)
+			if id, _, _, err := decodeAttach(payload); err == nil && len(id) != binIDLen {
+				t.Fatalf("decodeAttach returned a %d-byte id", len(id))
+			}
 		}
 	})
+}
+
+// decodeAttach reads both attach-reply shapes: one ending at ttl_ms, as
+// a daemon from before the one-shot flag sends it, decodes long-lived;
+// bytes after the flag are ignored; a reply cut inside the id, pid or
+// ttl fails.
+func TestDecodeAttach(t *testing.T) {
+	legacy := append([]byte(testID), 3, 0xE0, 0xD4, 0x03) // pid 3, ttl 60000
+	for _, c := range []struct {
+		name    string
+		p       []byte
+		oneShot bool
+		fail    bool
+	}{
+		{"no flag", legacy, false, false},
+		{"flag 0", appendAttach(nil, testID, 3, 60000, false), false, false},
+		{"flag 1", appendAttach(nil, testID, 3, 60000, true), true, false},
+		{"after the flag", append(appendAttach(nil, testID, 3, 60000, true), 0, 7), true, false},
+		{"short id", []byte(testID[:15]), false, true},
+		{"no pid", []byte(testID), false, true},
+		{"no ttl", append([]byte(testID), 3), false, true},
+		{"cut ttl", append([]byte(testID), 3, 0xE0), false, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			id, pid, oneShot, err := decodeAttach(c.p)
+			if c.fail {
+				if err == nil {
+					t.Fatalf("decodeAttach(%x) = (%q, %d, %v), want an error", c.p, id, pid, oneShot)
+				}
+				return
+			}
+			if err != nil || string(id) != testID || pid != 3 || oneShot != c.oneShot {
+				t.Fatalf("decodeAttach(%x) = (%q, %d, %v, %v), want (%q, 3, %v, nil)", c.p, id, pid, oneShot, err, testID, c.oneShot)
+			}
+		})
+	}
 }
 
 // FuzzBinaryTimestamps throws arbitrary bytes at the getts-response

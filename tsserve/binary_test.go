@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -190,10 +192,20 @@ func TestBinaryAndHTTPShareSessions(t *testing.T) {
 	}
 }
 
-// Typed error mapping across the binary wire: one-shot exhaustion and
-// oversized batches.
+// binaryFrames reads the daemon's wire-v3 request-frame counter.
+func binaryFrames(t *testing.T, c *tsserve.Client) uint64 {
+	t.Helper()
+	m, err := c.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.BinaryFrames
+}
+
+// Typed error mapping across the binary wire: one-shot exhaustion, a
+// second getTS on a spent one-shot session, and oversized batches.
 func TestBinaryTypedErrors(t *testing.T) {
-	bc, _, _, _ := newBinaryServer(t, tsserve.ServerConfig{MaxBatch: 8},
+	bc, c, _, _ := newBinaryServer(t, tsserve.ServerConfig{MaxBatch: 8},
 		tsspace.WithAlgorithm("sqrt"), tsspace.WithProcs(4))
 	ctx := context.Background()
 
@@ -208,6 +220,15 @@ func TestBinaryTypedErrors(t *testing.T) {
 	}
 	if _, err := sess.GetTS(ctx); err != nil {
 		t.Fatal(err)
+	}
+	// The lease ended with its timestamp: a second getTS fails locally,
+	// with the in-process Session's error, and sends no frame.
+	frames := binaryFrames(t, c)
+	if _, err := sess.GetTS(ctx); !errors.Is(err, tsspace.ErrOneShot) {
+		t.Fatalf("second one-shot getts = %v, want ErrOneShot", err)
+	}
+	if got := binaryFrames(t, c); got != frames {
+		t.Fatalf("second one-shot getts sent %d frames, want 0", got-frames)
 	}
 	if err := sess.Detach(); err != nil {
 		t.Fatal(err)
@@ -354,6 +375,189 @@ func TestBinaryBadMagic(t *testing.T) {
 	}
 }
 
+// An attach → getTS → Detach round costs two requests on a one-shot
+// object and three on a long-lived one, over either wire: the one-shot
+// getTS retires the lease, so its client's Detach sends nothing, and
+// neither does a second getTS on the spent session, which fails with
+// ErrOneShot. HTTP requests are counted by a handler wrapper, wire-v3
+// ones by the daemon's frame counter.
+func TestOneShotRoundTrips(t *testing.T) {
+	ctx := context.Background()
+	for _, alg := range []struct {
+		name string
+		want uint64
+	}{{"sqrt", 2}, {"collect", 3}} {
+		for _, wire := range []string{"http", "binary"} {
+			t.Run(alg.name+"/"+wire, func(t *testing.T) {
+				obj, err := tsspace.New(tsspace.WithAlgorithm(alg.name), tsspace.WithProcs(4))
+				if err != nil {
+					t.Fatal(err)
+				}
+				front := tsserve.NewServer(obj, tsserve.ServerConfig{})
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				go front.ServeBinary(ln)
+				var sessionReqs atomic.Uint64
+				hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if strings.HasPrefix(r.URL.Path, "/session") {
+						sessionReqs.Add(1)
+					}
+					front.ServeHTTP(w, r)
+				}))
+				bc := tsserve.NewBinaryClient(ln.Addr().String())
+				t.Cleanup(func() { bc.Close(); hs.Close(); front.Close(); obj.Close() })
+				c := tsserve.NewClient(hs.URL, hs.Client())
+				requests := sessionReqs.Load
+				attach := func() (tsspace.SessionAPI, error) { return c.Attach(ctx) }
+				if wire == "binary" {
+					requests = func() uint64 { return binaryFrames(t, c) }
+					attach = func() (tsspace.SessionAPI, error) { return bc.Attach(ctx) }
+				}
+
+				before := requests()
+				sess, err := attach()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sess.GetTS(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if alg.name == "sqrt" {
+					if _, err := sess.GetTS(ctx); !errors.Is(err, tsspace.ErrOneShot) {
+						t.Errorf("second getTS on a spent session = %v, want ErrOneShot", err)
+					}
+				}
+				if err := sess.Detach(); err != nil {
+					t.Fatal(err)
+				}
+				if got := requests() - before; got != alg.want {
+					t.Errorf("attach → getTS → detach cost %d requests, want %d", got, alg.want)
+				}
+				if st := obj.Stats(); st.ActiveSessions != 0 {
+					t.Errorf("%d active SDK sessions after the round", st.ActiveSessions)
+				}
+			})
+		}
+	}
+}
+
+// rawConn dials the binary listener at addr and sends the magic.
+func rawConn(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if _, err := c.Write([]byte(tsserve.BinaryMagic)); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// rawFrame writes one wire-v3 frame of type typ carrying payload.
+func rawFrame(t *testing.T, c net.Conn, typ byte, payload []byte) {
+	t.Helper()
+	frame := binary.BigEndian.AppendUint32(nil, uint32(1+len(payload)))
+	if _, err := c.Write(append(append(frame, typ), payload...)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rawAttach sends a bare attach frame on c and splits the attachOK reply
+// into the session id and the byte after ttl_ms.
+func rawAttach(t *testing.T, c net.Conn) (id []byte, flag byte) {
+	t.Helper()
+	rawFrame(t, c, 0x01, nil) // frameAttach
+	typ, p := readFrame(t, c)
+	if typ != 0x81 || len(p) < 16 { // frameAttachOK
+		t.Fatalf("attach reply type 0x%02x: %q", typ, p)
+	}
+	id, rest := p[:16], p[16:]
+	for i := 0; i < 2; i++ { // pid, ttl_ms
+		_, n := binary.Uvarint(rest)
+		if n <= 0 {
+			t.Fatalf("attach reply %x: truncated varint", p)
+		}
+		rest = rest[n:]
+	}
+	if len(rest) != 1 {
+		t.Fatalf("attach reply %x: %d bytes after ttl_ms, want 1", p, len(rest))
+	}
+	return id, rest[0]
+}
+
+// The attach reply flags the lease one-shot, and a long-lived one not;
+// a long-lived Detach still sends its frame. A client that ignores the
+// flag and detaches its spent one-shot lease by frame, as one built
+// before the flag does, is answered unknown_session, and the books stay
+// balanced: no live lease, no active SDK session, one unknown-session
+// rejection, and the budget spends down to exhaustion as before.
+func TestBinaryAttachReplyFlag(t *testing.T) {
+	ctx := context.Background()
+	t.Run("collect", func(t *testing.T) {
+		bc, c, _, _ := newBinaryServer(t, tsserve.ServerConfig{},
+			tsspace.WithAlgorithm("collect"), tsspace.WithProcs(2))
+		conn := rawConn(t, bc.Addr())
+		if _, flag := rawAttach(t, conn); flag != 0 {
+			t.Fatalf("long-lived attach flag = %d, want 0", flag)
+		}
+		sess, err := bc.Attach(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.GetTS(ctx); err != nil {
+			t.Fatal(err)
+		}
+		frames := binaryFrames(t, c)
+		if err := sess.Detach(); err != nil {
+			t.Fatal(err)
+		}
+		if got := binaryFrames(t, c) - frames; got != 1 {
+			t.Fatalf("long-lived Detach sent %d frames, want 1", got)
+		}
+	})
+	t.Run("sqrt", func(t *testing.T) {
+		const procs = 2
+		bc, c, _, obj := newBinaryServer(t, tsserve.ServerConfig{},
+			tsspace.WithAlgorithm("sqrt"), tsspace.WithProcs(procs))
+		conn := rawConn(t, bc.Addr())
+		for i := 0; i < procs; i++ {
+			id, flag := rawAttach(t, conn)
+			if flag != 1 {
+				t.Fatalf("one-shot attach flag = %d, want 1", flag)
+			}
+			// frameGetTS for one timestamp, answered by frameGetTSOK; then
+			// frameDetach, answered by frameError with unknown_session (5).
+			rawFrame(t, conn, 0x02, append(append([]byte(nil), id...), 1))
+			if typ, p := readFrame(t, conn); typ != 0x82 {
+				t.Fatalf("getts reply type 0x%02x: %q", typ, p)
+			}
+			rawFrame(t, conn, 0x03, id)
+			typ, p := readFrame(t, conn)
+			if typ != 0xFF || len(p) == 0 || p[0] != 5 {
+				t.Fatalf("detach of a spent lease: reply type 0x%02x %q, want an unknown_session error", typ, p)
+			}
+		}
+		m, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.WireSessions != 0 || m.Namespaces[0].WireSessions != 0 || obj.Stats().ActiveSessions != 0 {
+			t.Errorf("books after %d spent leases: %d wire leases (%d in default), %d active SDK sessions; want 0",
+				procs, m.WireSessions, m.Namespaces[0].WireSessions, obj.Stats().ActiveSessions)
+		}
+		if m.UnknownSessions != procs {
+			t.Errorf("unknown-session counter %d, want %d", m.UnknownSessions, procs)
+		}
+		if _, err := bc.Attach(ctx); !errors.Is(err, tsspace.ErrExhausted) {
+			t.Errorf("attach past the budget = %v, want ErrExhausted", err)
+		}
+	})
+}
+
 // Dropping a connection without detaching releases its sessions: the pid
 // comes back without waiting for the TTL reaper.
 func TestBinaryConnCloseReleasesSessions(t *testing.T) {
@@ -459,6 +663,77 @@ func BenchmarkBinaryGetTSBatch(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/ts")
 		})
 	}
+}
+
+// BenchmarkBinaryOneShot prices the paper's one-shot regime over wire
+// v3: each op is one attach → GetTS → Detach round in a provisioned
+// sqrt namespace, re-provisioned (off the clock) when its budget is
+// exhausted. It reports ns/ts and the request frames each timestamp
+// cost, exhausted attaches included.
+func BenchmarkBinaryOneShot(b *testing.B) {
+	const procs = 1024
+	obj, err := tsspace.New(tsspace.WithAlgorithm("collect"), tsspace.WithProcs(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer obj.Close()
+	front := tsserve.NewServer(obj, tsserve.ServerConfig{})
+	defer front.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go front.ServeBinary(ln)
+	hs := httptest.NewServer(front)
+	defer hs.Close()
+	c := tsserve.NewClient(hs.URL, hs.Client())
+	bc := tsserve.NewBinaryClient(ln.Addr().String())
+	defer bc.Close()
+	ctx := context.Background()
+
+	gen, name := 0, ""
+	provision := func() {
+		gen++
+		name = fmt.Sprintf("oneshot-%d", gen)
+		if _, err := c.ProvisionNamespace(ctx, name, tsserve.ProvisionRequest{Algorithm: "sqrt", Procs: procs}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	frames := func() uint64 {
+		m, err := c.Metrics(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return m.BinaryFrames
+	}
+	provision()
+	start := frames()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sess, err := bc.AttachNamespace(ctx, name)
+		for errors.Is(err, tsspace.ErrExhausted) {
+			b.StopTimer()
+			if _, err := c.DeprovisionNamespace(ctx, name); err != nil {
+				b.Fatal(err)
+			}
+			provision()
+			b.StartTimer()
+			sess, err = bc.AttachNamespace(ctx, name)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sess.GetTS(ctx); err != nil {
+			b.Fatal(err)
+		}
+		if err := sess.Detach(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/ts")
+	b.ReportMetric(float64(frames()-start)/float64(b.N), "frames/ts")
 }
 
 // readFrame reads one raw frame off a test connection.

@@ -234,32 +234,21 @@ func (c *BinaryClient) AttachNamespace(ctx context.Context, name string) (*Binar
 	return c.finishAttach(ctx, cn, frameAttachNSOK)
 }
 
-// finishAttach runs the staged attach exchange and decodes the
-// id/pid/ttl response shared by both attach forms.
+// finishAttach runs the staged attach exchange and decodes the reply
+// shared by both attach forms.
 func (c *BinaryClient) finishAttach(ctx context.Context, cn *binClientConn, okType byte) (*BinarySession, error) {
 	p, err := cn.exchange(ctx, okType)
 	if err != nil {
 		c.putConn(cn) // broken conns are closed there; error frames leave it pooled
 		return nil, err
 	}
-	id, rest, err := sessionID(p)
+	id, pid, oneShot, err := decodeAttach(p)
 	if err != nil {
 		cn.broken = true
 		c.putConn(cn)
 		return nil, err
 	}
-	pid, off, err := uvarint(rest, 0)
-	if err != nil {
-		cn.broken = true
-		c.putConn(cn)
-		return nil, err
-	}
-	if _, _, err := uvarint(rest, off); err != nil { // idle TTL ms; advisory
-		cn.broken = true
-		c.putConn(cn)
-		return nil, err
-	}
-	s := &BinarySession{c: c, cn: cn, pid: int(pid)}
+	s := &BinarySession{c: c, cn: cn, pid: pid, oneShot: oneShot}
 	copy(s.id[:], id)
 	return s, nil
 }
@@ -301,10 +290,13 @@ func compareOn(cn *binClientConn, ctx context.Context, t1, t2 tsspace.Timestamp)
 // path performs zero heap allocations: one reused request buffer, one
 // write, one framed read decoded straight into the caller's slice.
 type BinarySession struct {
-	c        *BinaryClient
-	cn       *binClientConn
-	id       [binIDLen]byte
-	pid      int
+	c   *BinaryClient
+	cn  *binClientConn
+	id  [binIDLen]byte
+	pid int
+	// oneShot is the attach reply's flag: the daemon retires the lease
+	// with its first timestamp, so once calls > 0 the session is spent.
+	oneShot  bool
 	calls    atomic.Int64
 	detached atomic.Bool
 }
@@ -330,9 +322,15 @@ func (s *BinarySession) GetTS(ctx context.Context) (tsspace.Timestamp, error) {
 	return buf[0], nil
 }
 
+// spent reports whether the session is one-shot and has issued its
+// timestamp: the daemon has already retired its lease.
+func (s *BinarySession) spent() bool { return s.oneShot && s.calls.Load() > 0 }
+
 // GetTSBatch fills dst with one pipelined batch: len(dst) timestamps
 // issued back to back by the leased paper-process, each happens-before
-// the next. An empty dst is a no-op.
+// the next. An empty dst is a no-op. On a one-shot session the daemon
+// retires the lease with its first timestamp; every later call fails
+// with tsspace.ErrOneShot without a frame.
 //
 //tslint:hotpath
 func (s *BinarySession) GetTSBatch(ctx context.Context, dst []tsspace.Timestamp) (int, error) {
@@ -341,6 +339,9 @@ func (s *BinarySession) GetTSBatch(ctx context.Context, dst []tsspace.Timestamp)
 	}
 	if s.detached.Load() {
 		return 0, tsspace.ErrDetached
+	}
+	if s.spent() {
+		return 0, tsspace.ErrOneShot
 	}
 	cn := s.cn
 	cn.arm(ctx)
@@ -375,12 +376,17 @@ func (s *BinarySession) Compare(ctx context.Context, t1, t2 tsspace.Timestamp) (
 
 // Detach releases the server-side lease and returns the connection to the
 // pool. A lease the daemon already reaped counts as detached, not as an
-// error. Detach is idempotent.
+// error. A spent one-shot session sends nothing: the daemon retired its
+// lease when it issued the timestamp. Detach is idempotent.
 func (s *BinarySession) Detach() error {
 	if !s.detached.CompareAndSwap(false, true) {
 		return nil
 	}
 	cn := s.cn
+	if s.spent() {
+		s.c.putConn(cn)
+		return nil
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	cn.arm(ctx)

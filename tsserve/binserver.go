@@ -188,7 +188,9 @@ func (st *binServerConn) handle(typ byte, payload []byte) {
 
 // getTS answers one pipelined batch frame: the steady-state path, kept
 // allocation-free (id lookup without a string copy, reused timestamp and
-// response buffers, delta-encoded reply).
+// response buffers, delta-encoded reply). A one-shot lease is retired
+// before the reply is written, so it is gone by the time the client
+// reads its timestamp.
 func (st *binServerConn) getTS(payload []byte) {
 	s := st.s
 	start := time.Now()
@@ -227,12 +229,8 @@ func (st *binServerConn) getTS(payload []byte) {
 		st.tsBuf = make([]tsspace.Timestamp, count)
 	}
 	buf := st.tsBuf[:count]
-	ws.mu.Lock()
-	ws.last.Store(time.Now().UnixNano()) // renew at start too: a long batch is not idle
-	n, err := ws.sess.GetTSBatch(s.binCtx, buf)
-	ws.last.Store(time.Now().UnixNano())
+	n, err := s.issue(s.binCtx, ws, buf)
 	pid := ws.sess.Pid()
-	ws.mu.Unlock()
 	if err != nil {
 		err = fmt.Errorf("timestamp %d/%d: %w", n+1, count, err)
 		st.writeError(s.classify(s.binCtx, ws.ns, ws.id, err), err.Error())
@@ -282,7 +280,7 @@ func (st *binServerConn) attachNS(payload []byte) {
 }
 
 // attachInto leases a session in ns owned by this connection and
-// answers it in an okType frame.
+// answers it in an okType frame, flagged one-shot when ns's object is.
 func (st *binServerConn) attachInto(ns *namespace, okType byte) {
 	s := st.s
 	ws, code, err := s.attach(s.binCtx, ns, st)
@@ -291,9 +289,7 @@ func (st *binServerConn) attachInto(ns *namespace, okType byte) {
 		return
 	}
 	st.out = beginFrame(st.out[:0], okType)
-	st.out = append(st.out, ws.id...)
-	st.out = binary.AppendUvarint(st.out, uint64(ws.sess.Pid()))
-	st.out = binary.AppendUvarint(st.out, uint64(s.sessionTTL.Milliseconds()))
+	st.out = appendAttach(st.out, ws.id, ws.sess.Pid(), s.sessionTTL.Milliseconds(), ns.obj.OneShot())
 	st.out = endFrame(st.out, 0)
 	st.write()
 }

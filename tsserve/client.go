@@ -122,7 +122,7 @@ func (c *Client) Attach(ctx context.Context) (*RemoteSession, error) {
 	if err := c.post(ctx, c.scoped("/session"), struct{}{}, &resp); err != nil {
 		return nil, err
 	}
-	return &RemoteSession{c: c, id: resp.SessionID, pid: resp.Pid}, nil
+	return &RemoteSession{c: c, id: resp.SessionID, pid: resp.Pid, oneShot: resp.OneShot}, nil
 }
 
 // RemoteSession is a wire-v2 session: the tsspace.SessionAPI semantics of
@@ -132,9 +132,12 @@ func (c *Client) Attach(ctx context.Context) (*RemoteSession, error) {
 // sequential (the server additionally serializes same-session requests,
 // so a misbehaving caller degrades to queueing, never to corruption).
 type RemoteSession struct {
-	c        *Client
-	id       string
-	pid      int
+	c   *Client
+	id  string
+	pid int
+	// oneShot is the attach reply's flag: the daemon retires the lease
+	// with its first timestamp, so once calls > 0 the session is spent.
+	oneShot  bool
 	calls    atomic.Int64
 	detached atomic.Bool
 }
@@ -159,15 +162,24 @@ func (s *RemoteSession) GetTS(ctx context.Context) (tsspace.Timestamp, error) {
 	return buf[0], nil
 }
 
+// spent reports whether the session is one-shot and has issued its
+// timestamp: the daemon has already retired its lease.
+func (s *RemoteSession) spent() bool { return s.oneShot && s.calls.Load() > 0 }
+
 // GetTSBatch fills dst with one session-scoped pipelined batch: len(dst)
 // timestamps issued back to back by the leased paper-process, each
-// happens-before the next. An empty dst is a no-op.
+// happens-before the next. An empty dst is a no-op. On a one-shot
+// session the daemon retires the lease with its first timestamp; every
+// later call fails with tsspace.ErrOneShot without a request.
 func (s *RemoteSession) GetTSBatch(ctx context.Context, dst []tsspace.Timestamp) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil
 	}
 	if s.detached.Load() {
 		return 0, tsspace.ErrDetached
+	}
+	if s.spent() {
+		return 0, tsspace.ErrOneShot
 	}
 	var resp GetTSResponse
 	if err := s.c.post(ctx, s.c.scoped("/session/"+s.id+"/getts"), GetTSRequest{Count: len(dst)}, &resp); err != nil {
@@ -189,9 +201,11 @@ func (s *RemoteSession) Compare(ctx context.Context, t1, t2 tsspace.Timestamp) (
 }
 
 // Detach releases the server-side lease. A lease the daemon already
-// reaped counts as detached, not as an error. Detach is idempotent.
+// reaped counts as detached, not as an error. A spent one-shot session
+// sends nothing: the daemon retired its lease when it issued the
+// timestamp. Detach is idempotent.
 func (s *RemoteSession) Detach() error {
-	if !s.detached.CompareAndSwap(false, true) {
+	if !s.detached.CompareAndSwap(false, true) || s.spent() {
 		return nil
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

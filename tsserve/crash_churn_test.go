@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -159,5 +160,75 @@ func TestWireCrashChurnRace(t *testing.T) {
 				t.Errorf("Compare(pre=%v, post[%d]=%v) = %v, %v across reaped lease", pre, i, p, before, err)
 			}
 		}
+	}
+}
+
+// Concurrent one-shot clients on both wires spend one shared budget.
+// Each getTS retires its lease server-side and each Detach is local, so
+// once attaches report exhaustion exactly n timestamps were issued, no
+// lease is left in the table or the Object, no detach ever reached the
+// server to be answered unknown_session, and every worker's own stream
+// is ordered. Run under -race this is the data-race check on the
+// retire-in-getTS path against concurrent attaches and pooled
+// connections.
+func TestOneShotChurnRace(t *testing.T) {
+	const procs, workers = 64, 8
+	bc, hc, _, obj := newBinaryServer(t, tsserve.ServerConfig{},
+		tsspace.WithAlgorithm("sqrt"), tsspace.WithProcs(procs))
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	var issued atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var prev tsspace.Timestamp
+			for n := 0; ; n++ {
+				var sess tsspace.SessionAPI
+				var err error
+				if w%2 == 0 {
+					sess, err = hc.Attach(ctx)
+				} else {
+					sess, err = bc.Attach(ctx)
+				}
+				if errors.Is(err, tsspace.ErrExhausted) {
+					return
+				}
+				if err != nil {
+					t.Errorf("worker %d attach: %v", w, err)
+					return
+				}
+				ts, err := sess.GetTS(ctx)
+				if err != nil {
+					t.Errorf("worker %d getTS: %v", w, err)
+					return
+				}
+				if _, err := sess.GetTS(ctx); !errors.Is(err, tsspace.ErrOneShot) {
+					t.Errorf("worker %d second getTS = %v, want ErrOneShot", w, err)
+				}
+				if err := sess.Detach(); err != nil {
+					t.Errorf("worker %d detach: %v", w, err)
+				}
+				if n > 0 && !obj.Compare(prev, ts) {
+					t.Errorf("worker %d: %v does not order after its earlier %v", w, ts, prev)
+				}
+				prev = ts
+				issued.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := issued.Load(); got != procs {
+		t.Errorf("issued %d timestamps before exhaustion, want %d", got, procs)
+	}
+	m, err := hc.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.WireSessions != 0 || m.UnknownSessions != 0 || obj.Stats().ActiveSessions != 0 {
+		t.Errorf("after the budget: %d wire leases, %d unknown-session rejections, %d active SDK sessions; want 0",
+			m.WireSessions, m.UnknownSessions, obj.Stats().ActiveSessions)
 	}
 }

@@ -24,8 +24,16 @@ const (
 	lcMaxSteps = 64 // steps decoded from one input
 )
 
-// lcNames are the namespaces a run may provision.
-var lcNames = [2]string{"ns0", "ns1"}
+// lcNames are the namespaces a run may provision, and lcAlgs their
+// algorithms: ns0 is long-lived, ns1 one-shot, so its n timestamps form
+// a budget that leases spend and attaches exhaust.
+var (
+	lcNames = [2]string{"ns0", "ns1"}
+	lcAlgs  = [2]string{"collect", "sqrt"}
+)
+
+// lcOneShot is the one-shot namespace.
+const lcOneShot = "ns1"
 
 // Step opcodes, one input byte each, followed by one argument byte.
 const (
@@ -50,6 +58,9 @@ type lcLease struct {
 	sess   tsspace.SessionAPI // the attaching client's handle
 }
 
+// oneShot reports whether the lease ends with its first timestamp.
+func (l *lcLease) oneShot() bool { return l.ns == lcOneShot }
+
 // lcHarness is the system under test plus the model it is held against.
 type lcHarness struct {
 	t       *testing.T
@@ -64,6 +75,7 @@ type lcHarness struct {
 	provisioned map[string]bool
 	leases      []*lcLease
 	issued      map[string][]tsspace.Timestamp // per namespace, in completion order
+	spent       map[string]int                 // one-shot timestamps issued, per namespace
 	reaped      uint64
 	crashed     uint64
 	unknownSess uint64
@@ -91,6 +103,7 @@ func newLCHarness(t *testing.T) *lcHarness {
 		binAddr:     ln.Addr().String(),
 		provisioned: map[string]bool{},
 		issued:      map[string][]tsspace.Timestamp{},
+		spent:       map[string]int{},
 	}
 	t.Cleanup(func() {
 		h.closeBinary()
@@ -141,16 +154,23 @@ func (h *lcHarness) step(op byte, arg int) {
 	case lcDrop:
 		h.drop()
 	case lcProvision:
-		h.provision(lcNames[arg%2])
+		h.provision(arg % 2)
 	case lcDeprovision:
 		h.deprovision(lcNames[arg%2])
 	}
 }
 
+// attach leases a session in ns. The server checks the namespace, then
+// its quota, then the one-shot budget; an attach that passes all three
+// with every pid leased or spent would queue on the pid pool, so the
+// harness skips it.
 func (h *lcHarness) attach(binary bool, ns string) {
 	known := ns == DefaultNamespace || h.provisioned[ns]
-	if ns == DefaultNamespace && h.live(ns) >= lcProcs {
-		return // every pid is leased: the attach would queue
+	live, spent := h.live(ns), h.spent[ns]
+	switch {
+	case ns == DefaultNamespace && live >= lcProcs,
+		known && ns == lcOneShot && live < lcQuota && spent < lcProcs && spent+live >= lcProcs:
+		return // every pid is leased or spent: the attach would queue
 	}
 	var sess tsspace.SessionAPI
 	var id string
@@ -178,9 +198,13 @@ func (h *lcHarness) attach(binary bool, ns string) {
 			h.fatalf("attach into unprovisioned %s = %v, want ErrUnknownNamespace", ns, err)
 		}
 		h.unknownNS++
-	case ns != DefaultNamespace && h.live(ns) >= lcQuota:
+	case ns != DefaultNamespace && live >= lcQuota:
 		if !errors.Is(err, ErrQuota) {
 			h.fatalf("attach into full %s = %v, want ErrQuota", ns, err)
+		}
+	case ns == lcOneShot && spent >= lcProcs:
+		if !errors.Is(err, tsspace.ErrExhausted) {
+			h.fatalf("attach into spent %s = %v, want ErrExhausted", ns, err)
 		}
 	case err != nil:
 		h.fatalf("attach into %s: %v", ns, err)
@@ -190,7 +214,11 @@ func (h *lcHarness) attach(binary bool, ns string) {
 }
 
 // getTS takes one timestamp on a live lease, which must order after
-// every timestamp its namespace completed before.
+// every timestamp its namespace completed before. A one-shot lease ends
+// with it: the server has retired it by the time the timestamp arrives,
+// which the books must show before the handle's Detach, and that Detach
+// must send nothing — a detach frame or request would come back
+// unknown_session and move the counter the next check holds.
 func (h *lcHarness) getTS(pick int) {
 	var live []*lcLease
 	for _, l := range h.leases {
@@ -213,6 +241,14 @@ func (h *lcHarness) getTS(pick int) {
 		}
 	}
 	h.issued[l.ns] = append(h.issued[l.ns], ts)
+	if l.oneShot() {
+		l.live = false
+		h.spent[l.ns]++
+		h.check()
+		if err := l.sess.Detach(); err != nil {
+			h.fatalf("detach of spent one-shot lease %s: %v", l.id, err)
+		}
+	}
 }
 
 // detach sends a detach for any lease the model saw, bypassing the
@@ -306,8 +342,9 @@ func (h *lcHarness) drop() {
 	}
 }
 
-func (h *lcHarness) provision(name string) {
-	resp, err := h.c.ProvisionNamespace(h.ctx, name, ProvisionRequest{Procs: lcProcs, MaxSessions: lcQuota})
+func (h *lcHarness) provision(i int) {
+	name := lcNames[i]
+	resp, err := h.c.ProvisionNamespace(h.ctx, name, ProvisionRequest{Algorithm: lcAlgs[i], Procs: lcProcs, MaxSessions: lcQuota})
 	if err != nil {
 		h.fatalf("provision %s: %v", name, err)
 	}
@@ -315,7 +352,7 @@ func (h *lcHarness) provision(name string) {
 		h.fatalf("provision %s: created %v, but it was provisioned: %v", name, resp.Created, h.provisioned[name])
 	}
 	if resp.Created {
-		h.issued[name] = nil // a fresh Object
+		h.issued[name], h.spent[name] = nil, 0 // a fresh Object
 	}
 	h.provisioned[name] = true
 }
@@ -423,6 +460,15 @@ func FuzzLeaseLifecycle(f *testing.F) {
 		{lcAttachHTTP, 0, lcAttachHTTP, 0, lcAttachBinary, 0, lcAttachBinary, 0, lcAttachHTTP, 0,
 			lcDetachBinary, 0, lcDetachHTTP, 2, lcAttachBinary, 0, lcProvision, 1, lcAttachBinary, 2,
 			lcGetTS, 3, lcReap, 0, lcProvision, 1, lcAttachHTTP, 2, lcDeprovision, 1, lcGetTS, 0},
+		// The one-shot namespace's budget spent over both wires: each
+		// getTS ends its lease, a full quota refuses before the budget,
+		// an attach that would queue is skipped, exhaustion refuses, the
+		// spent ids detach as unknown on both wires, and a deprovision
+		// and re-provision bring a fresh budget.
+		{lcProvision, 1, lcAttachHTTP, 2, lcGetTS, 0, lcAttachBinary, 2, lcGetTS, 0,
+			lcAttachHTTP, 2, lcAttachBinary, 2, lcAttachHTTP, 2, lcGetTS, 0, lcAttachBinary, 2,
+			lcGetTS, 0, lcAttachBinary, 2, lcAttachHTTP, 2, lcDetachBinary, 0, lcDetachHTTP, 1,
+			lcDeprovision, 1, lcProvision, 1, lcAttachBinary, 2, lcGetTS, 0, lcDeprovision, 1},
 	} {
 		f.Add(seed)
 	}

@@ -190,7 +190,10 @@ func TestDebugEventsRecordUnknownSession(t *testing.T) {
 
 // A one-shot lease's whole life shows in the flight recorder on either
 // wire: each attach, each detach, and — once the budget is spent — the
-// refused attach as exactly one error event with the exhausted code.
+// refused attach as exactly one error event with the exhausted code. The
+// lease ends with its getTS: before the client's Detach, /metrics counts
+// no live lease in the namespace and the recorder already holds the
+// lease's attach and detach.
 func TestOneShotLifecycleEvents(t *testing.T) {
 	const procs, exhausted = 2, 2 // exhausted is the wire code
 	for _, wire := range []string{"http", "binary"} {
@@ -215,6 +218,22 @@ func TestOneShotLifecycleEvents(t *testing.T) {
 				}
 				if _, err := sess.GetTS(ctx); err != nil {
 					t.Fatal(err)
+				}
+				m, err := c.Metrics(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if live := m.Namespaces[0].WireSessions; live != 0 {
+					t.Errorf("lease %d: %s has %d live leases after its getTS, want 0", i, m.Namespaces[0].Name, live)
+				}
+				var kinds []string
+				for _, e := range dumpEvents(t, front) {
+					if e.Session == sess.ID() {
+						kinds = append(kinds, e.Kind)
+					}
+				}
+				if got := strings.Join(kinds, ","); got != "attach,detach" {
+					t.Errorf("lease %d before Detach: events %s, want attach,detach", i, got)
 				}
 				if err := sess.Detach(); err != nil {
 					t.Fatal(err)

@@ -20,7 +20,7 @@ import (
 // detaches explicitly — the SDK's lease/churn semantics over HTTP instead
 // of one hidden attach per batch:
 //
-//	POST   /session               → {"session_id": ..., "pid": p, "idle_ttl_ms": t}
+//	POST   /session               → {"session_id": ..., "pid": p, "idle_ttl_ms": t, "one_shot": b}
 //	POST   /session/{id}/getts    {"count": k} → {"pid": p, "timestamps": [...]}
 //	DELETE /session/{id}          → {"calls": c}
 //
@@ -28,18 +28,22 @@ import (
 // TTL is reaped (detached and its pid recycled), so abandoned remote
 // clients cannot pin paper-processes forever; a request with a reaped or
 // unknown id gets 404/unknown_session, which the Go client maps to
-// tsspace.ErrDetached.
+// tsspace.ErrDetached. A one-shot lease ends with its getTS: the server
+// retires it before answering, so its client detaches without a request.
 
 // AttachResponse is the body of POST /session and POST
 // /ns/{name}/session: a leased server-side session, bound into the
 // named namespace ("default" on the un-prefixed route). The lease is
 // renewed by every session-scoped request; after IdleTTLMs without one
-// it may be reaped.
+// it may be reaped. OneShot marks a lease of a one-shot object: the
+// getTS that issues its timestamp also retires it, so a later detach
+// has nothing to release and a second getTS nothing to serve.
 type AttachResponse struct {
 	SessionID string `json:"session_id"`
 	Namespace string `json:"namespace"`
 	Pid       int    `json:"pid"`
 	IdleTTLMs int64  `json:"idle_ttl_ms"`
+	OneShot   bool   `json:"one_shot"`
 }
 
 // DetachResponse is the body of DELETE /session/{id}. Calls is the number
@@ -221,6 +225,26 @@ func (s *Server) retire(ws *wireSession, why retireReason) int {
 	return calls
 }
 
+// issue runs one batch into buf on ws's lease, for either wire: it
+// queues behind any other request on the lease and renews the lease's
+// activity stamp at both ends. On a one-shot object the lease has
+// nothing left to serve once its timestamp is issued, so issue retires
+// it as a detach — take + retire, the one lease lifecycle — before the
+// caller can answer; the client then detaches without a request.
+func (s *Server) issue(ctx context.Context, ws *wireSession, buf []tsspace.Timestamp) (int, error) {
+	ws.mu.Lock()
+	ws.last.Store(time.Now().UnixNano()) // renew at start too: a long batch is not idle
+	n, err := ws.sess.GetTSBatch(ctx, buf)
+	ws.last.Store(time.Now().UnixNano())
+	ws.mu.Unlock()
+	if err == nil && ws.object().OneShot() {
+		for _, spent := range s.take(anyLease, ws.id) {
+			s.retire(spent, retireDetach)
+		}
+	}
+	return n, err
+}
+
 // retireWhere takes every lease sel accepts and retires each for why,
 // returning how many it retired.
 func (s *Server) retireWhere(why retireReason, sel func(*wireSession) bool) int {
@@ -318,12 +342,14 @@ func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request) {
 		Namespace: ns.name,
 		Pid:       ws.sess.Pid(),
 		IdleTTLMs: s.sessionTTL.Milliseconds(),
+		OneShot:   ns.obj.OneShot(),
 	})
 }
 
 // handleSessionGetTS is POST /session/{id}/getts: one batch on the
 // caller's leased session. Requests against the same id serialize, so a
-// pipelining client sees the SDK's sequential-session semantics.
+// pipelining client sees the SDK's sequential-session semantics; a
+// one-shot lease is retired before the answer goes out.
 func (s *Server) handleSessionGetTS(w http.ResponseWriter, r *http.Request) {
 	ns, ok := s.requestNS(w, r)
 	if !ok {
@@ -355,12 +381,8 @@ func (s *Server) handleSessionGetTS(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	ws.last.Store(time.Now().UnixNano()) // renew at start too: a long batch is not idle
 	buf := make([]tsspace.Timestamp, count)
-	n, err := ws.sess.GetTSBatch(r.Context(), buf)
-	ws.last.Store(time.Now().UnixNano())
+	n, err := s.issue(r.Context(), ws, buf)
 	if err != nil {
 		// A short batch burns nothing the caller can recover over the wire:
 		// report the failure (with how far the batch got) and let the

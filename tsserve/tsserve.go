@@ -6,7 +6,7 @@
 // Wire v2 is session-scoped, mirroring the SDK's SessionAPI — attach a
 // lease, pipeline batches on it, detach (idle leases are reaped):
 //
-//	POST   /session                      → {"session_id": ..., "pid": p, "idle_ttl_ms": t}
+//	POST   /session                      → {"session_id": ..., "pid": p, "idle_ttl_ms": t, "one_shot": b}
 //	POST   /session/{id}/getts {"count": k} → {"pid": p, "timestamps": [{"rnd": r, "turn": t}, ...]}
 //	DELETE /session/{id}                 → {"calls": c}
 //	POST   /compare  {"t1": ..., "t2": ...} → {"before": true}
@@ -23,6 +23,11 @@
 // Either way a batch is issued back to back by one paper-process, so each
 // timestamp happens-before the next and compare must order the batch
 // strictly — the invariant the CI smoke test asserts over the wire.
+// On a one-shot object (the paper's §4 and §6 model: one getTS per
+// process) a lease is one call long. The attach reply says so on both
+// wires, the getTS that issues the timestamp retires the lease before
+// answering, and the client's Detach sends nothing — attach, getTS,
+// detach in two round trips.
 // Across sessions, the object's pid leasing maps any number of concurrent
 // HTTP clients onto the configured n paper-processes; when all are
 // leased, attaches queue under the request context.

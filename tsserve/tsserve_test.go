@@ -413,9 +413,11 @@ func TestOneShotSessionOverV2(t *testing.T) {
 	if _, err := sess.GetTS(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// The second single call trips the budget, typed across the wire.
-	if _, err := sess.GetTS(ctx); !errors.Is(err, tsspace.ErrExhausted) && !errors.Is(err, tsspace.ErrOneShot) {
-		t.Errorf("second one-shot GetTS = %v, want exhaustion", err)
+	// The lease ended with its timestamp, and the attach reply said it
+	// would: the second call fails locally with the in-process Session's
+	// error, which no daemon reply maps to.
+	if _, err := sess.GetTS(ctx); !errors.Is(err, tsspace.ErrOneShot) {
+		t.Errorf("second one-shot GetTS = %v, want ErrOneShot", err)
 	}
 }
 
