@@ -129,7 +129,7 @@ func TestCLIExamples(t *testing.T) {
 }
 
 // TestCLITsserved starts the daemon on a free port, drives it with its own
-// -smoke client mode (session getts + pairwise /compare + /metrics), and
+// -smoke client mode (session getts + pairwise order checks + /metrics), and
 // shuts it down — once per regime.
 func TestCLITsserved(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "tsserved")

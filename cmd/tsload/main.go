@@ -5,7 +5,7 @@
 // (mix × target × algorithm) row.
 //
 // Each scenario is one of the built-in mixes (steady, churn, burst,
-// compare, crash, tenants, storm — see tsspace/tsload); each algorithm
+// crash, tenants, storm — see tsspace/tsload); each algorithm
 // comes from the registry
 // (every non-mutant implementation by default); each row runs against the
 // in-process SDK and against tsserve over HTTP, so the delta between the
@@ -24,7 +24,9 @@
 //	                            batch-size sweep 1/16/256 over wire v2,
 //	                            wire v3 and in process) gated on
 //	                            zero unexpected errors and zero
-//	                            happens-before violations (the crash mix
+//	                            happens-before violations (every issued
+//	                            timestamp is checked locally against its
+//	                            worker's previous one; the crash mix
 //	                            provokes ErrDetached by design; those are
 //	                            counted as expected); writes
 //	                            BENCH_smoke.json
@@ -630,9 +632,9 @@ func runSmoke(ctx context.Context, out string, opt options) error {
 			for _, v := range r.NamespaceOps {
 				nsOps += v
 			}
-			if len(r.NamespaceOps) != r.Namespaces || nsOps != r.GetTSOps {
+			if len(r.NamespaceOps) != r.Namespaces || nsOps != r.Ops {
 				return fmt.Errorf("%s/%s/%s: namespace ops %v do not partition %d getTS ops",
-					r.Mix, r.Target, r.Algorithm, r.NamespaceOps, r.GetTSOps)
+					r.Mix, r.Target, r.Algorithm, r.NamespaceOps, r.Ops)
 			}
 		}
 		if r.Mix == "storm" {
@@ -646,9 +648,9 @@ func runSmoke(ctx context.Context, out string, opt options) error {
 		}
 		// A measured getTS op only records after a full, error-free batch,
 		// so the timestamp count must be exactly ops × batch.
-		if r.Timestamps != r.GetTSOps*uint64(r.BatchSize) {
+		if r.Timestamps != r.Ops*uint64(r.BatchSize) {
 			return fmt.Errorf("%s/%s/%s: %d timestamps from %d getTS ops at batch %d",
-				r.Mix, r.Target, r.Algorithm, r.Timestamps, r.GetTSOps, r.BatchSize)
+				r.Mix, r.Target, r.Algorithm, r.Timestamps, r.Ops, r.BatchSize)
 		}
 		seen[r.Target] = true
 	}

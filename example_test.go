@@ -31,6 +31,16 @@ func ExampleNew() {
 	// Output: true false
 }
 
+// compare(t1, t2) reads no register: Less is the order of every object,
+// applied locally to timestamps from any session or transport.
+func ExampleLess() {
+	fmt.Println(tsspace.Less(tsspace.Timestamp{Rnd: 1, Turn: 1}, tsspace.Timestamp{Rnd: 1, Turn: 2}))
+	fmt.Println(tsspace.Less(tsspace.Timestamp{Rnd: 2}, tsspace.Timestamp{Rnd: 1, Turn: 9}))
+	// Output:
+	// true
+	// false
+}
+
 // Batches amortize the session plumbing: one GetTSBatch fills a
 // caller-owned slice with back-to-back timestamps — each happens-before
 // the next — without allocating.

@@ -20,14 +20,13 @@ import (
 // GetTS issues one timestamp; GetTSBatch fills a caller-owned slice with
 // len(dst) timestamps issued back to back by this session's process —
 // each happens-before the next — returning how many were issued and the
-// error that stopped a short batch. Compare carries a context and an
-// error slot because a remote compare is a round trip; local
-// implementations never fail it. Detach releases whatever the session
-// leases.
+// error that stopped a short batch. Detach releases whatever the session
+// leases. There is no session compare: compare reads no register, so
+// callers order timestamps locally with Less, whichever transport
+// issued them.
 type SessionAPI interface {
 	GetTS(ctx context.Context) (Timestamp, error)
 	GetTSBatch(ctx context.Context, dst []Timestamp) (int, error)
-	Compare(ctx context.Context, t1, t2 Timestamp) (bool, error)
 	Detach() error
 }
 
@@ -305,13 +304,6 @@ func (s *Session) Pid() int { return s.pid }
 
 // Calls returns the number of timestamps this session has taken.
 func (s *Session) Calls() int { return int(s.seq.Load() - s.seq0) }
-
-// Compare implements SessionAPI by delegating to the object's Compare. A
-// local compare is a pure function of the two timestamps: the context is
-// ignored and the error is always nil (both exist for wire symmetry).
-func (s *Session) Compare(_ context.Context, t1, t2 Timestamp) (bool, error) {
-	return s.obj.Compare(t1, t2), nil
-}
 
 // ready performs the per-call guards once per GetTS or per batch:
 // detached, closed, context. The algorithms are wait-free, so a started

@@ -11,7 +11,7 @@ import (
 )
 
 // Binary is the wire-v3 backend: the data plane (attach, pipelined getTS
-// batches, detach, compare) runs over the daemon's persistent-connection
+// batches, detach) runs over the daemon's persistent-connection
 // binary listener, while the control plane (health probe, /metrics space
 // report) stays on its HTTP endpoints. A BENCH row with target "binary"
 // prices the same session semantics as "http" with the HTTP/JSON harness
@@ -29,8 +29,11 @@ var ErrUnhealthy = errors.New("tsload: daemon not healthy")
 
 // NewBinary probes the daemon at baseURL over HTTP, then wraps its binary
 // listener at binAddr (e.g. "127.0.0.1:8038") as a load target. hc may be
-// nil for tsserve's shared keep-alive client. The probe also exercises one
-// binary round trip so a wrong binAddr fails here, not mid-run.
+// nil for tsserve's shared keep-alive client. The probe also attaches and
+// detaches one session over binAddr — the frames the run itself sends —
+// so a wrong binAddr fails here, not mid-run. A spent one-shot daemon
+// answers that attach with the typed exhaustion error, which proves the
+// listener as well as a lease would.
 func NewBinary(ctx context.Context, baseURL, binAddr string, hc *http.Client) (*Binary, error) {
 	c := tsserve.NewClient(baseURL, hc)
 	h, err := c.Health(ctx)
@@ -41,7 +44,11 @@ func NewBinary(ctx context.Context, baseURL, binAddr string, hc *http.Client) (*
 		return nil, fmt.Errorf("%w: %s reports status %q", ErrUnhealthy, baseURL, h.Status)
 	}
 	bin := tsserve.NewBinaryClient(binAddr)
-	if _, err := bin.Compare(ctx, tsspace.Timestamp{}, tsspace.Timestamp{Rnd: 1}); err != nil {
+	s, err := bin.Attach(ctx)
+	if err == nil {
+		err = s.Detach()
+	}
+	if err != nil && !IsExhausted(err) {
 		bin.Close()
 		return nil, fmt.Errorf("tsload: probing binary listener %s: %w", binAddr, err)
 	}
@@ -67,11 +74,6 @@ func (t *Binary) Attach(ctx context.Context) (tsspace.SessionAPI, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// Compare round-trips a compare frame over a pooled connection.
-func (t *Binary) Compare(ctx context.Context, t1, t2 tsspace.Timestamp) (bool, error) {
-	return t.bin.Compare(ctx, t1, t2)
 }
 
 // Space reads the /metrics space section over HTTP, when the daemon is

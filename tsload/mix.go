@@ -23,10 +23,6 @@ type Mix struct {
 	// the driver forces 1 — a one-shot paper-process has exactly one
 	// timestamp to give.
 	AttachEvery int
-	// CompareFrac is the fraction of operations that are compare(t1, t2)
-	// over previously issued timestamps instead of getTS, drawn per-op from
-	// the worker's seeded RNG.
-	CompareFrac float64
 	// BurstSize > 1 groups operations into bursts: open-loop arrivals come
 	// BurstSize at a time at the same intended instant (rate preserved on
 	// average); closed-loop workers pause for BurstGap between bursts.
@@ -77,9 +73,6 @@ func (m Mix) Kind() string {
 	default:
 		parts = append(parts, fmt.Sprintf("reattach-every-%d", m.AttachEvery))
 	}
-	if m.CompareFrac > 0 {
-		parts = append(parts, fmt.Sprintf("compare=%.0f%%", m.CompareFrac*100))
-	}
 	if m.BurstSize > 1 {
 		parts = append(parts, fmt.Sprintf("burst=%d", m.BurstSize))
 	}
@@ -108,8 +101,8 @@ func (m Mix) WithBatch(batch int) Mix {
 	return m
 }
 
-// builtinMixes is the scenario catalog: the four paper-shaped mixes every
-// cmd/tsload run sweeps. Order is presentation order.
+// builtinMixes is the scenario catalog: the six mixes every cmd/tsload
+// run sweeps. Order is presentation order.
 var builtinMixes = []Mix{
 	{
 		Name:        "steady",
@@ -126,12 +119,6 @@ var builtinMixes = []Mix{
 		Summary:     "phased bursts: operations arrive in groups with idle gaps, the engine's Phased shape as traffic",
 		AttachEvery: 0,
 		BurstSize:   16,
-	},
-	{
-		Name:        "compare",
-		Summary:     "compare-heavy read mix: 90% compare over previously issued timestamps, 10% getTS",
-		AttachEvery: 0,
-		CompareFrac: 0.9,
 	},
 	{
 		Name:        "crash",

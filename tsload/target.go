@@ -33,9 +33,6 @@ type Target interface {
 	// their operation streams must be sequential; each driver worker holds
 	// its own.
 	Attach(ctx context.Context) (tsspace.SessionAPI, error)
-	// Compare asks the object whether t1 is ordered before t2 (usable
-	// without holding a session, unlike SessionAPI's Compare).
-	Compare(ctx context.Context, t1, t2 tsspace.Timestamp) (bool, error)
 	// Space reports the object's register-space footprint, when the
 	// backend exposes one (in-process metering, or the /metrics space
 	// section over HTTP).
@@ -94,11 +91,6 @@ func (t *InProc) Attach(ctx context.Context) (tsspace.SessionAPI, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// Compare never fails in process.
-func (t *InProc) Compare(_ context.Context, t1, t2 tsspace.Timestamp) (bool, error) {
-	return t.obj.Compare(t1, t2), nil
 }
 
 // Space reports the object's metered usage, when metering is on.
@@ -160,11 +152,6 @@ func (t *HTTP) Attach(ctx context.Context) (tsspace.SessionAPI, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// Compare round-trips /compare.
-func (t *HTTP) Compare(ctx context.Context, t1, t2 tsspace.Timestamp) (bool, error) {
-	return t.client.Compare(ctx, t1, t2)
 }
 
 // Space reads the /metrics space section, when the daemon is metered.

@@ -2,13 +2,14 @@
 // and measures it: the workload-generation and latency-measurement layer
 // between the tsspace SDK and the repository's experiments.
 //
-// A run is a Mix (steady, churn, burst, compare — the engine's scenario
-// vocabulary lifted to the session level) applied to a Target (the
-// in-process SDK, or a tsserved daemon over wire v2 or wire v3) under one
-// of two pacing disciplines. Targets lease tsspace.SessionAPI, so the
-// driver's operation code is the same on every backend; the mix's Batch
-// knob swaps the single-call GetTS for GetTSBatch of that size, pricing
-// batch amortization against the same harness. Two pacing disciplines:
+// A run is a Mix (steady, churn, burst, crash, tenants, storm — the
+// engine's scenario vocabulary lifted to the session level) applied to a
+// Target (the in-process SDK, or a tsserved daemon over wire v2 or wire
+// v3) under one of two pacing disciplines. Targets lease
+// tsspace.SessionAPI, so the driver's operation code is the same on every
+// backend; the mix's Batch knob swaps the single-call GetTS for
+// GetTSBatch of that size, pricing batch amortization against the same
+// harness. Two pacing disciplines:
 //
 //   - closed loop (Rate == 0): Workers goroutines issue operations back to
 //     back — throughput is whatever the target sustains, latency is pure
@@ -20,16 +21,19 @@
 //     instead of silently suppressing it — the coordinated-omission trap
 //     open-loop pacing exists to avoid.
 //
-// Runs are warmup/measure windowed, deterministically seeded (op-kind and
-// compare-operand draws come from per-worker RNGs derived from Config.Seed)
-// and land per-op latencies in per-worker internal/hist histograms that
-// merge into one digest. One-shot targets end naturally when the paper's
-// M-timestamp budget is spent; the driver flags it instead of failing.
+// Runs are warmup/measure windowed, deterministically seeded (namespace
+// routing and lease-abandon draws come from per-worker RNGs derived from
+// Config.Seed) and land per-op latencies in per-worker internal/hist
+// histograms that merge into one digest. One-shot targets end naturally
+// when the paper's M-timestamp budget is spent; the driver flags it
+// instead of failing.
 //
 // As a free correctness check, every worker asserts the happens-before
 // property on its own operation stream: its getTS calls are sequential, so
-// an earlier timestamp must compare before a later one whenever a compare
-// op samples a pair. Violations are counted, not fatal.
+// every timestamp it receives must order strictly after the previous one
+// it received from the same object, within a batch and across batches and
+// leases. The check is tsspace.Less, applied locally to every issued
+// timestamp. Violations are counted, not fatal.
 package tsload
 
 import (
@@ -66,8 +70,8 @@ type Config struct {
 	// BurstGap is the closed-loop idle gap between bursts when the mix has
 	// BurstSize > 1; values <= 0 mean 500µs.
 	BurstGap time.Duration
-	// Seed feeds the per-worker RNGs; same seed, same op-kind and
-	// compare-operand decisions.
+	// Seed feeds the per-worker RNGs; same seed, same namespace-routing and
+	// lease-abandon decisions.
 	Seed int64
 	// MaxOps ends the run once this many operations have been measured;
 	// 0 means time-bounded only.
@@ -99,11 +103,9 @@ type Progress struct {
 	// measure window opened (0 during warmup).
 	Elapsed        time.Duration
 	MeasureElapsed time.Duration
-	// Ops = GetTSOps + CompareOps measured so far; Timestamps is what
-	// the measured getTS ops issued.
+	// Ops counts the getTS ops measured so far; Timestamps is what they
+	// issued.
 	Ops        uint64
-	GetTSOps   uint64
-	CompareOps uint64
 	Timestamps uint64
 	// Throughput is measured ops per second of measure-window time so far.
 	Throughput float64
@@ -133,12 +135,13 @@ type Result struct {
 	// mix's Batch after the driver's one-shot forcing; 1 for single-call).
 	BatchSize int `json:"batch_size"`
 
-	// Ops counts measured operations (GetTSOps + CompareOps); a getTS op
-	// is one GetTS call or one whole GetTSBatch. Timestamps counts the
-	// timestamps those measured getTS ops issued (= GetTSOps × BatchSize
-	// for full batches), so per-timestamp throughput is Timestamps /
-	// ElapsedSeconds. Errors and HBViolations count over the whole run,
-	// warmup included.
+	// Ops counts measured getTS operations: one GetTS call or one whole
+	// GetTSBatch each. Timestamps counts the timestamps those measured ops
+	// issued (= Ops × BatchSize for full batches), so per-timestamp
+	// throughput is Timestamps / ElapsedSeconds. Errors and HBViolations
+	// count over the whole run, warmup included: HBViolations is the
+	// number of issued timestamps that did not order strictly after their
+	// worker's previous timestamp from the same object.
 	//
 	// Errors splits into ExpectedErrors — failures the mix provokes by
 	// design (ErrDetached after the TTL reaper reclaimed a lease the crash
@@ -146,9 +149,7 @@ type Result struct {
 	// run is healthy iff UnexpectedErrors == 0 and HBViolations == 0;
 	// gating on Errors == 0 would reject the fault injection itself.
 	Ops              uint64 `json:"ops"`
-	GetTSOps         uint64 `json:"getts_ops"`
 	Timestamps       uint64 `json:"timestamps"`
-	CompareOps       uint64 `json:"compare_ops"`
 	Errors           uint64 `json:"errors"`
 	ExpectedErrors   uint64 `json:"expected_errors,omitempty"`
 	UnexpectedErrors uint64 `json:"unexpected_errors"`
@@ -160,7 +161,7 @@ type Result struct {
 	// Namespaces and NamespaceOps describe a multi-tenant run
 	// (Mix.Namespaces > 0): how many namespaces were provisioned and how
 	// many measured getTS ops routed to each ("load-0" first). The
-	// per-namespace counts sum to GetTSOps; under a Zipf-skewed mix the
+	// per-namespace counts sum to Ops; under a Zipf-skewed mix the
 	// first entries carry the hot tenants.
 	Namespaces   int      `json:"namespaces,omitempty"`
 	NamespaceOps []uint64 `json:"namespace_ops,omitempty"`
@@ -192,8 +193,6 @@ const (
 	phaseWarm int32 = iota
 	phaseMeasure
 	phaseDone
-
-	ringCap = 64 // per-worker window of recent timestamps for compare ops
 )
 
 type run struct {
@@ -219,9 +218,7 @@ type run struct {
 
 	issuedTS       atomic.Uint64 // timestamps requested, all phases (drives warmCap)
 	measured       atomic.Uint64
-	measuredTS     atomic.Uint64
 	measuredIssued atomic.Uint64 // timestamps issued by measured getTS ops
-	measuredCmp    atomic.Uint64
 	errs           atomic.Uint64
 	expErrs        atomic.Uint64 // subset of errs the mix provokes by design
 	abandoned      atomic.Uint64 // leases crashed on purpose (Mix.AbandonFrac)
@@ -380,9 +377,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		Seed:             cfg.Seed,
 		BatchSize:        r.batch,
 		Ops:              r.measured.Load(),
-		GetTSOps:         r.measuredTS.Load(),
 		Timestamps:       r.measuredIssued.Load(),
-		CompareOps:       r.measuredCmp.Load(),
 		Errors:           r.errs.Load(),
 		ExpectedErrors:   r.expErrs.Load(),
 		UnexpectedErrors: r.errs.Load() - r.expErrs.Load(),
@@ -505,8 +500,6 @@ func (r *run) snapshot(start, now time.Time, hists []*hist.H) Progress {
 		Target:     r.cfg.Target.Kind(),
 		Elapsed:    now.Sub(start),
 		Ops:        r.measured.Load(),
-		GetTSOps:   r.measuredTS.Load(),
-		CompareOps: r.measuredCmp.Load(),
 		Timestamps: r.measuredIssued.Load(),
 		Errors:     r.errs.Load(),
 		Abandoned:  r.abandoned.Load(),
@@ -595,38 +588,26 @@ func (r *run) dispatch(ctx context.Context, tokens chan<- token) {
 	}
 }
 
-// tsRing is a worker's window of its most recent timestamps, indexed by
-// issue order so compare operands carry their expected verdict.
-type tsRing struct {
-	buf [ringCap]tsspace.Timestamp
-	n   uint64
+// hbStream is a worker's happens-before check. The worker's getTS calls
+// are sequential, so each timestamp it receives must order strictly after
+// the previous one it received from the same object. Timestamps from
+// different objects are never ordered, so the stream restarts whenever a
+// lease binds another namespace.
+type hbStream struct {
+	prev tsspace.Timestamp
+	have bool
 }
 
-func (g *tsRing) push(ts tsspace.Timestamp) {
-	g.buf[g.n%ringCap] = ts
-	g.n++
-}
-
-// pair samples two distinct logical indices from the live window and
-// returns (earlier, later).
-func (g *tsRing) pair(rng *rand.Rand) (older, newer tsspace.Timestamp, ok bool) {
-	lo := uint64(0)
-	if g.n > ringCap {
-		lo = g.n - ringCap
+// observe checks ts, in issue order, against the stream and returns how
+// many of them failed to order after their predecessor.
+func (h *hbStream) observe(ts []tsspace.Timestamp) (bad uint64) {
+	for _, t := range ts {
+		if h.have && !tsspace.Less(h.prev, t) {
+			bad++
+		}
+		h.prev, h.have = t, true
 	}
-	window := g.n - lo
-	if window < 2 {
-		return older, newer, false
-	}
-	i := lo + uint64(rng.Int63n(int64(window)))
-	j := lo + uint64(rng.Int63n(int64(window)-1))
-	if j >= i {
-		j++
-	}
-	if i > j {
-		i, j = j, i
-	}
-	return g.buf[i%ringCap], g.buf[j%ringCap], true
+	return bad
 }
 
 // worker issues operations until the run ends: paced by tokens under open
@@ -639,7 +620,7 @@ func (r *run) worker(ctx context.Context, id int, h *hist.H, tokens <-chan token
 	var leaseCalls int
 	var nsIdx int // namespace of the current lease, when r.ns != nil
 	pickNS := r.nsPicker(rng)
-	var ring tsRing
+	var hb hbStream
 	buf := make([]tsspace.Timestamp, r.batch)
 	defer func() {
 		if sess != nil {
@@ -679,13 +660,8 @@ func (r *run) worker(ctx context.Context, id int, h *hist.H, tokens <-chan token
 			}
 		}
 
-		isCompare := false
-		if r.cfg.Mix.CompareFrac > 0 && ring.n >= 2 {
-			isCompare = rng.Float64() < r.cfg.Mix.CompareFrac
-		}
-
 		start := time.Now()
-		issued, err := r.doOp(ctx, rng, &sess, &leaseCalls, &nsIdx, pickNS, &ring, buf, isCompare)
+		issued, err := r.doOp(ctx, rng, &sess, &leaseCalls, &nsIdx, pickNS, &hb, buf)
 		end := time.Now()
 		opsInBurst++
 
@@ -714,14 +690,9 @@ func (r *run) worker(ctx context.Context, id int, h *hist.H, tokens <-chan token
 		if record {
 			h.Record(lat.Nanoseconds())
 			r.measured.Add(1)
-			if isCompare {
-				r.measuredCmp.Add(1)
-			} else {
-				r.measuredTS.Add(1)
-				r.measuredIssued.Add(uint64(issued))
-				if r.ns != nil {
-					r.ns.ops[nsIdx].Add(1)
-				}
+			r.measuredIssued.Add(uint64(issued))
+			if r.ns != nil {
+				r.ns.ops[nsIdx].Add(1)
 			}
 		}
 	}
@@ -744,37 +715,24 @@ func (r *run) nsPicker(rng *rand.Rand) func() int {
 	return func() int { return rng.Intn(n) }
 }
 
-// doOp performs one operation: a compare over two previously issued
-// timestamps (asserting their happens-before verdict), or a getTS under
-// the mix's session-lease and batch policy. issued is the number of
-// timestamps a getTS op produced (0 for compare ops).
-func (r *run) doOp(ctx context.Context, rng *rand.Rand, sess *tsspace.SessionAPI, leaseCalls *int, nsIdx *int, pickNS func() int, ring *tsRing, buf []tsspace.Timestamp, isCompare bool) (issued int, err error) {
-	if isCompare {
-		older, newer, ok := ring.pair(rng)
-		if !ok {
-			// The worker only chooses compare with ≥ 2 ringed timestamps;
-			// surfacing this as an error keeps the GetTSOps/CompareOps
-			// split honest if that invariant ever breaks.
-			return 0, errors.New("tsload: internal: compare op with fewer than 2 timestamps in the ring")
-		}
-		before, err := r.cfg.Target.Compare(ctx, older, newer)
-		if err != nil {
-			return 0, err
-		}
-		if !before {
-			r.hbViolations.Add(1)
-		}
-		return 0, nil
-	}
-
+// doOp performs one getTS operation under the mix's session-lease and
+// batch policy, checking every timestamp it issues against the worker's
+// happens-before stream hb. issued is the number of timestamps it
+// produced.
+func (r *run) doOp(ctx context.Context, rng *rand.Rand, sess *tsspace.SessionAPI, leaseCalls *int, nsIdx *int, pickNS func() int, hb *hbStream, buf []tsspace.Timestamp) (issued int, err error) {
 	r.issuedTS.Add(uint64(r.batch))
 	if *sess == nil {
 		var s tsspace.SessionAPI
 		var err error
 		if r.ns != nil {
 			// Multi-tenant routing: each new lease draws its namespace
-			// (Zipf-skewed when the mix says so) and binds into it.
-			*nsIdx = pickNS()
+			// (Zipf-skewed when the mix says so) and binds into it. A
+			// different namespace is a different object, so the
+			// happens-before stream restarts.
+			if idx := pickNS(); idx != *nsIdx {
+				*nsIdx = idx
+				hb.have = false
+			}
 			s, err = r.ns.prov.AttachNamespace(ctx, r.ns.names[*nsIdx])
 		} else {
 			s, err = r.cfg.Target.Attach(ctx)
@@ -796,14 +754,14 @@ func (r *run) doOp(ctx context.Context, rng *rand.Rand, sess *tsspace.SessionAPI
 			buf[0], issued = ts, 1
 		}
 	}
+	if bad := hb.observe(buf[:issued]); bad > 0 {
+		r.hbViolations.Add(bad)
+	}
 	if err != nil {
 		// A dead lease must not wedge the worker: drop it either way.
 		_ = (*sess).Detach()
 		*sess = nil
 		return issued, err
-	}
-	for i := 0; i < issued; i++ {
-		ring.push(buf[i])
 	}
 	*leaseCalls++ // AttachEvery counts getTS operations: a whole batch is one
 	if r.attachEv > 0 && *leaseCalls >= r.attachEv {

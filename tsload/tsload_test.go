@@ -3,9 +3,11 @@ package tsload_test
 import (
 	"context"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,8 +51,9 @@ func checkResult(t *testing.T, res tsload.Result) {
 	if res.Ops == 0 {
 		t.Fatalf("no measured ops: %+v", res)
 	}
-	if res.Ops != res.GetTSOps+res.CompareOps {
-		t.Errorf("Ops %d != GetTSOps %d + CompareOps %d", res.Ops, res.GetTSOps, res.CompareOps)
+	// A measured op records only after a full, error-free batch.
+	if res.Timestamps != res.Ops*uint64(res.BatchSize) {
+		t.Errorf("Timestamps %d != Ops %d × BatchSize %d", res.Timestamps, res.Ops, res.BatchSize)
 	}
 	if res.Errors != 0 {
 		t.Errorf("%d op errors", res.Errors)
@@ -87,36 +90,11 @@ func TestClosedLoopSteadyInProc(t *testing.T) {
 	if res.Mode != "closed" || res.Target != "inproc" || res.Algorithm != "collect" {
 		t.Errorf("labels wrong: %+v", res)
 	}
-	if res.CompareOps != 0 {
-		t.Errorf("steady mix issued %d compares", res.CompareOps)
-	}
 	if res.Space == nil || res.Space.Written == 0 {
 		t.Errorf("metered in-proc target reported no space: %+v", res.Space)
 	}
 	if res.AllocsPerOp < 0 {
 		t.Errorf("AllocsPerOp %v", res.AllocsPerOp)
-	}
-}
-
-func TestCompareMixIssuesBothOps(t *testing.T) {
-	res, err := tsload.Run(context.Background(), tsload.Config{
-		Mix:      mustMix(t, "compare"),
-		Target:   newInProc(t, "dense", 8),
-		Workers:  4,
-		Duration: 10 * time.Second,
-		MaxOps:   3000,
-		Seed:     2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkResult(t, res)
-	if res.CompareOps == 0 || res.GetTSOps == 0 {
-		t.Fatalf("compare mix should issue both kinds: %+v", res)
-	}
-	// The mix is 90% compare; allow wide slack for the getTS-only ramp.
-	if frac := float64(res.CompareOps) / float64(res.Ops); frac < 0.5 {
-		t.Errorf("compare fraction %.2f, want ≥ 0.5", frac)
 	}
 }
 
@@ -140,8 +118,8 @@ func TestChurnOneShotSpendsBudget(t *testing.T) {
 	}
 	// Warmup is capped at a fifth of the budget, so the measure window must
 	// still see most of it.
-	if res.GetTSOps < procs/2 {
-		t.Errorf("measured %d getTS ops out of a %d budget", res.GetTSOps, procs)
+	if res.Ops < procs/2 {
+		t.Errorf("measured %d getTS ops out of a %d budget", res.Ops, procs)
 	}
 	if res.HBViolations != 0 || res.Errors != 0 {
 		t.Errorf("violations/errors under one-shot churn: %+v", res)
@@ -231,8 +209,8 @@ func TestBatchMixInProc(t *testing.T) {
 	}
 	// A measured getTS op only records after a full batch, so timestamps
 	// must be exactly ops × batch.
-	if res.Timestamps != res.GetTSOps*16 {
-		t.Errorf("Timestamps = %d from %d batch-of-16 ops", res.Timestamps, res.GetTSOps)
+	if res.Timestamps != res.Ops*16 {
+		t.Errorf("Timestamps = %d from %d batch-of-16 ops", res.Timestamps, res.Ops)
 	}
 	if !strings.Contains(res.MixKind, "batch=16") {
 		t.Errorf("MixKind %q does not render the batch knob", res.MixKind)
@@ -295,11 +273,11 @@ func TestBatchOverWireV2HoldsLeases(t *testing.T) {
 		if res.Target != "http" {
 			t.Errorf("target %q, want http", res.Target)
 		}
-		if res.Timestamps != res.GetTSOps*4 {
-			t.Errorf("Timestamps = %d from %d batch-of-4 ops", res.Timestamps, res.GetTSOps)
+		if res.Timestamps != res.Ops*4 {
+			t.Errorf("Timestamps = %d from %d batch-of-4 ops", res.Timestamps, res.Ops)
 		}
-		if res.GetTSOps < maxOps {
-			t.Errorf("run ended after %d batches, want ≥ %d", res.GetTSOps, maxOps)
+		if res.Ops < maxOps {
+			t.Errorf("run ended after %d batches, want ≥ %d", res.Ops, maxOps)
 		}
 		granted := target.granted.Load()
 		if granted < 1 || granted > workers {
@@ -335,8 +313,8 @@ func TestOneShotForcesBatchOne(t *testing.T) {
 	if !res.BudgetSpent || res.Errors != 0 || res.HBViolations != 0 {
 		t.Errorf("one-shot batched run not clean: %+v", res)
 	}
-	if res.Timestamps != res.GetTSOps {
-		t.Errorf("Timestamps = %d, GetTSOps = %d, want equal at batch 1", res.Timestamps, res.GetTSOps)
+	if res.Timestamps != res.Ops {
+		t.Errorf("Timestamps = %d, Ops = %d, want equal at batch 1", res.Timestamps, res.Ops)
 	}
 }
 
@@ -394,7 +372,7 @@ func TestCrashMixAgainstTTLTarget(t *testing.T) {
 
 func TestHTTPTarget(t *testing.T) {
 	res, err := tsload.Run(context.Background(), tsload.Config{
-		Mix:      mustMix(t, "compare"),
+		Mix:      mustMix(t, "steady"),
 		Target:   newHTTP(t, "collect", 8),
 		Workers:  4,
 		Duration: 10 * time.Second,
@@ -429,6 +407,150 @@ func TestHTTPOneShotExhaustsOverTheWire(t *testing.T) {
 	}
 	if res.HBViolations != 0 {
 		t.Errorf("%d hb violations", res.HBViolations)
+	}
+}
+
+// newBinary serves a metered object over an in-test daemon — HTTP for
+// the control plane, a wire-v3 listener for the data plane — and wraps it
+// as a binary load target.
+func newBinary(t *testing.T, alg string, procs int) *tsload.Binary {
+	t.Helper()
+	obj, err := tsspace.New(tsspace.WithAlgorithm(alg), tsspace.WithProcs(procs), tsspace.WithMetering())
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := tsserve.NewServer(obj, tsserve.ServerConfig{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go front.ServeBinary(ln)
+	srv := httptest.NewServer(front)
+	t.Cleanup(func() { srv.Close(); front.Close(); obj.Close() })
+	target, err := tsload.NewBinary(context.Background(), srv.URL, ln.Addr().String(), srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { target.Close() })
+	return target
+}
+
+func TestBinaryTarget(t *testing.T) {
+	res, err := tsload.Run(context.Background(), tsload.Config{
+		Mix:      mustMix(t, "steady"),
+		Target:   newBinary(t, "collect", 8),
+		Workers:  4,
+		Duration: 10 * time.Second,
+		MaxOps:   400,
+		Seed:     15,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkResult(t, res)
+	if res.Target != "binary" {
+		t.Fatalf("target %q, want binary", res.Target)
+	}
+	if res.Space == nil || res.Space.Written == 0 {
+		t.Errorf("metered daemon reported no space over /metrics: %+v", res.Space)
+	}
+}
+
+// NewBinary's probe speaks wire v3, so an address that answers anything
+// else fails at construction, not mid-run. The stub answers the way an
+// HTTP listener does and hangs up.
+func TestNewBinaryRejectsNonWireV3Listener(t *testing.T) {
+	obj, err := tsspace.New(tsspace.WithProcs(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(tsserve.NewServer(obj, tsserve.ServerConfig{}))
+	t.Cleanup(func() { srv.Close(); obj.Close() })
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			_, _ = c.Write([]byte("HTTP/1.1 400 Bad Request\r\nConnection: close\r\n\r\n"))
+			c.Close()
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if target, err := tsload.NewBinary(ctx, srv.URL, ln.Addr().String(), srv.Client()); err == nil {
+		target.Close()
+		t.Fatal("NewBinary accepted a listener that does not speak wire v3")
+	}
+}
+
+// decreasing is a Target whose sessions issue a strictly decreasing
+// stream: every timestamp a worker receives orders before the previous
+// one, so the driver's happens-before check must flag them.
+type decreasing struct{ next atomic.Int64 }
+
+func (d *decreasing) Kind() string      { return "decreasing" }
+func (d *decreasing) Algorithm() string { return "decreasing" }
+func (d *decreasing) Procs() int        { return 4 }
+func (d *decreasing) OneShot() bool     { return false }
+func (d *decreasing) Space(context.Context) (tsload.SpaceReport, bool) {
+	return tsload.SpaceReport{}, false
+}
+func (d *decreasing) Close() error { return nil }
+
+func (d *decreasing) Attach(context.Context) (tsspace.SessionAPI, error) {
+	return &decreasingSession{d: d}, nil
+}
+
+type decreasingSession struct{ d *decreasing }
+
+func (s *decreasingSession) GetTS(ctx context.Context) (tsspace.Timestamp, error) {
+	var buf [1]tsspace.Timestamp
+	_, err := s.GetTSBatch(ctx, buf[:])
+	return buf[0], err
+}
+
+func (s *decreasingSession) GetTSBatch(_ context.Context, dst []tsspace.Timestamp) (int, error) {
+	for i := range dst {
+		dst[i] = tsspace.Timestamp{Rnd: s.d.next.Add(-1)}
+	}
+	return len(dst), nil
+}
+
+func (s *decreasingSession) Detach() error { return nil }
+
+// Every issued timestamp is checked, on every mix: a target whose stream
+// runs backwards must show happens-before violations on the steady mix,
+// whether they cross batches (batch 1) or sit inside one (batch 16).
+func TestHBViolationsCaughtOnSteady(t *testing.T) {
+	for _, batch := range []int{1, 16} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			const maxOps = 50
+			res, err := tsload.Run(context.Background(), tsload.Config{
+				Mix:      mustMix(t, "steady").WithBatch(batch),
+				Target:   &decreasing{},
+				Workers:  2,
+				Duration: 10 * time.Second,
+				MaxOps:   maxOps,
+				Seed:     16,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Errors != 0 {
+				t.Fatalf("%d op errors", res.Errors)
+			}
+			// Each worker's first timestamp has no predecessor; every later
+			// one is a violation.
+			if min := res.Timestamps - 2; res.HBViolations < min {
+				t.Errorf("HBViolations = %d over %d decreasing timestamps, want ≥ %d", res.HBViolations, res.Timestamps, min)
+			}
+		})
 	}
 }
 
@@ -483,12 +605,12 @@ func TestClosedLoopDeadlineWithStuckTarget(t *testing.T) {
 
 func TestDeterministicSeeding(t *testing.T) {
 	// Timing-dependent counts can differ run to run; the seeded draws must
-	// not. Two ops-bounded closed-loop runs with one worker and the same
-	// seed issue the identical op-kind sequence, so the getTS/compare split
-	// matches exactly.
+	// not. Two ops-bounded closed-loop runs of the tenants mix with one
+	// worker and the same seed route every lease to the same namespace,
+	// so the per-namespace op split matches exactly.
 	run := func(seed int64) tsload.Result {
 		res, err := tsload.Run(context.Background(), tsload.Config{
-			Mix:      mustMix(t, "compare"),
+			Mix:      mustMix(t, "tenants"),
 			Target:   newInProc(t, "collect", 4),
 			Workers:  1,
 			Duration: 10 * time.Second,
@@ -501,12 +623,15 @@ func TestDeterministicSeeding(t *testing.T) {
 		return res
 	}
 	a, b := run(42), run(42)
-	if a.Ops != b.Ops || a.CompareOps != b.CompareOps || a.GetTSOps != b.GetTSOps {
-		t.Errorf("same seed, different op mix: %+v vs %+v", a, b)
+	if a.Ops != b.Ops || !slices.Equal(a.NamespaceOps, b.NamespaceOps) {
+		t.Errorf("same seed, different namespace split: %v vs %v", a.NamespaceOps, b.NamespaceOps)
+	}
+	if a.Ops != 500 || len(a.NamespaceOps) != 8 {
+		t.Fatalf("run measured %d ops over %d namespaces, want 500 over 8", a.Ops, len(a.NamespaceOps))
 	}
 	c := run(43)
-	if a.CompareOps == c.CompareOps && a.GetTSOps == c.GetTSOps {
-		t.Logf("different seeds produced the same split (possible, just unlikely): %+v", c)
+	if slices.Equal(a.NamespaceOps, c.NamespaceOps) {
+		t.Logf("different seeds produced the same split (possible, just unlikely): %v", c.NamespaceOps)
 	}
 }
 
@@ -551,10 +676,10 @@ func TestBenchReportRoundTrip(t *testing.T) {
 
 func TestMixCatalog(t *testing.T) {
 	names := tsload.MixNames()
-	if len(names) < 4 {
-		t.Fatalf("need ≥ 4 built-in mixes, have %v", names)
+	if len(names) < 6 {
+		t.Fatalf("need ≥ 6 built-in mixes, have %v", names)
 	}
-	for _, want := range []string{"steady", "churn", "burst", "compare"} {
+	for _, want := range []string{"steady", "churn", "burst", "crash", "tenants", "storm"} {
 		m, ok := tsload.LookupMix(want)
 		if !ok {
 			t.Errorf("mix %q missing from catalog", want)
@@ -625,11 +750,11 @@ func TestProgressReporting(t *testing.T) {
 			t.Errorf("snapshot %d ops went backwards: %d after %d", i, p.Ops, lastOps)
 		}
 		lastOps = p.Ops
-		// Mid-run snapshots read independent atomics, so the per-kind
-		// split may be off by the ops in flight — one per worker at most.
-		if skew := absDiff(p.Ops, p.GetTSOps+p.CompareOps); skew > 4 {
-			t.Errorf("snapshot %d: Ops %d vs GetTSOps %d + CompareOps %d (skew %d)",
-				i, p.Ops, p.GetTSOps, p.CompareOps, skew)
+		// Mid-run snapshots read independent atomics, so at batch 1 the
+		// timestamp count may be off by the ops in flight — one per worker
+		// at most.
+		if skew := absDiff(p.Ops, p.Timestamps); skew > 4 {
+			t.Errorf("snapshot %d: Ops %d vs Timestamps %d (skew %d)", i, p.Ops, p.Timestamps, skew)
 		}
 	}
 	if !sawMeasure {
@@ -639,9 +764,8 @@ func TestProgressReporting(t *testing.T) {
 	if final.Phase != "done" {
 		t.Errorf("final snapshot phase %q, want done", final.Phase)
 	}
-	if final.Ops != final.GetTSOps+final.CompareOps {
-		t.Errorf("final snapshot: Ops %d != GetTSOps %d + CompareOps %d",
-			final.Ops, final.GetTSOps, final.CompareOps)
+	if final.Ops != final.Timestamps {
+		t.Errorf("final snapshot: Ops %d != Timestamps %d at batch 1", final.Ops, final.Timestamps)
 	}
 	if final.Ops < res.Ops {
 		t.Errorf("final snapshot ops %d below measured result ops %d", final.Ops, res.Ops)

@@ -20,8 +20,12 @@ package tsserve
 //	attach_ns [len][name]               → attachNSOK  [id(16)][pid][ttl_ms][one_shot]
 //	getts     [id(16)][count]           → gettsOK     [pid][n][ts deltas]
 //	detach    [id(16)]                  → detachOK    [calls]
-//	compare   [r1][t1][r2][t2]          → compareOK   [before(byte)]
 //	any       —                         → error       [code(byte)][message]
+//
+// There is no compare frame: compare(t1, t2) reads no register, so
+// clients order timestamps locally with tsspace.Less. Type 0x04 stays
+// unassigned, so an older client's compare frame is answered bad_request
+// instead of being read as some other request.
 //
 // attach_ns is attach into a named namespace (broker.go): the payload
 // carries the namespace name (uvarint length + raw bytes) and the
@@ -82,12 +86,10 @@ const (
 	frameAttach     byte = 0x01
 	frameGetTS      byte = 0x02
 	frameDetach     byte = 0x03
-	frameCompare    byte = 0x04
 	frameAttachNS   byte = 0x05
 	frameAttachOK   byte = 0x81
 	frameGetTSOK    byte = 0x82
 	frameDetachOK   byte = 0x83
-	frameCompareOK  byte = 0x84
 	frameAttachNSOK byte = 0x85
 	frameError      byte = 0xFF
 )

@@ -29,7 +29,7 @@ func FuzzBinaryFrame(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, frameGetTS})                 // oversized length claim
 	f.Add([]byte{0, 0, 0, 9, frameGetTS, 1, 2})                       // truncated payload
 	f.Add([]byte{0, 0})                                               // truncated length prefix
-	f.Add([]byte{0, 0, 0, 2, frameCompare, 0x80})                     // truncated varint payload
+	f.Add([]byte{0, 0, 0, 2, frameGetTSOK, 0x80})                     // getts reply cut inside its first varint
 	f.Add(append([]byte{0, 0, 0, 3, frameError, binCodeClosed}, 'x')) // error frame
 	f.Add([]byte{0, 0, 16, 1, frameGetTSOK})                          // large claim, no bytes behind it
 	f.Add(attachFrame(append([]byte(testID), 3, 0xE0, 0xD4, 0x03)))   // attach reply ending at ttl_ms

@@ -79,15 +79,7 @@ func TestBinarySessionEndToEnd(t *testing.T) {
 	}
 	all = append(all, one)
 	for i := 0; i+1 < len(all); i++ {
-		before, err := sess.Compare(ctx, all[i], all[i+1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		after, err := bc.Compare(ctx, all[i+1], all[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !before || after {
+		if !tsspace.Less(all[i], all[i+1]) || tsspace.Less(all[i+1], all[i]) {
 			t.Fatalf("happens-before violated at %d: %v vs %v", i, all[i], all[i+1])
 		}
 	}
@@ -103,10 +95,6 @@ func TestBinarySessionEndToEnd(t *testing.T) {
 	}
 	if _, err := sess.GetTS(ctx); !errors.Is(err, tsspace.ErrDetached) {
 		t.Fatalf("getts on detached session = %v, want ErrDetached", err)
-	}
-	// Compare still works after detach (falls back to the pooled client).
-	if _, err := sess.Compare(ctx, all[0], all[1]); err != nil {
-		t.Fatalf("compare after detach: %v", err)
 	}
 	if st := obj.Stats(); st.ActiveSessions != 0 {
 		t.Fatalf("%d active SDK sessions after detach", st.ActiveSessions)
@@ -271,57 +259,63 @@ func TestBinaryBatchCap(t *testing.T) {
 	}
 }
 
-// A raw connection can pipeline frames: several requests written back to
-// back are answered in order.
+// A raw connection can pipeline frames: three getts requests on one
+// session, written back to back, are answered in order, so their
+// timestamps come back ascending.
 func TestBinaryPipelining(t *testing.T) {
 	bc, _, _, _ := newBinaryServer(t, tsserve.ServerConfig{},
 		tsspace.WithAlgorithm("collect"), tsspace.WithProcs(2))
-	ctx := context.Background()
-	sess, err := bc.Attach(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Detach()
+	c := rawConn(t, bc.Addr())
+	id, _ := rawAttach(t, c)
 
-	c, err := net.Dial("tcp", bc.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Write([]byte(tsserve.BinaryMagic)); err != nil {
-		t.Fatal(err)
-	}
-	// Three compare requests in one write (compare needs no session).
-	ts1, err := sess.GetTS(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2, err := sess.GetTS(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var req []byte
 	for i := 0; i < 3; i++ {
 		start := len(req)
-		req = append(req, 0, 0, 0, 0, 0x04) // frameCompare
-		req = binary.AppendVarint(req, ts1.Rnd)
-		req = binary.AppendVarint(req, ts1.Turn)
-		req = binary.AppendVarint(req, ts2.Rnd)
-		req = binary.AppendVarint(req, ts2.Turn)
+		req = append(req, 0, 0, 0, 0, 0x02) // frameGetTS
+		req = append(req, id...)
+		req = binary.AppendUvarint(req, 1)
 		binary.BigEndian.PutUint32(req[start:], uint32(len(req)-start-4))
 	}
 	if _, err := c.Write(req); err != nil {
 		t.Fatal(err)
 	}
+	var prev tsspace.Timestamp
 	for i := 0; i < 3; i++ {
 		typ, payload := readFrame(t, c)
-		if typ != 0x84 { // frameCompareOK
-			t.Fatalf("response %d: type 0x%02x", i, typ)
+		if typ != 0x82 { // frameGetTSOK
+			t.Fatalf("response %d: type 0x%02x: %q", i, typ, payload)
 		}
-		if len(payload) != 1 || payload[0] != 1 {
-			t.Fatalf("response %d: payload %v, want [1]", i, payload)
+		ts := decodeOne(t, payload)
+		if i > 0 && !tsspace.Less(prev, ts) {
+			t.Fatalf("response %d: %v does not order after response %d's %v", i, ts, i-1, prev)
 		}
+		prev = ts
 	}
+}
+
+// decodeOne decodes a gettsOK payload carrying one timestamp: pid, count,
+// then the absolute (rnd, turn) pair as zigzag varints.
+func decodeOne(t *testing.T, p []byte) tsspace.Timestamp {
+	t.Helper()
+	var vals [4]int64
+	for i := range vals {
+		var n int
+		if i < 2 {
+			var v uint64
+			v, n = binary.Uvarint(p)
+			vals[i] = int64(v)
+		} else {
+			vals[i], n = binary.Varint(p)
+		}
+		if n <= 0 {
+			t.Fatalf("gettsOK payload cut at field %d", i)
+		}
+		p = p[n:]
+	}
+	if vals[1] != 1 || len(p) != 0 {
+		t.Fatalf("gettsOK carries %d timestamps and %d trailing bytes, want 1 and 0", vals[1], len(p))
+	}
+	return tsspace.Timestamp{Rnd: vals[2], Turn: vals[3]}
 }
 
 // Framing violations (oversized length prefix) get one error frame and a

@@ -37,7 +37,7 @@ type BinaryClient struct {
 
 // NewBinaryClient returns a client for the daemon's binary listener at
 // addr (e.g. "127.0.0.1:8038"). No connection is made until the first
-// Attach or Compare.
+// Attach.
 func NewBinaryClient(addr string) *BinaryClient {
 	return &BinaryClient{addr: addr}
 }
@@ -253,37 +253,6 @@ func (c *BinaryClient) finishAttach(ctx context.Context, cn *binClientConn, okTy
 	return s, nil
 }
 
-// Compare asks the daemon whether t1 is ordered before t2, over a pooled
-// connection (no session needed).
-func (c *BinaryClient) Compare(ctx context.Context, t1, t2 tsspace.Timestamp) (bool, error) {
-	cn, err := c.getConn(ctx)
-	if err != nil {
-		return false, err
-	}
-	defer c.putConn(cn)
-	cn.arm(ctx)
-	return compareOn(cn, ctx, t1, t2)
-}
-
-// compareOn runs one compare exchange on an armed connection.
-func compareOn(cn *binClientConn, ctx context.Context, t1, t2 tsspace.Timestamp) (bool, error) {
-	cn.out = beginFrame(cn.out[:0], frameCompare)
-	cn.out = binary.AppendVarint(cn.out, t1.Rnd)
-	cn.out = binary.AppendVarint(cn.out, t1.Turn)
-	cn.out = binary.AppendVarint(cn.out, t2.Rnd)
-	cn.out = binary.AppendVarint(cn.out, t2.Turn)
-	cn.out = endFrame(cn.out, 0)
-	p, err := cn.exchange(ctx, frameCompareOK)
-	if err != nil {
-		return false, err
-	}
-	if len(p) != 1 {
-		cn.broken = true
-		return false, errTruncated
-	}
-	return p[0] == 1, nil
-}
-
 // BinarySession is a wire-v3 session: tsspace.SessionAPI over one
 // dedicated pooled connection. Like every session it models one logical
 // client — calls must be sequential. Its steady-state GetTS/GetTSBatch
@@ -360,18 +329,6 @@ func (s *BinarySession) GetTSBatch(ctx context.Context, dst []tsspace.Timestamp)
 	}
 	s.calls.Add(int64(n))
 	return n, nil
-}
-
-// Compare implements tsspace.SessionAPI on the session's own connection
-// (session calls are sequential, so the connection is free); after Detach
-// it falls back to the client's pooled Compare.
-func (s *BinarySession) Compare(ctx context.Context, t1, t2 tsspace.Timestamp) (bool, error) {
-	if s.detached.Load() {
-		return s.c.Compare(ctx, t1, t2)
-	}
-	cn := s.cn
-	cn.arm(ctx)
-	return compareOn(cn, ctx, t1, t2)
 }
 
 // Detach releases the server-side lease and returns the connection to the

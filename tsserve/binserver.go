@@ -98,10 +98,9 @@ type binServerConn struct {
 	bw    *bufio.Writer
 	out   []byte // response scratch, reused per frame
 	tsBuf []tsspace.Timestamp
-	// Latency histograms resolved once per connection, so the per-frame
-	// path records without a map lookup.
-	binGettsLat   *obs.Histogram
-	binCompareLat *obs.Histogram
+	// binGettsLat is resolved once per connection, so the per-frame path
+	// records without a map lookup.
+	binGettsLat *obs.Histogram
 }
 
 func (s *Server) serveBinConn(c net.Conn) {
@@ -116,11 +115,7 @@ func (s *Server) serveBinConn(c net.Conn) {
 	br := bufio.NewReaderSize(c, 16<<10)
 	bw := bufio.NewWriterSize(c, 64<<10)
 	fr := frameReader{r: br}
-	st := &binServerConn{
-		s: s, bw: bw,
-		binGettsLat:   s.met.lat["binary_getts"],
-		binCompareLat: s.met.lat["binary_compare"],
-	}
+	st := &binServerConn{s: s, bw: bw, binGettsLat: s.met.lat["binary_getts"]}
 	defer st.cleanup()
 	for {
 		select {
@@ -179,8 +174,6 @@ func (st *binServerConn) handle(typ byte, payload []byte) {
 		st.attachNS(payload)
 	case frameDetach:
 		st.detach(payload)
-	case frameCompare:
-		st.compare(payload)
 	default:
 		st.writeError(binCodeBadRequest, fmt.Sprintf("unknown frame type 0x%02x", typ))
 	}
@@ -312,38 +305,6 @@ func (st *binServerConn) detach(payload []byte) {
 	st.out = binary.AppendUvarint(st.out, uint64(calls))
 	st.out = endFrame(st.out, 0)
 	st.write()
-}
-
-// compare answers compare(t1, t2) without touching any session.
-func (st *binServerConn) compare(payload []byte) {
-	s := st.s
-	start := time.Now()
-	var vals [4]int64
-	off := 0
-	var err error
-	for i := range vals {
-		if vals[i], off, err = varint(payload, off); err != nil {
-			st.writeError(binCodeBadRequest, "compare: truncated operands")
-			return
-		}
-	}
-	if off != len(payload) {
-		st.writeError(binCodeBadRequest, "compare: trailing bytes")
-		return
-	}
-	before := s.defaultNS.obj.Compare(
-		tsspace.Timestamp{Rnd: vals[0], Turn: vals[1]},
-		tsspace.Timestamp{Rnd: vals[2], Turn: vals[3]},
-	)
-	st.out = beginFrame(st.out[:0], frameCompareOK)
-	b := byte(0)
-	if before {
-		b = 1
-	}
-	st.out = append(st.out, b)
-	st.out = endFrame(st.out, 0)
-	st.write()
-	st.binCompareLat.Record(time.Since(start).Nanoseconds())
 }
 
 // write flushes st.out into the buffered writer and counts the bytes; a

@@ -37,6 +37,72 @@ func TestCatalogMirrorsRegistry(t *testing.T) {
 	}
 }
 
+// A namespace's timestamps order under tsspace.Less whichever wire issued
+// them, beside a default namespace running another algorithm: sqrt
+// timestamps can share their rnd, which collect's rnd-only Compare cannot
+// separate, so no order may come from the default namespace. Frame type
+// 0x04, which once asked the server to compare, is answered like any
+// unknown type, and the connection stays usable.
+func TestNamespaceTimestampsOrderUnderLess(t *testing.T) {
+	bc, c, _, _ := newBinaryServer(t, tsserve.ServerConfig{},
+		tsspace.WithAlgorithm("collect"), tsspace.WithProcs(4))
+	ctx := context.Background()
+	const ns, n = "sq", 16
+	if _, err := c.ProvisionNamespace(ctx, ns, tsserve.ProvisionRequest{Algorithm: "sqrt", Procs: n}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Sequential one-shot leases, alternating wire v3 and HTTP: each
+	// completes before the next is invoked.
+	var issued []tsspace.Timestamp
+	for i := 0; i < n; i++ {
+		var s tsspace.SessionAPI
+		var err error
+		if i%2 == 0 {
+			s, err = bc.AttachNamespace(ctx, ns)
+		} else {
+			s, err = c.Namespace(ns).Attach(ctx)
+		}
+		if err != nil {
+			t.Fatalf("attach %d: %v", i, err)
+		}
+		ts, err := s.GetTS(ctx)
+		if err != nil {
+			t.Fatalf("getts %d: %v", i, err)
+		}
+		if err := s.Detach(); err != nil {
+			t.Fatalf("detach %d: %v", i, err)
+		}
+		issued = append(issued, ts)
+	}
+	sharedRnd := 0
+	for i := range issued {
+		if i > 0 && issued[i-1].Rnd == issued[i].Rnd {
+			sharedRnd++
+		}
+		for j := i + 1; j < len(issued); j++ {
+			if !tsspace.Less(issued[i], issued[j]) || tsspace.Less(issued[j], issued[i]) {
+				t.Errorf("issue order %d < %d, but Less does not order %v before %v", i, j, issued[i], issued[j])
+			}
+		}
+	}
+	// Pairs that only Turn orders are what an rnd-only compare misses; a
+	// stream without them could not tell the two orders apart.
+	if sharedRnd == 0 {
+		t.Fatalf("no consecutive timestamps share their rnd: %v", issued)
+	}
+
+	conn := rawConn(t, bc.Addr())
+	rawFrame(t, conn, 0x04, []byte{2, 2, 2, 4}) // the retired compare: (1,1) vs (1,2)
+	typ, p := readFrame(t, conn)
+	if typ != 0xFF || len(p) < 1 || p[0] != 1 || string(p[1:]) != "unknown frame type 0x04" { // frameError, bad_request
+		t.Fatalf("frame type 0x04 answered 0x%02x %q, want bad_request \"unknown frame type 0x04\"", typ, p)
+	}
+	if id, _ := rawAttach(t, conn); len(id) != 16 {
+		t.Fatalf("attach after the unknown frame returned id %q", id)
+	}
+}
+
 // PUT /ns/{name} is idempotent for an identical spec, a typed conflict
 // for a different one, and refuses to shadow the default namespace;
 // DELETE answers a typed unknown-namespace once the name is gone.

@@ -33,8 +33,9 @@ var defaultClient = sync.OnceValue(func() *http.Client {
 	return &http.Client{Transport: tr}
 })
 
-// Client is the Go client of a tsserved daemon. Batches and comparisons
-// go over the wire exactly as any other client's would.
+// Client is the Go client of a tsserved daemon. Batches go over the
+// wire exactly as any other client's would; timestamps are ordered
+// locally with tsspace.Less.
 //
 // A Client binds to one namespace. NewClient binds the default
 // namespace (the daemon's constructor Object); Namespace derives a
@@ -65,7 +66,7 @@ func NewClient(baseURL string, hc *http.Client) *Client {
 func (c *Client) BaseURL() string { return c.base }
 
 // Namespace derives a client bound to the named namespace: its Attach
-// and Compare calls route through /ns/{name}/... and its Health reports
+// calls route through /ns/{name}/... and its Health reports
 // that namespace. The namespace must be provisioned (see
 // ProvisionNamespace) or "default"; calls against an unprovisioned name
 // fail with ErrUnknownNamespace. The derived client shares the
@@ -195,11 +196,6 @@ func (s *RemoteSession) GetTSBatch(ctx context.Context, dst []tsspace.Timestamp)
 	return len(resp.Timestamps), nil
 }
 
-// Compare implements tsspace.SessionAPI with a /compare round trip.
-func (s *RemoteSession) Compare(ctx context.Context, t1, t2 tsspace.Timestamp) (bool, error) {
-	return s.c.Compare(ctx, t1, t2)
-}
-
 // Detach releases the server-side lease. A lease the daemon already
 // reaped counts as detached, not as an error. A spent one-shot session
 // sends nothing: the daemon retired its lease when it issued the
@@ -219,13 +215,6 @@ func (s *RemoteSession) Detach() error {
 		return err
 	}
 	return nil
-}
-
-// Compare asks the daemon whether t1 is ordered before t2.
-func (c *Client) Compare(ctx context.Context, t1, t2 tsspace.Timestamp) (bool, error) {
-	var resp CompareResponse
-	err := c.post(ctx, c.scoped("/compare"), CompareRequest{T1: FromTimestamp(t1), T2: FromTimestamp(t2)}, &resp)
-	return resp.Before, err
 }
 
 // Health fetches /healthz.

@@ -59,7 +59,7 @@ type serverMetrics struct {
 
 // latencyEndpoints are the instrumented endpoints, in the order their
 // Prometheus families register. The keys double as JSON latency keys.
-var latencyEndpoints = []string{"attach", "getts", "compare", "binary_getts", "binary_compare"}
+var latencyEndpoints = []string{"attach", "getts", "binary_getts"}
 
 // newServerMetrics builds the registry for s. Registration happens once
 // at construction; everything the request paths touch afterwards is a

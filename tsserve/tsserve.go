@@ -1,7 +1,8 @@
 // Package tsserve puts a tsspace timestamp object behind an HTTP/JSON
 // front end, plus the matching Go client. It is the network form of the
-// paper's object: the endpoints expose getTS()/compare() and nothing of
-// the register machinery.
+// paper's object: the endpoints expose getTS() and nothing of the
+// register machinery. compare(t1, t2) reads no register, so it has no
+// endpoint; clients order timestamps locally with tsspace.Less.
 //
 // Wire v2 is session-scoped, mirroring the SDK's SessionAPI — attach a
 // lease, pipeline batches on it, detach (idle leases are reaped):
@@ -9,7 +10,6 @@
 //	POST   /session                      → {"session_id": ..., "pid": p, "idle_ttl_ms": t, "one_shot": b}
 //	POST   /session/{id}/getts {"count": k} → {"pid": p, "timestamps": [{"rnd": r, "turn": t}, ...]}
 //	DELETE /session/{id}                 → {"calls": c}
-//	POST   /compare  {"t1": ..., "t2": ...} → {"before": true}
 //	GET    /healthz                      → object identity and status
 //	GET    /metrics                      → space report + throughput counters
 //	                                       + per-endpoint latency percentiles
@@ -21,8 +21,9 @@
 // measured HTTP/JSON at ~100× the algorithm's in-process cost.
 //
 // Either way a batch is issued back to back by one paper-process, so each
-// timestamp happens-before the next and compare must order the batch
-// strictly — the invariant the CI smoke test asserts over the wire.
+// timestamp happens-before the next and tsspace.Less must order the
+// batch strictly — the invariant the CI smoke test checks on what the
+// wire returns.
 // On a one-shot object (the paper's §4 and §6 model: one getTS per
 // process) a lease is one call long. The attach reply says so on both
 // wires, the getTS that issues the timestamp retires the lease before
@@ -53,8 +54,8 @@ import (
 )
 
 // TS is the wire form of a timestamp: the (rnd, turn) pair of the
-// timestamp universe ℕ × (ℕ ∪ {0}), compared lexicographically by the
-// serving object.
+// timestamp universe ℕ × (ℕ ∪ {0}), ordered lexicographically by
+// tsspace.Less.
 type TS struct {
 	Rnd  int64 `json:"rnd"`
 	Turn int64 `json:"turn"`
@@ -80,17 +81,6 @@ type GetTSResponse struct {
 	Timestamps []TS `json:"timestamps"`
 }
 
-// CompareRequest asks whether t1 is ordered before t2.
-type CompareRequest struct {
-	T1 TS `json:"t1"`
-	T2 TS `json:"t2"`
-}
-
-// CompareResponse is the compare(t1, t2) verdict.
-type CompareResponse struct {
-	Before bool `json:"before"`
-}
-
 // Health is the /healthz body (also served per namespace at
 // /ns/{name}/healthz, reporting that namespace's Object).
 type Health struct {
@@ -114,9 +104,11 @@ type Space struct {
 
 // Latency is the per-endpoint latency section of /metrics: a percentile
 // digest (nanoseconds, measured server-side around the whole handler) per
-// operation endpoint, keyed "getts" and "compare". Digests come from the
-// same log-bucketed histograms the tsload driver uses, so server-side and
-// driver-side percentiles are directly comparable.
+// operation, keyed "attach" and "getts" for the HTTP handlers and
+// "binary_getts" for the wire-v3 getts frame. An operation appears once
+// it has been served. Digests come from the same log-bucketed histograms
+// the tsload driver uses, so server-side and driver-side percentiles are
+// directly comparable.
 type Latency struct {
 	Count  uint64  `json:"count"`
 	MeanNs float64 `json:"mean_ns"`
@@ -337,7 +329,6 @@ func NewServer(obj *tsspace.Object, cfg ServerConfig) *Server {
 	s.mux.HandleFunc("POST /session", s.timed("attach", s.handleAttach))
 	s.mux.HandleFunc("POST /session/{id}/getts", s.timed("getts", s.handleSessionGetTS))
 	s.mux.HandleFunc("DELETE /session/{id}", s.handleDetach)
-	s.mux.HandleFunc("POST /compare", s.timed("compare", s.handleCompare))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /metrics/prometheus", s.handlePrometheus)
@@ -351,7 +342,6 @@ func NewServer(obj *tsspace.Object, cfg ServerConfig) *Server {
 	s.mux.HandleFunc("POST /ns/{name}/session", s.timed("attach", s.handleAttach))
 	s.mux.HandleFunc("POST /ns/{name}/session/{id}/getts", s.timed("getts", s.handleSessionGetTS))
 	s.mux.HandleFunc("DELETE /ns/{name}/session/{id}", s.handleDetach)
-	s.mux.HandleFunc("POST /ns/{name}/compare", s.timed("compare", s.handleCompare))
 	s.mux.HandleFunc("GET /ns/{name}/healthz", s.handleHealthz)
 	go s.reapLoop()
 	return s
@@ -399,21 +389,6 @@ func (s *Server) classify(ctx context.Context, ns *namespace, id string, err err
 	}
 	s.met.ring.RecordNS(obs.EventError, ns.id, sessionIDNum(id), -1, int64(code))
 	return code
-}
-
-func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	ns, ok := s.requestNS(w, r)
-	if !ok {
-		return
-	}
-	var req CompareRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, CompareResponse{
-		Before: ns.obj.Compare(req.T1.Timestamp(), req.T2.Timestamp()),
-	})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

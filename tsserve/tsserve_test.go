@@ -52,10 +52,9 @@ func attachedBatch(t *testing.T, c *tsserve.Client, count int) []tsspace.Timesta
 }
 
 // A batch is issued by one session back to back, so it must be strictly
-// increasing under the object's compare — verified both client-side and
-// over the /compare endpoint.
+// increasing — under the serving object's compare and under tsspace.Less,
+// the order every client applies locally.
 func TestBatchedGetTSHappensBefore(t *testing.T) {
-	ctx := context.Background()
 	c, obj := newTestServer(t, tsspace.WithProcs(4), tsspace.WithMetering())
 
 	batch := attachedBatch(t, c, 5)
@@ -63,13 +62,8 @@ func TestBatchedGetTSHappensBefore(t *testing.T) {
 		if !obj.Compare(batch[i], batch[i+1]) {
 			t.Errorf("batch[%d] %v not before batch[%d] %v", i, batch[i], i+1, batch[i+1])
 		}
-		before, err := c.Compare(ctx, batch[i], batch[i+1])
-		if err != nil || !before {
-			t.Errorf("/compare(batch[%d], batch[%d]) = (%v, %v), want true", i, i+1, before, err)
-		}
-		after, err := c.Compare(ctx, batch[i+1], batch[i])
-		if err != nil || after {
-			t.Errorf("/compare(batch[%d], batch[%d]) = (%v, %v), want false", i+1, i, after, err)
+		if !tsspace.Less(batch[i], batch[i+1]) || tsspace.Less(batch[i+1], batch[i]) {
+			t.Errorf("Less does not order batch[%d] %v before batch[%d] %v", i, batch[i], i+1, batch[i+1])
 		}
 	}
 }
@@ -140,8 +134,8 @@ func TestOneShotSemanticsOverTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	t2 := attachedBatch(t, c, 1)[0]
-	if before, err := c.Compare(ctx, t1, t2); err != nil || !before {
-		t.Errorf("one-shot pair unordered: (%v, %v)", before, err)
+	if !tsspace.Less(t1, t2) || tsspace.Less(t2, t1) {
+		t.Errorf("one-shot pair unordered: %v vs %v", t1, t2)
 	}
 
 	// Budget spent: the typed exhaustion error crosses the wire.
@@ -203,19 +197,9 @@ func TestMetricsEndpointLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Detach()
-	var first, last tsspace.Timestamp
 	ts := make([]tsspace.Timestamp, 2)
 	for i := 0; i < batches; i++ {
 		if _, err := sess.GetTSBatch(ctx, ts); err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			first = ts[0]
-		}
-		last = ts[1]
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := c.Compare(ctx, first, last); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -234,9 +218,9 @@ func TestMetricsEndpointLatency(t *testing.T) {
 	if getts.P50Ns <= 0 || getts.P50Ns > getts.P99Ns || getts.P99Ns > getts.P999Ns || getts.P999Ns > getts.MaxNs {
 		t.Errorf("getts percentiles not positive-monotone: %+v", getts)
 	}
-	cmp, ok := m.Latency["compare"]
-	if !ok || cmp.Count != 5 {
-		t.Errorf("compare latency = %+v (ok=%v), want count 5", cmp, ok)
+	att, ok := m.Latency["attach"]
+	if !ok || att.Count != 1 {
+		t.Errorf("attach latency = %+v (ok=%v), want count 1", att, ok)
 	}
 	if _, ok := m.Latency["healthz"]; ok {
 		t.Error("non-operation endpoints must not be timed")
@@ -283,8 +267,8 @@ func TestRemoteSessionLifecycle(t *testing.T) {
 	if sess.Calls() != 13 {
 		t.Errorf("Calls = %d, want 13", sess.Calls())
 	}
-	if before, err := sess.Compare(ctx, stream[0], stream[12]); err != nil || !before {
-		t.Errorf("session Compare = (%v, %v), want (true, nil)", before, err)
+	if !tsspace.Less(stream[0], stream[12]) {
+		t.Errorf("first timestamp %v does not order before the last %v", stream[0], stream[12])
 	}
 
 	if err := sess.Detach(); err != nil {
@@ -451,7 +435,7 @@ func TestDefaultClientReusesConnections(t *testing.T) {
 		if _, err := sess.GetTSBatch(ctx, buf); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Compare(ctx, buf[0], buf[1]); err != nil {
+		if _, err := c.Health(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -481,7 +465,7 @@ func TestRequestValidation(t *testing.T) {
 		{"negative count means 1", "POST", getts, `{"count": -3}`, http.StatusOK},
 		{"empty body means 1", "POST", getts, ``, http.StatusOK},
 		{"unknown field", "POST", getts, `{"size": 2}`, http.StatusBadRequest},
-		{"malformed json", "POST", "/compare", `{`, http.StatusBadRequest},
+		{"malformed json", "POST", getts, `{`, http.StatusBadRequest},
 		{"wrong method getts", "GET", getts, ``, http.StatusMethodNotAllowed},
 		{"wrong method healthz", "POST", "/healthz", ``, http.StatusMethodNotAllowed},
 		{"unknown path", "GET", "/nope", ``, http.StatusNotFound},

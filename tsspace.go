@@ -5,7 +5,8 @@
 // The paper's object has two operations — getTS() and compare(t1, t2) —
 // with one correctness requirement, the happens-before property: if a
 // getTS() instance returning t1 completes before another returning t2 is
-// invoked, then Compare(t1, t2) is true and Compare(t2, t1) is false.
+// invoked, then Less(t1, t2) is true and Less(t2, t1) is false. Only
+// getTS touches shared memory; compare is the local function Less.
 // The internal harnesses expose the *implementation* contract
 // (Algorithm.GetTS(mem, pid, seq)), which forces every caller to
 // hand-thread shared memory, process identifiers and per-process sequence
@@ -15,7 +16,7 @@
 //	s, err := obj.Attach(ctx)       // lease one of the 64 paper-processes
 //	ts, err := s.GetTS(ctx)         // seq tracking, memory, discipline: handled
 //	n, err := s.GetTSBatch(ctx, buf) // k back-to-back timestamps, zero allocs
-//	before := obj.Compare(t1, t2)
+//	before := tsspace.Less(t1, t2)
 //	s.Detach()                      // the pid is recycled to the next session
 //
 // Session is the local implementation of SessionAPI, the one session
@@ -53,8 +54,16 @@ import (
 // Timestamp is an element of the timestamp universe T = ℕ × (ℕ ∪ {0}):
 // a (Rnd, Turn) pair. Scalar-valued algorithms embed integers as (v, 0).
 // Timestamps are opaque tokens to SDK callers: the only meaningful
-// operation on them is the object's Compare.
+// operation on them is the order Less.
 type Timestamp = timestamp.Timestamp
+
+// Less is compare(t1, t2) for every object of the catalog: the
+// lexicographic order on T (Algorithm 3). Compare reads no register, so
+// it needs no object, no session and no round trip; each registered
+// algorithm's own Compare agrees with Less on the timestamps it issues
+// (the conformance suite asserts it), so Less orders timestamps from any
+// transport.
+func Less(t1, t2 Timestamp) bool { return timestamp.Less(t1, t2) }
 
 // Typed errors of the SDK surface. Errors returned by Object and Session
 // methods match these with errors.Is.

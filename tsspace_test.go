@@ -96,11 +96,11 @@ func TestSessionLifecycleAndTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fw, _ := s.Compare(ctx, t1, t2); !fw {
+	if !tsspace.Less(t1, t2) || !obj.Compare(t1, t2) {
 		t.Errorf("sequential calls not ordered: %v vs %v", t1, t2)
 	}
-	if bw, _ := s.Compare(ctx, t2, t1); bw {
-		t.Errorf("reverse compare true: %v vs %v", t2, t1)
+	if tsspace.Less(t2, t1) || obj.Compare(t2, t1) {
+		t.Errorf("reverse order true: %v vs %v", t2, t1)
 	}
 	if s.Calls() != 2 {
 		t.Errorf("Calls = %d, want 2", s.Calls())
