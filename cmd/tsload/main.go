@@ -43,7 +43,9 @@
 // fresh daemon (and a fresh one-shot budget). With -url, http rows run
 // against that external daemon instead — only for the algorithm it
 // serves; binary rows join them when -binary-url names its binary
-// listener, and self-host otherwise.
+// listener, and self-host otherwise. Multi-tenant rows (the tenants and
+// storm mixes) provision their own namespaces, so their wire rows always
+// self-host.
 //
 // -cpuprofile and -memprofile write pprof profiles of the whole run
 // (driver side: the client encoding/decoding paths under load), for
@@ -343,7 +345,10 @@ const crashTTL = 100 * time.Millisecond
 // different algorithm, and for crash-mix rows against any external daemon
 // (its 60s default TTL would let the abandoned pids wedge the namespace
 // for the whole run — crashing a shared daemon's leases is not this
-// driver's call to make).
+// driver's call to make). Multi-tenant rows provision and
+// force-deprovision namespaces, which is not this driver's call on a
+// shared daemon either, so their wire rows self-host one, as they do
+// without -url.
 func runOne(ctx context.Context, mix tsload.Mix, alg, kind string, opt options) (tsload.Result, bool, error) {
 	procs := opt.procs
 	if isOneShot(alg) {
@@ -352,12 +357,7 @@ func runOne(ctx context.Context, mix tsload.Mix, alg, kind string, opt options) 
 	if mix.AbandonFrac > 0 && kind != "inproc" && opt.url != "" {
 		return tsload.Result{}, true, nil
 	}
-	if mix.Namespaces > 0 && kind != "inproc" && opt.url != "" {
-		// Provisioning (and force-deprovisioning) namespaces on a shared
-		// external daemon is not this driver's call to make — multi-tenant
-		// rows self-host.
-		return tsload.Result{}, true, nil
-	}
+	selfHosted := mix.Namespaces > 0
 	var ttl time.Duration
 	if mix.AbandonFrac > 0 {
 		ttl = crashTTL
@@ -379,7 +379,7 @@ func runOne(ctx context.Context, mix tsload.Mix, alg, kind string, opt options) 
 		target = t
 	case "http":
 		baseURL := opt.url
-		if baseURL == "" {
+		if baseURL == "" || selfHosted {
 			hosted, stop, err := selfHost(alg, procs, ttl)
 			if err != nil {
 				return tsload.Result{}, false, err
@@ -401,7 +401,7 @@ func runOne(ctx context.Context, mix tsload.Mix, alg, kind string, opt options) 
 		// binary row never silently degrades to a different daemon than the
 		// caller asked for.
 		baseURL, binAddr := opt.url, opt.binURL
-		if binAddr == "" {
+		if binAddr == "" || selfHosted {
 			hosted, stop, err := selfHost(alg, procs, ttl)
 			if err != nil {
 				return tsload.Result{}, false, err
@@ -664,8 +664,9 @@ func runSmoke(ctx context.Context, out string, opt options) error {
 		return fmt.Errorf("smoke ran no multi-namespace rows")
 	}
 	if stormRejections == 0 {
-		// Per-transport counts are timing-dependent (in-process leases are
-		// microseconds wide), but across all storm rows the 2-slot quota
+		// Per-row counts are timing-dependent (in-process leases are
+		// microseconds wide, wire leases a round trip), but across the
+		// in-process and self-hosted wire storm rows the 2-slot quota
 		// must have turned at least one attach away.
 		return fmt.Errorf("smoke attach storms provoked no quota rejections — the quota never bit")
 	}

@@ -23,7 +23,10 @@ type Int64Mem interface {
 	Mem
 	// MaxInt64 reads registers 0..m−1 in index order, one atomic read
 	// each — the m reads of the paper's collect — and returns the
-	// largest value read, or 0 when all of them are ⊥.
+	// largest value read, or 0 when all of them are ⊥. How the values
+	// read are folded into the maximum is the implementation's choice
+	// (Int64Array keeps four running maxima); the order of the reads is
+	// not.
 	MaxInt64(m int) int64
 	// WriteInt64 atomically replaces the value of register i.
 	WriteInt64(i int, v int64)
@@ -32,9 +35,10 @@ type Int64Mem interface {
 // Int64Array is a wait-free MWMR register array specialized for int64
 // values: one machine word per register, so each read is a single atomic
 // load and a write a single atomic store — no boxing, no allocation. A
-// collect (MaxInt64) is one loop of loads over the words. The generic
-// Read/Write operations interoperate with the scalar ones on the same
-// storage (a generic Write must carry an int64).
+// collect (MaxInt64) is one pass of loads over the words in index order,
+// folded into four running maxima, one per lane of a group of four words.
+// The generic Read/Write operations interoperate with the scalar ones on
+// the same storage (a generic Write must carry an int64).
 type Int64Array struct {
 	words []atomic.Uint64
 }
@@ -77,16 +81,26 @@ func (a *Int64Array) Size() int { return len(a.words) }
 // value, 0 when all are ⊥. A ⊥ word is 0 and every other word is its value
 // plus one, so the maximum word decodes to the maximum value.
 //
+// The words go four at a time into four running maxima, one per lane, so
+// no compare waits on the one before it in its group; a tail loop covers
+// the last m mod 4. The lanes only change how the words read are folded:
+// the loads are still issued one at a time in index order.
+//
 //tslint:hotpath
 func (a *Int64Array) MaxInt64(m int) int64 {
-	var max uint64
 	words := a.words[:m]
-	for i := range words {
-		if w := words[i].Load(); w > max {
-			max = w
-		}
+	var m0, m1, m2, m3 uint64
+	for len(words) >= 4 {
+		m0 = max(m0, words[0].Load())
+		m1 = max(m1, words[1].Load())
+		m2 = max(m2, words[2].Load())
+		m3 = max(m3, words[3].Load())
+		words = words[4:]
 	}
-	v, _ := unpackInt64(max)
+	for i := range words {
+		m0 = max(m0, words[i].Load())
+	}
+	v, _ := unpackInt64(max(m0, m1, m2, m3))
 	return v
 }
 

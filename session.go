@@ -172,8 +172,10 @@ func (o *Object) reapLoop(ttl time.Duration) {
 					continue
 				}
 				if now.Sub(st.since) >= ttl {
-					s.Detach()
+					// Book the reap before Detach frees the pid, so
+					// whoever attaches it next sees the reap in Stats.
 					o.reaped.Add(1)
+					s.Detach()
 					delete(state, s)
 				}
 			}
@@ -278,22 +280,39 @@ type Stats struct {
 // operation stream has stopped. Sessions must be Detached when done so
 // their process id can serve the next client.
 //
-// The hot path is lock-free: a GetTS is two atomic loads (detached flag,
-// sequence number), the algorithm's register operations, and two atomic
-// stores — no session mutex and no object-wide mutex, so sessions of the
-// same object never serialize on SDK state, only on whatever registers
-// the algorithm itself contends on.
+// The hot path is lock-free and is one loop: GetTS is a GetTSBatch of
+// one. A batch checks its guards (detached flag, closed object, context)
+// once, then runs the algorithm's register operations once per timestamp
+// with the sequence number in a local. It publishes that number to the
+// session after every 64th timestamp and once at the end, and adds the
+// whole batch to the object's call count with one atomic add. No session
+// mutex and no object-wide mutex is taken, so sessions of the same object
+// never serialize on SDK state, only on whatever registers the algorithm
+// itself contends on.
+//
+// The store every 64 timestamps is what keeps a long batch leased under
+// WithSessionTTL: the reaper detaches a session whose published number
+// has not moved for a TTL, and detaching a session mid-batch would free
+// its pid — and that pid's single-writer register — for a second lease
+// while the batch is still writing it.
 type Session struct {
 	obj  *Object
 	pid  int
 	seq0 int64 // the pid's seq at Attach; Calls() = seq − seq0
 
-	// seq is this session's view of the pid's getTS count. It is atomic so
-	// that read-only methods (Calls) and a late Detach race cleanly with
-	// the operation stream; the stream itself must be sequential.
+	// seq is the pid's getTS count as last published by the operation
+	// stream (see publishEvery). It is atomic so that read-only methods
+	// (Calls), the TTL reaper and a late Detach race cleanly with the
+	// stream; the stream itself must be sequential.
 	seq      atomic.Int64
 	detached atomic.Bool
 }
+
+// publishEvery is how many timestamps a batch issues between stores of
+// its sequence number to Session.seq: often enough that the TTL reaper
+// sees a running batch move, rarely enough that the store costs nothing
+// per timestamp.
+const publishEvery = 64
 
 var _ SessionAPI = (*Session)(nil)
 
@@ -302,7 +321,9 @@ var _ SessionAPI = (*Session)(nil)
 // ids are recycled across time.
 func (s *Session) Pid() int { return s.pid }
 
-// Calls returns the number of timestamps this session has taken.
+// Calls returns the number of timestamps this session has taken. While a
+// batch runs it may lag that batch by fewer than publishEvery timestamps;
+// once the batch returns it is exact.
 func (s *Session) Calls() int { return int(s.seq.Load() - s.seq0) }
 
 // ready performs the per-call guards once per GetTS or per batch:
@@ -321,40 +342,19 @@ func (s *Session) ready(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// next issues one timestamp, advancing the session's sequence number. It
-// does not touch o.calls; callers account for the whole batch.
-func (s *Session) next() (Timestamp, error) {
-	o := s.obj
-	seq := s.seq.Load()
-	if o.oneShot && seq > 0 {
-		//tslint:allow hotpath cold failure path: a conforming one-shot client never re-calls
-		return Timestamp{}, fmt.Errorf("tsspace: process %d already issued its timestamp: %w", s.pid, ErrOneShot)
-	}
-	ts, err := o.alg.GetTS(o.mems[s.pid], s.pid, int(seq))
-	if err != nil {
-		//tslint:allow hotpath algorithm failure path: an errored call has already left the zero-alloc contract
-		return Timestamp{}, fmt.Errorf("tsspace: %s p%d getTS#%d: %w", o.info.Name, s.pid, seq, err)
-	}
-	s.seq.Store(seq + 1)
-	return ts, nil
-}
-
-// GetTS performs one getTS() instance as this session's process. The
-// sequence number the implementation contract requires is tracked in the
-// session (seeded from the pid's slot at Attach and written back at
-// Detach), surviving lease recycling without any shared lock.
+// GetTS performs one getTS() instance as this session's process: a
+// GetTSBatch of one on the stack. The sequence number the implementation
+// contract requires is tracked in the session (seeded from the pid's slot
+// at Attach and written back at Detach), surviving lease recycling
+// without any shared lock.
 //
 //tslint:hotpath
 func (s *Session) GetTS(ctx context.Context) (Timestamp, error) {
-	if err := s.ready(ctx); err != nil {
+	var one [1]Timestamp
+	if _, err := s.GetTSBatch(ctx, one[:]); err != nil {
 		return Timestamp{}, err
 	}
-	ts, err := s.next()
-	if err != nil {
-		return Timestamp{}, err
-	}
-	s.obj.calls.Add(1)
-	return ts, nil
+	return one[0], nil
 }
 
 // GetTSBatch fills dst with len(dst) timestamps issued back to back by
@@ -373,22 +373,35 @@ func (s *Session) GetTSBatch(ctx context.Context, dst []Timestamp) (int, error) 
 	if err := s.ready(ctx); err != nil {
 		return 0, err
 	}
+	o := s.obj
+	mem := o.mems[s.pid]
+	seq := s.seq.Load()
+	var err error
 	n := 0
 	for n < len(dst) {
-		ts, err := s.next()
-		if err != nil {
-			if n > 0 {
-				s.obj.calls.Add(uint64(n))
-			}
-			return n, err
+		if o.oneShot && seq > 0 {
+			//tslint:allow hotpath cold failure path: a conforming one-shot client never re-calls
+			err = fmt.Errorf("tsspace: process %d already issued its timestamp: %w", s.pid, ErrOneShot)
+			break
+		}
+		ts, gerr := o.alg.GetTS(mem, s.pid, int(seq))
+		if gerr != nil {
+			//tslint:allow hotpath algorithm failure path: an errored call has already left the zero-alloc contract
+			err = fmt.Errorf("tsspace: %s p%d getTS#%d: %w", o.info.Name, s.pid, seq, gerr)
+			break
 		}
 		dst[n] = ts
 		n++
+		seq++
+		if n%publishEvery == 0 {
+			s.seq.Store(seq)
+		}
 	}
 	if n > 0 {
-		s.obj.calls.Add(uint64(n))
+		s.seq.Store(seq)
+		o.calls.Add(uint64(n))
 	}
-	return n, nil
+	return n, err
 }
 
 // Detach releases the session's process id, writing the session's

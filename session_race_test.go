@@ -89,13 +89,14 @@ func TestSessionChurnRaceHappensBefore(t *testing.T) {
 
 // The batch-first churn workload of the v2 redesign: 64 goroutines loop
 // Attach → GetTSBatch → Detach against a 16-pid object while dedicated
-// readers hammer Usage() and Stats() — under -race this checks that the
-// lock-free hot path, the padded seq slots, and the cold-path bookkeeping
-// never trade data races for the dropped object-wide mutex. Afterwards
-// every worker's batch stream goes through hbcheck: batches from one
-// worker are sequential in real time, so the whole per-worker stream must
-// be strictly ordered — in particular every batch must be internally
-// strictly ordered.
+// readers hammer Usage() and Stats(), and one more reads Calls() on the
+// live sessions while their batches publish it — under -race this checks
+// that the lock-free hot path, the padded seq slots, and the cold-path
+// bookkeeping never trade data races for the dropped object-wide mutex.
+// Afterwards every worker's batch stream goes through hbcheck: batches
+// from one worker are sequential in real time, so the whole per-worker
+// stream must be strictly ordered — in particular every batch must be
+// internally strictly ordered.
 func TestBatchChurnRaceWithConcurrentReaders(t *testing.T) {
 	const (
 		procs    = 16
@@ -109,6 +110,26 @@ func TestBatchChurnRaceWithConcurrentReaders(t *testing.T) {
 
 	stop := make(chan struct{})
 	var readerWG sync.WaitGroup
+	live := make([]atomic.Pointer[tsspace.Session], workers)
+	readerWG.Add(1)
+	go func() {
+		defer readerWG.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for w := range live {
+				if s := live[w].Load(); s != nil {
+					if c := s.Calls(); c < 0 || c > maxBatch {
+						t.Errorf("worker %d: live session Calls = %d, want 0..%d", w, c, maxBatch)
+						return
+					}
+				}
+			}
+		}
+	}()
 	for i := 0; i < readers; i++ {
 		readerWG.Add(1)
 		go func() {
@@ -147,6 +168,7 @@ func TestBatchChurnRaceWithConcurrentReaders(t *testing.T) {
 					t.Errorf("worker %d round %d: attach: %v", w, round, err)
 					return
 				}
+				live[w].Store(s)
 				size := 1 + (w+round)%maxBatch
 				start := rec.Begin()
 				n, err := s.GetTSBatch(ctx, buf[:size])

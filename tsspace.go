@@ -23,8 +23,11 @@
 // surface shared with tsserve.RemoteSession (the same semantics over the
 // wire) and with the tsload drivers — write against the interface and the
 // transport becomes a deployment decision. The session hot path is
-// lock-free: per-pid sequence state lives in padded slots owned by the
-// leasing session, so GetTS and GetTSBatch touch no object-wide mutex.
+// lock-free and is one loop, GetTSBatch (GetTS is a batch of one): while
+// a pid is leased its sequence count lives in the Session, which a batch
+// updates every 64 timestamps and at its end, and a cache-line-padded
+// per-pid slot holds it only between leases, so GetTS and GetTSBatch
+// touch no object-wide mutex.
 //
 // An Object is configured for a fixed number of paper-processes n, but
 // serves arbitrarily many logical clients: Attach leases a free process

@@ -148,6 +148,41 @@ func TestSeqPersistsAcrossLeases(t *testing.T) {
 	}
 }
 
+// The batch form of TestSeqPersistsAcrossLeases: a batch counts its
+// sequence numbers in a local and publishes them at its end, and Detach
+// writes back what was published — so the next lease of the pid must
+// continue after the whole batch, not after its last publication point.
+// dense's silent process (pid n−1) never writes, so its timestamps order
+// by sequence number alone: a lost count would reissue a smaller one.
+func TestSeqPersistsAcrossBatchLeases(t *testing.T) {
+	ctx := context.Background()
+	obj := mustNew(t, tsspace.WithAlgorithm("dense"), tsspace.WithProcs(2))
+	writer, err := obj.Attach(ctx) // hold pid 0, so every lease below is the silent pid 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer writer.Detach()
+	buf := make([]tsspace.Timestamp, 100)
+	var last tsspace.Timestamp
+	for lease := 0; lease < 3; lease++ {
+		s, err := obj.Attach(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Pid() != 1 {
+			t.Fatalf("lease %d got pid %d, want the silent pid 1", lease, s.Pid())
+		}
+		if n, err := s.GetTSBatch(ctx, buf); n != len(buf) || err != nil {
+			t.Fatalf("lease %d: batch = (%d, %v), want (%d, nil)", lease, n, err, len(buf))
+		}
+		if lease > 0 && !tsspace.Less(last, buf[0]) {
+			t.Errorf("lease %d: first timestamp %v not after the previous lease's last %v", lease, buf[0], last)
+		}
+		last = buf[len(buf)-1]
+		s.Detach()
+	}
+}
+
 func TestGetTSBatchFillsAndOrders(t *testing.T) {
 	ctx := context.Background()
 	obj := mustNew(t, tsspace.WithProcs(4))
@@ -187,6 +222,29 @@ func TestGetTSBatchFillsAndOrders(t *testing.T) {
 	}
 }
 
+// A batch publishes its count every 64 timestamps and once at its end:
+// a batch of 200 crosses three publication points and ends between two,
+// and both counters must come out exact.
+func TestGetTSBatchCountsExactly(t *testing.T) {
+	ctx := context.Background()
+	obj := mustNew(t, tsspace.WithProcs(2))
+	s, err := obj.Attach(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Detach()
+	buf := make([]tsspace.Timestamp, 200)
+	if n, err := s.GetTSBatch(ctx, buf); n != 200 || err != nil {
+		t.Fatalf("GetTSBatch = (%d, %v), want (200, nil)", n, err)
+	}
+	if s.Calls() != 200 {
+		t.Errorf("Calls = %d, want 200", s.Calls())
+	}
+	if st := obj.Stats(); st.Calls != 200 {
+		t.Errorf("object Calls = %d, want 200", st.Calls)
+	}
+}
+
 func TestGetTSBatchTypedErrors(t *testing.T) {
 	ctx := context.Background()
 	obj := mustNew(t, tsspace.WithProcs(2))
@@ -212,6 +270,9 @@ func TestGetTSBatchTypedErrors(t *testing.T) {
 	if n != 1 || !errors.Is(err, tsspace.ErrOneShot) {
 		t.Errorf("one-shot batch = (%d, %v), want (1, ErrOneShot)", n, err)
 	}
+	if so.Calls() != 1 {
+		t.Errorf("Calls after a cut-short one-shot batch = %d, want 1", so.Calls())
+	}
 }
 
 // The acceptance bar of the v2 redesign: a batch on a scalar long-lived
@@ -219,6 +280,8 @@ func TestGetTSBatchTypedErrors(t *testing.T) {
 // amortized guards) and the scalar register arrays add none (one atomic
 // word per register, no boxing). The metered rows pin the configuration
 // the daemon ships (collect, n = 64, metered): the meter adds none either.
+// A single GetTS is a batch of one on the caller's stack, and must stay at
+// zero too.
 func TestGetTSBatchZeroAllocs(t *testing.T) {
 	ctx := context.Background()
 	for _, opts := range [][]tsspace.Option{
@@ -240,6 +303,14 @@ func TestGetTSBatchZeroAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s: GetTSBatch allocated %.1f objects per batch, want 0", obj.Algorithm(), allocs)
+		}
+		allocs = testing.AllocsPerRun(100, func() {
+			if _, err := s.GetTS(ctx); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: GetTS allocated %.1f objects per call, want 0", obj.Algorithm(), allocs)
 		}
 		s.Detach()
 	}

@@ -41,7 +41,9 @@ func TestSessionTTLReclaimsAbandonedLeases(t *testing.T) {
 	}
 
 	// All pids are leased and abandoned; a fresh Attach can only succeed
-	// once the reaper reclaims one.
+	// once the reaper reclaims one. The new leases are held until all n
+	// are granted, so the loop needs every abandoned pid back, not just
+	// one recycled n times.
 	attachCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
 	second := make([]tsspace.Timestamp, n)
@@ -50,10 +52,10 @@ func TestSessionTTLReclaimsAbandonedLeases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("re-attach %d after abandonment: %v", i, err)
 		}
+		defer s.Detach()
 		if second[i], err = s.GetTS(ctx); err != nil {
 			t.Fatal(err)
 		}
-		s.Detach()
 	}
 
 	// Happens-before across the reclamation: every pre-crash timestamp
@@ -154,5 +156,75 @@ func TestSessionTTLCrashChurnRace(t *testing.T) {
 			t.Fatalf("post-churn attach %d: %v", i, err)
 		}
 		defer s.Detach()
+	}
+}
+
+// A long batch is one call but many steps, and the reaper must see it
+// move: GetTSBatch publishes its sequence number every 64 timestamps, so
+// a batch that outlasts many TTLs is never taken for an abandoned lease.
+// A batch that published only at its end would look idle for its whole
+// length, be detached mid-batch, and free its pid — and that pid's
+// single-writer register — for a second lease while it still wrote.
+//
+// The TTL is 50 ms, not a few: on a shared 2-vCPU host a spinning
+// goroutine sees a scheduling gap over 5 ms in about one 100 ms window
+// in 25, and a reaper cannot tell such a gap from an idle lease. n = 2048
+// makes each timestamp a 2048-register collect, so ten TTLs fit in a few
+// MiB of timestamps, and 64 of them take a few ms under -race.
+func TestSessionTTLSparesLongBatch(t *testing.T) {
+	const (
+		ttl     = 50 * time.Millisecond
+		maxSize = 1 << 20 // 16 MiB of timestamps, should the host be very fast
+	)
+	obj, err := tsspace.New(
+		tsspace.WithAlgorithm("collect"),
+		tsspace.WithProcs(2048),
+		tsspace.WithMetering(),
+		tsspace.WithSessionTTL(ttl),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer obj.Close()
+	ctx := context.Background()
+
+	// Size the batch from a timed probe so that it lasts at least ten
+	// TTLs on this host, race detector or not: the probe runs cold, so
+	// aim at twelve. The probe has a lease of its own, and the session
+	// under test attaches only once its buffer is allocated, so nothing
+	// but the batch runs between its attach and its last timestamp.
+	probe := make([]tsspace.Timestamp, 1024)
+	ps, err := obj.Attach(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if n, err := ps.GetTSBatch(ctx, probe); n != len(probe) || err != nil {
+		t.Fatalf("probe batch = (%d, %v), want (%d, nil)", n, err, len(probe))
+	}
+	perTS := time.Since(start) / time.Duration(len(probe))
+	ps.Detach()
+	size := min(maxSize, int(12*ttl/max(perTS, 1)))
+	buf := make([]tsspace.Timestamp, size)
+
+	s, err := obj.Attach(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Detach()
+	start = time.Now()
+	n, err := s.GetTSBatch(ctx, buf)
+	took := time.Since(start)
+	if n != size || err != nil {
+		t.Fatalf("long batch = (%d, %v), want (%d, nil)", n, err, size)
+	}
+	if took < 10*ttl {
+		t.Logf("batch of %d took %v, under ten TTLs of %v: the reaper had fewer chances", size, took, ttl)
+	}
+	if got := obj.Stats().Reaped; got != 0 {
+		t.Errorf("Stats().Reaped = %d after a %v batch under a %v TTL, want 0", got, took, ttl)
+	}
+	if _, err := s.GetTS(ctx); err != nil {
+		t.Errorf("GetTS after the long batch = %v, want a timestamp", err)
 	}
 }
