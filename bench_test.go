@@ -24,7 +24,7 @@ import (
 )
 
 // run is the benchmark-side shorthand for one engine run.
-func run(b *testing.B, cfg engine.Config[timestamp.Timestamp]) *engine.Report[timestamp.Timestamp] {
+func run(b *testing.B, cfg engine.Config) *engine.Report {
 	b.Helper()
 	rep, err := engine.Run(cfg)
 	if err != nil {
@@ -106,7 +106,7 @@ func BenchmarkE4_SimpleSpace(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var written int
 			for i := 0; i < b.N; i++ {
-				rep := run(b, engine.Config[timestamp.Timestamp]{
+				rep := run(b, engine.Config{
 					Alg: timestamp.MustNew("simple", n), World: engine.Atomic, N: n, Workload: engine.OneShot{},
 				})
 				written = rep.Space.Written
@@ -174,7 +174,7 @@ func BenchmarkE7_InvalidationWrites(b *testing.B) {
 				alg := sqrt.New(n)
 				tracer := &sqrt.ChronoTracer{}
 				alg.SetTracer(tracer)
-				rep := run(b, engine.Config[timestamp.Timestamp]{
+				rep := run(b, engine.Config{
 					Alg:      alg,
 					World:    engine.Simulated,
 					N:        n,
@@ -219,7 +219,7 @@ func BenchmarkE8_SpaceGap(b *testing.B) {
 				}
 				var written int
 				for i := 0; i < b.N; i++ {
-					rep := run(b, engine.Config[timestamp.Timestamp]{
+					rep := run(b, engine.Config{
 						Alg: alg, World: engine.Atomic, N: n, Workload: wl,
 					})
 					written = rep.Space.Written
@@ -240,7 +240,7 @@ func BenchmarkE9_MBounded(b *testing.B) {
 	var written int
 	for i := 0; i < b.N; i++ {
 		alg := sqrt.NewBounded(m)
-		rep := run(b, engine.Config[timestamp.Timestamp]{
+		rep := run(b, engine.Config{
 			Alg: alg, World: engine.Atomic, N: procs,
 			Workload: engine.LongLived{CallsPerProc: callsPer},
 		})
@@ -275,7 +275,7 @@ func benchThroughput(b *testing.B, mk func(int) timestamp.Algorithm) {
 				// Unmetered: this experiment measures the algorithm's own
 				// contention, and a metered handle adds a counter add to
 				// every register operation.
-				run(b, engine.Config[timestamp.Timestamp]{
+				run(b, engine.Config{
 					Alg: alg, World: engine.Atomic, N: n,
 					Workload:  engine.LongLived{CallsPerProc: callsPer},
 					Unmetered: true,
@@ -304,7 +304,7 @@ func BenchmarkGetTS_SqrtOneShot(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				run(b, engine.Config[timestamp.Timestamp]{
+				run(b, engine.Config{
 					Alg: timestamp.MustNew("sqrt", n), World: engine.Atomic, N: n,
 					Workload: engine.Sequential{}, Unmetered: true,
 				})
@@ -321,7 +321,7 @@ func BenchmarkGetTS_Simple(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				run(b, engine.Config[timestamp.Timestamp]{
+				run(b, engine.Config{
 					Alg: timestamp.MustNew("simple", n), World: engine.Atomic, N: n,
 					Workload: engine.Sequential{}, Unmetered: true,
 				})
@@ -434,7 +434,7 @@ func BenchmarkAblationRepairWrites(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var writes uint64
 			for i := 0; i < b.N; i++ {
-				rep := run(b, engine.Config[timestamp.Timestamp]{
+				rep := run(b, engine.Config{
 					Alg: alg, World: engine.Atomic, N: n,
 					Workload: engine.Sequential{},
 				})

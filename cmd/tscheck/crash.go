@@ -28,7 +28,7 @@ func crashCheck(cfg modelCheckConfig, ns []int) bool {
 	for _, name := range timestamp.AllNames() {
 		fam, _ := timestamp.Lookup(name)
 		probe := fam.New(fam.MinProcs)
-		if !engine.Simulable[timestamp.Timestamp](probe) {
+		if !engine.Simulable(probe) {
 			fmt.Printf("skip  %-22s not simulable: no crash legs\n", name)
 			continue
 		}
@@ -37,21 +37,21 @@ func crashCheck(cfg modelCheckConfig, ns []int) bool {
 			if n < fam.MinProcs {
 				continue
 			}
-			mkAlg := func() engine.Algorithm[timestamp.Timestamp] { return fam.New(n) }
+			mkAlg := func() timestamp.Algorithm { return fam.New(n) }
 			alg := mkAlg()
 			var wl engine.Workload = engine.LongLived{CallsPerProc: fam.ExploreCalls}
 			if alg.OneShot() {
 				wl = engine.OneShot{}
 			}
-			c := engine.Config[timestamp.Timestamp]{
+			c := engine.Config{
 				Alg: alg, World: engine.Simulated, N: n, Workload: wl, Seed: cfg.seed,
 			}
-			runs, err := engine.CrashSweep(c, engine.CrashSweepOptions[timestamp.Timestamp]{
+			runs, err := engine.CrashSweep(c, engine.CrashSweepOptions{
 				Shrink: cfg.shrink, NewAlg: mkAlg,
 			})
 			what := fmt.Sprintf("crash sweep n=%d (%d executions)", n, runs)
 			if err == nil {
-				rep, ferr := engine.CrashFuzz(c, engine.CrashFuzzOptions[timestamp.Timestamp]{
+				rep, ferr := engine.CrashFuzz(c, engine.CrashFuzzOptions{
 					Count: 50, Crashes: 2, Shrink: cfg.shrink, NewAlg: mkAlg,
 				})
 				what = fmt.Sprintf("%s + crash fuzz (%d schedules)", what, rep.Schedules)
@@ -94,7 +94,7 @@ func confront(cfg modelCheckConfig, ns []int) bool {
 		"algorithm", "n", "adversary", "m", "covered", "certificate", "margin", "steps")
 	for _, fam := range families {
 		probe := fam.New(fam.MinProcs)
-		if !engine.Simulable[timestamp.Timestamp](probe) {
+		if !engine.Simulable(probe) {
 			continue
 		}
 		for _, n := range ns {
@@ -104,7 +104,7 @@ func confront(cfg modelCheckConfig, ns []int) bool {
 			var rec *hbcheck.Recorder[timestamp.Timestamp]
 			factory := func(wl engine.Workload) sched.Factory {
 				return func() *sched.System {
-					sys, r, _ := engine.NewSimSystem(engine.Config[timestamp.Timestamp]{
+					sys, r, _ := engine.NewSimSystem(engine.Config{
 						Alg: fam.New(n), World: engine.Simulated, N: n, Workload: wl, Seed: cfg.seed,
 					})
 					rec = r

@@ -119,8 +119,8 @@ func modelCheck(cfg modelCheckConfig) int {
 				if en > 2 {
 					calls = 1 // long-lived call programs explode beyond n=2
 				}
-				spec := engine.ConformanceSpec[timestamp.Timestamp]{
-					New:          func(n int) engine.Algorithm[timestamp.Timestamp] { return fam.New(n) },
+				spec := engine.ConformanceSpec{
+					New:          func(n int) timestamp.Algorithm { return fam.New(n) },
 					ExhaustiveNs: []int{en},
 					Calls:        calls,
 					MaxVisits:    exploreCap,
@@ -154,12 +154,12 @@ func modelCheck(cfg modelCheckConfig) int {
 			if calls > 1 {
 				wl = engine.LongLived{CallsPerProc: calls}
 			}
-			rep, err := engine.Fuzz(engine.Config[timestamp.Timestamp]{
+			rep, err := engine.Fuzz(engine.Config{
 				Alg: alg, World: engine.Simulated, N: cfg.fuzzN, Workload: wl, Seed: cfg.seed,
-			}, engine.FuzzOptions[timestamp.Timestamp]{
+			}, engine.FuzzOptions{
 				Count:  cfg.fuzz,
 				Shrink: cfg.shrink,
-				NewAlg: func() engine.Algorithm[timestamp.Timestamp] { return fam.New(cfg.fuzzN) },
+				NewAlg: func() timestamp.Algorithm { return fam.New(cfg.fuzzN) },
 			})
 			what := fmt.Sprintf("fuzz %d×%d: %d %s schedules", cfg.fuzzN, calls, rep.Schedules, rep.World)
 			reportLine(&failed, alg.Name(), what, err)
@@ -219,7 +219,7 @@ func compareRow(fam timestamp.Info, res engine.ConformanceResult) report.Explora
 	if res.Calls > 1 {
 		wl = engine.LongLived{CallsPerProc: res.Calls}
 	}
-	naive, err := engine.Explore(engine.Config[timestamp.Timestamp]{
+	naive, err := engine.Explore(engine.Config{
 		Alg: fam.New(res.N), World: engine.Simulated, N: res.N, Workload: wl,
 	}, exploreCap, 100_000)
 	if err == nil && naive < exploreCap {
@@ -236,11 +236,11 @@ func compareRow(fam timestamp.Info, res engine.ConformanceResult) report.Explora
 // objects.
 func mutantCaught(cfg modelCheckConfig) bool {
 	const n = 2
-	newMutant := func() engine.Algorithm[timestamp.Timestamp] { return timestamp.MustNew("collect-stale-scan", n) }
-	_, err := engine.Exhaustive(engine.Config[timestamp.Timestamp]{
+	newMutant := func() timestamp.Algorithm { return timestamp.MustNew("collect-stale-scan", n) }
+	_, err := engine.Exhaustive(engine.Config{
 		Alg: newMutant(), World: engine.Simulated, N: n,
 		Workload: engine.LongLived{CallsPerProc: 2},
-	}, engine.ExhaustiveOptions[timestamp.Timestamp]{
+	}, engine.ExhaustiveOptions{
 		POR: cfg.por, Shrink: cfg.shrink, NewAlg: newMutant,
 	})
 	cex, ok := err.(*engine.Counterexample)
@@ -284,13 +284,13 @@ func classic(n, visits, samples, reps int, seed int64) {
 			continue
 		}
 		alg := fam.New(n)
-		simulable := engine.Simulable[timestamp.Timestamp](alg)
+		simulable := engine.Simulable(alg)
 		calls := 2
 		if alg.OneShot() {
 			calls = 1
 		}
-		cfg := func(world engine.World, wl engine.Workload) engine.Config[timestamp.Timestamp] {
-			return engine.Config[timestamp.Timestamp]{
+		cfg := func(world engine.World, wl engine.Workload) engine.Config {
+			return engine.Config{
 				Alg: alg, World: world, N: n, Workload: wl, Seed: seed,
 			}
 		}
@@ -322,7 +322,7 @@ func classic(n, visits, samples, reps int, seed int64) {
 
 		var concErr error
 		for r := 0; r < reps && concErr == nil; r++ {
-			var rep *engine.Report[timestamp.Timestamp]
+			var rep *engine.Report
 			rep, concErr = engine.Run(cfg(engine.Atomic, engine.LongLived{CallsPerProc: calls}))
 			if concErr == nil {
 				concErr = rep.Verify(alg.Compare)

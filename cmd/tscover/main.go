@@ -19,7 +19,6 @@ import (
 
 	"tsspace/internal/engine"
 	"tsspace/internal/lowerbound"
-	"tsspace/internal/timestamp"
 	"tsspace/internal/timestamp/sqrt"
 )
 
@@ -57,7 +56,7 @@ func phases(n int, seed int64) {
 	alg := sqrt.New(n)
 	tracer := &sqrt.ChronoTracer{}
 	alg.SetTracer(tracer)
-	run, err := engine.Run(engine.Config[timestamp.Timestamp]{
+	run, err := engine.Run(engine.Config{
 		Alg:      alg,
 		World:    engine.Simulated,
 		N:        n,

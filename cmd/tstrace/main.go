@@ -65,7 +65,7 @@ func main() {
 		os.Exit(2)
 	}
 	alg := info.New(*n)
-	if !engine.Simulable[timestamp.Timestamp](alg) {
+	if !engine.Simulable(alg) {
 		fmt.Fprintf(os.Stderr, "tstrace: %s cannot run under the deterministic scheduler\n", info.Name)
 		os.Exit(2)
 	}
@@ -96,7 +96,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	rep, err := engine.Run(engine.Config[timestamp.Timestamp]{
+	rep, err := engine.Run(engine.Config{
 		Alg:      alg,
 		World:    engine.Simulated,
 		N:        *n,
@@ -139,12 +139,12 @@ func hasCrashEntry(entries []int) bool {
 // fault-injection harness and renders the 2n-incarnation trace (scheduler
 // pid n+p is the recovery incarnation of paper process p). It returns the
 // process exit code: 1 when the witness reproduces a violation.
-func crashReplay(alg engine.Algorithm[timestamp.Timestamp], n, calls int, seed int64, entries []int) int {
+func crashReplay(alg timestamp.Algorithm, n, calls int, seed int64, entries []int) int {
 	var wl engine.Workload = engine.LongLived{CallsPerProc: calls}
 	if alg.OneShot() {
 		wl = engine.OneShot{}
 	}
-	rep, err := engine.ReplayCrashSchedule(engine.Config[timestamp.Timestamp]{
+	rep, err := engine.ReplayCrashSchedule(engine.Config{
 		Alg: alg, World: engine.Simulated, N: n, Workload: wl, Seed: seed,
 	}, entries)
 	if rep == nil {

@@ -52,7 +52,7 @@ type parked struct {
 // assertions are the caller's concern via the recorder).
 func StaleRelease(n int) (*Result, error) {
 	alg := sqrt.New(n)
-	sys, rec, _ := engine.NewSimSystem(engine.Config[timestamp.Timestamp]{
+	sys, rec, _ := engine.NewSimSystem(engine.Config{
 		Alg:      alg,
 		World:    engine.Simulated,
 		N:        n,
@@ -209,7 +209,7 @@ func SequentialPhases(n int) int {
 // MeasureSequential runs n one-shot getTS calls strictly sequentially on
 // real memory and returns the number of phases (non-⊥ registers).
 func MeasureSequential(n int) (int, error) {
-	rep, err := engine.Run(engine.Config[timestamp.Timestamp]{
+	rep, err := engine.Run(engine.Config{
 		Alg:      sqrt.New(n),
 		World:    engine.Atomic,
 		N:        n,

@@ -6,7 +6,6 @@ import (
 	"tsspace/internal/engine"
 	"tsspace/internal/hbcheck"
 	"tsspace/internal/sched"
-	"tsspace/internal/timestamp"
 	"tsspace/internal/timestamp/sqrt"
 )
 
@@ -29,7 +28,7 @@ import (
 // scheduling; see EXPERIMENTS.md (E3).
 func DoubleCross(n int) (*Result, error) {
 	alg := sqrt.New(n)
-	sys, rec, _ := engine.NewSimSystem(engine.Config[timestamp.Timestamp]{
+	sys, rec, _ := engine.NewSimSystem(engine.Config{
 		Alg:      alg,
 		World:    engine.Simulated,
 		N:        n,

@@ -10,6 +10,7 @@ import (
 	"tsspace/internal/mc"
 	"tsspace/internal/register"
 	"tsspace/internal/sched"
+	"tsspace/internal/timestamp"
 )
 
 // simCapable is an optional Algorithm capability: implementations whose
@@ -20,7 +21,7 @@ type simCapable interface{ Simulable() bool }
 // Simulable reports whether alg can run under the deterministic scheduler.
 // Algorithms opt out by implementing Simulable() bool; everything written
 // purely against register.Mem is simulable by construction.
-func Simulable[T any](alg Algorithm[T]) bool {
+func Simulable(alg timestamp.Algorithm) bool {
 	if s, ok := alg.(simCapable); ok {
 		return s.Simulable()
 	}
@@ -56,11 +57,11 @@ func (s *callSpans) get(pid, seq int) (first, last int) {
 }
 
 // calls joins recorded events with their operation spans.
-func callsFromEvents[T any](events []hbcheck.Event[T], spans *callSpans) []mc.Call[T] {
-	out := make([]mc.Call[T], 0, len(events))
+func callsFromEvents(events []hbcheck.Event[timestamp.Timestamp], spans *callSpans) []mc.Call[timestamp.Timestamp] {
+	out := make([]mc.Call[timestamp.Timestamp], 0, len(events))
 	for _, ev := range events {
 		first, last := spans.get(ev.Pid, ev.Seq)
-		out = append(out, mc.Call[T]{Pid: ev.Pid, Seq: ev.Seq, First: first, Last: last, Val: ev.Val})
+		out = append(out, mc.Call[timestamp.Timestamp]{Pid: ev.Pid, Seq: ev.Seq, First: first, Last: last, Val: ev.Val})
 	}
 	return out
 }
@@ -97,11 +98,20 @@ func (m *countedMem) Write(i int, v register.Value) {
 	m.c.ops++
 }
 
+// MaxInt64 collects with m Reads, so each read is counted as it is
+// granted.
+func (m *countedMem) MaxInt64(n int) int64 { return register.CollectMax(m, n) }
+
+func (m *countedMem) WriteInt64(i int, v int64) {
+	m.inner.WriteInt64(i, v)
+	m.c.ops++
+}
+
 // newSimSystemSpans is NewSimSystem plus call-span tracking: each process's
 // operations are counted through the counting layer so that every
 // completed call knows which slice of its process's operation sequence it
 // occupied. NewSimSystem delegates here and drops the spans.
-func newSimSystemSpans[T any](cfg Config[T]) (*sched.System, *hbcheck.Recorder[T], *register.Meter, *callSpans) {
+func newSimSystemSpans(cfg Config) (*sched.System, *hbcheck.Recorder[timestamp.Timestamp], *register.Meter, *callSpans) {
 	wl := cfg.Workload
 	if wl == nil {
 		wl = OneShot{}
@@ -113,7 +123,7 @@ func newSimSystemSpans[T any](cfg Config[T]) (*sched.System, *hbcheck.Recorder[T
 	if cfg.Unmetered {
 		metered = nil
 	}
-	rec := &hbcheck.Recorder[T]{}
+	rec := &hbcheck.Recorder[timestamp.Timestamp]{}
 	spans := newCallSpans()
 	sys := sched.New(cfg.N, m, func(pid int, mem register.Mem) (any, error) {
 		// The op counter sits directly above the scheduler's memory so
@@ -128,7 +138,7 @@ func newSimSystemSpans[T any](cfg Config[T]) (*sched.System, *hbcheck.Recorder[T
 			register.DisciplineFor(table, pid),
 		)
 		calls := wl.Calls(pid, cfg.N)
-		out := make([]T, 0, calls)
+		out := make([]timestamp.Timestamp, 0, calls)
 		for k := 0; k < calls; k++ {
 			first := counter.ops
 			sm, stamp := register.StampFirstOp(mem, rec.Begin)
@@ -174,7 +184,7 @@ func (c *Counterexample) Error() string {
 func (c *Counterexample) Unwrap() error { return c.Err }
 
 // ExhaustiveOptions configures the Exhaustive run mode.
-type ExhaustiveOptions[T any] struct {
+type ExhaustiveOptions struct {
 	// MaxVisits caps visited executions (0 = all); MaxSteps guards against
 	// runaway schedules (0 = default).
 	MaxVisits, MaxSteps int
@@ -191,7 +201,7 @@ type ExhaustiveOptions[T any] struct {
 	// every replayed execution. Required for algorithms keeping state
 	// outside the registers (fas, the test mutants); stateless algorithms
 	// may leave it nil and share cfg.Alg.
-	NewAlg func() Algorithm[T]
+	NewAlg func() timestamp.Algorithm
 }
 
 // Exhaustive model-checks the configuration with partial-order reduction:
@@ -199,14 +209,14 @@ type ExhaustiveOptions[T any] struct {
 // executions of the workload and verifies the happens-before specification
 // over each whole class via mc.CausalCheck. On a violation it returns a
 // *Counterexample (shrunk if requested) alongside the exploration stats.
-func Exhaustive[T any](cfg Config[T], opt ExhaustiveOptions[T]) (mc.Stats, error) {
+func Exhaustive(cfg Config, opt ExhaustiveOptions) (mc.Stats, error) {
 	if _, _, err := cfg.prepare(); err != nil {
 		return mc.Stats{}, err
 	}
 	if !Simulable(cfg.Alg) {
 		return mc.Stats{}, fmt.Errorf("%w: %s cannot run under the deterministic scheduler", ErrNeedsAtomic, cfg.Alg.Name())
 	}
-	mk := func() Config[T] {
+	mk := func() Config {
 		c := cfg
 		if opt.NewAlg != nil {
 			c.Alg = opt.NewAlg()
@@ -214,7 +224,7 @@ func Exhaustive[T any](cfg Config[T], opt ExhaustiveOptions[T]) (mc.Stats, error
 		return c
 	}
 	var cur struct {
-		rec   *hbcheck.Recorder[T]
+		rec   *hbcheck.Recorder[timestamp.Timestamp]
 		spans *callSpans
 	}
 	factory := func() *sched.System {
@@ -244,7 +254,7 @@ func Exhaustive[T any](cfg Config[T], opt ExhaustiveOptions[T]) (mc.Stats, error
 
 // checkVisit surfaces process errors and causally checks one visited
 // execution.
-func checkVisit[T any](sys *sched.System, rec *hbcheck.Recorder[T], spans *callSpans, compare func(a, b T) bool) error {
+func checkVisit(sys *sched.System, rec *hbcheck.Recorder[timestamp.Timestamp], spans *callSpans, compare func(a, b timestamp.Timestamp) bool) error {
 	for pid := 0; pid < sys.N(); pid++ {
 		if err := sys.Err(pid); err != nil {
 			return err
@@ -260,7 +270,7 @@ func checkVisit[T any](sys *sched.System, rec *hbcheck.Recorder[T], spans *callS
 // completion: a prefix is a legal execution, and leaving irrelevant
 // processes unfinished is what lets the shrinker cut a counterexample down
 // to just the operations of the offending calls.
-func replaySchedule[T any](mk func() Config[T], schedule []int, compare func(a, b T) bool) (full []int, trace []sched.Op, err error) {
+func replaySchedule(mk func() Config, schedule []int, compare func(a, b timestamp.Timestamp) bool) (full []int, trace []sched.Op, err error) {
 	sys, rec, _, spans := newSimSystemSpans(mk())
 	defer sys.Close()
 	for _, pid := range schedule {
@@ -286,9 +296,9 @@ func replaySchedule[T any](mk func() Config[T], schedule []int, compare func(a, 
 
 // counterexample replays (and optionally shrinks) a failing schedule into
 // a *Counterexample.
-func counterexample[T any](alg string, mk func() Config[T], schedule []int, n int, shrink bool, compare func(a, b T) bool) error {
+func counterexample(alg string, mk func() Config, schedule []int, n int, shrink bool, compare func(a, b timestamp.Timestamp) bool) error {
 	isViolation := func(err error) bool {
-		var v mc.Violation[T]
+		var v mc.Violation[timestamp.Timestamp]
 		return errors.As(err, &v)
 	}
 	if shrink {
@@ -307,7 +317,7 @@ func counterexample[T any](alg string, mk func() Config[T], schedule []int, n in
 	// replayed interleaving. Serialize the witness so the reported
 	// schedule exhibits the violating pair back to back — directly visible
 	// to the plain interval-order checker on replay.
-	var v mc.Violation[T]
+	var v mc.Violation[timestamp.Timestamp]
 	if errors.As(err, &v) {
 		if ws := mc.WitnessSchedule(n, trace, v); ws != nil {
 			if wsFull, wsTrace, wsErr := replaySchedule(mk, ws, compare); wsErr != nil && isViolation(wsErr) {
@@ -319,7 +329,7 @@ func counterexample[T any](alg string, mk func() Config[T], schedule []int, n in
 }
 
 // FuzzOptions configures the Fuzz run mode.
-type FuzzOptions[T any] struct {
+type FuzzOptions struct {
 	// Count is the number of random schedules (or atomic-world runs for
 	// non-simulable algorithms); values < 1 mean 1.
 	Count int
@@ -327,7 +337,7 @@ type FuzzOptions[T any] struct {
 	Shrink bool
 	// NewAlg constructs a fresh algorithm per schedule; see
 	// ExhaustiveOptions.NewAlg.
-	NewAlg func() Algorithm[T]
+	NewAlg func() timestamp.Algorithm
 }
 
 // FuzzReport summarizes a fuzzing run.
@@ -343,7 +353,7 @@ type FuzzReport struct {
 // interleavings (from cfg.Seed), causally checking each and shrinking any
 // failure to a *Counterexample. Non-simulable algorithms fall back to
 // repeated atomic-world runs checked by the interval-order verifier.
-func Fuzz[T any](cfg Config[T], opt FuzzOptions[T]) (FuzzReport, error) {
+func Fuzz(cfg Config, opt FuzzOptions) (FuzzReport, error) {
 	if _, _, err := cfg.prepare(); err != nil {
 		return FuzzReport{}, err
 	}
@@ -351,7 +361,7 @@ func Fuzz[T any](cfg Config[T], opt FuzzOptions[T]) (FuzzReport, error) {
 	if count < 1 {
 		count = 1
 	}
-	mk := func() Config[T] {
+	mk := func() Config {
 		c := cfg
 		if opt.NewAlg != nil {
 			c.Alg = opt.NewAlg()
@@ -421,9 +431,9 @@ func randomMaximal(sys *sched.System, rng *rand.Rand) ([]int, error) {
 // ConformanceSpec describes one algorithm family's sweep through the
 // conformance matrix: exhaustive small-N exploration plus seeded large-N
 // fuzzing.
-type ConformanceSpec[T any] struct {
+type ConformanceSpec struct {
 	// New constructs the implementation for n processes.
-	New func(n int) Algorithm[T]
+	New func(n int) timestamp.Algorithm
 	// ExhaustiveNs lists the process counts explored exhaustively.
 	ExhaustiveNs []int
 	// Calls is the per-process call count for long-lived algorithms
@@ -458,13 +468,13 @@ type ConformanceResult struct {
 // It never aborts early: a failing leg records its error (typically a
 // *Counterexample) and the sweep continues, so callers always see the
 // whole table.
-func Conformance[T any](spec ConformanceSpec[T]) []ConformanceResult {
+func Conformance(spec ConformanceSpec) []ConformanceResult {
 	var out []ConformanceResult
 	calls := spec.Calls
 	if calls < 1 {
 		calls = 1
 	}
-	workload := func(alg Algorithm[T]) (Workload, int) {
+	workload := func(alg timestamp.Algorithm) (Workload, int) {
 		if alg.OneShot() || calls == 1 {
 			return OneShot{}, 1
 		}
@@ -474,7 +484,7 @@ func Conformance[T any](spec ConformanceSpec[T]) []ConformanceResult {
 		alg := spec.New(n)
 		wl, c := workload(alg)
 		res := ConformanceResult{Alg: alg.Name(), Mode: "exhaustive", World: Simulated, N: n, Calls: c}
-		cfg := Config[T]{Alg: alg, World: Simulated, N: n, Workload: wl, Seed: spec.Seed}
+		cfg := Config{Alg: alg, World: Simulated, N: n, Workload: wl, Seed: spec.Seed}
 		if !Simulable(alg) {
 			// The gated scheduler cannot drive this algorithm; substitute
 			// an atomic-world stress leg so the row is still exercised.
@@ -484,19 +494,19 @@ func Conformance[T any](spec ConformanceSpec[T]) []ConformanceResult {
 			if count < 1 {
 				count = 10
 			}
-			rep, err := Fuzz(cfg, FuzzOptions[T]{
+			rep, err := Fuzz(cfg, FuzzOptions{
 				Count:  count,
-				NewAlg: func() Algorithm[T] { return spec.New(n) },
+				NewAlg: func() timestamp.Algorithm { return spec.New(n) },
 			})
 			res.Schedules, res.Err = rep.Schedules, err
 			out = append(out, res)
 			continue
 		}
-		stats, err := Exhaustive(cfg, ExhaustiveOptions[T]{
+		stats, err := Exhaustive(cfg, ExhaustiveOptions{
 			MaxVisits: spec.MaxVisits,
 			POR:       spec.POR,
 			Shrink:    spec.Shrink,
-			NewAlg:    func() Algorithm[T] { return spec.New(n) },
+			NewAlg:    func() timestamp.Algorithm { return spec.New(n) },
 		})
 		res.Stats, res.Err = stats, err
 		out = append(out, res)
@@ -508,10 +518,10 @@ func Conformance[T any](spec ConformanceSpec[T]) []ConformanceResult {
 		if !Simulable(alg) {
 			res.World = Atomic
 		}
-		rep, err := Fuzz(Config[T]{Alg: alg, World: Simulated, N: spec.FuzzN, Workload: wl, Seed: spec.Seed}, FuzzOptions[T]{
+		rep, err := Fuzz(Config{Alg: alg, World: Simulated, N: spec.FuzzN, Workload: wl, Seed: spec.Seed}, FuzzOptions{
 			Count:  spec.FuzzCount,
 			Shrink: spec.Shrink,
-			NewAlg: func() Algorithm[T] { return spec.New(spec.FuzzN) },
+			NewAlg: func() timestamp.Algorithm { return spec.New(spec.FuzzN) },
 		})
 		res.World, res.Schedules, res.Err = rep.World, rep.Schedules, err
 		out = append(out, res)

@@ -21,17 +21,17 @@ import (
 // one-shot objects).
 type rosterEntry struct {
 	name  string
-	new   func(n int) engine.Algorithm[timestamp.Timestamp]
+	new   func(n int) timestamp.Algorithm
 	calls int
 	minN  int // dense needs n ≥ 2
 }
 
 var roster = []rosterEntry{
-	{"collect", func(n int) engine.Algorithm[timestamp.Timestamp] { return collect.New(n) }, 2, 1},
-	{"dense", func(n int) engine.Algorithm[timestamp.Timestamp] { return dense.New(n) }, 2, 2},
-	{"simple", func(n int) engine.Algorithm[timestamp.Timestamp] { return simple.New(n) }, 1, 1},
-	{"sqrt", func(n int) engine.Algorithm[timestamp.Timestamp] { return sqrt.New(n) }, 1, 1},
-	{"fas", func(n int) engine.Algorithm[timestamp.Timestamp] { return fas.New(n) }, 2, 1},
+	{"collect", func(n int) timestamp.Algorithm { return collect.New(n) }, 2, 1},
+	{"dense", func(n int) timestamp.Algorithm { return dense.New(n) }, 2, 2},
+	{"simple", func(n int) timestamp.Algorithm { return simple.New(n) }, 1, 1},
+	{"sqrt", func(n int) timestamp.Algorithm { return sqrt.New(n) }, 1, 1},
+	{"fas", func(n int) timestamp.Algorithm { return fas.New(n) }, 2, 1},
 }
 
 // exploreStats pins every simulated exhaustive leg of TestConformanceMatrix
@@ -63,7 +63,7 @@ func TestConformanceMatrix(t *testing.T) {
 			var results []engine.ConformanceResult
 			// n=2 with the algorithm's long-lived call count.
 			if entry.minN <= 2 {
-				results = append(results, engine.Conformance(engine.ConformanceSpec[timestamp.Timestamp]{
+				results = append(results, engine.Conformance(engine.ConformanceSpec{
 					New:          entry.new,
 					ExhaustiveNs: []int{2},
 					Calls:        entry.calls,
@@ -74,7 +74,7 @@ func TestConformanceMatrix(t *testing.T) {
 				})...)
 			}
 			// n=3 one-shot shape plus the fuzzing leg at n=8.
-			results = append(results, engine.Conformance(engine.ConformanceSpec[timestamp.Timestamp]{
+			results = append(results, engine.Conformance(engine.ConformanceSpec{
 				New:          entry.new,
 				ExhaustiveNs: []int{3},
 				Calls:        1,
@@ -127,7 +127,7 @@ func TestConformanceMatrix(t *testing.T) {
 func TestPORReduction(t *testing.T) {
 	cases := []struct {
 		name string
-		alg  engine.Algorithm[timestamp.Timestamp]
+		alg  timestamp.Algorithm
 		n    int
 	}{
 		{"dense", dense.New(3), 3},
@@ -135,14 +135,14 @@ func TestPORReduction(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := engine.Config[timestamp.Timestamp]{
+			cfg := engine.Config{
 				Alg: c.alg, World: engine.Simulated, N: c.n, Workload: engine.OneShot{},
 			}
 			naive, err := engine.Explore(cfg, 0, 100_000)
 			if err != nil {
 				t.Fatalf("naive: %v", err)
 			}
-			stats, err := engine.Exhaustive(cfg, engine.ExhaustiveOptions[timestamp.Timestamp]{POR: true})
+			stats, err := engine.Exhaustive(cfg, engine.ExhaustiveOptions{POR: true})
 			if err != nil {
 				t.Fatalf("POR: %v", err)
 			}
@@ -164,8 +164,8 @@ func TestPORReduction(t *testing.T) {
 // deterministically.
 func TestMutantCaughtAndShrunk(t *testing.T) {
 	const n = 2
-	newMutant := func() engine.Algorithm[timestamp.Timestamp] { return mutant.NewStaleScan(n) }
-	cfg := engine.Config[timestamp.Timestamp]{
+	newMutant := func() timestamp.Algorithm { return mutant.NewStaleScan(n) }
+	cfg := engine.Config{
 		Alg:      newMutant(),
 		World:    engine.Simulated,
 		N:        n,
@@ -184,7 +184,7 @@ func TestMutantCaughtAndShrunk(t *testing.T) {
 		t.Fatalf("mutant too broken: sequential baseline already fails: %v", err)
 	}
 
-	_, err = engine.Exhaustive(cfg, engine.ExhaustiveOptions[timestamp.Timestamp]{
+	_, err = engine.Exhaustive(cfg, engine.ExhaustiveOptions{
 		POR: true, Shrink: true, NewAlg: newMutant,
 	})
 	var cex *engine.Counterexample
@@ -202,7 +202,7 @@ func TestMutantCaughtAndShrunk(t *testing.T) {
 
 	// The shrunk schedule must replay to the same failure through the
 	// public Adversarial workload path.
-	replay := engine.Config[timestamp.Timestamp]{
+	replay := engine.Config{
 		Alg:      newMutant(),
 		World:    engine.Simulated,
 		N:        n,
@@ -220,15 +220,15 @@ func TestMutantCaughtAndShrunk(t *testing.T) {
 // The mutant must also fall to plain seeded fuzzing at larger n.
 func TestMutantCaughtByFuzz(t *testing.T) {
 	const n = 4
-	newMutant := func() engine.Algorithm[timestamp.Timestamp] { return mutant.NewStaleScan(n) }
-	cfg := engine.Config[timestamp.Timestamp]{
+	newMutant := func() timestamp.Algorithm { return mutant.NewStaleScan(n) }
+	cfg := engine.Config{
 		Alg:      newMutant(),
 		World:    engine.Simulated,
 		N:        n,
 		Workload: engine.LongLived{CallsPerProc: 2},
 		Seed:     3,
 	}
-	_, err := engine.Fuzz(cfg, engine.FuzzOptions[timestamp.Timestamp]{
+	_, err := engine.Fuzz(cfg, engine.FuzzOptions{
 		Count: 50, Shrink: true, NewAlg: newMutant,
 	})
 	var cex *engine.Counterexample
@@ -243,21 +243,21 @@ func TestMutantCaughtByFuzz(t *testing.T) {
 
 // Exhaustive must reject configurations the scheduler cannot express.
 func TestExhaustiveRejectsNonSimulable(t *testing.T) {
-	cfg := engine.Config[timestamp.Timestamp]{
+	cfg := engine.Config{
 		Alg: fas.New(2), World: engine.Simulated, N: 2, Workload: engine.OneShot{},
 	}
-	if _, err := engine.Exhaustive(cfg, engine.ExhaustiveOptions[timestamp.Timestamp]{}); !errors.Is(err, engine.ErrNeedsAtomic) {
+	if _, err := engine.Exhaustive(cfg, engine.ExhaustiveOptions{}); !errors.Is(err, engine.ErrNeedsAtomic) {
 		t.Errorf("err = %v, want ErrNeedsAtomic", err)
 	}
 }
 
 // Fuzzing a correct algorithm must report the work it did.
 func TestFuzzReportsWork(t *testing.T) {
-	cfg := engine.Config[timestamp.Timestamp]{
+	cfg := engine.Config{
 		Alg: collect.New(3), World: engine.Simulated, N: 3,
 		Workload: engine.LongLived{CallsPerProc: 2}, Seed: 5,
 	}
-	rep, err := engine.Fuzz(cfg, engine.FuzzOptions[timestamp.Timestamp]{Count: 20})
+	rep, err := engine.Fuzz(cfg, engine.FuzzOptions{Count: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

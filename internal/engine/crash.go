@@ -10,6 +10,7 @@ import (
 	"tsspace/internal/mc"
 	"tsspace/internal/register"
 	"tsspace/internal/sched"
+	"tsspace/internal/timestamp"
 )
 
 // Crash-recovery fault injection: the crash workload of the simulated
@@ -29,11 +30,11 @@ import (
 // that the causal checker exempts.
 
 // crashRun is one crash-capable simulated execution and its bookkeeping.
-type crashRun[T any] struct {
-	cfg      Config[T]
+type crashRun struct {
+	cfg      Config
 	wl       Workload
 	sys      *sched.System
-	rec      *hbcheck.Recorder[T]
+	rec      *hbcheck.Recorder[timestamp.Timestamp]
 	spans    *callSpans
 	progress []atomic.Int32 // completed calls per paper pid
 	barriers []mc.Barrier
@@ -45,7 +46,7 @@ type crashRun[T any] struct {
 // paper process p, released if and when p crashes. Recorder events and
 // call spans are keyed by scheduler pid so the causal analysis lines up
 // with the trace; the algorithm itself always sees the paper pid.
-func newCrashRun[T any](cfg Config[T]) *crashRun[T] {
+func newCrashRun(cfg Config) *crashRun {
 	wl := cfg.Workload
 	if wl == nil {
 		wl = OneShot{}
@@ -53,10 +54,10 @@ func newCrashRun[T any](cfg Config[T]) *crashRun[T] {
 	n := cfg.N
 	m := cfg.Alg.Registers()
 	table := cfg.Alg.WriterTable()
-	r := &crashRun[T]{
+	r := &crashRun{
 		cfg:      cfg,
 		wl:       wl,
-		rec:      &hbcheck.Recorder[T]{},
+		rec:      &hbcheck.Recorder[timestamp.Timestamp]{},
 		spans:    newCallSpans(),
 		progress: make([]atomic.Int32, n),
 	}
@@ -68,7 +69,7 @@ func newCrashRun[T any](cfg Config[T]) *crashRun[T] {
 			register.DisciplineFor(table, paper),
 		)
 		calls := wl.Calls(paper, n)
-		out := make([]T, 0, calls)
+		out := make([]timestamp.Timestamp, 0, calls)
 		// A recovery incarnation resumes where its predecessor crashed:
 		// completed calls stay completed, the interrupted call is retried
 		// with its original seq. The progress slot is written by the
@@ -113,7 +114,7 @@ func lastOpIndex(trace []sched.Op, pid int) int {
 // parked, terminated, out-of-range or already-crashed processes are
 // skipped (ddmin deletes entries freely; whatever remains must still
 // replay). Executed entries accumulate in r.entries.
-func (r *crashRun[T]) apply(entry int) error {
+func (r *crashRun) apply(entry int) error {
 	pid, applyWrite, isCrash := sched.DecodeCrash(entry)
 	if isCrash {
 		if pid < 0 || pid >= r.cfg.N || r.sys.Crashed(pid) {
@@ -161,7 +162,7 @@ func (r *crashRun[T]) apply(entry int) error {
 
 // drain runs every live process to completion round-robin, recording the
 // steps taken as entries.
-func (r *crashRun[T]) drain() error {
+func (r *crashRun) drain() error {
 	for {
 		progressed := false
 		for spid := 0; spid < r.sys.N(); spid++ {
@@ -188,7 +189,7 @@ func (r *crashRun[T]) drain() error {
 // barriers. When the execution is complete it additionally asserts no pid
 // lease was lost: every crashed process's recovery finished the paper
 // process's full call budget.
-func (r *crashRun[T]) check(complete bool) error {
+func (r *crashRun) check(complete bool) error {
 	for spid := 0; spid < r.sys.N(); spid++ {
 		if err := r.sys.Err(spid); err != nil && !errors.Is(err, sched.ErrCrashed) {
 			return err
@@ -214,7 +215,7 @@ func (r *crashRun[T]) check(complete bool) error {
 // replayCrashEntries replays a candidate crash schedule leniently on a
 // fresh run (no drain: a prefix is a legal execution) and returns the
 // executed entries, the trace, and the check outcome.
-func replayCrashEntries[T any](mk func() Config[T], entries []int) ([]int, []sched.Op, error) {
+func replayCrashEntries(mk func() Config, entries []int) ([]int, []sched.Op, error) {
 	r := newCrashRun(mk())
 	defer r.sys.Close()
 	for _, e := range entries {
@@ -227,9 +228,9 @@ func replayCrashEntries[T any](mk func() Config[T], entries []int) ([]int, []sch
 
 // isCrashViolation matches the two property-violation shapes a crash run
 // can produce (causal or interval-order), as opposed to harness errors.
-func isCrashViolation[T any](err error) bool {
-	var cv mc.Violation[T]
-	var hv hbcheck.Violation[T]
+func isCrashViolation(err error) bool {
+	var cv mc.Violation[timestamp.Timestamp]
+	var hv hbcheck.Violation[timestamp.Timestamp]
 	return errors.As(err, &cv) || errors.As(err, &hv)
 }
 
@@ -238,11 +239,11 @@ func isCrashViolation[T any](err error) bool {
 // path it does not serialize a witness reordering: the barrier edges are
 // not expressible as a schedule permutation, and the shrunk schedule
 // already replays the violation verbatim.
-func crashCounterexample[T any](alg string, mk func() Config[T], entries []int, shrink bool) error {
+func crashCounterexample(alg string, mk func() Config, entries []int, shrink bool) error {
 	if shrink {
 		entries = mc.Shrink(entries, func(cand []int) bool {
 			_, _, err := replayCrashEntries(mk, cand)
-			return err != nil && isCrashViolation[T](err)
+			return err != nil && isCrashViolation(err)
 		})
 	}
 	full, trace, err := replayCrashEntries(mk, entries)
@@ -253,12 +254,12 @@ func crashCounterexample[T any](alg string, mk func() Config[T], entries []int, 
 }
 
 // CrashSweepOptions configures CrashSweep.
-type CrashSweepOptions[T any] struct {
+type CrashSweepOptions struct {
 	// Shrink minimizes any failing crash schedule before reporting it.
 	Shrink bool
 	// NewAlg constructs a fresh algorithm per execution; see
 	// ExhaustiveOptions.NewAlg.
-	NewAlg func() Algorithm[T]
+	NewAlg func() timestamp.Algorithm
 }
 
 // CrashSweep systematically injects one crash into the configuration's
@@ -268,14 +269,14 @@ type CrashSweepOptions[T any] struct {
 // completion and verifies the execution. It returns the number of
 // executions checked; a violation comes back as a shrunk *Counterexample
 // whose Schedule is a replayable crash schedule.
-func CrashSweep[T any](cfg Config[T], opt CrashSweepOptions[T]) (int, error) {
+func CrashSweep(cfg Config, opt CrashSweepOptions) (int, error) {
 	if _, _, err := cfg.prepare(); err != nil {
 		return 0, err
 	}
 	if !Simulable(cfg.Alg) {
 		return 0, fmt.Errorf("%w: %s cannot run under the deterministic scheduler", ErrNeedsAtomic, cfg.Alg.Name())
 	}
-	mk := func() Config[T] {
+	mk := func() Config {
 		c := cfg
 		if opt.NewAlg != nil {
 			c.Alg = opt.NewAlg()
@@ -314,7 +315,7 @@ func CrashSweep[T any](cfg Config[T], opt CrashSweepOptions[T]) (int, error) {
 				r.sys.Close()
 				runs++
 				if err != nil {
-					if isCrashViolation[T](err) {
+					if isCrashViolation(err) {
 						return runs, crashCounterexample(cfg.Alg.Name(), mk, r.entries, opt.Shrink)
 					}
 					return runs, err
@@ -326,7 +327,7 @@ func CrashSweep[T any](cfg Config[T], opt CrashSweepOptions[T]) (int, error) {
 }
 
 // CrashFuzzOptions configures CrashFuzz.
-type CrashFuzzOptions[T any] struct {
+type CrashFuzzOptions struct {
 	// Count is the number of random executions; values < 1 mean 1.
 	Count int
 	// Crashes caps the crashes injected per execution; values < 1 mean 1.
@@ -334,7 +335,7 @@ type CrashFuzzOptions[T any] struct {
 	// Shrink minimizes any failing crash schedule before reporting it.
 	Shrink bool
 	// NewAlg constructs a fresh algorithm per execution.
-	NewAlg func() Algorithm[T]
+	NewAlg func() timestamp.Algorithm
 }
 
 // CrashFuzz stress-tests the configuration on Count random maximal
@@ -343,7 +344,7 @@ type CrashFuzzOptions[T any] struct {
 // its pending write by coin flip, and its recovery incarnation joins the
 // interleaving. Violations come back as shrunk *Counterexamples with
 // replayable crash schedules.
-func CrashFuzz[T any](cfg Config[T], opt CrashFuzzOptions[T]) (FuzzReport, error) {
+func CrashFuzz(cfg Config, opt CrashFuzzOptions) (FuzzReport, error) {
 	rep := FuzzReport{World: Simulated}
 	if _, _, err := cfg.prepare(); err != nil {
 		return rep, err
@@ -359,7 +360,7 @@ func CrashFuzz[T any](cfg Config[T], opt CrashFuzzOptions[T]) (FuzzReport, error
 	if crashes < 1 {
 		crashes = 1
 	}
-	mk := func() Config[T] {
+	mk := func() Config {
 		c := cfg
 		if opt.NewAlg != nil {
 			c.Alg = opt.NewAlg()
@@ -377,7 +378,7 @@ func CrashFuzz[T any](cfg Config[T], opt CrashFuzzOptions[T]) (FuzzReport, error
 		entries := r.entries
 		r.sys.Close()
 		if err != nil {
-			if isCrashViolation[T](err) {
+			if isCrashViolation(err) {
 				return rep, crashCounterexample(cfg.Alg.Name(), mk, entries, opt.Shrink)
 			}
 			return rep, err
@@ -389,7 +390,7 @@ func CrashFuzz[T any](cfg Config[T], opt CrashFuzzOptions[T]) (FuzzReport, error
 
 // randomMaximal drives the crash run to completion with uniformly random
 // scheduling, injecting up to `crashes` crashes at random points.
-func (r *crashRun[T]) randomMaximal(rng *rand.Rand, crashes int) error {
+func (r *crashRun) randomMaximal(rng *rand.Rand, crashes int) error {
 	n := r.cfg.N
 	for {
 		var live, prims []int
@@ -430,7 +431,7 @@ func (r *crashRun[T]) randomMaximal(rng *rand.Rand, crashes int) error {
 // property-check outcome — the tstrace entry point for crash witnesses.
 // The report's Trace spans 2·cfg.N scheduler pids: pid n+p is the
 // recovery incarnation of paper process p.
-func ReplayCrashSchedule[T any](cfg Config[T], entries []int) (*Report[T], error) {
+func ReplayCrashSchedule(cfg Config, entries []int) (*Report, error) {
 	if _, _, err := cfg.prepare(); err != nil {
 		return nil, err
 	}

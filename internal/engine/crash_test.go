@@ -17,10 +17,10 @@ import (
 // crashRoster is the torn-write conformance roster: every simulable
 // registry algorithm, with its long-lived call count and minimum n.
 var crashRoster = []rosterEntry{
-	{"collect", func(n int) engine.Algorithm[timestamp.Timestamp] { return collect.New(n) }, 2, 1},
-	{"dense", func(n int) engine.Algorithm[timestamp.Timestamp] { return dense.New(n) }, 2, 2},
-	{"simple", func(n int) engine.Algorithm[timestamp.Timestamp] { return simple.New(n) }, 1, 1},
-	{"sqrt", func(n int) engine.Algorithm[timestamp.Timestamp] { return sqrt.New(n) }, 1, 1},
+	{"collect", func(n int) timestamp.Algorithm { return collect.New(n) }, 2, 1},
+	{"dense", func(n int) timestamp.Algorithm { return dense.New(n) }, 2, 2},
+	{"simple", func(n int) timestamp.Algorithm { return simple.New(n) }, 1, 1},
+	{"sqrt", func(n int) timestamp.Algorithm { return sqrt.New(n) }, 1, 1},
 }
 
 // TestCrashSweepNonMutantsSurvive injects one crash at every point of
@@ -41,10 +41,10 @@ func TestCrashSweepNonMutantsSurvive(t *testing.T) {
 				if alg.OneShot() {
 					wl = engine.OneShot{}
 				}
-				cfg := engine.Config[timestamp.Timestamp]{Alg: alg, World: engine.Simulated, N: n, Workload: wl}
-				runs, err := engine.CrashSweep(cfg, engine.CrashSweepOptions[timestamp.Timestamp]{
+				cfg := engine.Config{Alg: alg, World: engine.Simulated, N: n, Workload: wl}
+				runs, err := engine.CrashSweep(cfg, engine.CrashSweepOptions{
 					Shrink: true,
-					NewAlg: func() engine.Algorithm[timestamp.Timestamp] { return entry.new(n) },
+					NewAlg: func() timestamp.Algorithm { return entry.new(n) },
 				})
 				if err != nil {
 					t.Errorf("n=%d: crash sweep failed after %d runs: %v", n, runs, err)
@@ -70,12 +70,12 @@ func TestCrashFuzzNonMutantsSurvive(t *testing.T) {
 			if alg.OneShot() {
 				wl = engine.OneShot{}
 			}
-			cfg := engine.Config[timestamp.Timestamp]{Alg: alg, World: engine.Simulated, N: n, Workload: wl, Seed: 13}
-			rep, err := engine.CrashFuzz(cfg, engine.CrashFuzzOptions[timestamp.Timestamp]{
+			cfg := engine.Config{Alg: alg, World: engine.Simulated, N: n, Workload: wl, Seed: 13}
+			rep, err := engine.CrashFuzz(cfg, engine.CrashFuzzOptions{
 				Count:   25,
 				Crashes: 2,
 				Shrink:  true,
-				NewAlg:  func() engine.Algorithm[timestamp.Timestamp] { return entry.new(n) },
+				NewAlg:  func() timestamp.Algorithm { return entry.new(n) },
 			})
 			if err != nil {
 				t.Fatalf("crash fuzz failed after %d schedules: %v", rep.Schedules, err)
@@ -93,17 +93,17 @@ func TestCrashFuzzNonMutantsSurvive(t *testing.T) {
 // a shrunk crash schedule that replays the violation verbatim.
 func TestCrashSweepCatchesCrashMemoMutant(t *testing.T) {
 	n := 2
-	newAlg := func() engine.Algorithm[timestamp.Timestamp] { return mutant.NewCrashMemo(n) }
-	cfg := engine.Config[timestamp.Timestamp]{Alg: newAlg(), World: engine.Simulated, N: n, Workload: engine.OneShot{}}
+	newAlg := func() timestamp.Algorithm { return mutant.NewCrashMemo(n) }
+	cfg := engine.Config{Alg: newAlg(), World: engine.Simulated, N: n, Workload: engine.OneShot{}}
 
 	// Sanity: crash-free exploration does NOT catch it (the memo never hits).
-	if _, err := engine.Exhaustive(cfg, engine.ExhaustiveOptions[timestamp.Timestamp]{
+	if _, err := engine.Exhaustive(cfg, engine.ExhaustiveOptions{
 		POR: true, NewAlg: newAlg,
 	}); err != nil {
 		t.Fatalf("crash-free exploration flagged the crash-only mutant: %v", err)
 	}
 
-	_, err := engine.CrashSweep(cfg, engine.CrashSweepOptions[timestamp.Timestamp]{Shrink: true, NewAlg: newAlg})
+	_, err := engine.CrashSweep(cfg, engine.CrashSweepOptions{Shrink: true, NewAlg: newAlg})
 	var cex *engine.Counterexample
 	if !errors.As(err, &cex) {
 		t.Fatalf("crash sweep on collect-crash-memo = %v, want *Counterexample", err)
@@ -147,12 +147,12 @@ func TestCrashSweepCatchesCrashMemoMutant(t *testing.T) {
 // failure modes without masking the ordinary ones.
 func TestCrashFuzzCatchesStaleScanMutant(t *testing.T) {
 	n := 3
-	newAlg := func() engine.Algorithm[timestamp.Timestamp] { return mutant.NewStaleScan(n) }
-	cfg := engine.Config[timestamp.Timestamp]{
+	newAlg := func() timestamp.Algorithm { return mutant.NewStaleScan(n) }
+	cfg := engine.Config{
 		Alg: newAlg(), World: engine.Simulated, N: n,
 		Workload: engine.LongLived{CallsPerProc: 2}, Seed: 3,
 	}
-	_, err := engine.CrashFuzz(cfg, engine.CrashFuzzOptions[timestamp.Timestamp]{
+	_, err := engine.CrashFuzz(cfg, engine.CrashFuzzOptions{
 		Count: 50, Crashes: 1, Shrink: true, NewAlg: newAlg,
 	})
 	var cex *engine.Counterexample
@@ -166,7 +166,7 @@ func TestCrashFuzzCatchesStaleScanMutant(t *testing.T) {
 // property every ddmin candidate relies on.
 func TestReplayCrashScheduleLenient(t *testing.T) {
 	n := 2
-	cfg := engine.Config[timestamp.Timestamp]{
+	cfg := engine.Config{
 		Alg: collect.New(n), World: engine.Simulated, N: n, Workload: engine.OneShot{},
 	}
 	entries := []int{0, 99, sched.CrashDrop(7), sched.CrashDrop(0), sched.CrashDrop(0), 0, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2}

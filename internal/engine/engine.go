@@ -11,10 +11,9 @@
 // Adding a new scenario is a ~20-line Workload implementation, not a new
 // main().
 //
-// The package is generic over the timestamp type T so that
-// internal/timestamp can layer thin compatibility shims on top of it
-// without an import cycle: timestamp.Algorithm satisfies
-// Algorithm[timestamp.Timestamp] structurally.
+// The engine runs timestamp.Algorithm implementations and their
+// timestamp.Timestamp values; the model-checking layers below it
+// (internal/hbcheck, internal/mc) stay generic over the value type.
 package engine
 
 import (
@@ -27,19 +26,8 @@ import (
 	"tsspace/internal/hbcheck"
 	"tsspace/internal/register"
 	"tsspace/internal/sched"
+	"tsspace/internal/timestamp"
 )
-
-// Algorithm is the generic contract of a timestamp implementation; it
-// mirrors timestamp.Algorithm field for field (see that package for the
-// full method semantics).
-type Algorithm[T any] interface {
-	Name() string
-	Registers() int
-	OneShot() bool
-	GetTS(mem register.Mem, pid, seq int) (T, error)
-	Compare(t1, t2 T) bool
-	WriterTable() [][]int
-}
 
 // World selects the execution substrate.
 type World int
@@ -93,9 +81,9 @@ var (
 )
 
 // Config describes one run.
-type Config[T any] struct {
+type Config struct {
 	// Alg is the implementation under test.
-	Alg Algorithm[T]
+	Alg timestamp.Algorithm
 	// World selects the substrate; the zero value is Atomic.
 	World World
 	// N is the number of processes.
@@ -104,12 +92,6 @@ type Config[T any] struct {
 	Workload Workload
 	// Seed drives the simulated world's random scheduling decisions.
 	Seed int64
-	// BaseMem overrides the atomic world's backing memory, letting callers
-	// observe raw register state mid-run. It must have at least
-	// Alg.Registers() registers; extra registers are unconstrained by the
-	// writer discipline, and Space.Registers reports the override's size
-	// (the override is the allocation).
-	BaseMem register.Mem
 	// Unmetered drops the metering layer from the stack: no shared-counter
 	// traffic on the operation path, for throughput measurement. The
 	// report's Space then only carries the register count.
@@ -117,12 +99,12 @@ type Config[T any] struct {
 	// OnCall, when non-nil, observes every completed getTS. In the atomic
 	// world it is called concurrently from worker goroutines; in the
 	// simulated world calls are serialized.
-	OnCall func(pid, seq int, ts T)
+	OnCall func(pid, seq int, ts timestamp.Timestamp)
 }
 
 // Report is the outcome of a run: the single result shape every consumer
 // (internal/report, the CLIs, the benchmarks) reads.
-type Report[T any] struct {
+type Report struct {
 	Alg      string
 	World    World
 	Workload string
@@ -133,7 +115,7 @@ type Report[T any] struct {
 	// set.
 	Space register.SpaceReport
 	// Events are the completed getTS intervals in start order.
-	Events []hbcheck.Event[T]
+	Events []hbcheck.Event[timestamp.Timestamp]
 	// Elapsed is the wall time of the drive phase.
 	Elapsed time.Duration
 	// Steps and Trace are the scheduler step count and executed operations
@@ -143,13 +125,13 @@ type Report[T any] struct {
 }
 
 // Verify checks the happens-before property over the report's events.
-func (r *Report[T]) Verify(compare func(a, b T) bool) error {
+func (r *Report) Verify(compare func(a, b timestamp.Timestamp) bool) error {
 	return hbcheck.Check(r.Events, compare)
 }
 
 // Run executes the configured Algorithm × World × Workload combination and
 // returns its report.
-func Run[T any](cfg Config[T]) (*Report[T], error) {
+func Run(cfg Config) (*Report, error) {
 	wl, maxCalls, err := cfg.prepare()
 	if err != nil {
 		return nil, err
@@ -161,15 +143,12 @@ func Run[T any](cfg Config[T]) (*Report[T], error) {
 }
 
 // prepare validates the config and resolves the workload.
-func (cfg *Config[T]) prepare() (Workload, int, error) {
+func (cfg *Config) prepare() (Workload, int, error) {
 	if cfg.Alg == nil {
 		return nil, 0, errors.New("engine: no algorithm")
 	}
 	if cfg.N <= 0 {
 		return nil, 0, fmt.Errorf("engine: invalid process count %d", cfg.N)
-	}
-	if cfg.BaseMem != nil && cfg.World == Simulated {
-		return nil, 0, fmt.Errorf("%w: BaseMem overrides the atomic world's memory; the scheduler owns the simulated one", ErrNeedsAtomic)
 	}
 	wl := cfg.Workload
 	if wl == nil {
@@ -187,20 +166,8 @@ func (cfg *Config[T]) prepare() (Workload, int, error) {
 	return wl, maxCalls, nil
 }
 
-// padTable extends a writer table to size registers: registers beyond the
-// algorithm's budget (a caller-provided BaseMem may be larger) have no
-// writer restriction.
-func padTable(table [][]int, size int) [][]int {
-	if table == nil || len(table) >= size {
-		return table
-	}
-	padded := make([][]int, size)
-	copy(padded, table)
-	return padded
-}
-
-func (cfg *Config[T]) report(wl Workload, maxCalls int) *Report[T] {
-	return &Report[T]{
+func (cfg *Config) report(wl Workload, maxCalls int) *Report {
+	return &Report{
 		Alg:      cfg.Alg.Name(),
 		World:    cfg.World,
 		Workload: wl.Kind(),
@@ -209,18 +176,12 @@ func (cfg *Config[T]) report(wl Workload, maxCalls int) *Report[T] {
 	}
 }
 
-// runAtomic drives the workload on real goroutines over an atomic register
-// array.
-func runAtomic[T any](cfg Config[T], wl Workload, maxCalls int) (*Report[T], error) {
-	base := cfg.BaseMem
-	if base == nil {
-		base = register.NewAtomicArray(cfg.Alg.Registers())
-	} else if base.Size() < cfg.Alg.Registers() {
-		return nil, fmt.Errorf("engine: BaseMem has %d registers, %s needs %d",
-			base.Size(), cfg.Alg.Name(), cfg.Alg.Registers())
-	}
+// runAtomic drives the workload on real goroutines over the algorithm's
+// atomic register array (timestamp.NewMem).
+func runAtomic(cfg Config, wl Workload, maxCalls int) (*Report, error) {
+	base := timestamp.NewMem(cfg.Alg)
 	meter := register.NewMeterSize(base.Size())
-	table := padTable(cfg.Alg.WriterTable(), base.Size())
+	table := cfg.Alg.WriterTable()
 
 	// The stack is fixed per process for the whole run; build it outside
 	// the call path so the hot loop only pays for the layers themselves.
@@ -234,7 +195,7 @@ func runAtomic[T any](cfg Config[T], wl Workload, maxCalls int) (*Report[T], err
 	}
 
 	var (
-		rec      hbcheck.Recorder[T]
+		rec      hbcheck.Recorder[timestamp.Timestamp]
 		mu       sync.Mutex
 		firstErr error
 	)
@@ -275,7 +236,7 @@ func runAtomic[T any](cfg Config[T], wl Workload, maxCalls int) (*Report[T], err
 }
 
 // runSim drives the workload through the deterministic scheduler.
-func runSim[T any](cfg Config[T], wl Workload, maxCalls int) (*Report[T], error) {
+func runSim(cfg Config, wl Workload, maxCalls int) (*Report, error) {
 	sys, rec, meter := NewSimSystem(cfg)
 	defer sys.Close()
 
@@ -306,17 +267,17 @@ func runSim[T any](cfg Config[T], wl Workload, maxCalls int) (*Report[T], error)
 // consecutive pair is happens-before ordered, so the sequence must be
 // strictly increasing under the algorithm's compare: the no-concurrency
 // baseline the scenario tests and space experiments start from.
-func SequentialTimestamps[T any](alg Algorithm[T], n, calls int, byProcess bool) ([]T, error) {
+func SequentialTimestamps(alg timestamp.Algorithm, n, calls int, byProcess bool) ([]timestamp.Timestamp, error) {
 	if calls < 1 {
 		return nil, nil
 	}
-	out := make([]T, 0, n*calls)
-	_, err := Run(Config[T]{
+	out := make([]timestamp.Timestamp, 0, n*calls)
+	_, err := Run(Config{
 		Alg:      alg,
 		World:    Atomic,
 		N:        n,
 		Workload: Sequential{CallsPerProc: calls, RoundRobin: !byProcess},
-		OnCall:   func(pid, seq int, ts T) { out = append(out, ts) },
+		OnCall:   func(pid, seq int, ts timestamp.Timestamp) { out = append(out, ts) },
 	})
 	if err != nil {
 		return nil, err
@@ -327,19 +288,19 @@ func SequentialTimestamps[T any](alg Algorithm[T], n, calls int, byProcess bool)
 // NewSimSystem builds a deterministic-scheduler system whose processes run
 // the per-process call loops of cfg's workload over the full middleware
 // stack (shared meter, per-process discipline, per-call first-op
-// stamping). Process results are []T. Callers drive the returned
-// system themselves — the exploration and sampling entry points below, the
-// adversaries in internal/adversary, and the scripted scenarios all start
-// here. Unlike Run, it applies none of the config validation (no one-shot
+// stamping). Process results are []timestamp.Timestamp. Callers drive the
+// returned system themselves — the exploration and sampling entry points
+// below, the adversaries in internal/adversary, and the scripted scenarios
+// all start here. Unlike Run, it applies none of the config validation (no one-shot
 // guard): scripted scenarios deliberately drive partial and over-budget
 // call patterns to observe how the algorithms fail.
-func NewSimSystem[T any](cfg Config[T]) (*sched.System, *hbcheck.Recorder[T], *register.Meter) {
+func NewSimSystem(cfg Config) (*sched.System, *hbcheck.Recorder[timestamp.Timestamp], *register.Meter) {
 	sys, rec, meter, _ := newSimSystemSpans(cfg)
 	return sys, rec, meter
 }
 
 // checkSystem surfaces process errors and verifies the recorder.
-func checkSystem[T any](sys *sched.System, rec *hbcheck.Recorder[T], compare func(a, b T) bool) error {
+func checkSystem(sys *sched.System, rec *hbcheck.Recorder[timestamp.Timestamp], compare func(a, b timestamp.Timestamp) bool) error {
 	for pid := 0; pid < sys.N(); pid++ {
 		if err := sys.Err(pid); err != nil {
 			return err
@@ -353,11 +314,11 @@ func checkSystem[T any](sys *sched.System, rec *hbcheck.Recorder[T], compare fun
 // all) and verifies the happens-before property on every one. It returns
 // the number of executions checked. The config's World and Seed are
 // ignored: exploration is deterministic and simulated by construction.
-func Explore[T any](cfg Config[T], maxVisits, maxSteps int) (int, error) {
+func Explore(cfg Config, maxVisits, maxSteps int) (int, error) {
 	if _, _, err := cfg.prepare(); err != nil {
 		return 0, err
 	}
-	var cur *hbcheck.Recorder[T]
+	var cur *hbcheck.Recorder[timestamp.Timestamp]
 	factory := func() *sched.System {
 		sys, rec, _ := NewSimSystem(cfg)
 		cur = rec
@@ -371,11 +332,11 @@ func Explore[T any](cfg Config[T], maxVisits, maxSteps int) (int, error) {
 // Sample stress-tests the configuration on count random maximal
 // interleavings seeded from cfg.Seed, verifying the happens-before
 // property on each.
-func Sample[T any](cfg Config[T], count int) error {
+func Sample(cfg Config, count int) error {
 	if _, _, err := cfg.prepare(); err != nil {
 		return err
 	}
-	var cur *hbcheck.Recorder[T]
+	var cur *hbcheck.Recorder[timestamp.Timestamp]
 	factory := func() *sched.System {
 		sys, rec, _ := NewSimSystem(cfg)
 		cur = rec

@@ -10,16 +10,17 @@ import (
 	"tsspace/internal/engine"
 	"tsspace/internal/lowerbound"
 	"tsspace/internal/register"
+	"tsspace/internal/timestamp"
+	"tsspace/internal/timestamp/collect"
 )
 
-// fakeTS is a timestamp type private to this test: the engine is generic
-// over the timestamp type, and these tests exercise it with a type other
-// than timestamp.Timestamp on purpose.
-type fakeTS struct{ V int64 }
-
 // fake is a minimal valid algorithm: a collect over n registers, each
-// process writing register pid mod n. It additionally observes how many
-// GetTS calls are in flight simultaneously, which the churn tests use.
+// process writing register pid mod n (a one-register collect is NOT a
+// correct timestamp object — stale writers downgrade the counter and the
+// checker catches it; see TestSampleRejectsOneRegisterCollect). It does
+// not declare ScalarValued, so its atomic world is a boxed AtomicArray. It
+// additionally observes how many GetTS calls are in flight simultaneously,
+// which the churn tests use.
 type fake struct {
 	n        int
 	oneShot  bool
@@ -33,9 +34,9 @@ func (f *fake) Registers() int       { return f.n }
 func (f *fake) OneShot() bool        { return f.oneShot }
 func (f *fake) WriterTable() [][]int { return f.table }
 
-func (f *fake) Compare(a, b fakeTS) bool { return a.V < b.V }
+func (f *fake) Compare(a, b timestamp.Timestamp) bool { return timestamp.Less(a, b) }
 
-func (f *fake) GetTS(mem register.Mem, pid, seq int) (fakeTS, error) {
+func (f *fake) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, error) {
 	cur := f.inflight.Add(1)
 	defer f.inflight.Add(-1)
 	for {
@@ -44,21 +45,13 @@ func (f *fake) GetTS(mem register.Mem, pid, seq int) (fakeTS, error) {
 			break
 		}
 	}
-	var max int64
-	for i := 0; i < f.n; i++ {
-		if v := mem.Read(i); v != nil {
-			if x := v.(int64); x > max {
-				max = x
-			}
-		}
-	}
-	ts := max + 1
-	mem.Write(pid%f.n, ts)
-	return fakeTS{V: ts}, nil
+	ts := mem.MaxInt64(f.n) + 1
+	mem.WriteInt64(pid%f.n, ts)
+	return timestamp.Timestamp{Rnd: ts}, nil
 }
 
-func cfgFor(alg *fake, world engine.World, n int, wl engine.Workload) engine.Config[fakeTS] {
-	return engine.Config[fakeTS]{Alg: alg, World: world, N: n, Workload: wl, Seed: 7}
+func cfgFor(alg timestamp.Algorithm, world engine.World, n int, wl engine.Workload) engine.Config {
+	return engine.Config{Alg: alg, World: world, N: n, Workload: wl, Seed: 7}
 }
 
 // Every workload kind runs in every world it supports, through the single
@@ -214,27 +207,17 @@ func TestDisciplineEnforcedInStack(t *testing.T) {
 	}
 }
 
-// BaseMem and OnCall expose the run to the caller: the observer sees every
-// call, and the provided memory holds the final state.
-func TestBaseMemAndObserver(t *testing.T) {
+// OnCall exposes the run to the caller: the observer sees every call.
+func TestObserverSeesEveryCall(t *testing.T) {
 	const n = 3
-	alg := &fake{n: n}
-	mem := register.NewAtomicArray(n)
 	var calls int
-	_, err := engine.Run(engine.Config[fakeTS]{
-		Alg: alg, World: engine.Atomic, N: n,
-		Workload: engine.Sequential{},
-		BaseMem:  mem,
-		OnCall:   func(pid, seq int, ts fakeTS) { calls++ },
-	})
-	if err != nil {
+	cfg := cfgFor(&fake{n: n}, engine.Atomic, n, engine.Sequential{})
+	cfg.OnCall = func(pid, seq int, ts timestamp.Timestamp) { calls++ }
+	if _, err := engine.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if calls != n {
 		t.Errorf("observer saw %d calls, want %d", calls, n)
-	}
-	if mem.Read(0) == nil {
-		t.Error("caller-provided memory not used")
 	}
 }
 
@@ -257,35 +240,6 @@ func TestUnmetered(t *testing.T) {
 	}
 	if rep.Space.Registers != n {
 		t.Errorf("Space.Registers = %d, want %d", rep.Space.Registers, n)
-	}
-}
-
-// A BaseMem larger than the algorithm's budget is allowed (the extra
-// registers are unconstrained by the discipline); a smaller one is an
-// error, not a panic.
-func TestBaseMemSizing(t *testing.T) {
-	alg := &fake{n: 2, table: [][]int{{0}, {1}}}
-	cfg := cfgFor(alg, engine.Atomic, 2, engine.Sequential{})
-	cfg.BaseMem = register.NewAtomicArray(5)
-	rep, err := engine.Run(cfg)
-	if err != nil {
-		t.Fatalf("oversized BaseMem rejected: %v", err)
-	}
-	if rep.Space.Registers != 5 {
-		t.Errorf("Space.Registers = %d, want the override's 5", rep.Space.Registers)
-	}
-
-	cfg.BaseMem = register.NewAtomicArray(1)
-	if _, err := engine.Run(cfg); err == nil {
-		t.Error("undersized BaseMem must be rejected")
-	}
-
-	// The simulated world's memory belongs to the scheduler; an override
-	// must fail fast, not be silently ignored.
-	cfg.BaseMem = register.NewAtomicArray(5)
-	cfg.World = engine.Simulated
-	if _, err := engine.Run(cfg); !errors.Is(err, engine.ErrNeedsAtomic) {
-		t.Errorf("BaseMem in the simulated world: err = %v, want ErrNeedsAtomic", err)
 	}
 }
 
@@ -326,7 +280,7 @@ func TestConstructionCovers(t *testing.T) {
 }
 
 // NewSimSystem hands out the driveable triple for adversaries and scripted
-// scenarios; results are []T per process.
+// scenarios; results are []timestamp.Timestamp per process.
 func TestNewSimSystemResults(t *testing.T) {
 	alg := &fake{n: 2}
 	sys, rec, meter := engine.NewSimSystem(cfgFor(alg, engine.Simulated, 2, engine.LongLived{CallsPerProc: 2}))
@@ -339,7 +293,7 @@ func TestNewSimSystemResults(t *testing.T) {
 		if !ok {
 			t.Fatalf("p%d has no result", pid)
 		}
-		if ts := res.([]fakeTS); len(ts) != 2 {
+		if ts := res.([]timestamp.Timestamp); len(ts) != 2 {
 			t.Errorf("p%d returned %d timestamps, want 2", pid, len(ts))
 		}
 	}
@@ -373,5 +327,118 @@ func TestWorldStringAndParse(t *testing.T) {
 		if _, err := engine.ParseWorld(bad); err == nil {
 			t.Errorf("ParseWorld(%q) accepted", bad)
 		}
+	}
+}
+
+func TestSequentialTimestampsBothOrders(t *testing.T) {
+	for _, byProcess := range []bool{true, false} {
+		ts, err := engine.SequentialTimestamps(&fake{n: 3}, 3, 2, byProcess)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ts) != 6 {
+			t.Fatalf("len = %d", len(ts))
+		}
+		if err := timestamp.CheckStrictlyIncreasing(ts, timestamp.Less); err != nil {
+			t.Errorf("byProcess=%v: %v", byProcess, err)
+		}
+	}
+	// calls < 1 is the degenerate no-op it always was: no work, no error.
+	if ts, err := engine.SequentialTimestamps(&fake{n: 3}, 3, 0, true); err != nil || len(ts) != 0 {
+		t.Errorf("SequentialTimestamps(calls=0) = (%v, %v), want empty", ts, err)
+	}
+}
+
+func TestConcurrentRunReportsSpace(t *testing.T) {
+	rep, err := engine.Run(cfgFor(&fake{n: 3}, engine.Atomic, 3, engine.LongLived{CallsPerProc: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Events) != 6 {
+		t.Errorf("events = %d, want 6", len(rep.Events))
+	}
+	if rep.Space.Registers != 3 || rep.Space.Written != 3 || rep.Space.Writes != 6 {
+		t.Errorf("space = %+v, want 3 registers, 3 written, 6 writes", rep.Space)
+	}
+}
+
+var errBoom = errors.New("boom")
+
+type failing struct{ fake }
+
+func (f *failing) GetTS(register.Mem, int, int) (timestamp.Timestamp, error) {
+	return timestamp.Timestamp{}, errBoom
+}
+
+func TestConcurrentRunPropagatesAlgError(t *testing.T) {
+	_, err := engine.Run(cfgFor(&failing{fake{n: 2}}, engine.Atomic, 2, engine.OneShot{}))
+	if err == nil || !errors.Is(err, errBoom) {
+		t.Errorf("err = %v, want errBoom", err)
+	}
+}
+
+func TestReportVerifyCatchesBadCompare(t *testing.T) {
+	alg := &fake{n: 4}
+	rep, err := engine.Run(cfgFor(alg, engine.Atomic, 4, engine.LongLived{CallsPerProc: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Verify(alg.Compare); err != nil {
+		t.Fatalf("valid run rejected: %v", err)
+	}
+	// A constant-false compare must fail verification (the fake's history
+	// has happens-before pairs).
+	if err := rep.Verify(func(a, b timestamp.Timestamp) bool { return false }); err == nil {
+		t.Error("constant-false compare must fail verification")
+	}
+}
+
+func TestSampleRuns(t *testing.T) {
+	if err := engine.Sample(cfgFor(&fake{n: 3}, engine.Simulated, 3, engine.LongLived{CallsPerProc: 2}), 25); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A one-register collect is broken: a stale writer can downgrade the
+// counter so a later call re-issues an already-completed timestamp. The
+// sampled-schedule harness must find and reject it.
+func TestSampleRejectsOneRegisterCollect(t *testing.T) {
+	err := engine.Sample(cfgFor(&fake{n: 1}, engine.Simulated, 3, engine.LongLived{CallsPerProc: 2}), 50)
+	if err == nil {
+		t.Error("one-register collect must violate the spec under sampled schedules")
+	}
+}
+
+type constant struct{ fake }
+
+func (c *constant) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, error) {
+	mem.Read(0)
+	mem.Write(0, int64(1))
+	return timestamp.Timestamp{Rnd: 1}, nil
+}
+
+// A constant-timestamp algorithm is rejected already by sequential
+// interleavings.
+func TestExploreRejectsConstantTimestamp(t *testing.T) {
+	_, err := engine.Explore(cfgFor(&constant{fake{n: 1}}, engine.Simulated, 2, engine.OneShot{}), 0, 1000)
+	if err == nil {
+		t.Error("constant-timestamp algorithm must violate the spec in sequential interleavings")
+	}
+}
+
+// A call begins at its first register operation, also when that operation
+// is one read of a collect: p0 reads r0 and r1, p1 runs a whole getTS,
+// then p0 reads r2 and writes. Both return (1, 0), which is correct only
+// because the calls overlap; stamping p0's start after the last read of
+// its collect would order p1's call before it.
+func TestFirstOpStampInsideCollect(t *testing.T) {
+	alg := collect.New(3)
+	schedule := []int{0, 0, 1, 1, 1, 1, 0, 0}
+	rep, err := engine.Run(cfgFor(alg, engine.Simulated, 3, engine.Adversarial{Schedule: schedule}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Verify(alg.Compare); err != nil {
+		t.Errorf("schedule %v: %v", schedule, err)
 	}
 }

@@ -27,7 +27,7 @@ func TestLiveAdversaryConfrontation(t *testing.T) {
 			var rec *hbcheck.Recorder[timestamp.Timestamp]
 			factory := func(wl engine.Workload) sched.Factory {
 				return func() *sched.System {
-					sys, r, _ := engine.NewSimSystem(engine.Config[timestamp.Timestamp]{
+					sys, r, _ := engine.NewSimSystem(engine.Config{
 						Alg: collect.New(n), World: engine.Simulated, N: n, Workload: wl,
 					})
 					rec = r

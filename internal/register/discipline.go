@@ -50,27 +50,25 @@ func SWMRTable(n int) [][]int {
 	return table
 }
 
-// Handle returns a Mem bound to process pid; writes through it are checked
-// against the permission table. When the wrapped memory provides the
-// scalar fast path (Int64Mem), the handle forwards it with the same check,
-// so the discipline layer never forces boxing.
+// Handle returns a Mem bound to process pid; writes through it, generic
+// or scalar, are checked against the permission table, and reads are
+// unrestricted.
 func (q *WriteQuorum) Handle(pid int) Mem {
-	h := &quorumHandle{q: q, pid: pid}
-	if im, ok := q.inner.(Int64Mem); ok {
-		return &quorumInt64Handle{quorumHandle: h, im: im}
-	}
-	return h
+	return &quorumHandle{inner: q.inner, q: q, pid: pid}
 }
 
+// quorumHandle keeps the memory below in its own field, so a collect
+// forwards without a hop through the WriteQuorum.
 type quorumHandle struct {
-	q   *WriteQuorum
-	pid int
+	inner Mem
+	q     *WriteQuorum
+	pid   int
 }
 
 var _ Mem = (*quorumHandle)(nil)
 
-func (h *quorumHandle) Size() int        { return h.q.inner.Size() }
-func (h *quorumHandle) Read(i int) Value { return h.q.inner.Read(i) }
+func (h *quorumHandle) Size() int        { return h.inner.Size() }
+func (h *quorumHandle) Read(i int) Value { return h.inner.Read(i) }
 
 // check panics unless pid may write register i.
 func (h *quorumHandle) check(i int) {
@@ -89,26 +87,19 @@ func (h *quorumHandle) check(i int) {
 
 func (h *quorumHandle) Write(i int, v Value) {
 	h.check(i)
-	h.q.inner.Write(i, v)
+	h.inner.Write(i, v)
 }
-
-type quorumInt64Handle struct {
-	*quorumHandle
-	im Int64Mem
-}
-
-var _ Int64Mem = (*quorumInt64Handle)(nil)
 
 // MaxInt64 forwards a collect; reads are unrestricted.
 //
 //tslint:hotpath
-func (h *quorumInt64Handle) MaxInt64(m int) int64 { return h.im.MaxInt64(m) }
+func (h *quorumHandle) MaxInt64(m int) int64 { return h.inner.MaxInt64(m) }
 
 // WriteInt64 checks pid's permission for register i and forwards the
 // write.
 //
 //tslint:hotpath
-func (h *quorumInt64Handle) WriteInt64(i int, v int64) {
+func (h *quorumHandle) WriteInt64(i int, v int64) {
 	h.check(i)
-	h.im.WriteInt64(i, v)
+	h.inner.WriteInt64(i, v)
 }

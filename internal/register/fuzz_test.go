@@ -6,8 +6,8 @@ import (
 	"tsspace/internal/register"
 )
 
-// sliceMem is a minimal memory with no capability beyond Mem, so the
-// generic stack exercises the plain wrapper of every layer.
+// sliceMem is a minimal boxed-value memory: it collects through
+// register.CollectMax, one generic read per register.
 type sliceMem struct {
 	vals []register.Value
 }
@@ -15,21 +15,22 @@ type sliceMem struct {
 func (m *sliceMem) Size() int                     { return len(m.vals) }
 func (m *sliceMem) Read(i int) register.Value     { return m.vals[i] }
 func (m *sliceMem) Write(i int, v register.Value) { m.vals[i] = v }
+func (m *sliceMem) MaxInt64(n int) int64          { return register.CollectMax(m, n) }
+func (m *sliceMem) WriteInt64(i int, v int64)     { m.Write(i, v) }
 
 // FuzzMiddlewareStack drives the engine- and SDK-shaped middleware stack —
 // a shared meter under a per-process write discipline — over two
-// substrates at once: a plain slice memory, and an Int64Array whose stack
-// must keep the Int64Mem capability (the path the daemon runs). Each op is
-// three bytes: pid, register (bit 0x40 selects a write) and value. Bit
-// 0x80 of the pid byte selects the scalar operations: WriteInt64 for a
-// write, and for a read a collect of r0..reg, which the scalar stack makes
-// with one MaxInt64(reg+1) call and the plain stack with reg+1 generic
-// reads. After every op both stacks must agree with a plain reference
-// array: a read sees exactly the reference value, a collect returns the
-// reference maximum over its prefix (0 when all are ⊥), the discipline
-// panics precisely on forbidden writes of either kind before any meter
-// records them, and both meters' totals equal the reference counts, a
-// collect counting one read per register.
+// substrates at once: a slice memory, whose collect is the CollectMax
+// helper, and an Int64Array, whose collect is its four-lane kernel (the
+// path the daemon runs). Each op is three bytes: pid, register (bit 0x40
+// selects a write) and value. Bit 0x80 of the pid byte selects the scalar
+// operations: WriteInt64 for a write, and for a read a collect of r0..reg,
+// one MaxInt64(reg+1) call on each stack. After every op both stacks must
+// agree with a plain reference array: a read sees exactly the reference
+// value, a collect returns the reference maximum over its prefix (0 when
+// all are ⊥), the discipline panics precisely on forbidden writes of
+// either kind before any meter records them, and both meters' totals equal
+// the reference counts, a collect counting one read per register.
 func FuzzMiddlewareStack(f *testing.F) {
 	// The register byte selects r(b % 3): 0x40 is r1, 0x41 r2, 0x42 r0.
 	f.Add([]byte{})
@@ -50,15 +51,10 @@ func FuzzMiddlewareStack(f *testing.F) {
 		plainMeter, scalarMeter := register.NewMeterSize(m), register.NewMeterSize(m)
 		plainBase, scalarBase := &sliceMem{vals: make([]register.Value, m)}, register.NewInt64Array(m)
 		plain := make([]register.Mem, n)
-		scalar := make([]register.Int64Mem, n)
+		scalar := make([]register.Mem, n)
 		for pid := 0; pid < n; pid++ {
 			plain[pid] = register.Wrap(plainBase, register.Metered(plainMeter), register.DisciplineFor(table, pid))
-			h := register.Wrap(scalarBase, register.Metered(scalarMeter), register.DisciplineFor(table, pid))
-			im, ok := h.(register.Int64Mem)
-			if !ok {
-				t.Fatalf("stack over Int64Array lost the Int64Mem capability: %T", h)
-			}
-			scalar[pid] = im
+			scalar[pid] = register.Wrap(scalarBase, register.Metered(scalarMeter), register.DisciplineFor(table, pid))
 		}
 
 		ref := make([]register.Value, m)
@@ -91,14 +87,14 @@ func FuzzMiddlewareStack(f *testing.F) {
 
 			if isWrite {
 				ok := allowed(reg, pid)
-				plainPanicked := panics(func() { plain[pid].Write(reg, val) })
-				scalarPanicked := panics(func() {
+				write := func(mem register.Mem) func() {
 					if scalarOp {
-						scalar[pid].WriteInt64(reg, val)
-					} else {
-						scalar[pid].Write(reg, val)
+						return func() { mem.WriteInt64(reg, val) }
 					}
-				})
+					return func() { mem.Write(reg, val) }
+				}
+				plainPanicked := panics(write(plain[pid]))
+				scalarPanicked := panics(write(scalar[pid]))
 				if plainPanicked == ok || scalarPanicked == ok {
 					t.Fatalf("op %d: p%d write r%d (scalar=%v): panicked plain=%v scalar=%v, allowed=%v",
 						op, pid, reg, scalarOp, plainPanicked, scalarPanicked, ok)
@@ -111,16 +107,13 @@ func FuzzMiddlewareStack(f *testing.F) {
 					want.Writes++
 				}
 			} else if scalarOp {
-				var refMax, plainMax int64
+				var refMax int64
 				for r := 0; r <= reg; r++ {
 					if v := ref[r]; v != nil {
 						refMax = max(refMax, v.(int64))
 					}
-					if v := plain[pid].Read(r); v != nil {
-						plainMax = max(plainMax, v.(int64))
-					}
 				}
-				if got := scalar[pid].MaxInt64(reg + 1); got != refMax || plainMax != refMax {
+				if got, plainMax := scalar[pid].MaxInt64(reg+1), plain[pid].MaxInt64(reg+1); got != refMax || plainMax != refMax {
 					t.Fatalf("op %d: p%d collect r0..r%d: MaxInt64 = %d, plain = %d, want %d", op, pid, reg, got, plainMax, refMax)
 				}
 				want.Reads += uint64(reg + 1)

@@ -5,45 +5,19 @@ import (
 	"sync/atomic"
 )
 
-// Int64Mem is the boxing-free fast path for scalar-valued algorithms
-// (collect, dense): register contents are int64 timestamps, collected and
-// written without the Value interface conversion and without the boxed
-// allocation of AtomicArray. Algorithms probe for it with a type assertion
-// and fall back to the generic Mem operations, so the same algorithm code
-// runs on every memory.
-//
-// The scalar algorithms read registers only to collect a maximum, so the
-// read side is that collect as one call, and each layer handles its m
-// reads at once.
-//
-// A middleware layer forwards Int64Mem when (and only when) its substrate
-// provides it, so a metered or write-disciplined stack over an Int64Array
-// keeps the allocation-free path end to end.
-type Int64Mem interface {
-	Mem
-	// MaxInt64 reads registers 0..m−1 in index order, one atomic read
-	// each — the m reads of the paper's collect — and returns the
-	// largest value read, or 0 when all of them are ⊥. How the values
-	// read are folded into the maximum is the implementation's choice
-	// (Int64Array keeps four running maxima); the order of the reads is
-	// not.
-	MaxInt64(m int) int64
-	// WriteInt64 atomically replaces the value of register i.
-	WriteInt64(i int, v int64)
-}
-
 // Int64Array is a wait-free MWMR register array specialized for int64
 // values: one machine word per register, so each read is a single atomic
 // load and a write a single atomic store — no boxing, no allocation. A
 // collect (MaxInt64) is one pass of loads over the words in index order,
 // folded into four running maxima, one per lane of a group of four words.
 // The generic Read/Write operations interoperate with the scalar ones on
-// the same storage (a generic Write must carry an int64).
+// the same storage (a generic Write must carry an int64). It backs every
+// algorithm whose register values are all int64 scalars.
 type Int64Array struct {
 	words []atomic.Uint64
 }
 
-var _ Int64Mem = (*Int64Array)(nil)
+var _ Mem = (*Int64Array)(nil)
 
 // NewInt64Array returns an array of m scalar registers, all initialized
 // to ⊥.
@@ -113,8 +87,9 @@ func (a *Int64Array) WriteInt64(i int, v int64) {
 }
 
 // Read returns the current value of register i boxed as a Value (nil
-// for ⊥). It exists for Mem compatibility; hot paths collect with
-// MaxInt64.
+// for ⊥). Boxing an int64 below 256 does not allocate, so simple's
+// register-by-register reads (values 0–2) stay allocation-free; a
+// collect uses MaxInt64.
 func (a *Int64Array) Read(i int) Value {
 	v, ok := unpackInt64(a.words[i].Load())
 	if !ok {

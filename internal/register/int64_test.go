@@ -13,7 +13,7 @@ import (
 func TestInt64ArraysSemantics(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		mem  Int64Mem
+		mem  *Int64Array
 	}{
 		{"flat", NewInt64Array(4)},
 	} {
@@ -73,40 +73,37 @@ func TestInt64ArraysSemantics(t *testing.T) {
 	}
 }
 
-// The middleware stack must carry the Int64Mem capability end to end —
-// and only over substrates that have it — and its meter must count a
-// collect of m registers as m reads.
-func TestMiddlewarePreservesInt64Mem(t *testing.T) {
-	table := SWMRTable(2)
-	meter := NewMeterSize(2)
-	stack := Wrap(NewInt64Array(2), Metered(meter), DisciplineFor(table, 0))
-	im, ok := stack.(Int64Mem)
-	if !ok {
-		t.Fatal("metered+disciplined stack over Int64Array lost the scalar fast path")
-	}
-	im.WriteInt64(0, 9)
-	if v := im.MaxInt64(2); v != 9 {
-		t.Fatalf("collect through the stack = %d, want 9", v)
-	}
-	rep := meter.Report()
-	if rep.Writes != 1 || rep.Reads != 2 {
-		t.Errorf("meter missed scalar ops: %d writes / %d reads, want 1 write and the collect's 2 reads", rep.Writes, rep.Reads)
-	}
-
-	// The discipline still bites on the scalar path: pid 0 may not write
-	// register 1 under SWMR.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("WriteInt64 against the discipline did not panic")
+// The scalar pair goes through the middleware stack over either array:
+// the meter counts a collect of m registers as m reads, and WriteInt64
+// obeys the discipline.
+func TestMiddlewareScalarPair(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		base Mem
+	}{
+		{"int64", NewInt64Array(2)},
+		{"atomic", NewAtomicArray(2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			meter := NewMeterSize(2)
+			stack := Wrap(tc.base, Metered(meter), DisciplineFor(SWMRTable(2), 0))
+			stack.WriteInt64(0, 9)
+			if v := stack.MaxInt64(2); v != 9 {
+				t.Fatalf("collect through the stack = %d, want 9", v)
 			}
-		}()
-		im.WriteInt64(1, 5)
-	}()
+			rep := meter.Report()
+			if rep.Writes != 1 || rep.Reads != 2 {
+				t.Errorf("meter missed scalar ops: %d writes / %d reads, want 1 write and the collect's 2 reads", rep.Writes, rep.Reads)
+			}
 
-	// A generic substrate must not grow the capability.
-	if _, ok := Wrap(NewAtomicArray(2), Metered(meter)).(Int64Mem); ok {
-		t.Error("stack over AtomicArray claims Int64Mem")
+			// pid 0 may not write register 1 under SWMR.
+			defer func() {
+				if recover() == nil {
+					t.Error("WriteInt64 against the discipline did not panic")
+				}
+			}()
+			stack.WriteInt64(1, 5)
+		})
 	}
 }
 

@@ -11,11 +11,9 @@ import "sync/atomic"
 //		register.DisciplineFor(alg.WriterTable(), pid),
 //	)
 //
-// Every layer preserves the Int64Mem capability of the memory below it
-// (and only that: a layer never claims scalar operations its substrate
-// cannot deliver, so algorithms can probe with a type assertion). Each
-// layer therefore has at most two concrete types, one plain and one
-// Int64Mem.
+// Each layer builds one handle type, which forwards the scalar pair
+// (MaxInt64, WriteInt64) to the memory below like any other operation, so
+// a stack over an Int64Array keeps its allocation-free collect end to end.
 type Middleware func(Mem) Mem
 
 // Wrap applies mws to mem in order: the first middleware ends up closest
@@ -34,34 +32,29 @@ func Wrap(mem Mem, mws ...Middleware) Mem {
 // meter, which may be shared by any number of handles. This layer is the
 // only way operations reach a Meter. Each handle it builds registers with
 // the meter and keeps its own counters, so no register operation takes a
-// lock. A scalar collect (Int64Mem.MaxInt64) of m registers counts as its
-// m reads, added in one step, so the totals stay exact per read.
+// lock. A collect (MaxInt64) of m registers counts as its m reads, added
+// in one step, so the totals stay exact per read.
 func Metered(meter *Meter) Middleware {
 	return func(inner Mem) Mem {
-		// Both handle types share one layout; only the method set differs.
-		h := &meteredInt64{meteredMem{meter: meter, inner: inner}}
-		h.im, _ = inner.(Int64Mem)
-		meter.add(&h.meteredMem)
-		if h.im != nil {
-			return h
-		}
-		return &h.meteredMem
+		h := &meteredMem{meter: meter, inner: inner}
+		meter.add(h)
+		return h
 	}
 }
 
 // meteredMem is one metered handle. Its counters live in the handle's own
-// allocation, which is 64 bytes on 64-bit platforms; the allocator puts
-// objects of that size on 64-byte boundaries, so each handle fills one
-// cache line and handles driven from different cores never write a
-// common line for metering. A write adds to its counter before it marks
-// its register in the meter's bitmap, which is what keeps Totals'
-// Written ≤ Writes.
+// allocation, which is padded to 64 bytes on 64-bit platforms; the
+// allocator puts objects of that size on 64-byte boundaries, so each
+// handle fills one cache line and handles driven from different cores
+// never write a common line for metering. A write adds to its counter
+// before it marks its register in the meter's bitmap, which is what keeps
+// Totals' Written ≤ Writes.
 type meteredMem struct {
 	meter         *Meter
 	inner         Mem
-	im            Int64Mem // inner's scalar path, set for meteredInt64 handles
 	reads, writes atomic.Uint64
 	next          *meteredMem // the meter's previous handle
+	_             [16]byte    // pads the handle to one cache line
 }
 
 func (m *meteredMem) Size() int { return m.inner.Size() }
@@ -77,29 +70,21 @@ func (m *meteredMem) Write(i int, v Value) {
 	m.inner.Write(i, v)
 }
 
-// meteredInt64 keeps the scalar fast path through a metered layer: a
-// collect of m registers adds m to the handle's own read counter once, and
-// a write adds one and loads one bitmap word, taking no lock and
-// allocating nothing.
-type meteredInt64 struct {
-	meteredMem
-}
-
 // MaxInt64 counts the collect's regs reads with one add and forwards it.
 //
 //tslint:hotpath
-func (m *meteredInt64) MaxInt64(regs int) int64 {
+func (m *meteredMem) MaxInt64(regs int) int64 {
 	m.reads.Add(uint64(regs))
-	return m.im.MaxInt64(regs)
+	return m.inner.MaxInt64(regs)
 }
 
 // WriteInt64 counts a write, marks register i written and forwards it.
 //
 //tslint:hotpath
-func (m *meteredInt64) WriteInt64(i int, v int64) {
+func (m *meteredMem) WriteInt64(i int, v int64) {
 	m.writes.Add(1)
 	m.meter.markWritten(i)
-	m.im.WriteInt64(i, v)
+	m.inner.WriteInt64(i, v)
 }
 
 // DisciplineFor enforces the write-permission table for process pid: the
@@ -167,5 +152,14 @@ func (m *stampedMem) Read(i int) Value {
 
 func (m *stampedMem) Write(i int, v Value) {
 	m.inner.Write(i, v)
+	m.s.note()
+}
+
+// MaxInt64 collects with regs Reads, so the stamp is taken right after
+// the first of them, not after the whole collect.
+func (m *stampedMem) MaxInt64(regs int) int64 { return CollectMax(m, regs) }
+
+func (m *stampedMem) WriteInt64(i int, v int64) {
+	m.inner.WriteInt64(i, v)
 	m.s.note()
 }

@@ -6,16 +6,19 @@ import (
 	"testing"
 )
 
-// plainMem is a bare slice-backed memory with no capability beyond Mem.
+// plainMem is a bare slice-backed memory that collects through
+// CollectMax.
 type plainMem struct {
 	vals []Value
 }
 
 func newPlainMem(m int) *plainMem { return &plainMem{vals: make([]Value, m)} }
 
-func (p *plainMem) Size() int            { return len(p.vals) }
-func (p *plainMem) Read(i int) Value     { return p.vals[i] }
-func (p *plainMem) Write(i int, v Value) { p.vals[i] = v }
+func (p *plainMem) Size() int                 { return len(p.vals) }
+func (p *plainMem) Read(i int) Value          { return p.vals[i] }
+func (p *plainMem) Write(i int, v Value)      { p.vals[i] = v }
+func (p *plainMem) MaxInt64(m int) int64      { return CollectMax(p, m) }
+func (p *plainMem) WriteInt64(i int, v int64) { p.Write(i, v) }
 
 // taggingMem records the order wrappers run in.
 type taggingMem struct {
@@ -33,6 +36,8 @@ func (t *taggingMem) Write(i int, v Value) {
 	*t.log = append(*t.log, t.tag)
 	t.inner.Write(i, v)
 }
+func (t *taggingMem) MaxInt64(m int) int64      { return CollectMax(t, m) }
+func (t *taggingMem) WriteInt64(i int, v int64) { t.Write(i, v) }
 
 func tagging(tag string, log *[]string) Middleware {
 	return func(inner Mem) Mem { return &taggingMem{inner: inner, tag: tag, log: log} }
@@ -132,6 +137,25 @@ func TestStampFirstOp(t *testing.T) {
 				t.Errorf("stamp moved to %d after later ops", got)
 			}
 		})
+	}
+}
+
+// A collect through the stamp wrapper is its reads one by one: the stamp
+// is taken right after the first read, before the second.
+func TestStampFirstOpCollect(t *testing.T) {
+	var log []string
+	base := NewAtomicArray(3)
+	inner := Wrap(base, tagging("read", &log))
+	mem, stamp := StampFirstOp(inner, func() uint64 { return uint64(len(log)) })
+	base.Write(2, int64(4))
+	if v := mem.MaxInt64(3); v != 4 {
+		t.Fatalf("MaxInt64(3) = %d, want 4", v)
+	}
+	if len(log) != 3 {
+		t.Errorf("collect of 3 registers made %d reads, want 3", len(log))
+	}
+	if got := stamp.Stamp(); got != 1 {
+		t.Errorf("stamp = %d reads in, want 1 (right after the first read)", got)
 	}
 }
 

@@ -102,7 +102,7 @@ func TestMeteredHandleFillsCacheLine(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the handle layout is sized for 64-bit platforms")
 	}
-	if size := unsafe.Sizeof(meteredInt64{}); size%64 != 0 {
+	if size := unsafe.Sizeof(meteredMem{}); size%64 != 0 {
 		t.Errorf("a metered handle is %d bytes, want a multiple of 64", size)
 	}
 }
@@ -142,7 +142,7 @@ func TestMeterConcurrentSafety(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			h := Wrap(base, Metered(meter)).(Int64Mem)
+			h := Wrap(base, Metered(meter))
 			for k := 0; k < iters; k++ {
 				h.WriteInt64(2*(p*iters+k), int64(k)) // the even registers, each once
 				h.MaxInt64(1)                         // a one-register collect: one read

@@ -26,8 +26,6 @@ type SwapArray struct {
 	swaps uint64
 }
 
-var _ Mem = (*SwapArray)(nil)
-
 // NewSwapArray returns m swap objects, all ⊥.
 func NewSwapArray(m int) *SwapArray {
 	if m < 0 {

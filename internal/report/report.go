@@ -83,7 +83,7 @@ func Measured(ns []int, advCap int) ([]MeasuredRow, error) {
 			if !alg.OneShot() {
 				wl = engine.LongLived{CallsPerProc: 2}
 			}
-			rep, err := engine.Run(engine.Config[timestamp.Timestamp]{
+			rep, err := engine.Run(engine.Config{
 				Alg:      alg,
 				World:    engine.Atomic,
 				N:        n,
@@ -160,7 +160,7 @@ func FormatBudgets(rows []BudgetRow) string {
 
 // Summary renders a one-line digest of an engine run: the shared footer
 // every CLI and example prints after a run.
-func Summary(rep *engine.Report[timestamp.Timestamp]) string {
+func Summary(rep *engine.Report) string {
 	s := fmt.Sprintf("%s · %s world · %s · n=%d: %d getTS() calls, %d/%d registers written, %d reads / %d writes, %v",
 		rep.Alg, rep.World, rep.Workload, rep.N,
 		len(rep.Events), rep.Space.Written, rep.Space.Registers,

@@ -206,6 +206,11 @@ func (m *procMem) Write(i int, v register.Value) {
 	m.post(Op{Pid: m.p.pid, Kind: OpWrite, Reg: i, Val: v, Step: -1})
 }
 
+// MaxInt64 collects with m gated reads: one scheduler step per register.
+func (m *procMem) MaxInt64(n int) int64 { return register.CollectMax(m, n) }
+
+func (m *procMem) WriteInt64(i int, v int64) { m.Write(i, v) }
+
 func (m *procMem) post(op Op) register.Value {
 	req := request{op: op, reply: make(chan register.Value)}
 	select {

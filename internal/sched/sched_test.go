@@ -10,6 +10,7 @@ import (
 
 	"tsspace/internal/bitset"
 	"tsspace/internal/register"
+	"tsspace/internal/timestamp/collect"
 )
 
 // incrementer reads register pid and writes pid+1 back `rounds` times.
@@ -85,6 +86,29 @@ func TestSoloRunsToCompletion(t *testing.T) {
 	res, ok := sys.Result(0)
 	if !ok || res != 0 {
 		t.Errorf("Result = (%v, %v)", res, ok)
+	}
+}
+
+// A solo collect getTS at n = 3 is four steps — the reads of r0, r1 and
+// r2, then the write of r0 — not one: the gated memory runs MaxInt64 as
+// one scheduled read per register.
+func TestCollectGetTSStepsPerRegister(t *testing.T) {
+	alg := collect.New(3)
+	sys := New(3, alg.Registers(), func(pid int, mem register.Mem) (any, error) {
+		return alg.GetTS(mem, pid, 0)
+	})
+	defer sys.Close()
+	steps, err := sys.Solo(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"p0:read(r0)", "p0:read(r1)", "p0:read(r2)", "p0:write(r0, 1)"}
+	var got []string
+	for _, op := range sys.Trace() {
+		got = append(got, op.String())
+	}
+	if steps != len(want) || strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("solo collect getTS took %d steps %v, want %v", steps, got, want)
 	}
 }
 

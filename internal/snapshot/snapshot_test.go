@@ -236,3 +236,5 @@ func (m *volatileMem) Read(int) register.Value {
 	return m.n.Add(1)
 }
 func (m *volatileMem) Write(int, register.Value) {}
+func (m *volatileMem) MaxInt64(int) int64        { return int64(m.n.Add(1)) }
+func (m *volatileMem) WriteInt64(int, int64)     {}

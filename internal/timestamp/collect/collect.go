@@ -65,28 +65,13 @@ func (a *Alg) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, error)
 	if pid < 0 || pid >= a.n {
 		return timestamp.Timestamp{}, fmt.Errorf("collect: pid %d out of range [0,%d)", pid, a.n)
 	}
-	if im, ok := mem.(register.Int64Mem); ok {
-		// Scalar fast path: the same collect as one call, with no boxing
-		// and no cell allocation.
-		ts := im.MaxInt64(a.n) + 1
-		im.WriteInt64(pid, ts)
-		return timestamp.Timestamp{Rnd: ts}, nil
-	}
-	var max int64
-	for i := 0; i < a.n; i++ {
-		if v := mem.Read(i); v != nil {
-			if x := v.(int64); x > max {
-				max = x
-			}
-		}
-	}
-	ts := max + 1
-	mem.Write(pid, ts)
+	ts := mem.MaxInt64(a.n) + 1
+	mem.WriteInt64(pid, ts)
 	return timestamp.Timestamp{Rnd: ts}, nil
 }
 
-// ScalarValued reports that every register value is an int64, so the
-// object can be backed by the boxing-free scalar arrays.
+// ScalarValued reports that every register value is an int64, so
+// timestamp.NewMem backs the object with a register.Int64Array.
 func (a *Alg) ScalarValued() bool { return true }
 
 // Compare orders timestamps by integer value.

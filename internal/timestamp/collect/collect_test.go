@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"tsspace/internal/register"
 	"tsspace/internal/timestamp"
 )
 
@@ -49,7 +48,7 @@ func TestLongLived(t *testing.T) {
 func TestRegisterMonotonicity(t *testing.T) {
 	const n = 4
 	alg := New(n)
-	mem := register.NewAtomicArray(n)
+	mem := timestamp.NewMem(alg)
 	last := make([]int64, n)
 	for k := 0; k < 40; k++ {
 		pid := (k * 7) % n

@@ -18,12 +18,12 @@ import (
 
 // seqTS runs n×calls strictly sequential getTS() calls on real memory.
 func seqTS(alg timestamp.Algorithm, n, calls int, byProcess bool) ([]timestamp.Timestamp, error) {
-	return engine.SequentialTimestamps[timestamp.Timestamp](alg, n, calls, byProcess)
+	return engine.SequentialTimestamps(alg, n, calls, byProcess)
 }
 
 // runConcurrent is the maximal-contention real-goroutine run.
-func runConcurrent(alg timestamp.Algorithm, n, calls int) (*engine.Report[timestamp.Timestamp], error) {
-	return engine.Run(engine.Config[timestamp.Timestamp]{
+func runConcurrent(alg timestamp.Algorithm, n, calls int) (*engine.Report, error) {
+	return engine.Run(engine.Config{
 		Alg:      alg,
 		World:    engine.Atomic,
 		N:        n,
@@ -32,8 +32,8 @@ func runConcurrent(alg timestamp.Algorithm, n, calls int) (*engine.Report[timest
 }
 
 // cfgSim is the simulated-world config for exploration and sampling.
-func cfgSim(alg timestamp.Algorithm, n, calls int, seed int64) engine.Config[timestamp.Timestamp] {
-	return engine.Config[timestamp.Timestamp]{
+func cfgSim(alg timestamp.Algorithm, n, calls int, seed int64) engine.Config {
+	return engine.Config{
 		Alg:      alg,
 		World:    engine.Simulated,
 		N:        n,

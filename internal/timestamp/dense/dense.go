@@ -102,25 +102,7 @@ func (a *Alg) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, error)
 		return timestamp.Timestamp{}, fmt.Errorf("dense: pid %d out of range [0,%d)", pid, a.n)
 	}
 	m := a.n - a.silent
-	var max int64
-	if im, ok := mem.(register.Int64Mem); ok {
-		// Scalar fast path: the same collect as one call, with no boxing
-		// and no cell allocation.
-		max = im.MaxInt64(m)
-		if pid >= m {
-			return timestamp.Timestamp{Rnd: max, Turn: int64(seq) + 1}, nil
-		}
-		ts := max + 1
-		im.WriteInt64(pid, ts)
-		return timestamp.Timestamp{Rnd: ts}, nil
-	}
-	for i := 0; i < m; i++ {
-		if v := mem.Read(i); v != nil {
-			if x := v.(int64); x > max {
-				max = x
-			}
-		}
-	}
+	max := mem.MaxInt64(m)
 	if pid >= m {
 		// Silent process: return max "plus seq+1 infinitesimals". Its calls
 		// are self-ordered by the local invocation count, ordered after all
@@ -129,7 +111,7 @@ func (a *Alg) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, error)
 		return timestamp.Timestamp{Rnd: max, Turn: int64(seq) + 1}, nil
 	}
 	ts := max + 1
-	mem.Write(pid, ts)
+	mem.WriteInt64(pid, ts)
 	return timestamp.Timestamp{Rnd: ts}, nil
 }
 
@@ -138,6 +120,6 @@ func (a *Alg) Compare(t1, t2 timestamp.Timestamp) bool {
 	return timestamp.Less(t1, t2)
 }
 
-// ScalarValued reports that every register value is an int64, so the
-// object can be backed by the boxing-free scalar arrays.
+// ScalarValued reports that every register value is an int64, so
+// timestamp.NewMem backs the object with a register.Int64Array.
 func (a *Alg) ScalarValued() bool { return true }

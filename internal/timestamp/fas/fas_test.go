@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"tsspace/internal/engine"
-	"tsspace/internal/timestamp"
 )
 
 func TestSequentialIsCounter(t *testing.T) {
@@ -66,7 +65,7 @@ func TestConcurrentPerfectTickets(t *testing.T) {
 func TestHappensBeforeConcurrent(t *testing.T) {
 	alg := New(6)
 	for rep := 0; rep < 10; rep++ {
-		report, err := engine.Run(engine.Config[timestamp.Timestamp]{
+		report, err := engine.Run(engine.Config{
 			Alg:      alg,
 			World:    engine.Atomic,
 			N:        6,

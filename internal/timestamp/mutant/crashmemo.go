@@ -79,19 +79,11 @@ func (a *CrashMemo) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, 
 		// visible to later scans either).
 		return timestamp.Timestamp{Rnd: ts}, nil
 	}
-	var max int64
-	for i := 0; i < a.n; i++ {
-		if v := mem.Read(i); v != nil {
-			if x := v.(int64); x > max {
-				max = x
-			}
-		}
-	}
-	ts = max + 1
+	ts = mem.MaxInt64(a.n) + 1
 	a.mu.Lock()
 	a.memo[key] = ts // checkpointed before the write: the crash window
 	a.mu.Unlock()
-	mem.Write(pid, ts)
+	mem.WriteInt64(pid, ts)
 	return timestamp.Timestamp{Rnd: ts}, nil
 }
 

@@ -82,13 +82,7 @@ func (a *StaleScan) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, 
 	}
 	var max int64
 	if seq == 0 {
-		for i := 0; i < a.n; i++ {
-			if v := mem.Read(i); v != nil {
-				if x := v.(int64); x > max {
-					max = x
-				}
-			}
-		}
+		max = mem.MaxInt64(a.n)
 	} else {
 		// BUG: reuse the previous call's view instead of re-collecting.
 		a.mu.Lock()
@@ -99,7 +93,7 @@ func (a *StaleScan) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, 
 	a.mu.Lock()
 	a.cache[pid] = ts // own write is remembered, other processes' are missed
 	a.mu.Unlock()
-	mem.Write(pid, ts)
+	mem.WriteInt64(pid, ts)
 	return timestamp.Timestamp{Rnd: ts}, nil
 }
 

@@ -67,7 +67,9 @@ func (a *Alg) WriterTable() [][]int { return register.TwoWriterTable(a.n) }
 
 // GetTS is simple-getTS (Algorithm 2). Registers hold int64 values; the
 // initial ⊥ (nil) reads as 0, matching the paper's 0-initialized
-// registers without performing initializing writes.
+// registers without performing initializing writes. It sums the
+// registers instead of taking their maximum, so it reads them one by one
+// with the generic Read; its increment is a WriteInt64.
 func (a *Alg) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, error) {
 	if pid < 0 || pid >= a.n {
 		return timestamp.Timestamp{}, fmt.Errorf("simple: pid %d out of range [0,%d)", pid, a.n)
@@ -81,7 +83,7 @@ func (a *Alg) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, error)
 		if i == mine {
 			// R[i] := R[i] + 1 — one read and one write in the register
 			// model.
-			mem.Write(i, readVal(mem, i)+1)
+			mem.WriteInt64(i, readVal(mem, i)+1)
 		}
 		// sum := sum + R[i]: the paper re-reads the register, so the sum may
 		// account for a partner's concurrent increment; monotonicity is
@@ -98,6 +100,10 @@ func readVal(mem register.Mem, i int) int64 {
 	}
 	return v.(int64)
 }
+
+// ScalarValued reports that every register value is an int64, so
+// timestamp.NewMem backs the object with a register.Int64Array.
+func (a *Alg) ScalarValued() bool { return true }
 
 // Compare is simple-compare (Algorithm 1): t1 < t2.
 func (a *Alg) Compare(t1, t2 timestamp.Timestamp) bool {

@@ -43,7 +43,7 @@ func TestSequentialSumsIncrease(t *testing.T) {
 func TestValuesBounded(t *testing.T) {
 	const n = 12
 	alg := New(n)
-	mem := register.NewAtomicArray(alg.Registers())
+	mem := timestamp.NewMem(alg)
 	for pid := 0; pid < n; pid++ {
 		if _, err := alg.GetTS(mem, pid, 0); err != nil {
 			t.Fatal(err)

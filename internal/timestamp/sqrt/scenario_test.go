@@ -17,7 +17,7 @@ import (
 // newSim builds a one-shot (one call per process) simulated system for alg
 // through the engine — the replacement for the deleted runner shims.
 func newSim(alg timestamp.Algorithm, n int) (*sched.System, *hbcheck.Recorder[timestamp.Timestamp]) {
-	sys, rec, _ := engine.NewSimSystem(engine.Config[timestamp.Timestamp]{
+	sys, rec, _ := engine.NewSimSystem(engine.Config{
 		Alg:      alg,
 		World:    engine.Simulated,
 		N:        n,
@@ -263,7 +263,7 @@ func TestScenario61BrokenVariantViolates(t *testing.T) {
 // the race), so the checker result above is attributable to the repair.
 func TestBrokenVariantSequentiallyFine(t *testing.T) {
 	alg := sqrt.NewWithoutRepair(12)
-	got, err := engine.SequentialTimestamps[timestamp.Timestamp](alg, 12, 1, true)
+	got, err := engine.SequentialTimestamps(alg, 12, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestBrokenVariantSequentiallyFine(t *testing.T) {
 // for the broken variant (the §6.1 bug needs ≥ 3 participants and a
 // developed phase structure).
 func TestBrokenVariantTwoProcExhaustive(t *testing.T) {
-	if _, err := engine.Explore(engine.Config[timestamp.Timestamp]{
+	if _, err := engine.Explore(engine.Config{
 		Alg:      sqrt.NewWithoutRepair(2),
 		World:    engine.Simulated,
 		N:        2,

@@ -53,8 +53,10 @@ var (
 // Algorithm is a timestamp implementation. Implementations are pure
 // against register.Mem: all shared state lives in the registers, and all
 // per-process persistent state is derived from (pid, seq), so the same
-// code runs on register.AtomicArray (real concurrency) and under
-// internal/sched (deterministic simulation).
+// code runs on the arrays NewMem allocates (real concurrency) and under
+// internal/sched (deterministic simulation). The scalar algorithms
+// collect with Mem.MaxInt64 and write with Mem.WriteInt64 on every
+// memory; there is one GetTS body per algorithm.
 type Algorithm interface {
 	// Name identifies the implementation in reports.
 	Name() string
@@ -78,17 +80,22 @@ type Algorithm interface {
 }
 
 // ScalarValued is an optional capability probe, in the style of Simulable:
-// an algorithm whose register values are all int64 scalars reports it so
-// the SDK can back the object with the boxing-free register.Int64Mem
-// arrays (one atomic word per register, allocation-free getTS). Algorithms
-// that declare it must take the register.Int64Mem fast path in GetTS when
-// the memory offers one.
+// an algorithm whose register values are all int64 scalars (collect,
+// dense, simple) reports it, and NewMem then backs it with a
+// register.Int64Array, one atomic word per register, on which a getTS
+// allocates nothing.
 type ScalarValued interface {
 	ScalarValued() bool
 }
 
-// NewMem allocates an atomic register array sized for alg.
-func NewMem(alg Algorithm) *register.AtomicArray {
+// NewMem allocates the atomic register array for alg: a
+// register.Int64Array when alg is ScalarValued, a register.AtomicArray of
+// boxed values otherwise. It is the one place an algorithm's array is
+// chosen; the SDK, the engine's atomic world and the tests all call it.
+func NewMem(alg Algorithm) register.Mem {
+	if sv, ok := alg.(ScalarValued); ok && sv.ScalarValued() {
+		return register.NewInt64Array(alg.Registers())
+	}
 	return register.NewAtomicArray(alg.Registers())
 }
 

@@ -162,10 +162,11 @@ func WithProcs(n int) Option {
 // Usage and SpaceTotals). Each process's stack counts its own register
 // operations with atomic adds on a cache line no other process writes,
 // and a write also loads one word of a shared written-register bitmap.
-// No register operation takes a lock. The scalar algorithms (collect,
-// dense) collect in one call that the meter counts as its n reads with a
-// single add, so a metered getTS pays at most two adds whatever n is; the
-// boxed algorithms (sqrt, simple, fas) pay one add per register operation.
+// No register operation takes a lock. A collect (collect, dense) is one
+// call that the meter counts as its n reads with a single add, so a
+// metered collect getTS pays at most two adds whatever n is; the
+// algorithms that read register by register (sqrt, simple) pay one add per
+// register operation, and fas touches no register.
 func WithMetering() Option {
 	return func(c *config) error {
 		c.metered = true
@@ -216,15 +217,10 @@ func New(opts ...Option) (*Object, error) {
 	}
 	alg := info.New(cfg.procs)
 
-	// Scalar-valued algorithms (collect, dense) run on the boxing-free
-	// int64 array: one atomic word per register, so a getTS allocates
-	// nothing. Everything else gets the boxed-value array.
-	var base register.Mem
-	if sv, ok := alg.(timestamp.ScalarValued); ok && sv.ScalarValued() {
-		base = register.NewInt64Array(alg.Registers())
-	} else {
-		base = register.NewAtomicArray(alg.Registers())
-	}
+	// Scalar-valued algorithms (collect, dense, simple) run on the
+	// boxing-free int64 array, so a getTS allocates nothing; everything
+	// else gets the boxed-value array.
+	base := timestamp.NewMem(alg)
 	var meter *register.Meter
 	var metered register.Middleware
 	if cfg.metered {
