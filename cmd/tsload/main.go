@@ -5,11 +5,10 @@
 // (mix × target × algorithm) row.
 //
 // Each scenario is one of the built-in mixes (steady, churn, burst,
-// crash, tenants, storm — see tsspace/tsload); each algorithm
-// comes from the registry
-// (every non-mutant implementation by default); each row runs against the
-// in-process SDK and against tsserve over HTTP, so the delta between the
-// two prices the wire.
+// crash, tenants, storm — see tsspace/tsload); each algorithm comes from
+// the registry (every non-mutant implementation by default); each row
+// runs against the in-process SDK and against tsserve over both wires,
+// so the delta prices the wire.
 //
 // Usage:
 //
@@ -19,11 +18,11 @@
 //	       [-seed 1] [-progress 0] [-out .] [-url http://...]
 //	       [-binary-url host:port] [-cpuprofile f] [-memprofile f]
 //	tsload -mixes               list the workload mixes
-//	tsload -smoke               short closed-loop sweep (all mixes, all
-//	                            three transports, collect + sqrt; plus a
-//	                            batch-size sweep 1/16/256 over wire v2,
-//	                            wire v3 and in process) gated on
-//	                            zero unexpected errors and zero
+//	tsload -smoke               short closed-loop sweep (every mix on
+//	                            every transport it supports, collect +
+//	                            sqrt; plus a batch-size sweep 1/16/256
+//	                            over wire v2, wire v3 and in process)
+//	                            gated on zero unexpected errors and zero
 //	                            happens-before violations (every issued
 //	                            timestamp is checked locally against its
 //	                            worker's previous one; the crash mix
@@ -43,9 +42,11 @@
 // fresh daemon (and a fresh one-shot budget). With -url, http rows run
 // against that external daemon instead — only for the algorithm it
 // serves; binary rows join them when -binary-url names its binary
-// listener, and self-host otherwise. Multi-tenant rows (the tenants and
-// storm mixes) provision their own namespaces, so their wire rows always
-// self-host.
+// listener, and self-host otherwise. The mixes that need a lease
+// manager always self-host their wire rows and have no inproc rows: the
+// crash mix needs a reaper armed with a short TTL, and the multi-tenant
+// mixes (tenants, storm) provision their own namespaces with a quota —
+// the daemon does all three, the in-process SDK none.
 //
 // -cpuprofile and -memprofile write pprof profiles of the whole run
 // (driver side: the client encoding/decoding paths under load), for
@@ -334,7 +335,7 @@ func sweep(ctx context.Context, mix tsload.Mix, algs, targets []string, batches 
 	return results, nil
 }
 
-// crashTTL is the session TTL armed on targets the crash mix runs
+// crashTTL is the session TTL armed on the daemons the crash mix runs
 // against: short enough that abandoned pids circulate many times inside a
 // smoke window, long enough that a live worker's inter-op pause never
 // trips it.
@@ -342,22 +343,23 @@ const crashTTL = 100 * time.Millisecond
 
 // runOne builds a fresh target for (alg, kind) and drives mix against it.
 // skip is true for http rows against an external daemon serving a
-// different algorithm, and for crash-mix rows against any external daemon
-// (its 60s default TTL would let the abandoned pids wedge the namespace
-// for the whole run — crashing a shared daemon's leases is not this
-// driver's call to make). Multi-tenant rows provision and
-// force-deprovision namespaces, which is not this driver's call on a
-// shared daemon either, so their wire rows self-host one, as they do
-// without -url.
+// different algorithm. The mixes that need a lease manager run on a
+// daemon this driver hosts itself, even under -url: the crash mix needs
+// the reaper armed with crashTTL (a shared daemon's 60s default would let
+// the abandoned pids wedge the namespace for the whole run, and crashing
+// a shared daemon's leases is not this driver's call to make), and the
+// multi-tenant mixes provision and force-deprovision namespaces, which is
+// not its call on a shared daemon either. The in-process SDK reaps,
+// rations and namespaces nothing, so those mixes skip their inproc rows.
 func runOne(ctx context.Context, mix tsload.Mix, alg, kind string, opt options) (tsload.Result, bool, error) {
 	procs := opt.procs
 	if isOneShot(alg) {
 		procs = opt.oneshotProcs
 	}
-	if mix.AbandonFrac > 0 && kind != "inproc" && opt.url != "" {
+	selfHosted := mix.Namespaces > 0 || mix.AbandonFrac > 0
+	if selfHosted && kind == "inproc" {
 		return tsload.Result{}, true, nil
 	}
-	selfHosted := mix.Namespaces > 0
 	var ttl time.Duration
 	if mix.AbandonFrac > 0 {
 		ttl = crashTTL
@@ -366,11 +368,7 @@ func runOne(ctx context.Context, mix tsload.Mix, alg, kind string, opt options) 
 	var target tsload.Target
 	switch kind {
 	case "inproc":
-		objOpts := []tsspace.Option{tsspace.WithAlgorithm(alg), tsspace.WithProcs(procs), tsspace.WithMetering()}
-		if ttl > 0 {
-			objOpts = append(objOpts, tsspace.WithSessionTTL(ttl))
-		}
-		obj, err := tsspace.New(objOpts...)
+		obj, err := tsspace.New(tsspace.WithAlgorithm(alg), tsspace.WithProcs(procs), tsspace.WithMetering())
 		if err != nil {
 			return tsload.Result{}, false, err
 		}
@@ -543,18 +541,22 @@ func row(r tsload.Result) string {
 }
 
 // runSmoke is the CI gate: a short ops-bounded closed-loop sweep of every
-// mix against all three transports for a long-lived and a one-shot
+// mix against every transport it supports (the lease-managing mixes run
+// on self-hosted daemons only) for a long-lived and a one-shot
 // algorithm, plus a batch-size leg (1/16/256 in process, over wire v2 and
 // over wire v3). It fails on any *unexpected* error, any happens-before
-// violation, an empty row, or a batch row whose timestamp
-// accounting does not match its batch size — gating on total errors would
-// reject the crash mix's fault injection, whose whole point is provoking
-// ErrDetached (counted as ExpectedErrors) while happens-before holds. The
-// crash rows additionally must have abandoned at least one lease, or the
-// injection silently did not run; namespace rows must partition their
-// getTS ops across the provisioned namespaces, the storm mix must have
-// provoked at least one quota rejection, and at least one row must have
-// run multi-tenant. All rows land in one BENCH_smoke.json.
+// violation, an empty row, or a batch row whose timestamp accounting does
+// not match its batch size — gating on total errors would reject the
+// crash mix's fault injection, whose whole point is provoking ErrDetached
+// (counted as ExpectedErrors) while happens-before holds. The crash rows
+// additionally must have abandoned at least one lease, or the injection
+// silently did not run, and on a long-lived algorithm more leases than
+// the object has pids: an abandoned lease pins its pid until the daemon
+// reaps it, so that many abandons prove the reaper reclaimed leases.
+// Namespace rows must partition their getTS ops across the provisioned
+// namespaces, the storm mix must have provoked at least one quota
+// rejection, and at least one row must have run multi-tenant. All rows
+// land in one BENCH_smoke.json.
 func runSmoke(ctx context.Context, out string, opt options) error {
 	opt.workers = 4
 	opt.rate = 0
@@ -621,6 +623,10 @@ func runSmoke(ctx context.Context, out string, opt options) error {
 				return fmt.Errorf("%s/%s/%s: crash mix abandoned no leases — the fault injection did not run",
 					r.Mix, r.Target, r.Algorithm)
 			}
+			if !isOneShot(r.Algorithm) && r.Abandoned <= uint64(r.Procs) {
+				return fmt.Errorf("%s/%s/%s: %d leases abandoned on %d pids — the reaper reclaimed none",
+					r.Mix, r.Target, r.Algorithm, r.Abandoned, r.Procs)
+			}
 		}
 		if r.Namespaces > 0 {
 			if r.Namespaces >= 2 {
@@ -664,10 +670,9 @@ func runSmoke(ctx context.Context, out string, opt options) error {
 		return fmt.Errorf("smoke ran no multi-namespace rows")
 	}
 	if stormRejections == 0 {
-		// Per-row counts are timing-dependent (in-process leases are
-		// microseconds wide, wire leases a round trip), but across the
-		// in-process and self-hosted wire storm rows the 2-slot quota
-		// must have turned at least one attach away.
+		// Per-row counts are timing-dependent, but across the
+		// self-hosted wire storm rows the 2-slot quota must have turned
+		// at least one attach away.
 		return fmt.Errorf("smoke attach storms provoked no quota rejections — the quota never bit")
 	}
 	return nil

@@ -41,7 +41,7 @@ const (
 	// EventDetach: a lease was returned explicitly (Detail = the
 	// session's lifetime getTS count).
 	EventDetach
-	// EventReap: an idle lease was force-detached by a TTL reaper.
+	// EventReap: an idle lease was force-detached by the daemon's reaper.
 	EventReap
 	// EventCrash: a lease was released because its owner vanished
 	// without detaching (connection drop, abandoned client).

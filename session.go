@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tsspace/internal/register"
 	"tsspace/internal/timestamp"
@@ -60,13 +59,8 @@ type Object struct {
 	active    int           // currently attached sessions
 	exhausted chan struct{} // one-shot only: closed when retired == procs
 
-	// sessions is the live-session registry, non-nil only when the object
-	// was built WithSessionTTL; maintained on the attach/detach cold path.
-	sessions map[*Session]struct{}
-
 	calls    atomic.Uint64
 	attaches atomic.Uint64
-	reaped   atomic.Uint64
 }
 
 // Algorithm returns the registry name of the implementation backing the
@@ -106,9 +100,6 @@ func (o *Object) Attach(ctx context.Context) (*Session, error) {
 		s.seq.Store(s.seq0)
 		o.mu.Lock()
 		o.active++
-		if o.sessions != nil {
-			o.sessions[s] = struct{}{}
-		}
 		o.mu.Unlock()
 		return s, nil
 	case <-o.exhausted: // nil (blocks forever) unless one-shot
@@ -121,71 +112,11 @@ func (o *Object) Attach(ctx context.Context) (*Session, error) {
 }
 
 // Close shuts the object down: subsequent Attach and GetTS calls report
-// ErrClosed and blocked Attach calls wake up. Close is idempotent, does
-// not wait for attached sessions, and stops the session reaper when one
-// is armed.
+// ErrClosed and blocked Attach calls wake up. Close is idempotent and
+// does not wait for attached sessions.
 func (o *Object) Close() error {
 	o.once.Do(func() { close(o.closed) })
 	return nil
-}
-
-// reapState is the reaper's view of one session: the last sequence number
-// observed and when that observation first held.
-type reapState struct {
-	seq   int64
-	since time.Time
-}
-
-// reapLoop is the WithSessionTTL goroutine: every ttl/4 it snapshots each
-// live session's sequence number, and a session whose number has not
-// moved for a full ttl is force-detached — the abandoned lease of a
-// crashed client, returned to the free pool. Idleness is measured from
-// the snapshot that first saw the stalled number, so a session is
-// reclaimed between ttl and ttl+ttl/4 after its last call, never before
-// ttl.
-func (o *Object) reapLoop(ttl time.Duration) {
-	tick := ttl / 4
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	state := make(map[*Session]reapState)
-	for {
-		select {
-		case <-o.closed:
-			return
-		case now := <-ticker.C:
-			o.mu.Lock()
-			live := make([]*Session, 0, len(o.sessions))
-			for s := range o.sessions {
-				live = append(live, s)
-			}
-			o.mu.Unlock()
-			seen := make(map[*Session]bool, len(live))
-			for _, s := range live {
-				seen[s] = true
-				seq := s.seq.Load()
-				st, ok := state[s]
-				if !ok || st.seq != seq {
-					state[s] = reapState{seq: seq, since: now}
-					continue
-				}
-				if now.Sub(st.since) >= ttl {
-					// Book the reap before Detach frees the pid, so
-					// whoever attaches it next sees the reap in Stats.
-					o.reaped.Add(1)
-					s.Detach()
-					delete(state, s)
-				}
-			}
-			for s := range state {
-				if !seen[s] {
-					delete(state, s) // detached on its own between ticks
-				}
-			}
-		}
-	}
 }
 
 // Usage reports the object's register-space footprint. The boolean is
@@ -227,7 +158,6 @@ func (o *Object) Stats() Stats {
 	return Stats{
 		Calls:          o.calls.Load(),
 		Attaches:       o.attaches.Load(),
-		Reaped:         o.reaped.Load(),
 		ActiveSessions: active,
 	}
 }
@@ -259,15 +189,14 @@ type SpaceTotals struct {
 	Reads, Writes uint64
 }
 
-// Stats are the object's lifetime traffic counters.
+// Stats are the object's lifetime traffic counters. The SDK reclaims no
+// lease on its own, so ActiveSessions counts every session not yet
+// detached, abandoned ones included.
 type Stats struct {
 	// Calls is the number of successful GetTS calls.
 	Calls uint64
 	// Attaches is the number of sessions handed out.
 	Attaches uint64
-	// Reaped is the number of abandoned leases reclaimed by the
-	// WithSessionTTL reaper (0 when no TTL is armed).
-	Reaped uint64
 	// ActiveSessions is the number of currently attached sessions.
 	ActiveSessions int
 }
@@ -278,41 +207,30 @@ type Stats struct {
 // otherwise ordered); for parallelism attach more sessions. Detach and
 // the read-only methods may be called from any goroutine once the
 // operation stream has stopped. Sessions must be Detached when done so
-// their process id can serve the next client.
+// their process id can serve the next client: nothing in the SDK
+// reclaims an abandoned session. A remote client's lease is reclaimed by
+// the daemon's session TTL (tsserve), which never retires a lease with a
+// batch in flight.
 //
 // The hot path is lock-free and is one loop: GetTS is a GetTSBatch of
 // one. A batch checks its guards (detached flag, closed object, context)
 // once, then runs the algorithm's register operations once per timestamp
 // with the sequence number in a local. It publishes that number to the
-// session after every 64th timestamp and once at the end, and adds the
-// whole batch to the object's call count with one atomic add. No session
-// mutex and no object-wide mutex is taken, so sessions of the same object
-// never serialize on SDK state, only on whatever registers the algorithm
-// itself contends on.
-//
-// The store every 64 timestamps is what keeps a long batch leased under
-// WithSessionTTL: the reaper detaches a session whose published number
-// has not moved for a TTL, and detaching a session mid-batch would free
-// its pid — and that pid's single-writer register — for a second lease
-// while the batch is still writing it.
+// session once, at its end, and adds the whole batch to the object's call
+// count with one atomic add. No session mutex and no object-wide mutex is
+// taken, so sessions of the same object never serialize on SDK state,
+// only on whatever registers the algorithm itself contends on.
 type Session struct {
 	obj  *Object
 	pid  int
 	seq0 int64 // the pid's seq at Attach; Calls() = seq − seq0
 
-	// seq is the pid's getTS count as last published by the operation
-	// stream (see publishEvery). It is atomic so that read-only methods
-	// (Calls), the TTL reaper and a late Detach race cleanly with the
-	// stream; the stream itself must be sequential.
+	// seq is the pid's getTS count as of the last completed batch. It is
+	// atomic so that read-only methods (Calls) and a late Detach race
+	// cleanly with the stream; the stream itself must be sequential.
 	seq      atomic.Int64
 	detached atomic.Bool
 }
-
-// publishEvery is how many timestamps a batch issues between stores of
-// its sequence number to Session.seq: often enough that the TTL reaper
-// sees a running batch move, rarely enough that the store costs nothing
-// per timestamp.
-const publishEvery = 64
 
 var _ SessionAPI = (*Session)(nil)
 
@@ -322,8 +240,8 @@ var _ SessionAPI = (*Session)(nil)
 func (s *Session) Pid() int { return s.pid }
 
 // Calls returns the number of timestamps this session has taken. While a
-// batch runs it may lag that batch by fewer than publishEvery timestamps;
-// once the batch returns it is exact.
+// batch runs it does not count that batch yet; once the batch returns it
+// is exact.
 func (s *Session) Calls() int { return int(s.seq.Load() - s.seq0) }
 
 // ready performs the per-call guards once per GetTS or per batch:
@@ -393,9 +311,6 @@ func (s *Session) GetTSBatch(ctx context.Context, dst []Timestamp) (int, error) 
 		dst[n] = ts
 		n++
 		seq++
-		if n%publishEvery == 0 {
-			s.seq.Store(seq)
-		}
 	}
 	if n > 0 {
 		s.seq.Store(seq)
@@ -422,7 +337,6 @@ func (s *Session) Detach() error {
 	o.slots[s.pid].seq = seq // ordered before the next lease by the channel send below
 	o.mu.Lock()
 	o.active--
-	delete(o.sessions, s)
 	if o.oneShot && seq > 0 {
 		o.retired++
 		if o.retired == o.procs {

@@ -53,12 +53,14 @@ type Mix struct {
 	NSQuota int
 	// AbandonFrac is the probability that a worker ends a lease by
 	// crashing instead of detaching: the session is dropped without
-	// Detach, leaving its pid leased until the target's idle-TTL reaper
-	// reclaims it. It models client death and only bites on targets with
-	// a session TTL armed — without one, abandoned pids leak until every
-	// Attach wedges (which is exactly the failure mode the TTL exists
-	// for). ErrDetached on a later op of such a run is an expected error
-	// (the reaper won a race), counted separately from unexpected ones.
+	// Detach, leaving its pid leased until the daemon's idle-TTL reaper
+	// reclaims it. It models client death, so it needs a wire target:
+	// the in-process SDK reaps nothing (Run rejects the pairing with
+	// ErrBadConfig), and against a daemon whose TTL outlasts the run the
+	// abandoned pids leak until every Attach wedges — the failure mode the
+	// TTL exists for. ErrDetached on a later op of such a run is an
+	// expected error (the reaper won a race), counted separately from
+	// unexpected ones.
 	AbandonFrac float64
 }
 
@@ -122,7 +124,7 @@ var builtinMixes = []Mix{
 	},
 	{
 		Name:        "crash",
-		Summary:     "crash-recovery churn: workers abandon half their leases without Detach; the target's TTL reaper must keep the namespace circulating",
+		Summary:     "crash-recovery churn: workers abandon half their leases without Detach; the daemon's TTL reaper must keep the namespace circulating",
 		AttachEvery: 4,
 		AbandonFrac: 0.5,
 	},

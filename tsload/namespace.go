@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -31,11 +30,12 @@ type NamespaceSpec struct {
 
 // NamespaceProvisioner is the optional target surface behind
 // multi-namespace mixes (Mix.Namespaces > 0): provision named Objects,
-// bind sessions into them, tear them down. The in-process target
-// implements it with a local object table; the HTTP and binary targets
-// drive a tsserved daemon's broker endpoints — so a tenants BENCH row
-// prices the same namespace routing the daemon serves in production.
-// Targets without the surface reject namespace mixes at Run with
+// bind sessions into them, tear them down. The HTTP and binary targets
+// implement it by driving a tsserved daemon's broker endpoints, so a
+// tenants BENCH row prices the namespace routing and quota the daemon
+// serves in production. The in-process target does not: the daemon's
+// broker is the one place leases are namespaced and rationed, and
+// targets without the surface reject namespace mixes at Run with
 // ErrBadConfig.
 type NamespaceProvisioner interface {
 	// ProvisionNamespace creates the named namespace. Re-provisioning
@@ -48,114 +48,6 @@ type NamespaceProvisioner interface {
 	// DeprovisionNamespace drops the namespace, force-detaching its
 	// live leases.
 	DeprovisionNamespace(ctx context.Context, name string) error
-}
-
-// inprocNS is one locally provisioned namespace: its own SDK object and
-// the same reserve-before-attach quota book the daemon's broker keeps.
-type inprocNS struct {
-	obj    *tsspace.Object
-	max    int
-	active atomic.Int64
-}
-
-func (n *inprocNS) reserve() bool {
-	for {
-		cur := n.active.Load()
-		if n.max > 0 && cur >= int64(n.max) {
-			return false
-		}
-		if n.active.CompareAndSwap(cur, cur+1) {
-			return true
-		}
-	}
-}
-
-// nsSession wraps a leased session so its quota slot releases exactly
-// once, whether the worker detaches or the deprovision sweep does.
-type nsSession struct {
-	tsspace.SessionAPI
-	release func()
-	once    sync.Once
-}
-
-func (s *nsSession) Detach() error {
-	err := s.SessionAPI.Detach()
-	s.once.Do(s.release)
-	return err
-}
-
-// ProvisionNamespace creates a local namespace object. The in-process
-// target mirrors the daemon broker's semantics: an identical re-PUT is
-// idempotent, a conflicting one fails with tsserve.ErrNamespaceExists.
-func (t *InProc) ProvisionNamespace(_ context.Context, name string, spec NamespaceSpec) error {
-	if spec.Algorithm == "" {
-		spec.Algorithm = t.obj.Algorithm()
-	}
-	if spec.Procs < 1 {
-		spec.Procs = t.obj.Procs()
-	}
-	t.nsMu.Lock()
-	defer t.nsMu.Unlock()
-	if existing, ok := t.ns[name]; ok {
-		if existing.obj.Algorithm() == spec.Algorithm && existing.obj.Procs() == spec.Procs && existing.max == spec.MaxSessions {
-			return nil
-		}
-		return fmt.Errorf("tsload: namespace %q: %w", name, tsserve.ErrNamespaceExists)
-	}
-	obj, err := tsspace.New(tsspace.WithAlgorithm(spec.Algorithm), tsspace.WithProcs(spec.Procs), tsspace.WithMetering())
-	if err != nil {
-		return fmt.Errorf("tsload: provisioning namespace %q: %w", name, err)
-	}
-	if t.ns == nil {
-		t.ns = make(map[string]*inprocNS)
-	}
-	t.ns[name] = &inprocNS{obj: obj, max: spec.MaxSessions}
-	return nil
-}
-
-// AttachNamespace leases a session on the named local namespace,
-// enforcing its quota before touching the pid pool (a full namespace
-// answers tsserve.ErrQuota instead of queueing).
-func (t *InProc) AttachNamespace(ctx context.Context, name string) (tsspace.SessionAPI, error) {
-	t.nsMu.Lock()
-	ns, ok := t.ns[name]
-	t.nsMu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("tsload: namespace %q: %w", name, tsserve.ErrUnknownNamespace)
-	}
-	if !ns.reserve() {
-		return nil, fmt.Errorf("tsload: namespace %q: session quota %d exhausted: %w", name, ns.max, tsserve.ErrQuota)
-	}
-	s, err := ns.obj.Attach(ctx)
-	if err != nil {
-		ns.active.Add(-1)
-		return nil, err
-	}
-	return &nsSession{SessionAPI: s, release: func() { ns.active.Add(-1) }}, nil
-}
-
-// DeprovisionNamespace drops the named local namespace and closes its
-// object (force-detaching whatever is still attached).
-func (t *InProc) DeprovisionNamespace(_ context.Context, name string) error {
-	t.nsMu.Lock()
-	ns, ok := t.ns[name]
-	delete(t.ns, name)
-	t.nsMu.Unlock()
-	if !ok {
-		return fmt.Errorf("tsload: namespace %q: %w", name, tsserve.ErrUnknownNamespace)
-	}
-	return ns.obj.Close()
-}
-
-// closeNamespaces closes any namespaces still provisioned, for Close.
-func (t *InProc) closeNamespaces() {
-	t.nsMu.Lock()
-	ns := t.ns
-	t.ns = nil
-	t.nsMu.Unlock()
-	for _, n := range ns {
-		_ = n.obj.Close()
-	}
 }
 
 // ProvisionNamespace PUTs the namespace on the daemon's broker surface.

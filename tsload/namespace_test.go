@@ -3,6 +3,7 @@ package tsload_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,78 +11,18 @@ import (
 	"tsspace/tsserve"
 )
 
-// The in-process target's NamespaceProvisioner surface must speak the
-// same typed-error vocabulary as the broker: idempotent re-provision,
-// ErrNamespaceExists on a conflicting spec, ErrUnknownNamespace for
-// names never provisioned, ErrQuota past MaxSessions — and a double
-// Detach releases its quota slot exactly once.
-func TestInProcNamespaceProvisioner(t *testing.T) {
-	ctx := context.Background()
-	target := newInProc(t, "collect", 8)
-	spec := tsload.NamespaceSpec{Algorithm: "collect", Procs: 8, MaxSessions: 1}
-
-	if err := target.ProvisionNamespace(ctx, "ten", spec); err != nil {
-		t.Fatal(err)
-	}
-	if err := target.ProvisionNamespace(ctx, "ten", spec); err != nil {
-		t.Fatalf("idempotent re-provision: %v", err)
-	}
-	if err := target.ProvisionNamespace(ctx, "ten", tsload.NamespaceSpec{Algorithm: "collect", Procs: 4}); !errors.Is(err, tsserve.ErrNamespaceExists) {
-		t.Fatalf("conflicting re-provision = %v, want ErrNamespaceExists", err)
-	}
-	if _, err := target.AttachNamespace(ctx, "nope"); !errors.Is(err, tsserve.ErrUnknownNamespace) {
-		t.Fatalf("attach to unknown namespace = %v, want ErrUnknownNamespace", err)
-	}
-
-	s1, err := target.AttachNamespace(ctx, "ten")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := target.AttachNamespace(ctx, "ten"); !errors.Is(err, tsserve.ErrQuota) {
-		t.Fatalf("attach past MaxSessions=1 = %v, want ErrQuota", err)
-	}
-	if _, err := s1.GetTS(ctx); err != nil {
-		t.Fatal(err)
-	}
-	// Double detach must release the slot exactly once: after it, the
-	// quota admits one lease, not two.
-	if err := s1.Detach(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.Detach(); err != nil {
-		t.Fatalf("second detach: %v", err)
-	}
-	s2, err := target.AttachNamespace(ctx, "ten")
-	if err != nil {
-		t.Fatalf("attach after release: %v", err)
-	}
-	if _, err := target.AttachNamespace(ctx, "ten"); !errors.Is(err, tsserve.ErrQuota) {
-		t.Fatal("double detach released two quota slots")
-	}
-	s2.Detach()
-
-	if err := target.DeprovisionNamespace(ctx, "ten"); err != nil {
-		t.Fatal(err)
-	}
-	if err := target.DeprovisionNamespace(ctx, "ten"); !errors.Is(err, tsserve.ErrUnknownNamespace) {
-		t.Fatalf("double deprovision = %v, want ErrUnknownNamespace", err)
-	}
-	if _, err := target.AttachNamespace(ctx, "ten"); !errors.Is(err, tsserve.ErrUnknownNamespace) {
-		t.Fatalf("attach after deprovision = %v, want ErrUnknownNamespace", err)
-	}
-}
-
 // The tenants mix provisions its namespaces, partitions every measured
 // getTS op across them, and the Zipf skew makes namespace 0 the hot
 // tenant. Its happens-before check (checkResult) must stay clean: the
 // cold namespaces' collect counters trail the hot one's, so a worker
 // that compared a timestamp with one from another namespace would count
 // violations; the check restarts whenever a lease binds another one.
-func TestTenantsMixInProc(t *testing.T) {
+func TestTenantsMix(t *testing.T) {
 	mix := mustMix(t, "tenants")
+	target, ctl := newBinaryDaemon(t, "collect", 8)
 	res, err := tsload.Run(context.Background(), tsload.Config{
 		Mix:      mix,
-		Target:   newInProc(t, "collect", 8),
+		Target:   target,
 		Workers:  4,
 		Duration: 10 * time.Second,
 		MaxOps:   3000,
@@ -117,14 +58,24 @@ func TestTenantsMixInProc(t *testing.T) {
 		t.Errorf("hot tenant took %d of %d ops, want more than the uniform share %d",
 			res.NamespaceOps[0], sum, uniform)
 	}
-	// The namespaces were torn down when the run ended: re-running
-	// against the same target must not see leftovers as conflicts.
+	// Each run deprovisions its namespaces on the daemon as it ends, so
+	// the daemon serves only its default namespace again and a second
+	// run against the same target starts clean.
+	tornDown := func(run string) {
+		t.Helper()
+		names, err := ctl.Namespaces(context.Background())
+		if err != nil || !slices.Equal(names, []string{tsserve.DefaultNamespace}) {
+			t.Fatalf("namespaces after the %s run = %v (%v), want only %q", run, names, err, tsserve.DefaultNamespace)
+		}
+	}
+	tornDown("first")
 	if _, err := tsload.Run(context.Background(), tsload.Config{
-		Mix: mix, Target: newInProc(t, "collect", 8), Workers: 2,
+		Mix: mix, Target: target, Workers: 2,
 		Duration: 10 * time.Second, MaxOps: 200, Seed: 22,
 	}); err != nil {
 		t.Fatalf("second tenants run: %v", err)
 	}
+	tornDown("second")
 }
 
 // The storm mix floods one quota-capped namespace over the wire: quota
@@ -163,21 +114,21 @@ func TestStormMixQuotaRejectionsExpected(t *testing.T) {
 	}
 }
 
-// A namespace mix against a target with no provisioner surface is a
-// configuration error, not a hang or a silent single-tenant run.
+// A namespace mix against a target with no provisioner surface — the
+// in-process SDK namespaces nothing — is a configuration error, not a
+// hang or a silent single-tenant run.
 func TestNamespaceMixNeedsProvisioner(t *testing.T) {
-	// Embedding the interface hides the in-process target's provisioner
-	// methods: the wrapper is a bare Target.
-	bare := struct{ tsload.Target }{newInProc(t, "collect", 8)}
-	_, err := tsload.Run(context.Background(), tsload.Config{
-		Mix:      mustMix(t, "tenants"),
-		Target:   bare,
-		Workers:  2,
-		Duration: time.Second,
-		MaxOps:   50,
-		Seed:     24,
-	})
-	if !errors.Is(err, tsload.ErrBadConfig) {
-		t.Fatalf("tenants mix against a target without a provisioner = %v, want ErrBadConfig", err)
+	for _, name := range []string{"tenants", "storm"} {
+		_, err := tsload.Run(context.Background(), tsload.Config{
+			Mix:      mustMix(t, name),
+			Target:   newInProc(t, "collect", 8),
+			Workers:  2,
+			Duration: time.Second,
+			MaxOps:   50,
+			Seed:     24,
+		})
+		if !errors.Is(err, tsload.ErrBadConfig) {
+			t.Errorf("%s mix against a target without a provisioner = %v, want ErrBadConfig", name, err)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"tsspace"
 	"tsspace/tsserve"
@@ -59,13 +58,12 @@ func IsExhausted(err error) bool {
 
 // InProc is the in-process backend: the driver calls the tsspace SDK
 // directly, with no serialization or scheduling between it and the
-// registers. It is also a NamespaceProvisioner: multi-namespace mixes
-// provision sibling SDK objects in a local table (see namespace.go).
+// registers. The SDK is a bare pid pool — it neither reaps abandoned
+// leases nor namespaces or rations them — so the mixes that need a lease
+// manager (crash, tenants, storm) run against the wire targets only, and
+// Run rejects them here with ErrBadConfig.
 type InProc struct {
 	obj *tsspace.Object
-
-	nsMu sync.Mutex
-	ns   map[string]*inprocNS
 }
 
 // NewInProc wraps an SDK object as a load target. The target takes
@@ -102,11 +100,8 @@ func (t *InProc) Space(context.Context) (SpaceReport, bool) {
 	return SpaceReport{Registers: u.Registers, Written: u.Written, Reads: u.Reads, Writes: u.Writes}, true
 }
 
-// Close closes the owned object and any namespaces still provisioned.
-func (t *InProc) Close() error {
-	t.closeNamespaces()
-	return t.obj.Close()
-}
+// Close closes the owned object.
+func (t *InProc) Close() error { return t.obj.Close() }
 
 // HTTP is the wire backend: Attach leases a wire-v2 session on a tsserved
 // daemon (POST /session), getTS batches pipeline on that lease, and

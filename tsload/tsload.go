@@ -5,7 +5,10 @@
 // A run is a Mix (steady, churn, burst, crash, tenants, storm — the
 // engine's scenario vocabulary lifted to the session level) applied to a
 // Target (the in-process SDK, or a tsserved daemon over wire v2 or wire
-// v3) under one of two pacing disciplines. Targets lease
+// v3) under one of two pacing disciplines. The mixes that need a lease
+// manager — crash (a reaper), tenants and storm (the broker and its
+// quota) — run against a daemon only: tsserve is the one place leases
+// are reaped, rationed and namespaced. Targets lease
 // tsspace.SessionAPI, so the driver's operation code is the same on every
 // backend; the mix's Batch knob swaps the single-call GetTS for
 // GetTSBatch of that size, pricing batch amortization against the same
@@ -144,10 +147,11 @@ type Result struct {
 	// worker's previous timestamp from the same object.
 	//
 	// Errors splits into ExpectedErrors — failures the mix provokes by
-	// design (ErrDetached after the TTL reaper reclaimed a lease the crash
-	// mix abandoned) — and UnexpectedErrors, everything else. A crash-mix
-	// run is healthy iff UnexpectedErrors == 0 and HBViolations == 0;
-	// gating on Errors == 0 would reject the fault injection itself.
+	// design (ErrDetached after the daemon's reaper reclaimed a lease the
+	// crash mix abandoned) — and UnexpectedErrors, everything else. A
+	// crash-mix run is healthy iff UnexpectedErrors == 0 and
+	// HBViolations == 0; gating on Errors == 0 would reject the fault
+	// injection itself.
 	Ops              uint64 `json:"ops"`
 	Timestamps       uint64 `json:"timestamps"`
 	Errors           uint64 `json:"errors"`
@@ -155,7 +159,7 @@ type Result struct {
 	UnexpectedErrors uint64 `json:"unexpected_errors"`
 	// Abandoned counts leases the workers crashed on purpose (see
 	// Mix.AbandonFrac): sessions dropped without Detach, left for the
-	// target's idle-TTL reaper.
+	// daemon's idle-TTL reaper.
 	Abandoned    uint64 `json:"abandoned,omitempty"`
 	HBViolations uint64 `json:"hb_violations"`
 	// Namespaces and NamespaceOps describe a multi-tenant run
@@ -228,7 +232,7 @@ type run struct {
 }
 
 // expectedErr reports whether an operation error is one the mix provokes
-// by design: under a crash mix (AbandonFrac > 0) the target's reaper
+// by design: under a crash mix (AbandonFrac > 0) the daemon's reaper
 // legitimately kills leases, so ErrDetached on a session the worker still
 // holds is the fault injection working, not the target failing. Likewise
 // under a quota'd namespace mix (NSQuota > 0) the attach storm is built
@@ -253,6 +257,10 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	}
 	if cfg.Mix.Name == "" {
 		return Result{}, fmt.Errorf("%w: Config.Mix has no name", ErrBadConfig)
+	}
+	if _, inproc := cfg.Target.(*InProc); inproc && cfg.Mix.AbandonFrac > 0 {
+		return Result{}, fmt.Errorf("%w: mix %q abandons leases, and target %q has no reaper to reclaim them",
+			ErrBadConfig, cfg.Mix.Name, cfg.Target.Kind())
 	}
 	if cfg.Workers < 1 {
 		cfg.Workers = 8
@@ -767,7 +775,7 @@ func (r *run) doOp(ctx context.Context, rng *rand.Rand, sess *tsspace.SessionAPI
 	if r.attachEv > 0 && *leaseCalls >= r.attachEv {
 		if r.cfg.Mix.AbandonFrac > 0 && rng.Float64() < r.cfg.Mix.AbandonFrac {
 			// Crash: walk away from the lease without Detach. The pid
-			// stays leased until the target's idle-TTL reaper reclaims
+			// stays leased until the daemon's idle-TTL reaper reclaims
 			// it — the abandonment path this mix exists to exercise.
 			*sess = nil
 			r.abandoned.Add(1)

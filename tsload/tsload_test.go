@@ -2,6 +2,7 @@ package tsload_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -319,20 +320,21 @@ func TestOneShotForcesBatchOne(t *testing.T) {
 }
 
 // The crash mix abandons half its leases without Detach; against a
-// TTL-armed target the reaper must keep the namespace circulating, the
-// only errors must be the expected ErrDetached races, and happens-before
-// must hold across every reclamation.
-func TestCrashMixAgainstTTLTarget(t *testing.T) {
-	obj, err := tsspace.New(
-		tsspace.WithAlgorithm("collect"),
-		tsspace.WithProcs(8),
-		tsspace.WithSessionTTL(20*time.Millisecond),
-	)
+// daemon with a short session TTL the reaper must keep the namespace
+// circulating, the only errors must be the expected ErrDetached races,
+// and happens-before must hold across every reclamation. The in-process
+// SDK reaps nothing, so the mix is a configuration error there.
+func TestCrashMixAgainstDaemonReaper(t *testing.T) {
+	obj, err := tsspace.New(tsspace.WithAlgorithm("collect"), tsspace.WithProcs(8), tsspace.WithMetering())
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := tsload.NewInProc(obj)
-	t.Cleanup(func() { target.Close() })
+	srv := httptest.NewServer(tsserve.NewServer(obj, tsserve.ServerConfig{SessionTTL: 20 * time.Millisecond}))
+	t.Cleanup(func() { srv.Close(); obj.Close() })
+	target, err := tsload.NewHTTP(context.Background(), srv.URL, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	res, err := tsload.Run(context.Background(), tsload.Config{
 		Mix:      mustMix(t, "crash"),
@@ -362,11 +364,26 @@ func TestCrashMixAgainstTTLTarget(t *testing.T) {
 	if res.HBViolations != 0 {
 		t.Errorf("%d happens-before violations across reaped leases", res.HBViolations)
 	}
-	if reaped := obj.Stats().Reaped; reaped == 0 {
-		t.Errorf("target reaped no leases although %d were abandoned", res.Abandoned)
+	m, err := tsserve.NewClient(srv.URL, srv.Client()).Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.ReapedSessions == 0 {
+		t.Errorf("daemon reaped no leases although %d were abandoned", res.Abandoned)
 	}
 	if !strings.Contains(res.MixKind, "abandon=50%") {
 		t.Errorf("MixKind %q does not render the abandon knob", res.MixKind)
+	}
+
+	if _, err := tsload.Run(context.Background(), tsload.Config{
+		Mix:      mustMix(t, "crash"),
+		Target:   newInProc(t, "collect", 8),
+		Workers:  2,
+		Duration: time.Second,
+		MaxOps:   50,
+		Seed:     14,
+	}); !errors.Is(err, tsload.ErrBadConfig) {
+		t.Errorf("crash mix against the in-process SDK = %v, want ErrBadConfig", err)
 	}
 }
 
@@ -415,6 +432,14 @@ func TestHTTPOneShotExhaustsOverTheWire(t *testing.T) {
 // as a binary load target.
 func newBinary(t *testing.T, alg string, procs int) *tsload.Binary {
 	t.Helper()
+	target, _ := newBinaryDaemon(t, alg, procs)
+	return target
+}
+
+// newBinaryDaemon is newBinary that also returns a control-plane client
+// of the daemon, for tests that inspect its books.
+func newBinaryDaemon(t *testing.T, alg string, procs int) (*tsload.Binary, *tsserve.Client) {
+	t.Helper()
 	obj, err := tsspace.New(tsspace.WithAlgorithm(alg), tsspace.WithProcs(procs), tsspace.WithMetering())
 	if err != nil {
 		t.Fatal(err)
@@ -432,7 +457,7 @@ func newBinary(t *testing.T, alg string, procs int) *tsload.Binary {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { target.Close() })
-	return target
+	return target, tsserve.NewClient(srv.URL, srv.Client())
 }
 
 func TestBinaryTarget(t *testing.T) {
@@ -611,7 +636,7 @@ func TestDeterministicSeeding(t *testing.T) {
 	run := func(seed int64) tsload.Result {
 		res, err := tsload.Run(context.Background(), tsload.Config{
 			Mix:      mustMix(t, "tenants"),
-			Target:   newInProc(t, "collect", 4),
+			Target:   newBinary(t, "collect", 4),
 			Workers:  1,
 			Duration: 10 * time.Second,
 			MaxOps:   500,

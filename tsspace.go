@@ -25,9 +25,9 @@
 // transport becomes a deployment decision. The session hot path is
 // lock-free and is one loop, GetTSBatch (GetTS is a batch of one): while
 // a pid is leased its sequence count lives in the Session, which a batch
-// updates every 64 timestamps and at its end, and a cache-line-padded
-// per-pid slot holds it only between leases, so GetTS and GetTSBatch
-// touch no object-wide mutex.
+// updates once, at its end, and a cache-line-padded per-pid slot holds it
+// only between leases, so GetTS and GetTSBatch touch no object-wide
+// mutex.
 //
 // An Object is configured for a fixed number of paper-processes n, but
 // serves arbitrarily many logical clients: Attach leases a free process
@@ -47,7 +47,6 @@ package tsspace
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"tsspace/internal/register"
 	"tsspace/internal/timestamp"
@@ -125,7 +124,6 @@ type config struct {
 	alg     string
 	procs   int
 	metered bool
-	ttl     time.Duration
 }
 
 // Option configures New.
@@ -170,30 +168,6 @@ func WithProcs(n int) Option {
 func WithMetering() Option {
 	return func(c *config) error {
 		c.metered = true
-		return nil
-	}
-}
-
-// WithSessionTTL arms the object's lease reaper: a session that issues no
-// timestamp for d is force-detached, returning its process id to the free
-// pool. This is crash protection, not idle management — it exists so a
-// client that dies without Detach (a crashed worker, a dropped
-// connection) cannot leak its pid forever, which on a fixed namespace of
-// n processes eventually wedges every Attach. Choose d comfortably above
-// the longest pause a *live* client can make between calls: a reaped
-// session's next call fails with ErrDetached and the client must
-// re-attach (its call history survives — sequence numbers persist in the
-// pid's slot).
-//
-// The reaper detects idleness by sequence-number snapshots taken every
-// d/4, so the session hot path carries no extra stores for it. Reclaimed
-// leases are counted in Stats.Reaped.
-func WithSessionTTL(d time.Duration) Option {
-	return func(c *config) error {
-		if d <= 0 {
-			return fmt.Errorf("%w: WithSessionTTL(%v): need a positive duration", ErrBadOption, d)
-		}
-		c.ttl = d
 		return nil
 	}
 }
@@ -250,10 +224,6 @@ func New(opts ...Option) (*Object, error) {
 	}
 	if o.oneShot {
 		o.exhausted = make(chan struct{})
-	}
-	if cfg.ttl > 0 {
-		o.sessions = make(map[*Session]struct{})
-		go o.reapLoop(cfg.ttl)
 	}
 	return o, nil
 }

@@ -222,9 +222,9 @@ func TestGetTSBatchFillsAndOrders(t *testing.T) {
 	}
 }
 
-// A batch publishes its count every 64 timestamps and once at its end:
-// a batch of 200 crosses three publication points and ends between two,
-// and both counters must come out exact.
+// A batch counts in a local and publishes its count once, at its end: a
+// batch of 200 must leave both the session's and the object's counter
+// exact.
 func TestGetTSBatchCountsExactly(t *testing.T) {
 	ctx := context.Background()
 	obj := mustNew(t, tsspace.WithProcs(2))
