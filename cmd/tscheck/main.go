@@ -1,14 +1,14 @@
 // Command tscheck model-checks and stress-tests every timestamp
 // implementation against the happens-before specification (§2).
 //
-// The default run is the classic suite: capped exhaustive interleavings
-// for 2 processes, sampled random schedules, real-goroutine runs, and the
-// engine's scenario workloads, all validated by the happens-before
-// checker.
+// The default run is the classic suite: engine.Exhaustive with POR off
+// (a naive DFS over 2 processes, capped at -visits) and engine.Fuzz
+// (-samples random schedules), both under the causal checker, then
+// engine.Run for the scenario workloads and the real-goroutine runs, each
+// verified by the interval-order checker.
 //
-// The model-checking modes replace the capped DFS with the
-// partial-order-reduced explorer in internal/mc and the unified
-// conformance driver in internal/engine:
+// The model-checking modes run the partial-order-reduced explorer in
+// internal/mc through the unified conformance driver in internal/engine:
 //
 //	tscheck -explore              exhaustive POR exploration of every
 //	                              algorithm at the -exploren process counts,
@@ -212,20 +212,24 @@ func capped(res engine.ConformanceResult) bool {
 	return res.Skipped == "" && res.Stats.Visited >= exploreCap
 }
 
-// compareRow re-runs the cell through the naive DFS for the E11 table.
+// compareRow re-runs the cell through the naive DFS (Exhaustive with POR
+// off) for the E11 table.
 func compareRow(fam timestamp.Info, res engine.ConformanceResult) report.ExplorationRow {
 	row := report.ExplorationRow{Alg: res.Alg, N: res.N, Calls: res.Calls, Naive: -1, Stats: res.Stats}
 	var wl engine.Workload = engine.OneShot{}
 	if res.Calls > 1 {
 		wl = engine.LongLived{CallsPerProc: res.Calls}
 	}
-	naive, err := engine.Explore(engine.Config{
+	naive, err := engine.Exhaustive(engine.Config{
 		Alg: fam.New(res.N), World: engine.Simulated, N: res.N, Workload: wl,
-	}, exploreCap, 100_000)
-	if err == nil && naive < exploreCap {
+	}, engine.ExhaustiveOptions{
+		MaxVisits: exploreCap,
+		NewAlg:    func() timestamp.Algorithm { return fam.New(res.N) },
+	})
+	if err == nil && naive.Visited < exploreCap {
 		// A capped naive count would fabricate the reduction percentage;
 		// leave the baseline cell as "-" instead.
-		row.Naive = naive
+		row.Naive = naive.Visited
 	}
 	return row
 }
@@ -298,10 +302,10 @@ func classic(n, visits, samples, reps int, seed int64) {
 		if simulable {
 			small := cfg(engine.Simulated, engine.OneShot{})
 			small.N = 2
-			visited, err := engine.Explore(small, visits, 100_000)
-			reportLine(&failed, alg.Name(), fmt.Sprintf("exhaustive 2×1 (%d interleavings)", visited), err)
+			stats, err := engine.Exhaustive(small, engine.ExhaustiveOptions{MaxVisits: visits})
+			reportLine(&failed, alg.Name(), fmt.Sprintf("exhaustive 2×1 (%d interleavings)", stats.Visited), err)
 
-			err = engine.Sample(cfg(engine.Simulated, engine.LongLived{CallsPerProc: calls}), samples)
+			_, err = engine.Fuzz(cfg(engine.Simulated, engine.LongLived{CallsPerProc: calls}), engine.FuzzOptions{Count: samples})
 			reportLine(&failed, alg.Name(), fmt.Sprintf("sampled %d×%d ×%d schedules", n, calls, samples), err)
 
 			// The engine's scenario workloads, one sim run each: phased

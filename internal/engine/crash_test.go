@@ -2,9 +2,12 @@ package engine_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"tsspace/internal/engine"
+	"tsspace/internal/hbcheck"
+	"tsspace/internal/mc"
 	"tsspace/internal/sched"
 	"tsspace/internal/timestamp"
 	"tsspace/internal/timestamp/collect"
@@ -177,4 +180,53 @@ func TestReplayCrashScheduleLenient(t *testing.T) {
 	if rep.Steps == 0 {
 		t.Error("replay executed no steps")
 	}
+}
+
+// FuzzReplayCrashSchedule generalises TestReplayCrashScheduleLenient to
+// arbitrary entries: each byte is one small schedule entry in -7..7 (a
+// step of one of the four scheduler pids or of an out-of-range one, or a
+// crash of paper pid 0..3, dropping or applying its pending write), and
+// the entries are replayed on collect n=2 × 2 calls. Every ddmin
+// candidate, crash-free or not, relies on this leniency: the replay must
+// return a report with either no error or a property violation — never a
+// harness error or a panic — and two replays of the same entries must
+// execute the same trace.
+func FuzzReplayCrashSchedule(f *testing.F) {
+	for _, seed := range [][]byte{
+		{},
+		{0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1},
+		{0, 0xff, 2, 2, 2, 1, 1, 1},          // crash p0 dropping its write
+		{0, 0, 0xfe, 0xfe, 2, 2, 2, 2, 2, 2}, // crash p0 applying it, then again
+		{0, 7, 0xf9, 0xff, 0xff, 0, 1, 1, 1, 2, 2, 2},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 64 {
+			data = data[:64] // bound replay work
+		}
+		entries := make([]int, len(data))
+		for i, b := range data {
+			entries[i] = int(int8(b)) % 8
+		}
+		replay := func() *engine.Report {
+			const n = 2
+			rep, err := engine.ReplayCrashSchedule(engine.Config{
+				Alg: collect.New(n), World: engine.Simulated, N: n,
+				Workload: engine.LongLived{CallsPerProc: 2},
+			}, entries)
+			if rep == nil {
+				t.Fatalf("replay of %v: harness error: %v", entries, err)
+			}
+			var cv mc.Violation[timestamp.Timestamp]
+			var hv hbcheck.Violation[timestamp.Timestamp]
+			if err != nil && !errors.As(err, &cv) && !errors.As(err, &hv) {
+				t.Fatalf("replay of %v: %v, want nil or a property violation", entries, err)
+			}
+			return rep
+		}
+		if a, b := replay(), replay(); !reflect.DeepEqual(a.Trace, b.Trace) {
+			t.Fatalf("replay of %v not deterministic:\n%v\nvs\n%v", entries, a.Trace, b.Trace)
+		}
+	})
 }

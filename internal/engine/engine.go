@@ -11,6 +11,15 @@
 // Adding a new scenario is a ~20-line Workload implementation, not a new
 // main().
 //
+// Every simulated execution is built by one run builder (newSimRun): the
+// n paper processes over the full middleware stack, plus n parked
+// recovery incarnations on a crash run. The checks share it: Exhaustive
+// (mc.Explore; with POR off it is the naive DFS), Fuzz (sched.Sample),
+// CrashSweep, CrashFuzz and ReplayCrashSchedule, with one lenient replay
+// step, one replay-and-shrink path to a *Counterexample, and one
+// violation predicate. NewSimSystem hands the same crash-free execution
+// to callers that drive it themselves.
+//
 // The engine runs timestamp.Algorithm implementations and their
 // timestamp.Timestamp values; the model-checking layers below it
 // (internal/hbcheck, internal/mc) stay generic over the value type.
@@ -288,61 +297,15 @@ func SequentialTimestamps(alg timestamp.Algorithm, n, calls int, byProcess bool)
 // NewSimSystem builds a deterministic-scheduler system whose processes run
 // the per-process call loops of cfg's workload over the full middleware
 // stack (shared meter, per-process discipline, per-call first-op
-// stamping). Process results are []timestamp.Timestamp. Callers drive the
-// returned system themselves — the exploration and sampling entry points
-// below, the adversaries in internal/adversary, and the scripted scenarios
-// all start here. Unlike Run, it applies none of the config validation (no one-shot
-// guard): scripted scenarios deliberately drive partial and over-budget
-// call patterns to observe how the algorithms fail.
+// stamping): the crash-free execution every simulated check in this
+// package builds, without its replay and check bookkeeping. Process
+// results are []timestamp.Timestamp. Callers drive the returned system
+// themselves — runSim, the adversaries in internal/adversary, and the
+// scripted scenarios all start here. Unlike Run, it applies none of the
+// config validation (no one-shot guard): scripted scenarios deliberately
+// drive partial and over-budget call patterns to observe how the
+// algorithms fail.
 func NewSimSystem(cfg Config) (*sched.System, *hbcheck.Recorder[timestamp.Timestamp], *register.Meter) {
-	sys, rec, meter, _ := newSimSystemSpans(cfg)
-	return sys, rec, meter
-}
-
-// checkSystem surfaces process errors and verifies the recorder.
-func checkSystem(sys *sched.System, rec *hbcheck.Recorder[timestamp.Timestamp], compare func(a, b timestamp.Timestamp) bool) error {
-	for pid := 0; pid < sys.N(); pid++ {
-		if err := sys.Err(pid); err != nil {
-			return err
-		}
-	}
-	return hbcheck.CheckRecorder(rec, compare)
-}
-
-// Explore model-checks the configuration: it enumerates interleavings of
-// the workload's call loops (capped at maxVisits complete executions; 0 =
-// all) and verifies the happens-before property on every one. It returns
-// the number of executions checked. The config's World and Seed are
-// ignored: exploration is deterministic and simulated by construction.
-func Explore(cfg Config, maxVisits, maxSteps int) (int, error) {
-	if _, _, err := cfg.prepare(); err != nil {
-		return 0, err
-	}
-	var cur *hbcheck.Recorder[timestamp.Timestamp]
-	factory := func() *sched.System {
-		sys, rec, _ := NewSimSystem(cfg)
-		cur = rec
-		return sys
-	}
-	return sched.Explore(factory, maxVisits, maxSteps, func(sys *sched.System, schedule []int) error {
-		return checkSystem(sys, cur, cfg.Alg.Compare)
-	})
-}
-
-// Sample stress-tests the configuration on count random maximal
-// interleavings seeded from cfg.Seed, verifying the happens-before
-// property on each.
-func Sample(cfg Config, count int) error {
-	if _, _, err := cfg.prepare(); err != nil {
-		return err
-	}
-	var cur *hbcheck.Recorder[timestamp.Timestamp]
-	factory := func() *sched.System {
-		sys, rec, _ := NewSimSystem(cfg)
-		cur = rec
-		return sys
-	}
-	return sched.Sample(factory, count, cfg.Seed, func(sys *sched.System, schedule []int) error {
-		return checkSystem(sys, cur, cfg.Alg.Compare)
-	})
+	r := newSimRun(cfg, false)
+	return r.sys, r.rec, r.meter
 }

@@ -117,11 +117,11 @@ func TestOneShotGuard(t *testing.T) {
 			t.Errorf("%v: err = %v, want ErrOneShot", world, err)
 		}
 	}
-	if _, err := engine.Explore(cfgFor(alg, engine.Simulated, 2, engine.LongLived{CallsPerProc: 2}), 0, 100); !errors.Is(err, engine.ErrOneShot) {
-		t.Error("Explore must apply the one-shot guard")
+	if _, err := engine.Exhaustive(cfgFor(alg, engine.Simulated, 2, engine.LongLived{CallsPerProc: 2}), engine.ExhaustiveOptions{MaxVisits: 100}); !errors.Is(err, engine.ErrOneShot) {
+		t.Error("Exhaustive must apply the one-shot guard")
 	}
-	if err := engine.Sample(cfgFor(alg, engine.Simulated, 2, engine.LongLived{CallsPerProc: 2}), 1); !errors.Is(err, engine.ErrOneShot) {
-		t.Error("Sample must apply the one-shot guard")
+	if _, err := engine.Fuzz(cfgFor(alg, engine.Simulated, 2, engine.LongLived{CallsPerProc: 2}), engine.FuzzOptions{Count: 1}); !errors.Is(err, engine.ErrOneShot) {
+		t.Error("Fuzz must apply the one-shot guard")
 	}
 }
 
@@ -243,19 +243,20 @@ func TestUnmetered(t *testing.T) {
 	}
 }
 
-// Explore enumerates the same interleaving count as the historical runner
-// harness did for this algorithm shape (2 procs × (2 reads + 1 write):
-// C(6,3) = 20), and Sample accepts the engine config.
+// Exhaustive with POR off is the naive DFS: it enumerates the same
+// interleaving count as the historical runner harness did for this
+// algorithm shape (2 procs × (2 reads + 1 write): C(6,3) = 20), and Fuzz
+// accepts the engine config.
 func TestExploreAndSample(t *testing.T) {
 	alg := &fake{n: 2}
-	visits, err := engine.Explore(cfgFor(alg, engine.Simulated, 2, engine.OneShot{}), 0, 1000)
+	stats, err := engine.Exhaustive(cfgFor(alg, engine.Simulated, 2, engine.OneShot{}), engine.ExhaustiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if visits != 20 {
-		t.Errorf("visits = %d, want 20", visits)
+	if stats.Visited != 20 {
+		t.Errorf("visits = %d, want 20", stats.Visited)
 	}
-	if err := engine.Sample(cfgFor(&fake{n: 3}, engine.Simulated, 3, engine.LongLived{CallsPerProc: 2}), 10); err != nil {
+	if _, err := engine.Fuzz(cfgFor(&fake{n: 3}, engine.Simulated, 3, engine.LongLived{CallsPerProc: 2}), engine.FuzzOptions{Count: 10}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -394,7 +395,7 @@ func TestReportVerifyCatchesBadCompare(t *testing.T) {
 }
 
 func TestSampleRuns(t *testing.T) {
-	if err := engine.Sample(cfgFor(&fake{n: 3}, engine.Simulated, 3, engine.LongLived{CallsPerProc: 2}), 25); err != nil {
+	if _, err := engine.Fuzz(cfgFor(&fake{n: 3}, engine.Simulated, 3, engine.LongLived{CallsPerProc: 2}), engine.FuzzOptions{Count: 25}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -403,7 +404,7 @@ func TestSampleRuns(t *testing.T) {
 // counter so a later call re-issues an already-completed timestamp. The
 // sampled-schedule harness must find and reject it.
 func TestSampleRejectsOneRegisterCollect(t *testing.T) {
-	err := engine.Sample(cfgFor(&fake{n: 1}, engine.Simulated, 3, engine.LongLived{CallsPerProc: 2}), 50)
+	_, err := engine.Fuzz(cfgFor(&fake{n: 1}, engine.Simulated, 3, engine.LongLived{CallsPerProc: 2}), engine.FuzzOptions{Count: 50})
 	if err == nil {
 		t.Error("one-register collect must violate the spec under sampled schedules")
 	}
@@ -420,7 +421,7 @@ func (c *constant) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, e
 // A constant-timestamp algorithm is rejected already by sequential
 // interleavings.
 func TestExploreRejectsConstantTimestamp(t *testing.T) {
-	_, err := engine.Explore(cfgFor(&constant{fake{n: 1}}, engine.Simulated, 2, engine.OneShot{}), 0, 1000)
+	_, err := engine.Exhaustive(cfgFor(&constant{fake{n: 1}}, engine.Simulated, 2, engine.OneShot{}), engine.ExhaustiveOptions{})
 	if err == nil {
 		t.Error("constant-timestamp algorithm must violate the spec in sequential interleavings")
 	}

@@ -28,6 +28,11 @@
 // the visited execution's whole equivalence class, which both covers the
 // pruned members and catches violations that a single interleaving's
 // interval order would miss.
+//
+// With every reduction off (the zero Options), Explore is itself a naive
+// DFS: it is the one internal/engine runs for the E11 baseline, and
+// sched.Explore stays as the independent naive reference this package's
+// tests compare both modes against.
 package mc
 
 import (

@@ -227,6 +227,11 @@ func TestPORCoversExactlyTheNaiveClasses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// With every reduction off, mc.Explore is the naive DFS (E11's
+			// naive column): it must visit exactly what sched.Explore does.
+			if plain := explore(t, f, mc.Options{}); plain.Visited != naive {
+				t.Errorf("mc.Explore without reductions visited %d, sched.Explore %d", plain.Visited, naive)
+			}
 			porClasses := map[string]bool{}
 			stats, err := mc.Explore(f, mc.WithPOR(nil), func(sys *sched.System, schedule []int) error {
 				key := mc.CanonicalKey(sys.Trace())

@@ -49,7 +49,7 @@ const (
 	// EventError: a request was answered with an error (Detail = the
 	// wire error class).
 	EventError
-	// EventSlowOp: an operation exceeded the configured slow-op
+	// EventSlowOp: an operation exceeded the server's slow-op
 	// threshold (Detail = its duration in nanoseconds).
 	EventSlowOp
 )

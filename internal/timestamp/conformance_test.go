@@ -188,14 +188,14 @@ func TestExhaustiveTwoProcessesOneShot(t *testing.T) {
 	for _, ta := range algsFor(4) {
 		alg := ta.alg
 		t.Run(alg.Name(), func(t *testing.T) {
-			visits, err := engine.Explore(cfgSim(alg, 2, 1, 0), caps[alg.Name()], 10_000)
+			stats, err := engine.Exhaustive(cfgSim(alg, 2, 1, 0), engine.ExhaustiveOptions{MaxVisits: caps[alg.Name()]})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if visits < 2 {
-				t.Errorf("only %d interleavings explored", visits)
+			if stats.Visited < 2 {
+				t.Errorf("only %d interleavings explored", stats.Visited)
 			}
-			t.Logf("%s: %d interleavings verified", alg.Name(), visits)
+			t.Logf("%s: %d interleavings verified", alg.Name(), stats.Visited)
 		})
 	}
 }
@@ -205,11 +205,11 @@ func TestExhaustiveTwoProcessesOneShot(t *testing.T) {
 func TestExhaustiveTwoProcessesTwoCalls(t *testing.T) {
 	for _, alg := range []timestamp.Algorithm{collect.New(2), dense.New(2)} {
 		t.Run(alg.Name(), func(t *testing.T) {
-			visits, err := engine.Explore(cfgSim(alg, 2, 2, 0), 3000, 100_000)
+			stats, err := engine.Exhaustive(cfgSim(alg, 2, 2, 0), engine.ExhaustiveOptions{MaxVisits: 3000})
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%s: %d interleavings verified", alg.Name(), visits)
+			t.Logf("%s: %d interleavings verified", alg.Name(), stats.Visited)
 		})
 	}
 }
@@ -225,7 +225,7 @@ func TestSampledSchedules(t *testing.T) {
 				if alg.OneShot() {
 					calls = 1
 				}
-				if err := engine.Sample(cfgSim(alg, n, calls, int64(n)*7919), 50); err != nil {
+				if _, err := engine.Fuzz(cfgSim(alg, n, calls, int64(n)*7919), engine.FuzzOptions{Count: 50}); err != nil {
 					t.Fatal(err)
 				}
 			})

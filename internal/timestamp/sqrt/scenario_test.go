@@ -279,12 +279,12 @@ func TestBrokenVariantSequentiallyFine(t *testing.T) {
 // for the broken variant (the §6.1 bug needs ≥ 3 participants and a
 // developed phase structure).
 func TestBrokenVariantTwoProcExhaustive(t *testing.T) {
-	if _, err := engine.Explore(engine.Config{
+	if _, err := engine.Exhaustive(engine.Config{
 		Alg:      sqrt.NewWithoutRepair(2),
 		World:    engine.Simulated,
 		N:        2,
 		Workload: engine.OneShot{},
-	}, 3000, 10_000); err != nil {
+	}, engine.ExhaustiveOptions{MaxVisits: 3000}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -19,7 +19,7 @@ import (
 // violations; the check restarts whenever a lease binds another one.
 func TestTenantsMix(t *testing.T) {
 	mix := mustMix(t, "tenants")
-	target, ctl := newBinaryDaemon(t, "collect", 8)
+	target, ctl := newBinaryDaemon(t, "collect", 8, tsserve.ServerConfig{})
 	res, err := tsload.Run(context.Background(), tsload.Config{
 		Mix:      mix,
 		Target:   target,

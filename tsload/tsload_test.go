@@ -319,23 +319,36 @@ func TestOneShotForcesBatchOne(t *testing.T) {
 	}
 }
 
+// newReapingTarget serves a metered collect object for 8 processes from
+// an in-test daemon whose reaper detaches leases idle past ttl. It returns
+// a load target on the named wire ("http" or "binary") and a control-plane
+// client of the daemon.
+func newReapingTarget(t *testing.T, wire string, ttl time.Duration) (tsload.Target, *tsserve.Client) {
+	t.Helper()
+	cfg := tsserve.ServerConfig{SessionTTL: ttl}
+	if wire == "binary" {
+		return newBinaryDaemon(t, "collect", 8, cfg)
+	}
+	obj, err := tsspace.New(tsspace.WithAlgorithm("collect"), tsspace.WithProcs(8), tsspace.WithMetering())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(tsserve.NewServer(obj, cfg))
+	t.Cleanup(func() { srv.Close(); obj.Close() })
+	target, err := tsload.NewHTTP(context.Background(), srv.URL, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return target, tsserve.NewClient(srv.URL, srv.Client())
+}
+
 // The crash mix abandons half its leases without Detach; against a
 // daemon with a short session TTL the reaper must keep the namespace
 // circulating, the only errors must be the expected ErrDetached races,
 // and happens-before must hold across every reclamation. The in-process
 // SDK reaps nothing, so the mix is a configuration error there.
 func TestCrashMixAgainstDaemonReaper(t *testing.T) {
-	obj, err := tsspace.New(tsspace.WithAlgorithm("collect"), tsspace.WithProcs(8), tsspace.WithMetering())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(tsserve.NewServer(obj, tsserve.ServerConfig{SessionTTL: 20 * time.Millisecond}))
-	t.Cleanup(func() { srv.Close(); obj.Close() })
-	target, err := tsload.NewHTTP(context.Background(), srv.URL, srv.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	target, client := newReapingTarget(t, "http", 20*time.Millisecond)
 	res, err := tsload.Run(context.Background(), tsload.Config{
 		Mix:      mustMix(t, "crash"),
 		Target:   target,
@@ -364,7 +377,7 @@ func TestCrashMixAgainstDaemonReaper(t *testing.T) {
 	if res.HBViolations != 0 {
 		t.Errorf("%d happens-before violations across reaped leases", res.HBViolations)
 	}
-	m, err := tsserve.NewClient(srv.URL, srv.Client()).Metrics(context.Background())
+	m, err := client.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,6 +386,33 @@ func TestCrashMixAgainstDaemonReaper(t *testing.T) {
 	}
 	if !strings.Contains(res.MixKind, "abandon=50%") {
 		t.Errorf("MixKind %q does not render the abandon knob", res.MixKind)
+	}
+
+	// A closed-loop worker never idles past the TTL, so no reap lands on
+	// a lease it still holds. An open-loop worker at 10 ops/s idles
+	// 100 ms between arrivals: the reaper takes held leases, and each
+	// wire must report the next getTS on one as tsspace.ErrDetached, the
+	// error the mix expects.
+	for _, wire := range []string{"http", "binary"} {
+		t.Run("idle-"+wire, func(t *testing.T) {
+			target, _ := newReapingTarget(t, wire, 20*time.Millisecond)
+			res, err := tsload.Run(context.Background(), tsload.Config{
+				Mix:      mustMix(t, "crash"),
+				Target:   target,
+				Workers:  1,
+				Rate:     10,
+				Duration: time.Second,
+				Seed:     14,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%s: %d expected, %d unexpected errors over %d ops", wire, res.ExpectedErrors, res.UnexpectedErrors, res.Ops)
+			if res.ExpectedErrors == 0 || res.UnexpectedErrors != 0 {
+				t.Errorf("idle worker under the reaper: %d expected, %d unexpected errors; want > 0 and 0",
+					res.ExpectedErrors, res.UnexpectedErrors)
+			}
+		})
 	}
 
 	if _, err := tsload.Run(context.Background(), tsload.Config{
@@ -432,19 +472,20 @@ func TestHTTPOneShotExhaustsOverTheWire(t *testing.T) {
 // as a binary load target.
 func newBinary(t *testing.T, alg string, procs int) *tsload.Binary {
 	t.Helper()
-	target, _ := newBinaryDaemon(t, alg, procs)
+	target, _ := newBinaryDaemon(t, alg, procs, tsserve.ServerConfig{})
 	return target
 }
 
-// newBinaryDaemon is newBinary that also returns a control-plane client
-// of the daemon, for tests that inspect its books.
-func newBinaryDaemon(t *testing.T, alg string, procs int) (*tsload.Binary, *tsserve.Client) {
+// newBinaryDaemon is newBinary over a daemon configured by cfg that also
+// returns a control-plane client of the daemon, for tests that inspect
+// its books.
+func newBinaryDaemon(t *testing.T, alg string, procs int, cfg tsserve.ServerConfig) (*tsload.Binary, *tsserve.Client) {
 	t.Helper()
 	obj, err := tsspace.New(tsspace.WithAlgorithm(alg), tsspace.WithProcs(procs), tsspace.WithMetering())
 	if err != nil {
 		t.Fatal(err)
 	}
-	front := tsserve.NewServer(obj, tsserve.ServerConfig{})
+	front := tsserve.NewServer(obj, cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

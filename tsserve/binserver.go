@@ -236,7 +236,7 @@ func (st *binServerConn) getTS(payload []byte) {
 	s.met.batches.Inc()
 	d := time.Since(start)
 	st.binGettsLat.Record(d.Nanoseconds())
-	if d > s.slowOp {
+	if d > slowOp {
 		s.met.ring.RecordNS(obs.EventSlowOp, ws.ns.id, ws.idNum, int32(pid), d.Nanoseconds())
 	}
 }

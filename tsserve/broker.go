@@ -320,10 +320,10 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("namespace %q already provisioned with a different spec", name))
 		return
 	}
-	if len(s.namespaces) >= s.maxNamespaces {
+	if len(s.namespaces) >= maxNamespaces {
 		s.nsMu.Unlock()
 		writeError(w, http.StatusTooManyRequests, CodeQuota,
-			fmt.Sprintf("namespace cap %d reached", s.maxNamespaces))
+			fmt.Sprintf("namespace cap %d reached", maxNamespaces))
 		return
 	}
 	opts := []tsspace.Option{tsspace.WithAlgorithm(req.Algorithm), tsspace.WithProcs(req.Procs)}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strings"
 	"sync"
@@ -180,6 +181,35 @@ func TestProvisionDeprovisionTypedErrors(t *testing.T) {
 	}
 	if _, err := c.DeprovisionNamespace(ctx, tsserve.DefaultNamespace); err == nil {
 		t.Fatal("deprovisioning the default namespace succeeded")
+	}
+}
+
+// The broker provisions at most 64 namespaces besides the default one: the
+// 65th PUT is a typed quota rejection, an identical re-PUT of a
+// provisioned name still answers created: false at the cap, and a
+// deprovision frees a slot.
+func TestNamespaceCap(t *testing.T) {
+	ctx := context.Background()
+	c, _ := newTestServer(t, tsspace.WithProcs(1))
+	const maxNamespaces = 64
+	spec := tsserve.ProvisionRequest{Algorithm: "collect", Procs: 1}
+	for i := 0; i < maxNamespaces; i++ {
+		if _, err := c.ProvisionNamespace(ctx, fmt.Sprintf("ns-%d", i), spec); err != nil {
+			t.Fatalf("provision %d of %d: %v", i+1, maxNamespaces, err)
+		}
+	}
+	if _, err := c.ProvisionNamespace(ctx, "one-too-many", spec); !errors.Is(err, tsserve.ErrQuota) {
+		t.Fatalf("provision beyond the cap = %v, want ErrQuota", err)
+	}
+	again, err := c.ProvisionNamespace(ctx, "ns-0", spec)
+	if err != nil || again.Created {
+		t.Fatalf("identical re-PUT at the cap = %+v, %v; want created: false", again, err)
+	}
+	if _, err := c.DeprovisionNamespace(ctx, "ns-0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ProvisionNamespace(ctx, "one-too-many", spec); err != nil {
+		t.Fatalf("provision after a deprovision: %v", err)
 	}
 }
 

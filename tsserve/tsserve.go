@@ -228,15 +228,17 @@ type ServerConfig struct {
 	// SessionTTL is how long a wire session's lease may sit idle before
 	// the reaper detaches it and recycles its pid. Values <= 0 mean 60s.
 	SessionTTL time.Duration
-	// SlowOp is the duration above which an operation is recorded in the
-	// flight recorder as a slow-op event (see EventsHandler). Values <= 0
-	// mean 10ms.
-	SlowOp time.Duration
-	// MaxNamespaces caps how many namespaces may be provisioned at once
-	// (the default namespace not counted). Values < 1 mean 64; a PUT
-	// /ns/{name} beyond the cap is rejected with quota_exhausted.
-	MaxNamespaces int
 }
+
+const (
+	// slowOp is the duration above which an operation is recorded in the
+	// flight recorder as a slow-op event (see EventsHandler).
+	slowOp = 10 * time.Millisecond
+	// maxNamespaces caps how many namespaces may be provisioned at once
+	// (the default namespace not counted); a PUT /ns/{name} beyond the
+	// cap is rejected with quota_exhausted.
+	maxNamespaces = 64
+)
 
 // Server is the HTTP front end over a broker of tsspace Objects: the
 // constructor's Object serves as the always-present "default"
@@ -248,7 +250,6 @@ type ServerConfig struct {
 type Server struct {
 	maxBatch   int
 	sessionTTL time.Duration
-	slowOp     time.Duration
 	start      time.Time
 	mux        *http.ServeMux
 	// met is the observability core: every counter, gauge and latency
@@ -259,11 +260,10 @@ type Server struct {
 	// The namespace table. defaultNS wraps the constructor's Object and
 	// is resolvable but never in the map; nsSeq hands out
 	// flight-recorder namespace ids.
-	nsMu          sync.RWMutex
-	namespaces    map[string]*namespace
-	defaultNS     *namespace
-	nsSeq         uint32
-	maxNamespaces int
+	nsMu       sync.RWMutex
+	namespaces map[string]*namespace
+	defaultNS  *namespace
+	nsSeq      uint32
 
 	// sessions is the one capability-addressed lease table both
 	// transports and all namespaces share: ids are unguessable, so the
@@ -301,23 +301,14 @@ func NewServer(obj *tsspace.Object, cfg ServerConfig) *Server {
 	if ttl <= 0 {
 		ttl = 60 * time.Second
 	}
-	slowOp := cfg.SlowOp
-	if slowOp <= 0 {
-		slowOp = 10 * time.Millisecond
-	}
-	maxNamespaces := cfg.MaxNamespaces
-	if maxNamespaces < 1 {
-		maxNamespaces = 64
-	}
 	_, metered := obj.SpaceTotals()
 	s := &Server{
-		maxBatch: maxBatch, sessionTTL: ttl, slowOp: slowOp,
+		maxBatch: maxBatch, sessionTTL: ttl,
 		start: time.Now(), mux: http.NewServeMux(),
-		namespaces:    make(map[string]*namespace),
-		maxNamespaces: maxNamespaces,
-		sessions:      make(map[string]*wireSession),
-		stop:          make(chan struct{}),
-		binConns:      make(map[net.Conn]struct{}),
+		namespaces: make(map[string]*namespace),
+		sessions:   make(map[string]*wireSession),
+		stop:       make(chan struct{}),
+		binConns:   make(map[net.Conn]struct{}),
 	}
 	s.defaultNS = &namespace{
 		name: DefaultNamespace, obj: obj,
@@ -358,7 +349,7 @@ func (s *Server) timed(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 		h(w, r)
 		d := time.Since(start)
 		lat.Record(d.Nanoseconds())
-		if d > s.slowOp {
+		if d > slowOp {
 			s.met.ring.Record(obs.EventSlowOp, 0, -1, d.Nanoseconds())
 		}
 	}
