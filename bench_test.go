@@ -418,6 +418,30 @@ func BenchmarkSession_GetTSBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkObjectNew prices provisioning one object, which the broker
+// pays on every namespace it creates and, in the one-shot regime, again
+// whenever a namespace runs out. One op is one metered New plus Close;
+// pid state is built on first lease, so allocs/op stays flat in n and
+// ns/op and B/op grow only with the register array, the writer table
+// and the free channel (EXPERIMENTS.md E19).
+func BenchmarkObjectNew(b *testing.B) {
+	for _, alg := range []string{"collect", "sqrt"} {
+		for _, n := range []int{64, 4096, 65536} {
+			b.Run(fmt.Sprintf("%s/n=%d", alg, n), func(b *testing.B) {
+				opts := []tsspace.Option{tsspace.WithAlgorithm(alg), tsspace.WithProcs(n), tsspace.WithMetering()}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					obj, err := tsspace.New(opts...)
+					if err != nil {
+						b.Fatal(err)
+					}
+					obj.Close()
+				}
+			})
+		}
+	}
+}
+
 // Ablation — the line 10–11 repair's write overhead: sequential executions
 // never exercise the repair, so both variants write identically; the
 // interesting comparison is steps under contention, where only the

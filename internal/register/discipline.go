@@ -26,26 +26,31 @@ func NewWriteQuorum(mem Mem, writers [][]int) *WriteQuorum {
 
 // TwoWriterTable returns the Algorithm 2 discipline for n processes over
 // ⌈n/2⌉ registers: register i (0-based) is writable by processes 2i and
-// 2i+1 (0-based pids). Pids ≥ n are excluded.
+// 2i+1 (0-based pids). Pids ≥ n are excluded. The rows are capped
+// windows of one shared pid list, so the table costs two allocations
+// whatever n is.
 func TwoWriterTable(n int) [][]int {
-	m := (n + 1) / 2
-	table := make([][]int, m)
+	pids := make([]int, n)
+	for i := range pids {
+		pids[i] = i
+	}
+	table := make([][]int, (n+1)/2)
 	for i := range table {
-		ws := []int{2 * i}
-		if 2*i+1 < n {
-			ws = append(ws, 2*i+1)
-		}
-		table[i] = ws
+		hi := min(2*i+2, n)
+		table[i] = pids[2*i : hi : hi]
 	}
 	return table
 }
 
 // SWMRTable returns a single-writer discipline over n registers: register i
-// is writable only by process i.
+// is writable only by process i. Like TwoWriterTable it builds its rows
+// over one shared pid list.
 func SWMRTable(n int) [][]int {
+	pids := make([]int, n)
 	table := make([][]int, n)
 	for i := range table {
-		table[i] = []int{i}
+		pids[i] = i
+		table[i] = pids[i : i+1 : i+1]
 	}
 	return table
 }

@@ -244,6 +244,24 @@ func TestSWMRTable(t *testing.T) {
 	}
 }
 
+// Both writer tables slice their rows out of one pid list, so a table
+// costs two allocations at any n, and each row is capped at its own
+// writers: appending to one row must not overwrite the next.
+func TestWriterTablesShareOnePidList(t *testing.T) {
+	for name, build := range map[string]func(int) [][]int{"swmr": SWMRTable, "two-writer": TwoWriterTable} {
+		for _, n := range []int{64, 4096} {
+			if allocs := testing.AllocsPerRun(10, func() { build(n) }); allocs != 2 {
+				t.Errorf("%s n=%d: %.0f allocations, want 2", name, n, allocs)
+			}
+		}
+		table := build(5)
+		_ = append(table[0], 99)
+		if table[1][0] == 99 {
+			t.Errorf("%s: appending to row 0 overwrote row 1: %v", name, table)
+		}
+	}
+}
+
 // Property: a sequence of writes leaves the last value readable
 // (single-threaded semantics of the atomic cell).
 func TestQuickSequentialSemantics(t *testing.T) {

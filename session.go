@@ -29,29 +29,39 @@ type SessionAPI interface {
 	Detach() error
 }
 
-// seqSlot is one pid's persistent getTS count, padded to a cache line so
-// that attach/detach churn on neighbouring pids never false-shares. The
-// slot is owned exclusively by the leasing session between Attach and
-// Detach: Attach loads it, the session counts locally, Detach writes it
-// back — all ordered by the free-channel handoff, so no lock guards it.
-type seqSlot struct {
+// proc is one paper-process as its leases see it: the pid, its
+// middleware stack over the object's shared register array, and its
+// persistent getTS count. It is built on the pid's first lease and then
+// travels between leases through the object's free channel, so the stack
+// (and the meter handle in it) is built once per pid ever leased. seq is
+// owned by the leasing session: Attach loads it, the session counts
+// locally, Detach writes it back before the channel send that hands the
+// proc to its next lease, so no lock guards it. The record is padded to a
+// cache line so that churn on neighbouring pids never false-shares.
+type proc struct {
+	pid int
+	mem register.Mem
 	seq int64
-	_   [56]byte
+	_   [32]byte
 }
 
 // Object is a shared timestamp object: a fixed namespace of n
 // paper-processes whose ids are leased to Sessions by Attach and recycled
-// by Detach. All methods are safe for concurrent use.
+// by Detach. A pid's state is built on its first lease, so building an
+// object takes a fixed number of allocations whatever n is. All methods
+// are safe for concurrent use.
 type Object struct {
 	info    timestamp.Info
 	alg     timestamp.Algorithm
 	procs   int
 	oneShot bool
-	meter   *register.Meter // nil when metering is off
-	mems    []register.Mem  // per-pid middleware stacks over one shared array
-	slots   []seqSlot       // per-pid seq, owned by the leasing session
-	free    chan int        // recyclable pids; capacity procs
-	closed  chan struct{}   // closed by Close
+	meter   *register.Meter     // nil when metering is off
+	base    register.Mem        // the register array every proc's stack wraps
+	metered register.Middleware // nil when metering is off
+	table   [][]int             // the algorithm's writer discipline; nil = any writer
+	leased  atomic.Int64        // pids below min(this, procs) have had a first lease
+	free    chan *proc          // detached procs, in FIFO order; capacity procs
+	closed  chan struct{}       // closed by Close
 	once    sync.Once
 
 	mu        sync.Mutex    // cold-path bookkeeping only: never on the GetTS path
@@ -83,32 +93,55 @@ func (o *Object) Registers() int { return o.alg.Registers() }
 // happens-before property of §2.
 func (o *Object) Compare(t1, t2 Timestamp) bool { return o.alg.Compare(t1, t2) }
 
-// Attach leases a free process id and returns a Session bound to it. When
+// Attach leases a process id and returns a Session bound to it. Ids never
+// leased before come first, in ascending order, and never block; after
+// that, Attach takes detached ids in the order they were returned. When
 // every id is leased it blocks until one is recycled, ctx is done, the
 // object is closed, or — for one-shot objects — the timestamp budget is
-// exhausted.
+// exhausted. A closed object or a done ctx fails the call even when an
+// id is free.
 func (o *Object) Attach(ctx context.Context) (*Session, error) {
 	select {
 	case <-o.closed:
 		return nil, ErrClosed
 	default:
 	}
-	select {
-	case pid := <-o.free:
-		o.attaches.Add(1)
-		s := &Session{obj: o, pid: pid, seq0: o.slots[pid].seq}
-		s.seq.Store(s.seq0)
-		o.mu.Lock()
-		o.active++
-		o.mu.Unlock()
-		return s, nil
-	case <-o.exhausted: // nil (blocks forever) unless one-shot
-		return nil, fmt.Errorf("%w: all %d process slots have issued their timestamp", ErrExhausted, o.procs)
-	case <-o.closed:
-		return nil, ErrClosed
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
+	p := o.firstLease()
+	if p == nil {
+		select {
+		case p = <-o.free:
+		case <-o.exhausted: // nil (blocks forever) unless one-shot
+			return nil, fmt.Errorf("%w: all %d process slots have issued their timestamp", ErrExhausted, o.procs)
+		case <-o.closed:
+			return nil, ErrClosed
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	o.attaches.Add(1)
+	s := &Session{obj: o, p: p, seq0: p.seq}
+	s.seq.Store(s.seq0)
+	o.mu.Lock()
+	o.active++
+	o.mu.Unlock()
+	return s, nil
+}
+
+// firstLease claims the lowest never-leased pid and builds its proc: the
+// metering layer (when on) plus the algorithm's declared writer
+// discipline, so a buggy caller cannot silently break claims like
+// Algorithm 2's 2-writer registers. It returns nil once all n pids have
+// been leased; the counter then overshoots procs by one per Attach, far
+// from overflowing an int64.
+func (o *Object) firstLease() *proc {
+	if pid := o.leased.Add(1) - 1; pid < int64(o.procs) {
+		mem := register.Wrap(o.base, o.metered, register.DisciplineFor(o.table, int(pid)))
+		return &proc{pid: int(pid), mem: mem}
+	}
+	return nil
 }
 
 // Close shuts the object down: subsequent Attach and GetTS calls report
@@ -210,7 +243,8 @@ type Stats struct {
 // their process id can serve the next client: nothing in the SDK
 // reclaims an abandoned session. A remote client's lease is reclaimed by
 // the daemon's session TTL (tsserve), which never retires a lease with a
-// batch in flight.
+// batch in flight. The session holds its pid's proc for the lease, so
+// the pid's memory stack and sequence count are one pointer away.
 //
 // The hot path is lock-free and is one loop: GetTS is a GetTSBatch of
 // one. A batch checks its guards (detached flag, closed object, context)
@@ -222,7 +256,7 @@ type Stats struct {
 // only on whatever registers the algorithm itself contends on.
 type Session struct {
 	obj  *Object
-	pid  int
+	p    *proc
 	seq0 int64 // the pid's seq at Attach; Calls() = seq − seq0
 
 	// seq is the pid's getTS count as of the last completed batch. It is
@@ -237,7 +271,7 @@ var _ SessionAPI = (*Session)(nil)
 // Pid returns the leased paper-process id (0 ≤ pid < Object.Procs). It is
 // diagnostic: two sessions alive at the same time never share a pid, but
 // ids are recycled across time.
-func (s *Session) Pid() int { return s.pid }
+func (s *Session) Pid() int { return s.p.pid }
 
 // Calls returns the number of timestamps this session has taken. While a
 // batch runs it does not count that batch yet; once the batch returns it
@@ -262,7 +296,7 @@ func (s *Session) ready(ctx context.Context) error {
 
 // GetTS performs one getTS() instance as this session's process: a
 // GetTSBatch of one on the stack. The sequence number the implementation
-// contract requires is tracked in the session (seeded from the pid's slot
+// contract requires is tracked in the session (seeded from the pid's proc
 // at Attach and written back at Detach), surviving lease recycling
 // without any shared lock.
 //
@@ -292,20 +326,20 @@ func (s *Session) GetTSBatch(ctx context.Context, dst []Timestamp) (int, error) 
 		return 0, err
 	}
 	o := s.obj
-	mem := o.mems[s.pid]
+	pid, mem := s.p.pid, s.p.mem
 	seq := s.seq.Load()
 	var err error
 	n := 0
 	for n < len(dst) {
 		if o.oneShot && seq > 0 {
 			//tslint:allow hotpath cold failure path: a conforming one-shot client never re-calls
-			err = fmt.Errorf("tsspace: process %d already issued its timestamp: %w", s.pid, ErrOneShot)
+			err = fmt.Errorf("tsspace: process %d already issued its timestamp: %w", pid, ErrOneShot)
 			break
 		}
-		ts, gerr := o.alg.GetTS(mem, s.pid, int(seq))
+		ts, gerr := o.alg.GetTS(mem, pid, int(seq))
 		if gerr != nil {
 			//tslint:allow hotpath algorithm failure path: an errored call has already left the zero-alloc contract
-			err = fmt.Errorf("tsspace: %s p%d getTS#%d: %w", o.info.Name, s.pid, seq, gerr)
+			err = fmt.Errorf("tsspace: %s p%d getTS#%d: %w", o.info.Name, pid, seq, gerr)
 			break
 		}
 		dst[n] = ts
@@ -320,21 +354,21 @@ func (s *Session) GetTSBatch(ctx context.Context, dst []Timestamp) (int, error) 
 }
 
 // Detach releases the session's process id, writing the session's
-// sequence number back to the pid's slot so the next lease continues the
-// call history. On long-lived objects the id immediately becomes leasable
-// by the next Attach; on one-shot objects an id whose timestamp has been
-// issued is retired instead (recycling it could never serve another
-// GetTS), and retiring the last one trips ErrExhausted for future Attach
-// calls. Detach is idempotent, but must not race a GetTS still in flight
-// on this session (the session is one logical client; stop its operation
-// stream first).
+// sequence number back to the pid's proc so the next lease continues the
+// call history. On long-lived objects the id becomes leasable at once,
+// behind any ids returned before it; on one-shot objects an id whose
+// timestamp has been issued is retired instead (recycling it could never
+// serve another GetTS), and retiring the last one trips ErrExhausted for
+// future Attach calls. Detach is idempotent, but must not race a GetTS
+// still in flight on this session (the session is one logical client;
+// stop its operation stream first).
 func (s *Session) Detach() error {
 	if !s.detached.CompareAndSwap(false, true) {
 		return nil
 	}
 	o := s.obj
 	seq := s.seq.Load()
-	o.slots[s.pid].seq = seq // ordered before the next lease by the channel send below
+	s.p.seq = seq // ordered before the next lease by the channel send below
 	o.mu.Lock()
 	o.active--
 	if o.oneShot && seq > 0 {
@@ -346,6 +380,6 @@ func (s *Session) Detach() error {
 		return nil
 	}
 	o.mu.Unlock()
-	o.free <- s.pid // cannot block: capacity procs, ids are unique
+	o.free <- s.p // cannot block: capacity procs, one proc per pid
 	return nil
 }

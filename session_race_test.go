@@ -2,9 +2,11 @@ package tsspace_test
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"tsspace"
 	"tsspace/internal/hbcheck"
@@ -91,7 +93,7 @@ func TestSessionChurnRaceHappensBefore(t *testing.T) {
 // Attach → GetTSBatch → Detach against a 16-pid object while dedicated
 // readers hammer Usage() and Stats(), and one more reads Calls() on the
 // live sessions while their batches publish it — under -race this checks
-// that the lock-free hot path, the padded seq slots, and the cold-path
+// that the lock-free hot path, the padded procs, and the cold-path
 // bookkeeping never trade data races for the dropped object-wide mutex.
 // Afterwards every worker's batch stream goes through hbcheck: batches
 // from one worker are sequential in real time, so the whole per-worker
@@ -251,4 +253,82 @@ func TestOneShotChurnBudgetRace(t *testing.T) {
 	if exhausted.Load() != 4*procs-procs {
 		t.Errorf("%d clients saw exhaustion, want %d", exhausted.Load(), 3*procs)
 	}
+}
+
+// Concurrent first leases: 8 goroutines loop Attach → GetTS → Detach on
+// a fresh object, so pids are built by whichever attach claims them while
+// other goroutines recycle the ones already built. Under -race this checks
+// that the claim hands each pid to one session at a time, that a recycled
+// pid's stack and count reach its next lease, and that each built pid's
+// one meter handle counts every call: collect's totals must be exact. On
+// sqrt every pid is leased once, and once all 512 have issued every
+// Attach must fail with ErrExhausted.
+func TestFirstLeaseRace(t *testing.T) {
+	const workers = 8
+	ctx := context.Background()
+	churn := func(obj *tsspace.Object, rounds int) (calls int64) {
+		t.Helper()
+		inFlight := make([]atomic.Bool, obj.Procs())
+		var total atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r := 0; rounds == 0 || r < rounds; r++ {
+					s, err := obj.Attach(ctx)
+					if errors.Is(err, tsspace.ErrExhausted) && rounds == 0 {
+						return
+					}
+					if err != nil {
+						t.Errorf("attach: %v", err)
+						return
+					}
+					if !inFlight[s.Pid()].CompareAndSwap(false, true) {
+						t.Errorf("pid %d leased to two live sessions", s.Pid())
+					}
+					if _, err := s.GetTS(ctx); err != nil {
+						t.Errorf("pid %d: getTS: %v", s.Pid(), err)
+					} else {
+						total.Add(1)
+					}
+					inFlight[s.Pid()].Store(false)
+					s.Detach()
+				}
+			}()
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(time.Minute):
+			// A pid built or recycled twice overfills the free channel,
+			// and the Detach that finds it full blocks forever.
+			t.Fatal("churn did not finish in a minute")
+		}
+		return total.Load()
+	}
+
+	collect := mustNew(t, tsspace.WithProcs(64), tsspace.WithMetering())
+	calls := churn(collect, 200)
+	if calls != workers*200 {
+		t.Errorf("collect: %d calls, want %d", calls, workers*200)
+	}
+	if u, _ := collect.Usage(); u.Reads != uint64(calls)*64 || u.Writes != uint64(calls) {
+		t.Errorf("collect: Usage = %d reads, %d writes after %d calls, want %d and %d",
+			u.Reads, u.Writes, calls, calls*64, calls)
+	}
+
+	sqrt := mustNew(t, tsspace.WithAlgorithm("sqrt"), tsspace.WithProcs(512), tsspace.WithMetering())
+	if calls := churn(sqrt, 0); calls != 512 {
+		t.Errorf("sqrt: issued %d timestamps, want the budget of 512", calls)
+	}
+	if _, err := sqrt.Attach(ctx); !errors.Is(err, tsspace.ErrExhausted) {
+		t.Errorf("sqrt: Attach after the budget = %v, want ErrExhausted", err)
+	}
+	u, _ := sqrt.Usage()
+	if u.Written >= u.Registers {
+		t.Errorf("sqrt: wrote %d of %d registers, want fewer: the sentinel is never written", u.Written, u.Registers)
+	}
+	t.Logf("collect: %d calls, %d reads; sqrt: %d of %d registers written", calls, calls*64, u.Written, u.Registers)
 }

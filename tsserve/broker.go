@@ -280,6 +280,10 @@ func (s *Server) handleNamespaces(w http.ResponseWriter, r *http.Request) {
 // handleProvision is PUT /ns/{name}: create a named Object. An
 // identical spec is idempotent (Created false); a conflicting one is
 // namespace_exists; the server-wide namespace cap is quota_exhausted.
+// The object builds each paper-process on its first lease, so a
+// provision takes a fixed number of allocations whatever the proc count;
+// only the sizes of the register array, the writer table and the lease
+// channel grow with it.
 func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !validNamespaceName(name) {

@@ -25,16 +25,19 @@
 // transport becomes a deployment decision. The session hot path is
 // lock-free and is one loop, GetTSBatch (GetTS is a batch of one): while
 // a pid is leased its sequence count lives in the Session, which a batch
-// updates once, at its end, and a cache-line-padded per-pid slot holds it
-// only between leases, so GetTS and GetTSBatch touch no object-wide
-// mutex.
+// updates once, at its end, and the pid's cache-line-padded process
+// record holds it only between leases, so GetTS and GetTSBatch touch no
+// object-wide mutex.
 //
 // An Object is configured for a fixed number of paper-processes n, but
 // serves arbitrarily many logical clients: Attach leases a free process
 // id, Detach returns it, and per-process sequence numbers persist across
 // leases, so a long-lived object stays correct under unbounded session
 // churn (the paper's Θ(n) long-lived space bound is about the process
-// *namespace*, not the live set). One-shot objects (sqrt, simple) issue at
+// *namespace*, not the live set). A process's record — its memory stack
+// and sequence count — is built on its first lease, so New takes the same
+// dozen or so allocations whatever n is, and an object whose leases touch
+// k pids pays for k records. One-shot objects (sqrt, simple) issue at
 // most one timestamp per process id; once all n are spent, Attach reports
 // ErrExhausted — that budget is the paper's M, not an implementation
 // limit.
@@ -173,7 +176,9 @@ func WithMetering() Option {
 }
 
 // New constructs a timestamp object. With no options it is a long-lived
-// "collect" object for 16 processes, unmetered.
+// "collect" object for 16 processes, unmetered. New builds no per-process
+// state, so its allocation count does not grow with n: each pid's memory
+// stack is built by its first Attach.
 func New(opts ...Option) (*Object, error) {
 	cfg := config{alg: "collect", procs: 16}
 	for _, opt := range opts {
@@ -208,19 +213,11 @@ func New(opts ...Option) (*Object, error) {
 		procs:   cfg.procs,
 		oneShot: alg.OneShot(),
 		meter:   meter,
-		mems:    make([]register.Mem, cfg.procs),
-		slots:   make([]seqSlot, cfg.procs),
-		free:    make(chan int, cfg.procs),
+		base:    base,
+		metered: metered,
+		table:   alg.WriterTable(),
+		free:    make(chan *proc, cfg.procs),
 		closed:  make(chan struct{}),
-	}
-	// The per-process stack is fixed for the object's lifetime: metering
-	// (when on) plus the algorithm's declared writer discipline, so a
-	// buggy caller cannot silently break claims like Algorithm 2's
-	// 2-writer registers.
-	table := alg.WriterTable()
-	for pid := 0; pid < cfg.procs; pid++ {
-		o.mems[pid] = register.Wrap(base, metered, register.DisciplineFor(table, pid))
-		o.free <- pid
 	}
 	if o.oneShot {
 		o.exhausted = make(chan struct{})

@@ -5,6 +5,7 @@ package tsspace_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -469,5 +470,131 @@ func TestMeteredUsageTracksSpace(t *testing.T) {
 		if !slices.Equal(u.WrittenSet, tc.writtenSet) {
 			t.Errorf("%s: Usage.WrittenSet = %v, want %v", tc.alg, u.WrittenSet, tc.writtenSet)
 		}
+	}
+}
+
+// An object builds a pid's state on its first lease, so New costs a fixed
+// number of allocations whatever n is: the register array, the writer
+// table and the free channel each grow with n, but as one allocation
+// apiece.
+func TestNewAllocsIndependentOfProcs(t *testing.T) {
+	const small, large = 64, 65536
+	// The process's first collection starts the runtime's mark workers,
+	// whose goroutines count as allocations: start them here, not inside
+	// a measured run.
+	runtime.GC()
+	for _, name := range tsspace.Algorithms() {
+		for _, metered := range []bool{false, true} {
+			allocs := func(n, runs int) float64 {
+				opts := []tsspace.Option{tsspace.WithAlgorithm(name), tsspace.WithProcs(n)}
+				if metered {
+					opts = append(opts, tsspace.WithMetering())
+				}
+				return testing.AllocsPerRun(runs, func() {
+					obj, err := tsspace.New(opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					obj.Close()
+				})
+			}
+			a, b := allocs(small, 20), allocs(large, 5)
+			if a > 20 || b > 20 || b > a+2 {
+				t.Errorf("%s metered=%v: New took %.0f allocations at n=%d and %.0f at n=%d, want ≤ 20 at both and ≤ 2 more at the larger n",
+					name, metered, a, small, b, large)
+			}
+		}
+	}
+}
+
+// Never-leased pids go out first, in ascending order; after that, Attach
+// hands out detached pids in the order they came back.
+func TestLeaseOrder(t *testing.T) {
+	ctx := context.Background()
+	obj := mustNew(t, tsspace.WithProcs(4))
+	attach := func(want ...int) []*tsspace.Session {
+		t.Helper()
+		var ss []*tsspace.Session
+		for _, pid := range want {
+			s, err := obj.Attach(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Pid() != pid {
+				t.Fatalf("attach %d got pid %d, want %d", len(ss), s.Pid(), pid)
+			}
+			ss = append(ss, s)
+		}
+		return ss
+	}
+	first := attach(0, 1, 2)
+	first[1].Detach()
+	first[0].Detach()
+	attach(3, 1, 0)
+}
+
+// A done ctx or a closed object fails Attach before it claims a pid, even
+// on a fresh object whose pids are all free: the failed call counts no
+// attach and builds nothing, and the next live Attach still gets pid 0.
+func TestDoneAttachLeasesNothing(t *testing.T) {
+	ctx := context.Background()
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	runtime.GC() // start the mark workers outside the measured runs
+	failNothing := func(obj *tsspace.Object, ctx context.Context, want error) {
+		t.Helper()
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := obj.Attach(ctx); !errors.Is(err, want) {
+				t.Fatalf("Attach = %v, want %v", err, want)
+			}
+		})
+		if st := obj.Stats(); allocs != 0 || st.Attaches != 0 || st.ActiveSessions != 0 {
+			t.Fatalf("failed Attach allocated %.1f objects, stats %+v; want nothing leased or built", allocs, st)
+		}
+	}
+
+	obj := mustNew(t, tsspace.WithProcs(4), tsspace.WithMetering())
+	failNothing(obj, cancelled, context.Canceled)
+	s, err := obj.Attach(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Pid() != 0 {
+		t.Errorf("first live Attach after cancelled ones got pid %d, want 0", s.Pid())
+	}
+
+	closed := mustNew(t, tsspace.WithProcs(4), tsspace.WithMetering())
+	closed.Close()
+	failNothing(closed, ctx, tsspace.ErrClosed)
+}
+
+// A re-leased pid reuses the one meter handle its first lease built, so
+// the meter's totals span every lease, and once every pid has been
+// leased an attach plus detach allocates only the Session.
+func TestMeterCountsAcrossLeases(t *testing.T) {
+	ctx := context.Background()
+	obj := mustNew(t, tsspace.WithProcs(2), tsspace.WithMetering())
+	for i := 0; i < 50; i++ {
+		s, err := obj.Attach(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.GetTS(ctx); err != nil {
+			t.Fatal(err)
+		}
+		s.Detach()
+	}
+	if u, _ := obj.Usage(); u.Reads != 100 || u.Writes != 50 || u.Written != 2 {
+		t.Errorf("Usage after 50 one-call leases = %+v, want 100 reads, 50 writes, 2 written", u)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		s, err := obj.Attach(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Detach()
+	})
+	if allocs != 1 {
+		t.Errorf("attach + detach of a re-leased pid allocated %.1f objects, want 1 (the Session)", allocs)
 	}
 }
