@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math/big"
 
 	"tsspace/internal/mc"
 	"tsspace/internal/sched"
@@ -50,9 +51,8 @@ func (c *Counterexample) Unwrap() error { return c.Err }
 type ExhaustiveOptions struct {
 	// MaxVisits caps visited executions (0 = all).
 	MaxVisits int
-	// POR enables the sleep-set + state-hashing reduction; off, the
-	// exploration degenerates to a naive DFS (the baseline the reduction
-	// is measured against).
+	// POR enables the sleep-set reduction; off, the exploration is a
+	// naive DFS over every maximal execution.
 	POR bool
 	// Shrink minimizes any failing schedule before reporting it.
 	Shrink bool
@@ -82,7 +82,6 @@ func Exhaustive(cfg Config, opt ExhaustiveOptions) (mc.Stats, error) {
 	mcOpt := mc.Options{
 		MaxVisits: opt.MaxVisits,
 		SleepSets: opt.POR,
-		StateHash: opt.POR,
 	}
 	stats, err := mc.Explore(factory, mcOpt, func(*sched.System, []int) error {
 		return cur.check(true)
@@ -92,6 +91,17 @@ func Exhaustive(cfg Config, opt ExhaustiveOptions) (mc.Stats, error) {
 		return stats, err
 	}
 	return stats, h.counterexample(se.Schedule, opt.Shrink)
+}
+
+// Count returns the number of maximal executions of the configuration —
+// what Exhaustive with POR off visits — counted by mc.Count, which neither
+// enumerates nor checks them. newAlg is as in ExhaustiveOptions.
+func Count(cfg Config, newAlg func() timestamp.Algorithm) (*big.Int, error) {
+	h, err := newHarness(cfg, newAlg, false)
+	if err != nil {
+		return nil, err
+	}
+	return mc.Count(func() *sched.System { return h.run().sys })
 }
 
 // FuzzOptions configures the Fuzz run mode.

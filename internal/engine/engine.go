@@ -17,8 +17,9 @@
 // (mc.Explore; with POR off it is the naive DFS), Fuzz (sched.Sample),
 // CrashSweep, CrashFuzz and ReplayCrashSchedule, with one lenient replay
 // step, one replay-and-shrink path to a *Counterexample, and one
-// violation predicate. NewSimSystem hands the same crash-free execution
-// to callers that drive it themselves.
+// violation predicate. Count (mc.Count) sizes the naive DFS from the same
+// executions without running it, and NewSimSystem hands the same
+// crash-free execution to callers that drive it themselves.
 //
 // The engine runs timestamp.Algorithm implementations and their
 // timestamp.Timestamp values; the model-checking layers below it

@@ -2,6 +2,7 @@ package mc_test
 
 import (
 	"errors"
+	"math/big"
 	"reflect"
 	"sort"
 	"testing"
@@ -56,28 +57,13 @@ func TestSleepSetsCollapseIndependentWrites(t *testing.T) {
 	}
 }
 
-// State hashing alone merges the two equivalent interleavings of two
-// independent reads.
-func TestStateHashMergesEquivalentPrefixes(t *testing.T) {
-	f := factoryFor(2, 1, func(pid int, mem register.Mem) {
-		mem.Read(0)
-	})
-	stats := explore(t, f, mc.Options{StateHash: true})
-	if stats.Visited != 1 {
-		t.Errorf("hashed visits = %d, want 1 (stats: %v)", stats.Visited, stats)
-	}
-	if stats.HashPruned == 0 {
-		t.Error("expected a hash merge")
-	}
-}
-
 // Conflicting writes to one register do NOT merge: both orders are
 // distinct classes and must both be visited.
 func TestConflictingWritesStayDistinct(t *testing.T) {
 	f := factoryFor(2, 1, func(pid int, mem register.Mem) {
 		mem.Write(0, int64(pid))
 	})
-	stats := explore(t, f, mc.WithPOR(nil))
+	stats := explore(t, f, mc.Options{SleepSets: true})
 	if stats.Visited != 2 {
 		t.Errorf("POR visits = %d, want 2 (both write orders)", stats.Visited)
 	}
@@ -96,43 +82,9 @@ func TestClassCountWriteVersusTwoReads(t *testing.T) {
 	if n := naiveVisits(t, f); n != 6 {
 		t.Fatalf("naive visits = %d, want 6", n)
 	}
-	stats := explore(t, f, mc.WithPOR(nil))
+	stats := explore(t, f, mc.Options{SleepSets: true})
 	if stats.Visited != 4 {
 		t.Errorf("POR visits = %d, want 4 (stats: %v)", stats.Visited, stats)
-	}
-}
-
-// A static footprint proving the processes disjoint lets the persistent
-// set collapse the exploration to a single schedule even with sleep sets
-// and hashing disabled.
-func TestPersistentSetsDisjointFootprints(t *testing.T) {
-	f := factoryFor(2, 2, func(pid int, mem register.Mem) {
-		for k := 0; k < 3; k++ {
-			mem.Write(pid, int64(k))
-			mem.Read(pid)
-		}
-	})
-	if n := naiveVisits(t, f); n == 1 {
-		t.Fatal("naive exploration unexpectedly trivial")
-	}
-	fp := func(pid int) (reads, writes []int) {
-		return []int{pid}, []int{pid}
-	}
-	stats := explore(t, f, mc.Options{Footprint: fp})
-	if stats.Visited != 1 {
-		t.Errorf("persistent-set visits = %d, want 1 (stats: %v)", stats.Visited, stats)
-	}
-}
-
-// An unknown footprint must degrade to the full enabled set.
-func TestPersistentSetsUnknownFootprint(t *testing.T) {
-	f := factoryFor(2, 2, func(pid int, mem register.Mem) {
-		mem.Write(pid, int64(pid))
-	})
-	fp := func(pid int) (reads, writes []int) { return nil, nil }
-	stats := explore(t, f, mc.Options{Footprint: fp})
-	if stats.Visited != 2 {
-		t.Errorf("visits = %d, want 2 (unknown footprints must not prune)", stats.Visited)
 	}
 }
 
@@ -173,50 +125,53 @@ func TestMaxVisitsCapStopsCleanly(t *testing.T) {
 	}
 }
 
+// classSystems are conflict-heavy straight-line systems small enough for
+// the naive enumeration. naive is the number of maximal schedules, which
+// TestPORCoversExactlyTheNaiveClasses checks against sched.Explore.
+var classSystems = []struct {
+	name  string
+	n, m  int
+	naive int
+	prog  func(pid int, mem register.Mem)
+}{
+	{"write-race", 3, 1, 6, func(pid int, mem register.Mem) {
+		mem.Write(0, int64(pid))
+	}},
+	{"collect-like", 3, 3, 34650, func(pid int, mem register.Mem) {
+		for i := 0; i < 3; i++ {
+			mem.Read(i)
+		}
+		mem.Write(pid, int64(pid+1))
+	}},
+	{"mixed-conflicts", 3, 2, 210, func(pid int, mem register.Mem) {
+		switch pid {
+		case 0:
+			mem.Write(0, int64(1))
+			mem.Read(1)
+		case 1:
+			mem.Read(0)
+			mem.Write(1, int64(2))
+		default:
+			mem.Read(0)
+			mem.Read(1)
+			mem.Write(0, int64(3))
+		}
+	}},
+	{"two-calls", 2, 2, 70, func(pid int, mem register.Mem) {
+		for k := 0; k < 2; k++ {
+			mem.Read(1 - pid)
+			mem.Write(pid, int64(10*pid+k))
+		}
+	}},
+}
+
 // TestPORCoversExactlyTheNaiveClasses is the differential soundness test
-// the whole reduction rests on: over a range of conflict-heavy systems,
-// the set of Mazurkiewicz classes (canonical trace fingerprints) visited
-// by the full POR stack must EQUAL the class set underlying the naive
-// enumeration — nothing lost to over-pruning (sleep sets composed with
-// prefix merging is classically where classes go missing), nothing
-// visited twice.
+// the reduction rests on: over a range of conflict-heavy systems, the set
+// of Mazurkiewicz classes (canonical trace fingerprints) visited with
+// sleep sets must EQUAL the class set underlying the naive enumeration —
+// nothing lost to over-pruning, nothing visited twice.
 func TestPORCoversExactlyTheNaiveClasses(t *testing.T) {
-	systems := []struct {
-		name string
-		n, m int
-		prog func(pid int, mem register.Mem)
-	}{
-		{"write-race", 3, 1, func(pid int, mem register.Mem) {
-			mem.Write(0, int64(pid))
-		}},
-		{"collect-like", 3, 3, func(pid int, mem register.Mem) {
-			for i := 0; i < 3; i++ {
-				mem.Read(i)
-			}
-			mem.Write(pid, int64(pid+1))
-		}},
-		{"mixed-conflicts", 3, 2, func(pid int, mem register.Mem) {
-			switch pid {
-			case 0:
-				mem.Write(0, int64(1))
-				mem.Read(1)
-			case 1:
-				mem.Read(0)
-				mem.Write(1, int64(2))
-			default:
-				mem.Read(0)
-				mem.Read(1)
-				mem.Write(0, int64(3))
-			}
-		}},
-		{"two-calls", 2, 2, func(pid int, mem register.Mem) {
-			for k := 0; k < 2; k++ {
-				mem.Read(1 - pid)
-				mem.Write(pid, int64(10*pid+k))
-			}
-		}},
-	}
-	for _, s := range systems {
+	for _, s := range classSystems {
 		t.Run(s.name, func(t *testing.T) {
 			f := factoryFor(s.n, s.m, s.prog)
 			naiveClasses := map[string]bool{}
@@ -227,13 +182,16 @@ func TestPORCoversExactlyTheNaiveClasses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// With every reduction off, mc.Explore is the naive DFS (E11's
-			// naive column): it must visit exactly what sched.Explore does.
+			if naive != s.naive {
+				t.Errorf("sched.Explore visited %d, want %d", naive, s.naive)
+			}
+			// With sleep sets off, mc.Explore is the naive DFS: it must
+			// visit exactly what sched.Explore does.
 			if plain := explore(t, f, mc.Options{}); plain.Visited != naive {
-				t.Errorf("mc.Explore without reductions visited %d, sched.Explore %d", plain.Visited, naive)
+				t.Errorf("mc.Explore without sleep sets visited %d, sched.Explore %d", plain.Visited, naive)
 			}
 			porClasses := map[string]bool{}
-			stats, err := mc.Explore(f, mc.WithPOR(nil), func(sys *sched.System, schedule []int) error {
+			stats, err := mc.Explore(f, mc.Options{SleepSets: true}, func(sys *sched.System, schedule []int) error {
 				key := mc.CanonicalKey(sys.Trace())
 				if porClasses[key] {
 					t.Errorf("class visited twice: schedule %v", schedule)
@@ -256,6 +214,52 @@ func TestPORCoversExactlyTheNaiveClasses(t *testing.T) {
 			}
 			t.Logf("%s: %d interleavings, %d classes, POR visited %d", s.name, naive, len(naiveClasses), stats.Visited)
 		})
+	}
+}
+
+// Count must equal the naive enumeration's visits without enumerating.
+func TestCountMatchesNaive(t *testing.T) {
+	for _, s := range classSystems {
+		t.Run(s.name, func(t *testing.T) {
+			got, err := mc.Count(factoryFor(s.n, s.m, s.prog))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Cmp(big.NewInt(int64(s.naive))) != 0 {
+				t.Errorf("Count = %v, sched.Explore visits %d", got, s.naive)
+			}
+		})
+	}
+	// Three processes writing their own register twice each: 6!/(2!)³.
+	f := factoryFor(3, 3, func(pid int, mem register.Mem) {
+		mem.Write(pid, int64(1))
+		mem.Write(pid, int64(2))
+	})
+	got, err := mc.Count(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cmp(big.NewInt(90)) != 0 {
+		t.Errorf("Count = %v, want 90", got)
+	}
+}
+
+// Two processes writing their own register 34 times each have C(68, 34)
+// maximal schedules, more than 2^64: a wrapping 64-bit count fails here.
+func TestCountIsExact(t *testing.T) {
+	const k = 34
+	f := factoryFor(2, 2, func(pid int, mem register.Mem) {
+		for i := 0; i < k; i++ {
+			mem.Write(pid, int64(i))
+		}
+	})
+	got, err := mc.Count(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := new(big.Int).SetString("28453041475240576740", 10)
+	if got.Cmp(want) != 0 {
+		t.Errorf("Count = %v, want C(68, 34) = %v", got, want)
 	}
 }
 

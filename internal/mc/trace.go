@@ -29,8 +29,8 @@ func Dependent(a, b sched.Op) bool {
 // can be obtained from the other by repeatedly swapping adjacent
 // independent operations — in which case they lead to identical global
 // states (same register contents, same process-local states) and their
-// extensions are pairwise equivalent, so the explorer may safely merge
-// them.
+// extensions are pairwise equivalent, so Count may share one count
+// between them.
 //
 // The normal form is computed by leveling: an operation's level is one more
 // than the maximum level of any earlier dependent operation (its latest

@@ -2,28 +2,6 @@ package register
 
 import "fmt"
 
-// WriteQuorum restricts which processes may write which registers,
-// validating register-sharing disciplines such as Algorithm 2's
-// "multi-reader/2-writer registers: register R[i] is written by processes
-// 2i and 2i+1" (§5). Violations panic, because they indicate a broken
-// algorithm rather than a recoverable runtime condition.
-//
-// All operations must go through PerProcess handles so that writes carry
-// the writer's identity.
-type WriteQuorum struct {
-	inner   Mem
-	writers [][]int // writers[i] = pids allowed to write register i; nil = anyone
-}
-
-// NewWriteQuorum wraps mem with a write-permission table. writers[i] lists
-// the pids allowed to write register i; a nil entry permits all writers.
-func NewWriteQuorum(mem Mem, writers [][]int) *WriteQuorum {
-	if len(writers) != mem.Size() {
-		panic(fmt.Sprintf("register: quorum table size %d != memory size %d", len(writers), mem.Size()))
-	}
-	return &WriteQuorum{inner: mem, writers: writers}
-}
-
 // TwoWriterTable returns the Algorithm 2 discipline for n processes over
 // ⌈n/2⌉ registers: register i (0-based) is writable by processes 2i and
 // 2i+1 (0-based pids). Pids ≥ n are excluded. The rows are capped
@@ -55,29 +33,41 @@ func SWMRTable(n int) [][]int {
 	return table
 }
 
-// Handle returns a Mem bound to process pid; writes through it, generic
-// or scalar, are checked against the permission table, and reads are
-// unrestricted.
-func (q *WriteQuorum) Handle(pid int) Mem {
-	return &quorumHandle{inner: q.inner, q: q, pid: pid}
+// DisciplineFor enforces a write-permission table for process pid,
+// validating register-sharing disciplines such as Algorithm 2's
+// "multi-reader/2-writer registers: register R[i] is written by processes
+// 2i and 2i+1" (§5). table[i] lists the pids allowed to write register i;
+// a nil entry permits all writers. A nil table yields a nil middleware,
+// which Wrap skips. Reads are unrestricted. A write by any other process,
+// or a table whose size differs from the memory's, panics: either means
+// a broken algorithm rather than a recoverable runtime condition.
+func DisciplineFor(table [][]int, pid int) Middleware {
+	if table == nil {
+		return nil
+	}
+	return func(inner Mem) Mem {
+		if len(table) != inner.Size() {
+			panic(fmt.Sprintf("register: writer table size %d != memory size %d", len(table), inner.Size()))
+		}
+		return &disciplinedMem{inner: inner, writers: table, pid: pid}
+	}
 }
 
-// quorumHandle keeps the memory below in its own field, so a collect
-// forwards without a hop through the WriteQuorum.
-type quorumHandle struct {
-	inner Mem
-	q     *WriteQuorum
-	pid   int
+// disciplinedMem is one process's handle through the write discipline.
+type disciplinedMem struct {
+	inner   Mem
+	writers [][]int // writers[i] = pids allowed to write register i; nil = anyone
+	pid     int
 }
 
-var _ Mem = (*quorumHandle)(nil)
+var _ Mem = (*disciplinedMem)(nil)
 
-func (h *quorumHandle) Size() int        { return h.inner.Size() }
-func (h *quorumHandle) Read(i int) Value { return h.inner.Read(i) }
+func (h *disciplinedMem) Size() int        { return h.inner.Size() }
+func (h *disciplinedMem) Read(i int) Value { return h.inner.Read(i) }
 
 // check panics unless pid may write register i.
-func (h *quorumHandle) check(i int) {
-	allowed := h.q.writers[i]
+func (h *disciplinedMem) check(i int) {
+	allowed := h.writers[i]
 	if allowed == nil {
 		return
 	}
@@ -90,7 +80,7 @@ func (h *quorumHandle) check(i int) {
 	panic(fmt.Sprintf("register: process %d is not a permitted writer of register %d (writers %v)", h.pid, i, allowed))
 }
 
-func (h *quorumHandle) Write(i int, v Value) {
+func (h *disciplinedMem) Write(i int, v Value) {
 	h.check(i)
 	h.inner.Write(i, v)
 }
@@ -98,13 +88,13 @@ func (h *quorumHandle) Write(i int, v Value) {
 // MaxInt64 forwards a collect; reads are unrestricted.
 //
 //tslint:hotpath
-func (h *quorumHandle) MaxInt64(m int) int64 { return h.inner.MaxInt64(m) }
+func (h *disciplinedMem) MaxInt64(m int) int64 { return h.inner.MaxInt64(m) }
 
 // WriteInt64 checks pid's permission for register i and forwards the
 // write.
 //
 //tslint:hotpath
-func (h *quorumHandle) WriteInt64(i int, v int64) {
+func (h *disciplinedMem) WriteInt64(i int, v int64) {
 	h.check(i)
 	h.inner.WriteInt64(i, v)
 }

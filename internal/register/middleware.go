@@ -87,18 +87,6 @@ func (m *meteredMem) WriteInt64(i int, v int64) {
 	m.inner.WriteInt64(i, v)
 }
 
-// DisciplineFor enforces the write-permission table for process pid: the
-// WriteQuorum check as a per-process layer. A nil table yields a nil
-// middleware, which Wrap skips.
-func DisciplineFor(table [][]int, pid int) Middleware {
-	if table == nil {
-		return nil
-	}
-	return func(inner Mem) Mem {
-		return NewWriteQuorum(inner, table).Handle(pid)
-	}
-}
-
 // FirstOpStamp captures a clock stamp immediately after the first granted
 // operation of a wrapped memory. Under the deterministic scheduler a
 // process "begins" when it is first scheduled: it posts its first request

@@ -196,9 +196,9 @@ func TestTwoWriterTable(t *testing.T) {
 }
 
 func TestWriteQuorumEnforcement(t *testing.T) {
-	q := NewWriteQuorum(NewAtomicArray(2), TwoWriterTable(4))
-	h0 := q.Handle(0)
-	h3 := q.Handle(3)
+	base := NewAtomicArray(2)
+	h0 := Wrap(base, DisciplineFor(TwoWriterTable(4), 0))
+	h3 := Wrap(base, DisciplineFor(TwoWriterTable(4), 3))
 
 	h0.Write(0, "ok") // process 0 may write register 0
 	h3.Write(1, "ok") // process 3 may write register 1
@@ -217,9 +217,9 @@ func TestWriteQuorumEnforcement(t *testing.T) {
 }
 
 func TestWriteQuorumNilEntryPermitsAll(t *testing.T) {
-	q := NewWriteQuorum(NewAtomicArray(1), [][]int{nil})
+	base := NewAtomicArray(1)
 	for pid := 0; pid < 3; pid++ {
-		q.Handle(pid).Write(0, pid) // must not panic
+		Wrap(base, DisciplineFor([][]int{nil}, pid)).Write(0, pid) // must not panic
 	}
 }
 
@@ -229,7 +229,7 @@ func TestWriteQuorumSizeMismatchPanics(t *testing.T) {
 			t.Error("mismatched table should panic")
 		}
 	}()
-	NewWriteQuorum(NewAtomicArray(3), TwoWriterTable(4))
+	Wrap(NewAtomicArray(3), DisciplineFor(TwoWriterTable(4), 0))
 }
 
 func TestSWMRTable(t *testing.T) {

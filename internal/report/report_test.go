@@ -1,6 +1,7 @@
 package report
 
 import (
+	"math/big"
 	"strings"
 	"testing"
 
@@ -89,20 +90,24 @@ func TestMeasuredRowCheckCatchesBadValues(t *testing.T) {
 }
 
 func TestFormatExploration(t *testing.T) {
+	sqrt4, _ := new(big.Int).SetString("806107629204877480505640", 10)
 	rows := []ExplorationRow{
-		{Alg: "dense", N: 3, Calls: 1, Naive: 560,
-			Stats: mc.Stats{Visited: 11, Nodes: 88, SleepPruned: 58, States: 88}},
-		{Alg: "sqrt", N: 3, Calls: 1, Naive: -1,
-			Stats: mc.Stats{Visited: 150, Nodes: 6118, SleepPruned: 5319, States: 6118}},
+		{Alg: "dense", N: 3, Calls: 1, Naive: big.NewInt(560),
+			Stats: mc.Stats{Visited: 11, Nodes: 88, SleepPruned: 58}},
+		{Alg: "sqrt", N: 3, Calls: 1, Naive: big.NewInt(9033220254630),
+			Stats: mc.Stats{Visited: 150, Nodes: 6118, SleepPruned: 5319}},
+		{Alg: "sqrt", N: 4, Calls: 1, Naive: sqrt4,
+			Stats: mc.Stats{Visited: 7280, Nodes: 480040, SleepPruned: 563857}},
 	}
 	if got := rows[0].Reduction(); got <= 0 || got > 0.2 {
 		t.Errorf("dense reduction = %v, want within (0, 0.2]", got)
 	}
-	if rows[1].Reduction() != -1 {
-		t.Errorf("skipped baseline must report -1")
+	if got := rows[1].Reduction(); got <= 0 || got >= 0.00005 {
+		t.Errorf("sqrt 3×1 reduction = %v, want within (0, 0.005%%)", got)
 	}
 	out := FormatExploration(rows)
-	for _, want := range []string{"E11", "dense", "3×1", "560", "11", "1.96%", "sqrt", "-"} {
+	for _, want := range []string{"E11", "dense", "3×1", "560", "11", "1.96%", "6118",
+		"9033220254630", "1.66e-09%", "806107629204877480505640", "9.03e-19%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exploration table missing %q:\n%s", want, out)
 		}

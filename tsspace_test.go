@@ -507,6 +507,27 @@ func TestNewAllocsIndependentOfProcs(t *testing.T) {
 	}
 }
 
+// A first lease builds the Session, the proc and the proc's middleware
+// stack: one metered handle, plus one discipline handle when the
+// algorithm declares a writer table (sqrt and fas declare none).
+func TestFirstLeaseAllocs(t *testing.T) {
+	const n, runs = 1000, 100 // every measured Attach is a first lease
+	want := map[string]float64{"collect": 4, "dense": 4, "simple": 4, "fas": 3, "sqrt": 3}
+	ctx := context.Background()
+	runtime.GC() // start the mark workers outside the measured runs
+	for _, name := range tsspace.Algorithms() {
+		obj := mustNew(t, tsspace.WithAlgorithm(name), tsspace.WithProcs(n), tsspace.WithMetering())
+		allocs := testing.AllocsPerRun(runs, func() {
+			if _, err := obj.Attach(ctx); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != want[name] {
+			t.Errorf("%s: a first lease took %.0f allocations, want %.0f", name, allocs, want[name])
+		}
+	}
+}
+
 // Never-leased pids go out first, in ascending order; after that, Attach
 // hands out detached pids in the order they came back.
 func TestLeaseOrder(t *testing.T) {
