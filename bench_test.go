@@ -181,7 +181,7 @@ func BenchmarkE7_InvalidationWrites(b *testing.B) {
 					Workload: engine.Phased{GroupSize: 3},
 					Seed:     int64(i) + 1,
 				})
-				if err := rep.Verify(alg.Compare); err != nil {
+				if err := rep.Verify(); err != nil {
 					b.Fatal(err)
 				}
 				prep, err := sqrt.AnalyzePhases(tracer.Events())

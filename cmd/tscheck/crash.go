@@ -101,7 +101,7 @@ func confront(cfg modelCheckConfig, ns []int) bool {
 			if n < fam.MinProcs {
 				continue
 			}
-			var rec *hbcheck.Recorder[timestamp.Timestamp]
+			var rec *hbcheck.Recorder
 			factory := func(wl engine.Workload) sched.Factory {
 				return func() *sched.System {
 					sys, r, _ := engine.NewSimSystem(engine.Config{
@@ -111,7 +111,6 @@ func confront(cfg modelCheckConfig, ns []int) bool {
 					return sys
 				}
 			}
-			compare := fam.New(n).Compare
 			enforce := fam.Name == "collect"
 
 			reports := []*lowerbound.LiveReport{}
@@ -121,7 +120,7 @@ func confront(cfg modelCheckConfig, ns []int) bool {
 				failed = true
 				continue
 			}
-			if herr := hbcheck.CheckRecorder(rec, compare); herr != nil {
+			if herr := hbcheck.Check(rec.Events()); herr != nil {
 				fmt.Fprintf(os.Stderr, "tscheck: %s n=%d: adversary execution violates happens-before: %v\n", fam.Name, n, herr)
 				failed = true
 			}
@@ -135,7 +134,7 @@ func confront(cfg modelCheckConfig, ns []int) bool {
 					failed = true
 					continue
 				}
-				if herr := hbcheck.CheckRecorder(rec, compare); herr != nil {
+				if herr := hbcheck.Check(rec.Events()); herr != nil {
 					fmt.Fprintf(os.Stderr, "tscheck: %s n=%d: adversary execution violates happens-before: %v\n", fam.Name, n, herr)
 					failed = true
 				}

@@ -317,7 +317,7 @@ func classic(n, visits, samples, reps int, seed int64) {
 			} {
 				rep, err := engine.Run(cfg(engine.Simulated, wl))
 				if err == nil {
-					err = rep.Verify(alg.Compare)
+					err = rep.Verify()
 				}
 				reportLine(&failed, alg.Name(), fmt.Sprintf("%s %d×%d", wl.Kind(), n, calls), err)
 			}
@@ -330,7 +330,7 @@ func classic(n, visits, samples, reps int, seed int64) {
 			var rep *engine.Report
 			rep, concErr = engine.Run(cfg(engine.Atomic, engine.LongLived{CallsPerProc: calls}))
 			if concErr == nil {
-				concErr = rep.Verify(alg.Compare)
+				concErr = rep.Verify()
 			}
 		}
 		reportLine(&failed, alg.Name(), fmt.Sprintf("concurrent %d×%d ×%d runs", n, calls, reps), concErr)

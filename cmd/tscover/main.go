@@ -66,7 +66,7 @@ func phases(n int, seed int64) {
 	if err != nil {
 		fail(err)
 	}
-	if err := run.Verify(alg.Compare); err != nil {
+	if err := run.Verify(); err != nil {
 		fail(err)
 	}
 	rep, err := sqrt.AnalyzePhases(tracer.Events())

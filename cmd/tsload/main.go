@@ -533,11 +533,11 @@ func row(r tsload.Result) string {
 	if r.HBViolations > 0 {
 		flags += fmt.Sprintf(" HB-VIOLATIONS=%d", r.HBViolations)
 	}
-	return fmt.Sprintf("%-8s %-9s %-10s %10.0f ops/s  p50=%-8s p99=%-8s p999=%-8s max=%-8s n=%d%s",
+	return fmt.Sprintf("%-8s %-9s %-10s %10.0f ops/s  p50=%-8s p99=%-8s p999=%-8s max=%-8s n=%d hb-checked=%d%s",
 		r.Mix, r.Target, r.Algorithm, r.Throughput,
 		time.Duration(r.LatencyNs.P50), time.Duration(r.LatencyNs.P99),
 		time.Duration(r.LatencyNs.P999), time.Duration(r.LatencyNs.Max),
-		r.Ops, flags)
+		r.Ops, r.HBChecked, flags)
 }
 
 // runSmoke is the CI gate: a short ops-bounded closed-loop sweep of every
@@ -545,7 +545,8 @@ func row(r tsload.Result) string {
 // on self-hosted daemons only) for a long-lived and a one-shot
 // algorithm, plus a batch-size leg (1/16/256 in process, over wire v2 and
 // over wire v3). It fails on any *unexpected* error, any happens-before
-// violation, an empty row, or a batch row whose timestamp accounting does
+// violation, a row whose cross-worker happens-before check ordered no
+// operation, an empty row, or a batch row whose timestamp accounting does
 // not match its batch size — gating on total errors would reject the
 // crash mix's fault injection, whose whole point is provoking ErrDetached
 // (counted as ExpectedErrors) while happens-before holds. The crash rows
@@ -616,6 +617,9 @@ func runSmoke(ctx context.Context, out string, opt options) error {
 		}
 		if r.HBViolations > 0 {
 			return fmt.Errorf("%s/%s/%s: %d happens-before violations", r.Mix, r.Target, r.Algorithm, r.HBViolations)
+		}
+		if r.HBChecked == 0 {
+			return fmt.Errorf("%s/%s/%s: the cross-worker happens-before check ordered no operation", r.Mix, r.Target, r.Algorithm)
 		}
 		if r.Mix == "crash" {
 			crashRows++

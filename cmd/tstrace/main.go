@@ -116,7 +116,7 @@ func main() {
 	for _, ev := range rep.Events {
 		fmt.Printf("  p%d.getTS#%d → %v\n", ev.Pid, ev.Seq, ev.Val)
 	}
-	if err := rep.Verify(alg.Compare); err != nil {
+	if err := rep.Verify(); err != nil {
 		fmt.Fprintf(os.Stderr, "tstrace: %v\n", err)
 		os.Exit(1)
 	}

@@ -27,7 +27,7 @@ func ExampleNew() {
 
 	t1, _ := s.GetTS(ctx)
 	t2, _ := s.GetTS(ctx)
-	fmt.Println(obj.Compare(t1, t2), obj.Compare(t2, t1))
+	fmt.Println(tsspace.Less(t1, t2), tsspace.Less(t2, t1))
 	// Output: true false
 }
 
@@ -65,7 +65,7 @@ func ExampleSession_GetTSBatch() {
 	}
 	ordered := true
 	for i := 0; i+1 < n; i++ {
-		ordered = ordered && obj.Compare(batch[i], batch[i+1])
+		ordered = ordered && tsspace.Less(batch[i], batch[i+1])
 	}
 	fmt.Println(n, ordered)
 	// Output: 4 true
@@ -93,7 +93,7 @@ func ExampleSession_GetTS() {
 			log.Fatal(err)
 		}
 		if i > 0 {
-			fmt.Println(obj.Compare(prev, ts))
+			fmt.Println(tsspace.Less(prev, ts))
 		}
 		prev = ts
 		s.Detach()

@@ -57,7 +57,7 @@ func main() {
 	// the next — and detaches. The recorder stamps the batch's interval so
 	// the happens-before property can be checked across the whole run.
 	var (
-		rec hbcheck.Recorder[tsspace.Timestamp]
+		rec hbcheck.Recorder
 		lg  []record
 		mu  sync.Mutex
 		wg  sync.WaitGroup
@@ -91,12 +91,12 @@ func main() {
 
 	// The specification holds on the real execution, across joins/leaves
 	// and process-id recycling.
-	if err := hbcheck.Check(rec.Events(), obj.Compare); err != nil {
+	if err := hbcheck.Check(rec.Events()); err != nil {
 		log.Fatalf("happens-before violated: %v", err)
 	}
 	fmt.Println("happens-before property verified over all", len(lg), "getTS() calls")
 
-	sort.Slice(lg, func(i, j int) bool { return obj.Compare(lg[i].ts, lg[j].ts) })
+	sort.Slice(lg, func(i, j int) bool { return tsspace.Less(lg[i].ts, lg[j].ts) })
 	fmt.Println("\nlog in timestamp order (first 10):")
 	for _, r := range lg[:10] {
 		fmt.Printf("  %v worker %d action-%d\n", r.ts, r.worker, r.action)

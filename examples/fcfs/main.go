@@ -66,7 +66,7 @@ func main() {
 	wg.Wait()
 
 	// The dispatcher serves in timestamp order.
-	sort.Slice(queue, func(i, j int) bool { return obj.Compare(queue[i].ts, queue[j].ts) })
+	sort.Slice(queue, func(i, j int) bool { return tsspace.Less(queue[i].ts, queue[j].ts) })
 
 	fmt.Printf("served %d requests from %d clients FCFS via %d registers:\n\n",
 		len(queue), clients, obj.Registers())

@@ -61,7 +61,7 @@ func main() {
 		fmt.Printf("%4d  %-9v  %5d  %s\n", call, ts, u.Written, bar(u))
 
 		// Sequential calls are happens-before ordered: strictly increasing.
-		if call > 1 && !obj.Compare(last, ts) {
+		if call > 1 && !tsspace.Less(last, ts) {
 			log.Fatalf("call %d: %v not after %v", call, ts, last)
 		}
 		last = ts

@@ -64,7 +64,7 @@ func main() {
 
 	// compare() is a total preorder on the issued timestamps; sorting by it
 	// yields an order consistent with happens-before.
-	sort.Slice(out, func(i, j int) bool { return obj.Compare(out[i].ts, out[j].ts) })
+	sort.Slice(out, func(i, j int) bool { return tsspace.Less(out[i].ts, out[j].ts) })
 
 	fmt.Println("timestamps in compare() order (rnd, turn):")
 	for _, iss := range out {

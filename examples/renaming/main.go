@@ -91,10 +91,10 @@ func main() {
 	}
 	sort.Slice(order, func(a, b int) bool {
 		sa, sb := slots[order[a]], slots[order[b]]
-		if obj.Compare(sa.ts, sb.ts) {
+		if tsspace.Less(sa.ts, sb.ts) {
 			return true
 		}
-		if obj.Compare(sb.ts, sa.ts) {
+		if tsspace.Less(sb.ts, sa.ts) {
 			return false
 		}
 		return sa.orig < sb.orig // concurrent tie: break by original id

@@ -160,7 +160,7 @@ func DoubleCross(n int) (*Result, error) {
 			return nil, fmt.Errorf("adversary: p%d: %w", pid, err)
 		}
 	}
-	if err := hbcheck.Check(rec.Events(), alg.Compare); err != nil {
+	if err := hbcheck.Check(rec.Events()); err != nil {
 		return nil, err
 	}
 

@@ -143,7 +143,7 @@ func Fuzz(cfg Config, opt FuzzOptions) (FuzzReport, error) {
 			c.World = Atomic
 			r, err := Run(c)
 			if err == nil {
-				err = r.Verify(cfg.Alg.Compare)
+				err = r.Verify()
 			}
 			if err != nil {
 				return rep, fmt.Errorf("engine: %s atomic fuzz run %d: %w", cfg.Alg.Name(), i, err)

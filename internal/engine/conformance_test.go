@@ -193,7 +193,7 @@ func TestMutantCaughtAndShrunk(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sequential run: %v", err)
 	}
-	if err := rep.Verify(seq.Alg.Compare); err != nil {
+	if err := rep.Verify(); err != nil {
 		t.Fatalf("mutant too broken: sequential baseline already fails: %v", err)
 	}
 
@@ -207,7 +207,7 @@ func TestMutantCaughtAndShrunk(t *testing.T) {
 	if cex.Steps > 12 {
 		t.Errorf("shrunk counterexample has %d steps (%v), want ≤ 12", cex.Steps, cex.Schedule)
 	}
-	var v mc.Violation[timestamp.Timestamp]
+	var v mc.Violation
 	if !errors.As(cex.Err, &v) {
 		t.Errorf("counterexample cause = %v, want a causal violation", cex.Err)
 	}
@@ -225,7 +225,7 @@ func TestMutantCaughtAndShrunk(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replaying counterexample: %v", err)
 	}
-	if err := rep2.Verify(replay.Alg.Compare); err == nil {
+	if err := rep2.Verify(); err == nil {
 		t.Error("counterexample schedule verified clean on replay")
 	}
 }

@@ -218,8 +218,8 @@ func FuzzReplayCrashSchedule(f *testing.F) {
 			if rep == nil {
 				t.Fatalf("replay of %v: harness error: %v", entries, err)
 			}
-			var cv mc.Violation[timestamp.Timestamp]
-			var hv hbcheck.Violation[timestamp.Timestamp]
+			var cv mc.Violation
+			var hv hbcheck.Violation
 			if err != nil && !errors.As(err, &cv) && !errors.As(err, &hv) {
 				t.Fatalf("replay of %v: %v, want nil or a property violation", entries, err)
 			}

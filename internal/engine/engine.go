@@ -125,7 +125,7 @@ type Report struct {
 	// set.
 	Space register.SpaceReport
 	// Events are the completed getTS intervals in start order.
-	Events []hbcheck.Event[timestamp.Timestamp]
+	Events []hbcheck.Event
 	// Elapsed is the wall time of the drive phase.
 	Elapsed time.Duration
 	// Steps and Trace are the scheduler step count and executed operations
@@ -135,8 +135,8 @@ type Report struct {
 }
 
 // Verify checks the happens-before property over the report's events.
-func (r *Report) Verify(compare func(a, b timestamp.Timestamp) bool) error {
-	return hbcheck.Check(r.Events, compare)
+func (r *Report) Verify() error {
+	return hbcheck.Check(r.Events)
 }
 
 // Run executes the configured Algorithm × World × Workload combination and
@@ -205,7 +205,7 @@ func runAtomic(cfg Config, wl Workload, maxCalls int) (*Report, error) {
 	}
 
 	var (
-		rec      hbcheck.Recorder[timestamp.Timestamp]
+		rec      hbcheck.Recorder
 		mu       sync.Mutex
 		firstErr error
 	)
@@ -306,7 +306,7 @@ func SequentialTimestamps(alg timestamp.Algorithm, n, calls int, byProcess bool)
 // config validation (no one-shot guard): scripted scenarios deliberately
 // drive partial and over-budget call patterns to observe how the
 // algorithms fail.
-func NewSimSystem(cfg Config) (*sched.System, *hbcheck.Recorder[timestamp.Timestamp], *register.Meter) {
+func NewSimSystem(cfg Config) (*sched.System, *hbcheck.Recorder, *register.Meter) {
 	r := newSimRun(cfg, false)
 	return r.sys, r.rec, r.meter
 }

@@ -34,8 +34,6 @@ func (f *fake) Registers() int       { return f.n }
 func (f *fake) OneShot() bool        { return f.oneShot }
 func (f *fake) WriterTable() [][]int { return f.table }
 
-func (f *fake) Compare(a, b timestamp.Timestamp) bool { return timestamp.Less(a, b) }
-
 func (f *fake) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, error) {
 	cur := f.inflight.Add(1)
 	defer f.inflight.Add(-1)
@@ -82,7 +80,7 @@ func TestWorkloadsAcrossWorlds(t *testing.T) {
 				if len(rep.Events) != c.total {
 					t.Errorf("events = %d, want %d", len(rep.Events), c.total)
 				}
-				if err := rep.Verify(alg.Compare); err != nil {
+				if err := rep.Verify(); err != nil {
 					t.Errorf("happens-before violated: %v", err)
 				}
 				if rep.World != world || rep.Workload != c.wl.Kind() {
@@ -340,7 +338,7 @@ func TestSequentialTimestampsBothOrders(t *testing.T) {
 		if len(ts) != 6 {
 			t.Fatalf("len = %d", len(ts))
 		}
-		if err := timestamp.CheckStrictlyIncreasing(ts, timestamp.Less); err != nil {
+		if err := timestamp.CheckStrictlyIncreasing(ts); err != nil {
 			t.Errorf("byProcess=%v: %v", byProcess, err)
 		}
 	}
@@ -384,13 +382,17 @@ func TestReportVerifyCatchesBadCompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Verify(alg.Compare); err != nil {
+	if err := rep.Verify(); err != nil {
 		t.Fatalf("valid run rejected: %v", err)
 	}
-	// A constant-false compare must fail verification (the fake's history
-	// has happens-before pairs).
-	if err := rep.Verify(func(a, b timestamp.Timestamp) bool { return false }); err == nil {
-		t.Error("constant-false compare must fail verification")
+	// Equal timestamps compare false both ways, so the fake's
+	// happens-before pairs (each process's own calls, at least) now fail
+	// verification.
+	for i := range rep.Events {
+		rep.Events[i].Val = timestamp.Timestamp{Rnd: 1}
+	}
+	if err := rep.Verify(); err == nil {
+		t.Error("a history of equal timestamps must fail verification")
 	}
 }
 
@@ -439,7 +441,7 @@ func TestFirstOpStampInsideCollect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Verify(alg.Compare); err != nil {
+	if err := rep.Verify(); err != nil {
 		t.Errorf("schedule %v: %v", schedule, err)
 	}
 }

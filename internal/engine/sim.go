@@ -46,11 +46,11 @@ func (s *callSpans) get(pid, seq int) (first, last int) {
 }
 
 // calls joins recorded events with their operation spans.
-func callsFromEvents(events []hbcheck.Event[timestamp.Timestamp], spans *callSpans) []mc.Call[timestamp.Timestamp] {
-	out := make([]mc.Call[timestamp.Timestamp], 0, len(events))
+func callsFromEvents(events []hbcheck.Event, spans *callSpans) []mc.Call {
+	out := make([]mc.Call, 0, len(events))
 	for _, ev := range events {
 		first, last := spans.get(ev.Pid, ev.Seq)
-		out = append(out, mc.Call[timestamp.Timestamp]{Pid: ev.Pid, Seq: ev.Seq, First: first, Last: last, Val: ev.Val})
+		out = append(out, mc.Call{Pid: ev.Pid, Seq: ev.Seq, First: first, Last: last, Val: ev.Val})
 	}
 	return out
 }
@@ -102,7 +102,7 @@ type simRun struct {
 	wl       Workload
 	crashes  bool
 	sys      *sched.System
-	rec      *hbcheck.Recorder[timestamp.Timestamp]
+	rec      *hbcheck.Recorder
 	meter    *register.Meter
 	spans    *callSpans
 	progress []atomic.Int32 // completed calls per paper pid
@@ -129,7 +129,7 @@ func newSimRun(cfg Config, crashes bool) *simRun {
 		cfg:      cfg,
 		wl:       wl,
 		crashes:  crashes,
-		rec:      &hbcheck.Recorder[timestamp.Timestamp]{},
+		rec:      &hbcheck.Recorder{},
 		meter:    register.NewMeterSize(m),
 		spans:    newCallSpans(),
 		progress: make([]atomic.Int32, n),
@@ -274,18 +274,18 @@ func (r *simRun) check(complete bool) error {
 		}
 	}
 	if r.crashes {
-		if err := hbcheck.CheckRecorder(r.rec, r.cfg.Alg.Compare); err != nil {
+		if err := hbcheck.Check(r.rec.Events()); err != nil {
 			return err
 		}
 	}
-	return mc.CausalCheckBarriers(r.sys.N(), r.sys.Trace(), callsFromEvents(r.rec.Events(), r.spans), r.cfg.Alg.Compare, r.barriers)
+	return mc.CausalCheckBarriers(r.sys.N(), r.sys.Trace(), callsFromEvents(r.rec.Events(), r.spans), r.barriers)
 }
 
 // isViolation matches the property violations a run's check produces
 // (causal or interval-order), as opposed to harness errors.
 func isViolation(err error) bool {
-	var cv mc.Violation[timestamp.Timestamp]
-	var hv hbcheck.Violation[timestamp.Timestamp]
+	var cv mc.Violation
+	var hv hbcheck.Violation
 	return errors.As(err, &cv) || errors.As(err, &hv)
 }
 
@@ -366,7 +366,7 @@ func (h harness) counterexample(entries []int, shrink bool) error {
 	if r == nil {
 		return err
 	}
-	var v mc.Violation[timestamp.Timestamp]
+	var v mc.Violation
 	if !h.crashes && errors.As(err, &v) {
 		if ws := mc.WitnessSchedule(h.cfg.N, r.sys.Trace(), v); ws != nil {
 			if wr, wErr := h.replay(ws); isViolation(wErr) {

@@ -8,7 +8,6 @@ import (
 	"tsspace/internal/hbcheck"
 	"tsspace/internal/lowerbound"
 	"tsspace/internal/sched"
-	"tsspace/internal/timestamp"
 	"tsspace/internal/timestamp/collect"
 )
 
@@ -24,7 +23,7 @@ func TestLiveAdversaryConfrontation(t *testing.T) {
 			t.Parallel()
 			const rounds = 3
 
-			var rec *hbcheck.Recorder[timestamp.Timestamp]
+			var rec *hbcheck.Recorder
 			factory := func(wl engine.Workload) sched.Factory {
 				return func() *sched.System {
 					sys, r, _ := engine.NewSimSystem(engine.Config{
@@ -34,7 +33,6 @@ func TestLiveAdversaryConfrontation(t *testing.T) {
 					return sys
 				}
 			}
-			compare := collect.New(n).Compare
 
 			one, err := lowerbound.LiveOneShot(factory(engine.OneShot{}))
 			if err != nil {
@@ -43,7 +41,7 @@ func TestLiveAdversaryConfrontation(t *testing.T) {
 			if one.Margin < 0 {
 				t.Errorf("%s: covered %d < certificate %d", one.Adversary, one.MaxCovered, one.Certificate)
 			}
-			if err := hbcheck.CheckRecorder(rec, compare); err != nil {
+			if err := hbcheck.Check(rec.Events()); err != nil {
 				t.Errorf("%s execution violates happens-before: %v", one.Adversary, err)
 			}
 			t.Logf("%s", one)
@@ -61,7 +59,7 @@ func TestLiveAdversaryConfrontation(t *testing.T) {
 			if ll.Recycled == 0 {
 				t.Errorf("%s recycled no released process; the clone-and-cover loop never bit", ll.Adversary)
 			}
-			if err := hbcheck.CheckRecorder(rec, compare); err != nil {
+			if err := hbcheck.Check(rec.Events()); err != nil {
 				t.Errorf("%s execution violates happens-before: %v", ll.Adversary, err)
 			}
 			t.Logf("%s", ll)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tsspace/internal/sched"
+	"tsspace/internal/timestamp"
 )
 
 // Call locates one completed getTS() instance inside an execution: the
@@ -12,29 +13,27 @@ import (
 // of its first and last register operation, and the timestamp it returned.
 // A call that performed no operations carries First = Last = -1 and is
 // exempt from ordering obligations (it can be linearized anywhere).
-type Call[T any] struct {
+type Call struct {
 	Pid, Seq    int
 	First, Last int
-	Val         T
+	Val         timestamp.Timestamp
 }
 
 // Violation is a pair of calls for which some real execution equivalent to
 // the visited one orders First entirely before Second while their
-// timestamps compare inconsistently with that order.
-type Violation[T any] struct {
-	First, Second Call[T]
-	// Forward is compare(First.Val, Second.Val), which must be true;
-	// Backward is compare(Second.Val, First.Val), which must be false.
-	Forward, Backward bool
+// timestamps do not order First before Second.
+type Violation struct {
+	First, Second Call
 }
 
-// Error renders the violation.
-func (v Violation[T]) Error() string {
+// Error renders the violation with both directions of compare.
+func (v Violation) Error() string {
+	t1, t2 := v.First.Val, v.Second.Val
 	return fmt.Sprintf(
 		"mc: p%d.getTS#%d can happen before p%d.getTS#%d but compare(%v, %v) = %v and compare(%v, %v) = %v",
 		v.First.Pid, v.First.Seq, v.Second.Pid, v.Second.Seq,
-		v.First.Val, v.Second.Val, v.Forward,
-		v.Second.Val, v.First.Val, v.Backward,
+		t1, t2, timestamp.Less(t1, t2),
+		t2, t1, timestamp.Less(t2, t1),
 	)
 }
 
@@ -49,15 +48,15 @@ func (v Violation[T]) Error() string {
 // some dependency-preserving reordering of the trace — an equally real
 // execution returning the same timestamps — runs g1 to completion before
 // g2 begins. Whenever that is realizable the specification demands
-// compare(t1, t2) ∧ ¬compare(t2, t1).
+// compare(t1, t2) ∧ ¬compare(t2, t1), that is timestamp.Less(t1, t2).
 //
 // The check subsumes hbcheck.Check on the visited interleaving (the
 // identity reordering is realizable) and extends it to every execution a
 // partial-order-reduced exploration prunes, which is exactly what makes
 // pruning sound: a property violation anywhere in the class is caught on
 // the class representative.
-func CausalCheck[T any](n int, trace []sched.Op, calls []Call[T], compare func(a, b T) bool) error {
-	return CausalCheckBarriers(n, trace, calls, compare, nil)
+func CausalCheck(n int, trace []sched.Op, calls []Call) error {
+	return CausalCheckBarriers(n, trace, calls, nil)
 }
 
 // Barrier injects a causal edge the registers cannot express: every
@@ -74,20 +73,15 @@ type Barrier struct {
 
 // CausalCheckBarriers is CausalCheck over a trace whose causality includes
 // explicit barriers in addition to the conflict edges.
-func CausalCheckBarriers[T any](n int, trace []sched.Op, calls []Call[T], compare func(a, b T) bool, barriers []Barrier) error {
+func CausalCheckBarriers(n int, trace []sched.Op, calls []Call, barriers []Barrier) error {
 	c, err := analyzeBarriers(n, trace, barriers)
 	if err != nil {
 		return err
 	}
 	for i, c1 := range calls {
 		for j, c2 := range calls {
-			if i == j || !canPrecede(c, c1, c2) {
-				continue
-			}
-			fwd := compare(c1.Val, c2.Val)
-			bwd := compare(c2.Val, c1.Val)
-			if !fwd || bwd {
-				return Violation[T]{First: c1, Second: c2, Forward: fwd, Backward: bwd}
+			if i != j && canPrecede(c, c1, c2) && !timestamp.Less(c1.Val, c2.Val) {
+				return Violation{First: c1, Second: c2}
 			}
 		}
 	}
@@ -180,7 +174,7 @@ func analyzeBarriers(n int, trace []sched.Op, barriers []Barrier) (*causality, e
 // dependency chain) before an operation of c1. The clock of c1's last
 // operation counts exactly the c2-process operations so forced; c1 can
 // precede c2 iff that count does not reach into c2's span.
-func canPrecede[T any](c *causality, c1, c2 Call[T]) bool {
+func canPrecede(c *causality, c1, c2 Call) bool {
 	if c1.First < 0 || c2.First < 0 {
 		return false // operation-free call: exempt (fas-style objects)
 	}
@@ -206,7 +200,7 @@ func canPrecede[T any](c *causality, c1, c2 Call[T]) bool {
 // left-closed), then everything else in trace order. Since the violation
 // was realizable, the closure contains no operation of v.Second. It
 // returns nil if the pair is not actually realizable on this trace.
-func WitnessSchedule[T any](n int, trace []sched.Op, v Violation[T]) []int {
+func WitnessSchedule(n int, trace []sched.Op, v Violation) []int {
 	c, err := analyze(n, trace)
 	if err != nil {
 		return nil

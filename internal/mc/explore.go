@@ -198,17 +198,18 @@ func indexOf(ss []sleeper, pid int) int {
 // builds: what sched.Explore, or Explore with sleep sets off, would visit,
 // counted without enumerating them. Equivalent prefixes reach the same
 // state, so the number of maximal schedules below a prefix depends only on
-// its class, and Count memoizes it by the class's canonicalKey. It looks a
+// its class, and Count memoizes it by the class's canonical key. It looks a
 // child's class up before replaying the child, so each prefix class is
 // replayed once. The count is exact: the schedules of four one-shot sqrt
 // processes already number more than 2^64.
 func Count(factory sched.Factory) (*big.Int, error) {
-	c := &counter{factory: factory, memo: make(map[string]*big.Int)}
+	c := &counter{factory: factory, keys: keyer{}, memo: make(map[string]*big.Int)}
 	return c.count(nil)
 }
 
 type counter struct {
 	factory sched.Factory
+	keys    keyer
 	memo    map[string]*big.Int // prefix class → maximal schedules below it
 }
 
@@ -224,7 +225,7 @@ func (c *counter) count(prefix []int) (*big.Int, error) {
 	trace := sys.Trace()
 	total := new(big.Int)
 	for _, t := range enabled {
-		key := canonicalKey(append(trace[:len(trace):len(trace)], t.op))
+		key := c.keys.key(append(trace[:len(trace):len(trace)], t.op))
 		below, ok := c.memo[key]
 		if !ok {
 			if below, err = c.count(append(prefix[:len(prefix):len(prefix)], t.pid)); err != nil {

@@ -10,6 +10,7 @@ import (
 	"tsspace/internal/mc"
 	"tsspace/internal/register"
 	"tsspace/internal/sched"
+	"tsspace/internal/timestamp"
 )
 
 // factoryFor builds a factory over per-process straight-line programs.
@@ -204,12 +205,12 @@ func TestPORCoversExactlyTheNaiveClasses(t *testing.T) {
 			}
 			for key := range naiveClasses {
 				if !porClasses[key] {
-					t.Errorf("class missed by POR: %s", key)
+					t.Errorf("class missed by POR: %q", key)
 				}
 			}
 			for key := range porClasses {
 				if !naiveClasses[key] {
-					t.Errorf("POR visited a class naive never produced: %s", key)
+					t.Errorf("POR visited a class naive never produced: %q", key)
 				}
 			}
 			t.Logf("%s: %d interleavings, %d classes, POR visited %d", s.name, naive, len(naiveClasses), stats.Visited)
@@ -265,7 +266,7 @@ func TestCountIsExact(t *testing.T) {
 
 // --- CausalCheck ---
 
-func intLess(a, b int64) bool { return a < b }
+func ts(rnd int64) timestamp.Timestamp { return timestamp.Timestamp{Rnd: rnd} }
 
 // Two fully independent calls are realizable in both orders; no total
 // assignment of strict compare results can satisfy both, so the checker
@@ -276,12 +277,12 @@ func TestCausalCheckFlagsCommutingCalls(t *testing.T) {
 		{Pid: 0, Kind: sched.OpWrite, Reg: 0, Val: int64(1)},
 		{Pid: 1, Kind: sched.OpWrite, Reg: 1, Val: int64(2)},
 	}
-	calls := []mc.Call[int64]{
-		{Pid: 0, Seq: 0, First: 0, Last: 0, Val: 1},
-		{Pid: 1, Seq: 0, First: 0, Last: 0, Val: 2},
+	calls := []mc.Call{
+		{Pid: 0, Seq: 0, First: 0, Last: 0, Val: ts(1)},
+		{Pid: 1, Seq: 0, First: 0, Last: 0, Val: ts(2)},
 	}
-	err := mc.CausalCheck(2, trace, calls, intLess)
-	var v mc.Violation[int64]
+	err := mc.CausalCheck(2, trace, calls)
+	var v mc.Violation
 	if !errors.As(err, &v) {
 		t.Fatalf("err = %v, want Violation (both orders realizable)", err)
 	}
@@ -294,16 +295,16 @@ func TestCausalCheckOrderedByConflict(t *testing.T) {
 		{Pid: 0, Kind: sched.OpWrite, Reg: 0, Val: int64(1)},
 		{Pid: 1, Kind: sched.OpWrite, Reg: 0, Val: int64(2)},
 	}
-	calls := []mc.Call[int64]{
-		{Pid: 0, Seq: 0, First: 0, Last: 0, Val: 1},
-		{Pid: 1, Seq: 0, First: 0, Last: 0, Val: 2},
+	calls := []mc.Call{
+		{Pid: 0, Seq: 0, First: 0, Last: 0, Val: ts(1)},
+		{Pid: 1, Seq: 0, First: 0, Last: 0, Val: ts(2)},
 	}
-	if err := mc.CausalCheck(2, trace, calls, intLess); err != nil {
+	if err := mc.CausalCheck(2, trace, calls); err != nil {
 		t.Errorf("correctly ordered timestamps flagged: %v", err)
 	}
 	// Swap the returned values: now the forced order contradicts compare.
-	calls[0].Val, calls[1].Val = 2, 1
-	if err := mc.CausalCheck(2, trace, calls, intLess); err == nil {
+	calls[0].Val, calls[1].Val = ts(2), ts(1)
+	if err := mc.CausalCheck(2, trace, calls); err == nil {
 		t.Error("inverted timestamps on a forced order not flagged")
 	}
 }
@@ -318,14 +319,14 @@ func TestCausalCheckTransitiveOrder(t *testing.T) {
 		{Pid: 2, Kind: sched.OpWrite, Reg: 0, Val: int64(9)},
 		{Pid: 0, Kind: sched.OpRead, Reg: 0},
 	}
-	calls := []mc.Call[int64]{
-		{Pid: 0, Seq: 0, First: 0, Last: 0, Val: 5},
-		{Pid: 1, Seq: 0, First: 0, Last: 0, Val: 5},
+	calls := []mc.Call{
+		{Pid: 0, Seq: 0, First: 0, Last: 0, Val: ts(5)},
+		{Pid: 1, Seq: 0, First: 0, Last: 0, Val: ts(5)},
 	}
 	// Equal timestamps: legal only because neither call can fully precede
 	// the other... but p1's CAN precede p0's, demanding compare(5,5)=true.
-	err := mc.CausalCheck(3, trace, calls, intLess)
-	var v mc.Violation[int64]
+	err := mc.CausalCheck(3, trace, calls)
+	var v mc.Violation
 	if !errors.As(err, &v) {
 		t.Fatalf("err = %v, want Violation (p1's call precedes p0's)", err)
 	}
@@ -334,8 +335,8 @@ func TestCausalCheckTransitiveOrder(t *testing.T) {
 	}
 	// The reverse direction must NOT have been flagged as realizable:
 	// give the pair correctly ordered values and the check passes.
-	calls[1].Val = 4 // p1's earlier call gets the smaller timestamp
-	if err := mc.CausalCheck(3, trace, calls, intLess); err != nil {
+	calls[1].Val = ts(4) // p1's earlier call gets the smaller timestamp
+	if err := mc.CausalCheck(3, trace, calls); err != nil {
 		t.Errorf("correctly ordered transitive pair flagged: %v", err)
 	}
 }
@@ -343,11 +344,11 @@ func TestCausalCheckTransitiveOrder(t *testing.T) {
 // Operation-free calls are exempt from ordering obligations.
 func TestCausalCheckOpFreeCallExempt(t *testing.T) {
 	trace := []sched.Op{{Pid: 0, Kind: sched.OpWrite, Reg: 0, Val: int64(1)}}
-	calls := []mc.Call[int64]{
-		{Pid: 0, Seq: 0, First: 0, Last: 0, Val: 2},
-		{Pid: 1, Seq: 0, First: -1, Last: -1, Val: 1},
+	calls := []mc.Call{
+		{Pid: 0, Seq: 0, First: 0, Last: 0, Val: ts(2)},
+		{Pid: 1, Seq: 0, First: -1, Last: -1, Val: ts(1)},
 	}
-	if err := mc.CausalCheck(2, trace, calls, intLess); err != nil {
+	if err := mc.CausalCheck(2, trace, calls); err != nil {
 		t.Errorf("op-free call imposed an obligation: %v", err)
 	}
 }

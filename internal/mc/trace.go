@@ -1,10 +1,11 @@
 package mc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
-	"strings"
 
+	"tsspace/internal/register"
 	"tsspace/internal/sched"
 )
 
@@ -23,20 +24,29 @@ func Dependent(a, b sched.Op) bool {
 	return a.Kind == sched.OpWrite || b.Kind == sched.OpWrite
 }
 
-// canonicalKey returns the Foata normal form of the executed trace, encoded
-// as a string: the unique canonical representative of the trace's
-// Mazurkiewicz equivalence class. Two prefixes have the same key iff one
-// can be obtained from the other by repeatedly swapping adjacent
-// independent operations — in which case they lead to identical global
-// states (same register contents, same process-local states) and their
-// extensions are pairwise equivalent, so Count may share one count
+// keyer computes canonical keys: the Foata normal form of an executed
+// trace, encoded as a string, is the unique canonical representative of
+// the trace's Mazurkiewicz equivalence class. Two prefixes have the same
+// key iff one can be obtained from the other by repeatedly swapping
+// adjacent independent operations — in which case they lead to identical
+// global states (same register contents, same process-local states) and
+// their extensions are pairwise equivalent, so Count may share one count
 // between them.
 //
 // The normal form is computed by leveling: an operation's level is one more
 // than the maximum level of any earlier dependent operation (its latest
 // cause). Operations on the same level are pairwise independent and are
 // ordered by process id; the levels concatenated give the normal form.
-func canonicalKey(trace []sched.Op) string {
+//
+// Each operation is encoded as uvarints (level, pid, reg<<1|write), and a
+// write is followed by its value's id: the written values are part of the
+// state, and a keyer numbers them by their fmt rendering (values are
+// immutable and print deterministically). The key is exact, but ids mean
+// something only within one keyer, so every key that is compared with
+// another must come from the same keyer.
+type keyer map[string]uint64
+
+func (k keyer) key(trace []sched.Op) string {
 	type leveled struct {
 		level int
 		op    sched.Op
@@ -77,15 +87,27 @@ func canonicalKey(trace []sched.Op) string {
 		}
 		return ops[i].op.Pid < ops[j].op.Pid
 	})
-	var b strings.Builder
+	b := make([]byte, 0, 4*len(ops))
 	for _, l := range ops {
-		if l.op.Kind == sched.OpWrite {
-			// Written values are part of the state; render them into the
-			// key (values are immutable and print deterministically).
-			fmt.Fprintf(&b, "%d|p%dw%d=%v;", l.level, l.op.Pid, l.op.Reg, l.op.Val)
-		} else {
-			fmt.Fprintf(&b, "%d|p%dr%d;", l.level, l.op.Pid, l.op.Reg)
+		b = binary.AppendUvarint(b, uint64(l.level))
+		b = binary.AppendUvarint(b, uint64(l.op.Pid))
+		if l.op.Kind != sched.OpWrite {
+			b = binary.AppendUvarint(b, uint64(l.op.Reg)<<1)
+			continue
 		}
+		b = binary.AppendUvarint(b, uint64(l.op.Reg)<<1|1)
+		b = binary.AppendUvarint(b, k.valueID(l.op.Val))
 	}
-	return b.String()
+	return string(b)
+}
+
+// valueID numbers v by its fmt rendering, in order of first sight.
+func (k keyer) valueID(v register.Value) uint64 {
+	s := fmt.Sprint(v)
+	id, ok := k[s]
+	if !ok {
+		id = uint64(len(k))
+		k[s] = id
+	}
+	return id
 }

@@ -73,8 +73,3 @@ func (a *Alg) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, error)
 // ScalarValued reports that every register value is an int64, so
 // timestamp.NewMem backs the object with a register.Int64Array.
 func (a *Alg) ScalarValued() bool { return true }
-
-// Compare orders timestamps by integer value.
-func (a *Alg) Compare(t1, t2 timestamp.Timestamp) bool {
-	return t1.Rnd < t2.Rnd
-}

@@ -36,7 +36,7 @@ func TestLongLived(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seq > 0 && !alg.Compare(prev, ts) {
+		if seq > 0 && !timestamp.Less(prev, ts) {
 			t.Errorf("seq %d: %v not after %v", seq, ts, prev)
 		}
 		prev = ts

@@ -81,7 +81,7 @@ func TestSequentialStrictlyIncreasing(t *testing.T) {
 					if len(ts) != n*calls {
 						t.Fatalf("got %d timestamps, want %d", len(ts), n*calls)
 					}
-					if err := timestamp.CheckStrictlyIncreasing(ts, alg.Compare); err != nil {
+					if err := timestamp.CheckStrictlyIncreasing(ts); err != nil {
 						t.Errorf("byProcess=%v: %v", byProcess, err)
 					}
 				}
@@ -107,7 +107,7 @@ func TestConcurrentHappensBefore(t *testing.T) {
 					if len(report.Events) != n*calls {
 						t.Fatalf("events = %d, want %d", len(report.Events), n*calls)
 					}
-					if err := report.Verify(alg.Compare); err != nil {
+					if err := report.Verify(); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -131,47 +131,6 @@ func TestSpaceBounds(t *testing.T) {
 				}
 				if report.Space.Written > ta.spaceBound {
 					t.Errorf("%s wrote %d registers, bound %d", alg.Name(), report.Space.Written, ta.spaceBound)
-				}
-			})
-		}
-	}
-}
-
-// Every registered algorithm, mutants included, orders the timestamps it
-// issues exactly as Less does. Less is the order the public SDK exports
-// (tsspace.Less) and every client applies locally in place of a remote
-// compare, so an algorithm whose Compare disagreed on its own outputs
-// fails here before any client sees it. The broker provisions mutants by
-// name, so they are held to it too.
-func TestCompareAgreesWithLess(t *testing.T) {
-	for _, name := range timestamp.AllNames() {
-		info, _ := timestamp.Lookup(name)
-		for _, n := range []int{1, 2, 5, 16} {
-			if n < info.MinProcs {
-				continue
-			}
-			t.Run(fmt.Sprintf("%s/n=%d", name, n), func(t *testing.T) {
-				// ExploreCalls is the per-process call count the algorithm
-				// declares safe to repeat: 1 for one-shot objects and for
-				// sqrt-broken-norepair, whose budget is n calls in total.
-				alg, calls := info.New(n), info.ExploreCalls
-				issued, err := seqTS(alg, n, calls, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				report, err := runConcurrent(info.New(n), n, calls)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, ev := range report.Events {
-					issued = append(issued, ev.Val)
-				}
-				for _, a := range issued {
-					for _, b := range issued {
-						if got, want := alg.Compare(a, b), timestamp.Less(a, b); got != want {
-							t.Fatalf("Compare(%v, %v) = %v, Less says %v", a, b, got, want)
-						}
-					}
 				}
 			})
 		}

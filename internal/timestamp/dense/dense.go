@@ -115,11 +115,6 @@ func (a *Alg) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, error)
 	return timestamp.Timestamp{Rnd: ts}, nil
 }
 
-// Compare is the lexicographic order on ℕ × ℕ.
-func (a *Alg) Compare(t1, t2 timestamp.Timestamp) bool {
-	return timestamp.Less(t1, t2)
-}
-
 // ScalarValued reports that every register value is an int64, so
 // timestamp.NewMem backs the object with a register.Int64Array.
 func (a *Alg) ScalarValued() bool { return true }

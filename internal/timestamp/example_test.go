@@ -29,7 +29,7 @@ func ExampleMustNew() {
 			ts = append(ts, t)
 		}
 	}
-	if err := timestamp.CheckStrictlyIncreasing(ts, alg.Compare); err != nil {
+	if err := timestamp.CheckStrictlyIncreasing(ts); err != nil {
 		fmt.Println(err)
 		return
 	}
@@ -46,7 +46,7 @@ func ExampleAlgorithm_compare() {
 	t1, _ := alg.GetTS(mem, 0, 0) // writer
 	t2, _ := alg.GetTS(mem, 2, 0) // the silent process: "t1 + ε"
 	t3, _ := alg.GetTS(mem, 1, 0) // writer again
-	fmt.Println(alg.Compare(t1, t2), alg.Compare(t2, t3), alg.Compare(t3, t1))
+	fmt.Println(timestamp.Less(t1, t2), timestamp.Less(t2, t3), timestamp.Less(t3, t1))
 	// Output: true true false
 }
 

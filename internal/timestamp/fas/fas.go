@@ -106,8 +106,3 @@ func (a *Alg) GetTS(_ register.Mem, pid, seq int) (timestamp.Timestamp, error) {
 	n.depth.Store(d)
 	return timestamp.Timestamp{Rnd: d}, nil
 }
-
-// Compare orders timestamps by depth.
-func (a *Alg) Compare(t1, t2 timestamp.Timestamp) bool {
-	return t1.Rnd < t2.Rnd
-}

@@ -74,7 +74,7 @@ func TestHappensBeforeConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := report.Verify(alg.Compare); err != nil {
+		if err := report.Verify(); err != nil {
 			t.Fatal(err)
 		}
 		alg = New(6) // fresh chain per repetition

@@ -96,8 +96,3 @@ func (a *StaleScan) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, 
 	mem.WriteInt64(pid, ts)
 	return timestamp.Timestamp{Rnd: ts}, nil
 }
-
-// Compare orders timestamps by integer value, like collect.
-func (a *StaleScan) Compare(t1, t2 timestamp.Timestamp) bool {
-	return t1.Rnd < t2.Rnd
-}

@@ -18,7 +18,7 @@ func TestStaleScanSoloPasses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seq > 0 && !alg.Compare(prev, ts) {
+		if seq > 0 && !timestamp.Less(prev, ts) {
 			t.Fatalf("solo call %d: %v not after %v", seq, ts, prev)
 		}
 		prev = ts
@@ -42,12 +42,12 @@ func TestStaleScanMissesOtherProcessesWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !alg.Compare(t00, t10) {
+	if !timestamp.Less(t00, t10) {
 		t.Fatalf("first calls out of order: %v, %v", t00, t10)
 	}
 	// p1's completed call must be ordered before p0's later call — but the
 	// stale scan returns a duplicate instead.
-	if alg.Compare(t10, t01) {
+	if timestamp.Less(t10, t01) {
 		t.Fatalf("mutant unexpectedly correct: %v < %v", t10, t01)
 	}
 	if t10 != t01 {

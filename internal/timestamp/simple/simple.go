@@ -104,8 +104,3 @@ func readVal(mem register.Mem, i int) int64 {
 // ScalarValued reports that every register value is an int64, so
 // timestamp.NewMem backs the object with a register.Int64Array.
 func (a *Alg) ScalarValued() bool { return true }
-
-// Compare is simple-compare (Algorithm 1): t1 < t2.
-func (a *Alg) Compare(t1, t2 timestamp.Timestamp) bool {
-	return t1.Rnd < t2.Rnd
-}

@@ -31,7 +31,7 @@ func TestSequentialSumsIncrease(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pid > 0 && !alg.Compare(prev, ts) {
+		if pid > 0 && !timestamp.Less(prev, ts) {
 			t.Errorf("p%d: %v not after %v", pid, ts, prev)
 		}
 		prev = ts
@@ -176,7 +176,7 @@ func TestQuickSequentialSubsets(t *testing.T) {
 				return false
 			}
 			count++
-			if count > 1 && !alg.Compare(prev, ts) {
+			if count > 1 && !timestamp.Less(prev, ts) {
 				return false
 			}
 			prev = ts

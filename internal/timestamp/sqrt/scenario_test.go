@@ -16,7 +16,7 @@ import (
 
 // newSim builds a one-shot (one call per process) simulated system for alg
 // through the engine — the replacement for the deleted runner shims.
-func newSim(alg timestamp.Algorithm, n int) (*sched.System, *hbcheck.Recorder[timestamp.Timestamp]) {
+func newSim(alg timestamp.Algorithm, n int) (*sched.System, *hbcheck.Recorder) {
 	sys, rec, _ := engine.NewSimSystem(engine.Config{
 		Alg:      alg,
 		World:    engine.Simulated,
@@ -31,7 +31,7 @@ func newSim(alg timestamp.Algorithm, n int) (*sched.System, *hbcheck.Recorder[ti
 type driver struct {
 	t   *testing.T
 	sys *sched.System
-	rec *hbcheck.Recorder[timestamp.Timestamp]
+	rec *hbcheck.Recorder
 	alg *sqrt.Alg
 }
 
@@ -126,7 +126,7 @@ func TestScenarioStaleWriterBurnsOneTimestamp(t *testing.T) {
 		t.Fatalf("p8 returned %v, want (4, 2): the stale write should burn (4,1)", got)
 	}
 
-	if err := hbcheck.CheckRecorder(d.rec, alg.Compare); err != nil {
+	if err := hbcheck.Check(d.rec.Events()); err != nil {
 		t.Fatalf("happens-before violated: %v", err)
 	}
 }
@@ -156,7 +156,7 @@ func TestScenarioScanRaceDuplicatePhaseStart(t *testing.T) {
 	if got := d.solo(3); got != ts(2, 1) {
 		t.Fatalf("p3 = %v, want (2,1)", got)
 	}
-	if err := hbcheck.CheckRecorder(d.rec, alg.Compare); err != nil {
+	if err := hbcheck.Check(d.rec.Events()); err != nil {
 		t.Fatalf("happens-before violated: %v", err)
 	}
 }
@@ -227,7 +227,7 @@ func sixOneRace(t *testing.T, alg *sqrt.Alg) (aTS, bTS timestamp.Timestamp, hbEr
 	// "b" = p7.
 	bTS = d.solo(7)
 
-	return aTS, bTS, hbcheck.CheckRecorder(d.rec, alg.Compare)
+	return aTS, bTS, hbcheck.Check(d.rec.Events())
 }
 
 func TestScenario61RepairHolds(t *testing.T) {
@@ -249,7 +249,7 @@ func TestScenario61BrokenVariantViolates(t *testing.T) {
 		// passed, the interleaving did not exercise the bug.
 		t.Fatalf("expected a happens-before violation, got none (a=%v b=%v)", a, b)
 	}
-	var v hbcheck.Violation[timestamp.Timestamp]
+	var v hbcheck.Violation
 	if !errors.As(err, &v) {
 		t.Fatalf("unexpected error type %T: %v", err, err)
 	}
@@ -267,7 +267,7 @@ func TestBrokenVariantSequentiallyFine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := timestamp.CheckStrictlyIncreasing(got, alg.Compare); err != nil {
+	if err := timestamp.CheckStrictlyIncreasing(got); err != nil {
 		t.Fatal(err)
 	}
 	if alg.Name() != "sqrt-broken-norepair" {
@@ -349,7 +349,7 @@ func TestRandomizedPhaseInvariants(t *testing.T) {
 				t.Fatalf("seed %d: p%d: %v", seed, pid, err)
 			}
 		}
-		if err := hbcheck.CheckRecorder(rec, alg.Compare); err != nil {
+		if err := hbcheck.Check(rec.Events()); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		rep, err := sqrt.AnalyzePhases(tracer.Events())
@@ -529,7 +529,7 @@ func TestScenarioLine12ExitWithoutWriting(t *testing.T) {
 			t.Fatalf("p5 wrote %v; the line-12 path writes nothing", op)
 		}
 	}
-	if err := hbcheck.CheckRecorder(d.rec, alg.Compare); err != nil {
+	if err := hbcheck.Check(d.rec.Events()); err != nil {
 		t.Fatalf("happens-before violated: %v", err)
 	}
 }

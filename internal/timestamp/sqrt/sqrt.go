@@ -150,11 +150,6 @@ func (a *Alg) OneShot() bool { return a.oneShot }
 // WriterTable returns nil: registers are multi-writer.
 func (a *Alg) WriterTable() [][]int { return nil }
 
-// Compare is Algorithm 3: lexicographic order on (rnd, turn).
-func (a *Alg) Compare(t1, t2 timestamp.Timestamp) bool {
-	return timestamp.Less(t1, t2)
-}
-
 // GetTS is Algorithm 4. Line numbers in comments refer to the paper's
 // pseudocode.
 func (a *Alg) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, error) {

@@ -265,8 +265,8 @@ func TestStaleWriterWastesAtMostOneTimestamp(t *testing.T) {
 	}
 }
 
+// Algorithm 3's compare is timestamp.Less: lexicographic on (rnd, turn).
 func TestCompareLexicographic(t *testing.T) {
-	alg := New(4)
 	cases := []struct {
 		a, b timestamp.Timestamp
 		want bool
@@ -277,8 +277,8 @@ func TestCompareLexicographic(t *testing.T) {
 		{timestamp.Timestamp{Rnd: 2, Turn: 2}, timestamp.Timestamp{Rnd: 2, Turn: 2}, false},
 	}
 	for _, c := range cases {
-		if got := alg.Compare(c.a, c.b); got != c.want {
-			t.Errorf("Compare(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+		if got := timestamp.Less(c.a, c.b); got != c.want {
+			t.Errorf("Less(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 }

@@ -7,6 +7,8 @@
 // correctness requirement is the happens-before property: if a getTS()
 // instance g1 returning t1 completes before another instance g2 returning
 // t2 is invoked, then compare(t1, t2) = true and compare(t2, t1) = false.
+// compare reads no register, and every implementation here shares one:
+// Less.
 //
 // A timestamp object is one-shot if each process may invoke getTS() at most
 // once, and long-lived otherwise. The paper proves a space gap between the
@@ -32,7 +34,8 @@ type Timestamp struct {
 
 // Less is the lexicographic order on timestamps (Algorithm 3):
 // (rnd1, turn1) < (rnd2, turn2) iff rnd1 < rnd2, or rnd1 = rnd2 and
-// turn1 < turn2.
+// turn1 < turn2. It is compare(t1, t2) of every implementation; on the
+// scalar ones' (value, 0) timestamps it orders by value.
 func Less(a, b Timestamp) bool {
 	return a.Rnd < b.Rnd || (a.Rnd == b.Rnd && a.Turn < b.Turn)
 }
@@ -70,8 +73,6 @@ type Algorithm interface {
 	// callers must maintain it faithfully, as one-shot implementations
 	// reject seq > 0 and the dense baseline derives state from it.
 	GetTS(mem register.Mem, pid, seq int) (Timestamp, error)
-	// Compare implements compare(t1, t2): true iff t1 is ordered before t2.
-	Compare(t1, t2 Timestamp) bool
 	// WriterTable returns the register write-permission discipline the
 	// implementation claims (nil entries or a nil table permit anyone);
 	// harnesses enforce it to validate claims such as Algorithm 2's
@@ -100,16 +101,12 @@ func NewMem(alg Algorithm) register.Mem {
 }
 
 // CheckStrictlyIncreasing verifies that each adjacent pair of timestamps
-// is ordered by compare in the forward direction only — the shape every
-// sequential execution must produce, since consecutive sequential calls
-// are happens-before ordered.
-func CheckStrictlyIncreasing(ts []Timestamp, compare func(a, b Timestamp) bool) error {
+// is ordered by Less — the shape every sequential execution must produce,
+// since consecutive sequential calls are happens-before ordered.
+func CheckStrictlyIncreasing(ts []Timestamp) error {
 	for i := 1; i < len(ts); i++ {
-		if !compare(ts[i-1], ts[i]) {
+		if !Less(ts[i-1], ts[i]) {
 			return fmt.Errorf("timestamp %d: compare(%v, %v) = false, want true", i, ts[i-1], ts[i])
-		}
-		if compare(ts[i], ts[i-1]) {
-			return fmt.Errorf("timestamp %d: compare(%v, %v) = true, want false", i, ts[i], ts[i-1])
 		}
 	}
 	return nil

@@ -31,14 +31,14 @@ func TestLessLexicographic(t *testing.T) {
 
 func TestCheckStrictlyIncreasingErrors(t *testing.T) {
 	ts := []timestamp.Timestamp{{Rnd: 1}, {Rnd: 1}}
-	if err := timestamp.CheckStrictlyIncreasing(ts, timestamp.Less); err == nil {
+	if err := timestamp.CheckStrictlyIncreasing(ts); err == nil {
 		t.Error("equal adjacent timestamps must fail")
 	}
 	down := []timestamp.Timestamp{{Rnd: 2}, {Rnd: 1}}
-	if err := timestamp.CheckStrictlyIncreasing(down, timestamp.Less); err == nil {
+	if err := timestamp.CheckStrictlyIncreasing(down); err == nil {
 		t.Error("decreasing timestamps must fail")
 	}
-	if err := timestamp.CheckStrictlyIncreasing(nil, timestamp.Less); err != nil {
+	if err := timestamp.CheckStrictlyIncreasing(nil); err != nil {
 		t.Error("empty sequence must pass")
 	}
 }

@@ -88,10 +88,9 @@ func (o *Object) OneShot() bool { return o.oneShot }
 // the paper's theorems bound.
 func (o *Object) Registers() int { return o.alg.Registers() }
 
-// Compare implements the object's compare(t1, t2): true iff t1 is ordered
-// before t2. For timestamps returned by this object it realizes the
-// happens-before property of §2.
-func (o *Object) Compare(t1, t2 Timestamp) bool { return o.alg.Compare(t1, t2) }
+// Compare is Less. Its last caller is the benchmark in perfbench; code in
+// this module orders timestamps with Less.
+func (o *Object) Compare(t1, t2 Timestamp) bool { return Less(t1, t2) }
 
 // Attach leases a process id and returns a Session bound to it. Ids never
 // leased before come first, in ascending order, and never block; after

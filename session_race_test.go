@@ -33,7 +33,7 @@ func TestSessionChurnRaceHappensBefore(t *testing.T) {
 
 	var (
 		inFlight [procs]atomic.Bool
-		rec      hbcheck.Recorder[tsspace.Timestamp]
+		rec      hbcheck.Recorder
 		next     atomic.Int64 // session ids, used as event identity
 		wg       sync.WaitGroup
 	)
@@ -76,7 +76,7 @@ func TestSessionChurnRaceHappensBefore(t *testing.T) {
 	if len(events) != sessions*calls {
 		t.Fatalf("recorded %d events, want %d", len(events), sessions*calls)
 	}
-	if err := hbcheck.Check(events, obj.Compare); err != nil {
+	if err := hbcheck.Check(events); err != nil {
 		t.Errorf("happens-before violated across session churn: %v", err)
 	}
 
@@ -154,7 +154,7 @@ func TestBatchChurnRaceWithConcurrentReaders(t *testing.T) {
 		}()
 	}
 
-	recs := make([]hbcheck.Recorder[tsspace.Timestamp], workers)
+	recs := make([]hbcheck.Recorder, workers)
 	var totalTS atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -188,7 +188,7 @@ func TestBatchChurnRaceWithConcurrentReaders(t *testing.T) {
 					seq++
 				}
 				for i := 0; i+1 < n; i++ {
-					if !obj.Compare(buf[i], buf[i+1]) || obj.Compare(buf[i+1], buf[i]) {
+					if !tsspace.Less(buf[i], buf[i+1]) {
 						t.Errorf("worker %d round %d: batch not internally strictly ordered at %d: %v vs %v",
 							w, round, i, buf[i], buf[i+1])
 					}
@@ -208,7 +208,7 @@ func TestBatchChurnRaceWithConcurrentReaders(t *testing.T) {
 	// Per-worker hbcheck: a worker's batches are sequential, so its whole
 	// stream (across leases and pids) must be strictly ordered.
 	for w := range recs {
-		if err := hbcheck.Check(recs[w].Events(), obj.Compare); err != nil {
+		if err := hbcheck.Check(recs[w].Events()); err != nil {
 			t.Errorf("worker %d: happens-before violated across its batch stream: %v", w, err)
 		}
 	}

@@ -31,12 +31,16 @@
 // when the paper's M-timestamp budget is spent; the driver flags it
 // instead of failing.
 //
-// As a free correctness check, every worker asserts the happens-before
-// property on its own operation stream: its getTS calls are sequential, so
-// every timestamp it receives must order strictly after the previous one
-// it received from the same object, within a batch and across batches and
-// leases. The check is tsspace.Less, applied locally to every issued
-// timestamp. Violations are counted, not fatal.
+// As a free correctness check, the driver asserts the happens-before
+// property twice, with tsspace.Less as the order. Every worker checks its
+// own operation stream: its getTS calls are sequential, so every timestamp
+// it receives must order strictly after the previous one it received from
+// the same object, within a batch and across batches and leases. And every
+// worker logs the monotonic interval of its first hbLogOps operations; at
+// run end hbcheck.Check orders the logs of all workers against each other,
+// per namespace, so a timestamp that a call of another worker completed
+// before it began must order below it too. Violations are counted, not
+// fatal.
 package tsload
 
 import (
@@ -50,6 +54,7 @@ import (
 	"time"
 
 	"tsspace"
+	"tsspace/internal/hbcheck"
 	"tsspace/internal/hist"
 	"tsspace/tsserve"
 )
@@ -142,9 +147,12 @@ type Result struct {
 	// GetTSBatch each. Timestamps counts the timestamps those measured ops
 	// issued (= Ops × BatchSize for full batches), so per-timestamp
 	// throughput is Timestamps / ElapsedSeconds. Errors and HBViolations
-	// count over the whole run, warmup included: HBViolations is the
+	// count over the whole run, warmup included. HBViolations is the
 	// number of issued timestamps that did not order strictly after their
-	// worker's previous timestamp from the same object.
+	// worker's previous timestamp from the same object, plus one for each
+	// namespace whose cross-worker check failed. HBChecked is the number
+	// of operations that cross-worker check ordered: each worker's first
+	// hbLogOps operations that issued a timestamp, warmup included.
 	//
 	// Errors splits into ExpectedErrors — failures the mix provokes by
 	// design (ErrDetached after the daemon's reaper reclaimed a lease the
@@ -162,6 +170,7 @@ type Result struct {
 	// daemon's idle-TTL reaper.
 	Abandoned    uint64 `json:"abandoned,omitempty"`
 	HBViolations uint64 `json:"hb_violations"`
+	HBChecked    uint64 `json:"hb_checked"`
 	// Namespaces and NamespaceOps describe a multi-tenant run
 	// (Mix.Namespaces > 0): how many namespaces were provisioned and how
 	// many measured getTS ops routed to each ("load-0" first). The
@@ -306,7 +315,14 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	defer cancel()
 	r.cancel = cancel
 
+	// The logs are allocated before the measure window can open, so
+	// AllocsPerOp does not see them.
 	start := time.Now()
+	logs := make([]hbLog, cfg.Workers)
+	for w := range logs {
+		logs[w] = newHBLog(start, r.batch)
+	}
+
 	r.warmEnd = start.Add(cfg.Warmup)
 	r.tick(start)
 
@@ -343,7 +359,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			r.worker(runCtx, w, hists[w], tokens)
+			r.worker(runCtx, w, hists[w], &logs[w], tokens)
 		}(w)
 	}
 	reporting := cfg.ProgressEvery > 0 && cfg.OnProgress != nil
@@ -372,6 +388,11 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	for _, h := range hists {
 		merged.Merge(h)
 	}
+	namespaces := 1
+	if r.ns != nil {
+		namespaces = len(r.ns.names)
+	}
+	hbChecked, hbFailed := checkAcross(logs, namespaces)
 
 	res := Result{
 		Mix:              cfg.Mix.Name,
@@ -390,7 +411,8 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		ExpectedErrors:   r.expErrs.Load(),
 		UnexpectedErrors: r.errs.Load() - r.expErrs.Load(),
 		Abandoned:        r.abandoned.Load(),
-		HBViolations:     r.hbViolations.Load(),
+		HBViolations:     r.hbViolations.Load() + hbFailed,
+		HBChecked:        hbChecked,
 		Dropped:          r.dropped.Load(),
 		BudgetSpent:      r.budgetSpent.Load(),
 		LatencyNs:        merged.Summarize(),
@@ -618,11 +640,81 @@ func (h *hbStream) observe(ts []tsspace.Timestamp) (bad uint64) {
 	return bad
 }
 
+// hbLogOps bounds each worker's hbLog: the cross-worker check orders a
+// worker's first hbLogOps operations that issued a timestamp.
+const hbLogOps = 4096
+
+// hbLog is one worker's record for the cross-worker happens-before check.
+// An operation that issued timestamps is logged as an hbcheck.Event over
+// the monotonic interval the worker timed around it: one event for a
+// single timestamp, two for a batch, its first and its last. So the check
+// asks that both ends of an earlier operation order below both ends of a
+// later one; order inside a batch is the worker's hbStream's to check.
+// The log is allocated once, before the run; only its worker appends to
+// it, and Run reads it after the workers have joined.
+type hbLog struct {
+	epoch   time.Time // zero of the interval stamps
+	entries []hbEntry
+	ops     int // operations logged
+}
+
+// hbEntry is one logged event and the namespace index of the object that
+// issued it.
+type hbEntry struct {
+	ns int
+	ev hbcheck.Event
+}
+
+func newHBLog(epoch time.Time, batch int) hbLog {
+	perOp := 1
+	if batch > 1 {
+		perOp = 2
+	}
+	return hbLog{epoch: epoch, entries: make([]hbEntry, 0, perOp*hbLogOps)}
+}
+
+// add logs worker w's operation that issued ts from namespace ns between
+// start and end. Once the log is full it costs one comparison.
+func (l *hbLog) add(w, ns int, start, end time.Time, ts []tsspace.Timestamp) {
+	if l.ops < hbLogOps && len(ts) > 0 {
+		l.record(w, ns, start, end, ts)
+	}
+}
+
+func (l *hbLog) record(w, ns int, start, end time.Time, ts []tsspace.Timestamp) {
+	ev := hbcheck.Event{Pid: w, Seq: l.ops, Start: uint64(start.Sub(l.epoch)), End: uint64(end.Sub(l.epoch)), Val: ts[0]}
+	l.entries = append(l.entries, hbEntry{ns: ns, ev: ev})
+	if len(ts) > 1 {
+		ev.Val = ts[len(ts)-1]
+		l.entries = append(l.entries, hbEntry{ns: ns, ev: ev})
+	}
+	l.ops++
+}
+
+// checkAcross runs hbcheck.Check over all workers' logs together, once
+// per namespace index: timestamps of different objects are never ordered.
+// It returns the operations checked and the namespaces that failed.
+func checkAcross(logs []hbLog, namespaces int) (checked, failed uint64) {
+	byNS := make([][]hbcheck.Event, namespaces)
+	for _, l := range logs {
+		checked += uint64(l.ops)
+		for _, e := range l.entries {
+			byNS[e.ns] = append(byNS[e.ns], e.ev)
+		}
+	}
+	for _, events := range byNS {
+		if hbcheck.Check(events) != nil {
+			failed++
+		}
+	}
+	return checked, failed
+}
+
 // worker issues operations until the run ends: paced by tokens under open
 // loop, back to back (with burst gaps) under closed loop. The batch
-// buffer is allocated once per worker, so batched runs put no allocation
-// on the op path beyond what the target itself costs.
-func (r *run) worker(ctx context.Context, id int, h *hist.H, tokens <-chan token) {
+// buffer and the hbLog are allocated once per worker, so batched runs put
+// no allocation on the op path beyond what the target itself costs.
+func (r *run) worker(ctx context.Context, id int, h *hist.H, hl *hbLog, tokens <-chan token) {
 	rng := rand.New(rand.NewSource(r.cfg.Seed*1000003 + int64(id)))
 	var sess tsspace.SessionAPI
 	var leaseCalls int
@@ -672,6 +764,7 @@ func (r *run) worker(ctx context.Context, id int, h *hist.H, tokens <-chan token
 		issued, err := r.doOp(ctx, rng, &sess, &leaseCalls, &nsIdx, pickNS, &hb, buf)
 		end := time.Now()
 		opsInBurst++
+		hl.add(id, nsIdx, start, end, buf[:issued])
 
 		if err != nil {
 			if IsExhausted(err) {

@@ -62,6 +62,9 @@ func checkResult(t *testing.T, res tsload.Result) {
 	if res.HBViolations != 0 {
 		t.Errorf("%d happens-before violations observed under load", res.HBViolations)
 	}
+	if res.HBChecked == 0 {
+		t.Error("the cross-worker happens-before check ordered no operation")
+	}
 	if res.Throughput <= 0 {
 		t.Errorf("throughput %v, want > 0", res.Throughput)
 	}
@@ -615,6 +618,40 @@ func TestHBViolationsCaughtOnSteady(t *testing.T) {
 			// one is a violation.
 			if min := res.Timestamps - 2; res.HBViolations < min {
 				t.Errorf("HBViolations = %d over %d decreasing timestamps, want ≥ %d", res.HBViolations, res.Timestamps, min)
+			}
+		})
+	}
+}
+
+// A worker's own stream cannot see a bug that only orders calls of
+// different sessions wrongly: collect-stale-scan hands out timestamps
+// that a call of another worker, completed before, already exceeded. The
+// cross-worker check over the workers' logs must catch it on the steady
+// mix, and stay clean, having checked something, on collect.
+func TestHBViolationsCaughtAcrossWorkers(t *testing.T) {
+	for _, c := range []struct {
+		alg  string
+		want func(uint64) bool
+	}{
+		{"collect-stale-scan", func(v uint64) bool { return v > 0 }},
+		{"collect", func(v uint64) bool { return v == 0 }},
+	} {
+		t.Run(c.alg, func(t *testing.T) {
+			res, err := tsload.Run(context.Background(), tsload.Config{
+				Mix:      mustMix(t, "steady"),
+				Target:   newInProc(t, c.alg, 8),
+				Workers:  4,
+				Duration: 500 * time.Millisecond,
+				Seed:     1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.HBChecked == 0 || res.HBChecked > 4*4096 {
+				t.Errorf("HBChecked = %d, want 1..%d", res.HBChecked, 4*4096)
+			}
+			if !c.want(res.HBViolations) {
+				t.Errorf("HBViolations = %d over %d checked ops of %d timestamps", res.HBViolations, res.HBChecked, res.Timestamps)
 			}
 		})
 	}

@@ -211,7 +211,7 @@ func TestOneShotChurnRace(t *testing.T) {
 				if err := sess.Detach(); err != nil {
 					t.Errorf("worker %d detach: %v", w, err)
 				}
-				if n > 0 && !obj.Compare(prev, ts) {
+				if n > 0 && !tsspace.Less(prev, ts) {
 					t.Errorf("worker %d: %v does not order after its earlier %v", w, ts, prev)
 				}
 				prev = ts

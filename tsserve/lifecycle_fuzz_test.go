@@ -234,9 +234,8 @@ func (h *lcHarness) getTS(pick int) {
 	if err != nil {
 		h.fatalf("getts on live lease %s: %v", l.id, err)
 	}
-	ns, _ := h.s.resolveNS(l.ns)
 	for _, prev := range h.issued[l.ns] {
-		if !ns.obj.Compare(prev, ts) {
+		if !tsspace.Less(prev, ts) {
 			h.fatalf("%s: %v does not order after the earlier %v", l.ns, ts, prev)
 		}
 	}

@@ -52,18 +52,14 @@ func attachedBatch(t *testing.T, c *tsserve.Client, count int) []tsspace.Timesta
 }
 
 // A batch is issued by one session back to back, so it must be strictly
-// increasing — under the serving object's compare and under tsspace.Less,
-// the order every client applies locally.
+// increasing under tsspace.Less, the order every client applies locally.
 func TestBatchedGetTSHappensBefore(t *testing.T) {
-	c, obj := newTestServer(t, tsspace.WithProcs(4), tsspace.WithMetering())
+	c, _ := newTestServer(t, tsspace.WithProcs(4), tsspace.WithMetering())
 
 	batch := attachedBatch(t, c, 5)
 	for i := 0; i+1 < len(batch); i++ {
-		if !obj.Compare(batch[i], batch[i+1]) {
+		if !tsspace.Less(batch[i], batch[i+1]) {
 			t.Errorf("batch[%d] %v not before batch[%d] %v", i, batch[i], i+1, batch[i+1])
-		}
-		if !tsspace.Less(batch[i], batch[i+1]) || tsspace.Less(batch[i+1], batch[i]) {
-			t.Errorf("Less does not order batch[%d] %v before batch[%d] %v", i, batch[i], i+1, batch[i+1])
 		}
 	}
 }
@@ -71,10 +67,10 @@ func TestBatchedGetTSHappensBefore(t *testing.T) {
 // Batches from different leases are ordered too when they do not
 // overlap: a completed batch happens-before a later one.
 func TestSequentialBatchesOrdered(t *testing.T) {
-	c, obj := newTestServer(t, tsspace.WithProcs(4))
+	c, _ := newTestServer(t, tsspace.WithProcs(4))
 	first := attachedBatch(t, c, 3)
 	second := attachedBatch(t, c, 3)
-	if last, head := first[len(first)-1], second[0]; !obj.Compare(last, head) {
+	if last, head := first[len(first)-1], second[0]; !tsspace.Less(last, head) {
 		t.Errorf("batch boundary unordered: %v vs %v", last, head)
 	}
 }
@@ -232,7 +228,7 @@ func TestMetricsEndpointLatency(t *testing.T) {
 // ErrDetached across the wire.
 func TestRemoteSessionLifecycle(t *testing.T) {
 	ctx := context.Background()
-	c, obj := newTestServer(t, tsspace.WithProcs(2))
+	c, _ := newTestServer(t, tsspace.WithProcs(2))
 
 	sess, err := c.Attach(ctx)
 	if err != nil {
@@ -260,7 +256,7 @@ func TestRemoteSessionLifecycle(t *testing.T) {
 	}
 	stream = append(stream, one)
 	for i := 0; i+1 < len(stream); i++ {
-		if !obj.Compare(stream[i], stream[i+1]) {
+		if !tsspace.Less(stream[i], stream[i+1]) {
 			t.Errorf("session stream unordered at %d: %v vs %v", i, stream[i], stream[i+1])
 		}
 	}
@@ -335,7 +331,7 @@ func TestRemoteSessionIdleReaping(t *testing.T) {
 // exactly as if one client had issued them back to back.
 func TestSameSessionRequestsSerialize(t *testing.T) {
 	ctx := context.Background()
-	c, obj := newTestServer(t, tsspace.WithProcs(2))
+	c, _ := newTestServer(t, tsspace.WithProcs(2))
 	sess, err := c.Attach(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +359,7 @@ func TestSameSessionRequestsSerialize(t *testing.T) {
 	seen := make(map[tsspace.Timestamp]bool)
 	for i, b := range batches {
 		for j := 0; j+1 < len(b); j++ {
-			if !obj.Compare(b[j], b[j+1]) {
+			if !tsspace.Less(b[j], b[j+1]) {
 				t.Errorf("client %d: batch unordered at %d", i, j)
 			}
 		}

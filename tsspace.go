@@ -64,10 +64,8 @@ type Timestamp = timestamp.Timestamp
 
 // Less is compare(t1, t2) for every object of the catalog: the
 // lexicographic order on T (Algorithm 3). Compare reads no register, so
-// it needs no object, no session and no round trip; each registered
-// algorithm's own Compare agrees with Less on the timestamps it issues
-// (the conformance suite asserts it), so Less orders timestamps from any
-// transport.
+// it needs no object, no session and no round trip, and Less orders
+// timestamps from any transport.
 func Less(t1, t2 Timestamp) bool { return timestamp.Less(t1, t2) }
 
 // Typed errors of the SDK surface. Errors returned by Object and Session

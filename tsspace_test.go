@@ -97,10 +97,10 @@ func TestSessionLifecycleAndTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tsspace.Less(t1, t2) || !obj.Compare(t1, t2) {
+	if !tsspace.Less(t1, t2) {
 		t.Errorf("sequential calls not ordered: %v vs %v", t1, t2)
 	}
-	if tsspace.Less(t2, t1) || obj.Compare(t2, t1) {
+	if tsspace.Less(t2, t1) {
 		t.Errorf("reverse order true: %v vs %v", t2, t1)
 	}
 	if s.Calls() != 2 {
@@ -141,7 +141,7 @@ func TestSeqPersistsAcrossLeases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lease > 0 && !obj.Compare(last, ts) {
+		if lease > 0 && !tsspace.Less(last, ts) {
 			t.Errorf("lease %d: %v not after %v", lease, ts, last)
 		}
 		last = ts
@@ -206,7 +206,7 @@ func TestGetTSBatchFillsAndOrders(t *testing.T) {
 	}
 	stream := append([]tsspace.Timestamp{first}, buf...)
 	for i := 0; i+1 < len(stream); i++ {
-		if !obj.Compare(stream[i], stream[i+1]) || obj.Compare(stream[i+1], stream[i]) {
+		if !tsspace.Less(stream[i], stream[i+1]) {
 			t.Errorf("stream[%d] %v vs stream[%d] %v not strictly ordered", i, stream[i], i+1, stream[i+1])
 		}
 	}
@@ -377,7 +377,7 @@ func TestOneShotBudgetAndExhaustion(t *testing.T) {
 		if err != nil {
 			t.Fatalf("getTS %d: %v", i, err)
 		}
-		if i > 0 && !obj.Compare(prev, ts) {
+		if i > 0 && !tsspace.Less(prev, ts) {
 			t.Errorf("timestamp %d (%v) not after %v", i, ts, prev)
 		}
 		prev = ts
