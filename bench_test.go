@@ -422,8 +422,8 @@ func BenchmarkSession_GetTSBatch(b *testing.B) {
 // pays on every namespace it creates and, in the one-shot regime, again
 // whenever a namespace runs out. One op is one metered New plus Close;
 // pid state is built on first lease, so allocs/op stays flat in n and
-// ns/op and B/op grow only with the register array, the writer table
-// and the free channel (EXPERIMENTS.md E19).
+// ns/op and B/op grow only with the register array and the free channel
+// (EXPERIMENTS.md E19).
 func BenchmarkObjectNew(b *testing.B) {
 	for _, alg := range []string{"collect", "sqrt"} {
 		for _, n := range []int{64, 4096, 65536} {

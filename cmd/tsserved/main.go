@@ -6,14 +6,16 @@
 // object maps any number of concurrent sessions onto the configured n
 // paper-processes through session leasing.
 //
-// Endpoints: wire v2 sessions (POST /session, POST /session/{id}/getts,
-// DELETE /session/{id}), GET /healthz, GET /metrics (space
-// report + throughput), GET /metrics/prometheus (the same registry in
-// text exposition format).
+// Every object the daemon serves is a namespace, its own object being
+// "default". Endpoints: wire v2 sessions (POST /ns/{name}/session,
+// POST /ns/{name}/session/{id}/getts, DELETE /ns/{name}/session/{id}),
+// GET /healthz (the default namespace's; /ns/{name}/healthz for any),
+// GET /metrics (per-namespace space and calls, wire counters),
+// GET /metrics/prometheus (the same registry in text exposition format).
 // The namespace broker rides on top: GET /catalog lists the servable
-// algorithms, PUT/DELETE /ns/{name} provision and deprovision named
-// Objects, and every session endpoint replicates under /ns/{name}/... —
-// one daemon, many isolated timestamp services (see tsspace/tsserve).
+// algorithms and PUT/DELETE /ns/{name} provision and deprovision named
+// Objects — one daemon, many isolated timestamp services (see
+// tsspace/tsserve).
 // With -binary-addr the daemon additionally serves wire v3 — the same
 // session space over a persistent-connection binary protocol. With
 // -debug-addr it serves an operator-only debug listener: net/http/pprof,
@@ -245,11 +247,12 @@ func runSmoke(url, binAddr string) error {
 		if err != nil {
 			return fmt.Errorf("metrics: %w", err)
 		}
-		if remaining := h.Procs - int(m.Calls); remaining < want {
+		calls := defaultCalls(m)
+		if remaining := h.Procs - int(calls); remaining < want {
 			want = remaining
 		}
 		if want < 2 {
-			return fmt.Errorf("one-shot budget nearly spent (%d of %d calls served): too few timestamps left to order", m.Calls, h.Procs)
+			return fmt.Errorf("one-shot budget nearly spent (%d of %d calls served): too few timestamps left to order", calls, h.Procs)
 		}
 		for i := 0; i < want; i++ {
 			sess, err := c.Attach(ctx)
@@ -301,7 +304,7 @@ func runSmoke(url, binAddr string) error {
 		if binAddr != "" {
 			bc := tsserve.NewBinaryClient(binAddr)
 			defer bc.Close()
-			bs, err := bc.Attach(ctx)
+			bs, err := bc.AttachNamespace(ctx, tsserve.DefaultNamespace)
 			if err != nil {
 				return fmt.Errorf("binary attach at %s: %w", binAddr, err)
 			}
@@ -345,8 +348,9 @@ func runSmoke(url, binAddr string) error {
 	if err != nil {
 		return fmt.Errorf("metrics: %w", err)
 	}
-	if int(m.Calls) < want {
-		return fmt.Errorf("metrics counted %d calls, want ≥ %d", m.Calls, want)
+	calls := defaultCalls(m)
+	if int(calls) < want {
+		return fmt.Errorf("metrics counted %d calls, want ≥ %d", calls, want)
 	}
 	if binAddr != "" {
 		if m.BinaryFrames == 0 || m.BinaryBytesIn == 0 || m.BinaryBytesOut == 0 {
@@ -360,8 +364,19 @@ func runSmoke(url, binAddr string) error {
 		return fmt.Errorf("prometheus exposition: %w", err)
 	}
 	fmt.Printf("smoke: %s n=%d: %d timestamps strictly ordered (%d pairs checked locally); %d calls served\n",
-		h.Algorithm, h.Procs, len(batch), len(batch)*(len(batch)-1)/2, m.Calls)
+		h.Algorithm, h.Procs, len(batch), len(batch)*(len(batch)-1)/2, calls)
 	return nil
+}
+
+// defaultCalls reads the default namespace's call count off a /metrics
+// body.
+func defaultCalls(m tsserve.Metrics) uint64 {
+	for _, nm := range m.Namespaces {
+		if nm.Name == tsserve.DefaultNamespace {
+			return nm.Calls
+		}
+	}
+	return 0
 }
 
 // smokeNamespaces drives the broker lifecycle end to end: the catalog
@@ -573,10 +588,9 @@ func checkNamespaceLabels(ctx context.Context, url string, nss ...string) error 
 // GET /metrics/prometheus; the smoke (and so CI) fails when one is
 // missing or the exposition is malformed.
 var requiredFamilies = []string{
-	"tsserve_calls_total",
-	"tsserve_attaches_total",
+	"tsserve_ns_calls_total",
+	"tsserve_ns_attaches_total",
 	"tsserve_batches_total",
-	"tsserve_active_sessions",
 	"tsserve_wire_sessions",
 	"tsserve_uptime_seconds",
 	"tsserve_getts_latency_ns",
@@ -618,8 +632,8 @@ func checkPrometheus(ctx context.Context, url string) error {
 			return fmt.Errorf("required family %s missing (got %d families)", name, len(families))
 		}
 	}
-	if calls := families["tsserve_calls_total"]; calls.Samples != 1 {
-		return fmt.Errorf("tsserve_calls_total has %d samples, want 1", calls.Samples)
+	if calls := families["tsserve_ns_calls_total"]; !slices.Contains(calls.Labels, `namespace="default"`) {
+		return fmt.Errorf("tsserve_ns_calls_total has no namespace=\"default\" sample (labels: %v)", calls.Labels)
 	}
 	fmt.Printf("smoke: prometheus exposition ok: %d families, %d required present\n",
 		len(families), len(requiredFamilies))

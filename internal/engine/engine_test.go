@@ -24,15 +24,15 @@ import (
 type fake struct {
 	n        int
 	oneShot  bool
-	table    [][]int
+	writers  int
 	inflight atomic.Int64
 	maxIn    atomic.Int64
 }
 
-func (f *fake) Name() string         { return "fake" }
-func (f *fake) Registers() int       { return f.n }
-func (f *fake) OneShot() bool        { return f.oneShot }
-func (f *fake) WriterTable() [][]int { return f.table }
+func (f *fake) Name() string     { return "fake" }
+func (f *fake) Registers() int   { return f.n }
+func (f *fake) OneShot() bool    { return f.oneShot }
+func (f *fake) WriterTable() int { return f.writers }
 
 func (f *fake) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, error) {
 	cur := f.inflight.Add(1)
@@ -193,12 +193,13 @@ func TestAdversarialScheduleReplayed(t *testing.T) {
 }
 
 // The writer discipline runs inside the engine's middleware stack: an
-// algorithm whose writes violate its own claimed table is caught (the
-// simulated world converts the panic into a process error).
+// algorithm whose writes violate its own claimed discipline is caught
+// (the simulated world converts the panic into a process error).
 func TestDisciplineEnforcedInStack(t *testing.T) {
-	// The fake writes register pid%n, so claiming register 0 belongs to
-	// process 1 alone makes process 0's write a violation.
-	alg := &fake{n: 2, table: [][]int{{1}, nil}}
+	// The fake writes register pid%n, so claiming two writers per
+	// register, which gives register 0 to processes 0 and 1, makes
+	// process 1's write of register 1 a violation.
+	alg := &fake{n: 2, writers: 2}
 	_, err := engine.Run(cfgFor(alg, engine.Simulated, 2, engine.OneShot{}))
 	if err == nil || !strings.Contains(err.Error(), "not a permitted writer") {
 		t.Errorf("err = %v, want writer-discipline violation", err)

@@ -20,10 +20,11 @@
 //     registry and written by the instrumented code. They are the
 //     single bookkeeping location for what they count — a JSON metrics
 //     view and the Prometheus exposition both read the same atomics.
-//   - derived state: CounterFunc and GaugeFunc sample a value that
-//     already lives elsewhere (an Object's call counter, a session
-//     table's size) at scrape time, so instrumentation never duplicates
-//     a source of truth that another layer owns.
+//   - derived state: GaugeFunc and the labeled CounterVecFunc and
+//     GaugeVecFunc sample a value that already lives elsewhere (an
+//     Object's call counter, a session table's size) at scrape time,
+//     so instrumentation never duplicates a source of truth that
+//     another layer owns.
 package obs
 
 import (
@@ -137,8 +138,8 @@ type Sample struct {
 }
 
 // metric is one registered family: exactly one of the value fields is
-// set, matching kind (fn doubles for derived counters and gauges, vec
-// for derived labeled families).
+// set, matching kind (fn for derived gauges, vec for derived labeled
+// families).
 type metric struct {
 	name string
 	help string
@@ -200,13 +201,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return g
 }
 
-// CounterFunc registers a derived counter: fn is sampled at exposition
-// time and must be monotonically non-decreasing (it reads a counter
-// that already lives elsewhere — the point is to not duplicate it).
-func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	r.register(&metric{name: name, help: help, kind: kindCounter, fn: fn})
-}
-
 // GaugeFunc registers a derived gauge sampled at exposition time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(&metric{name: name, help: help, kind: kindGauge, fn: fn})
@@ -214,8 +208,9 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 
 // CounterVecFunc registers a derived labeled counter family: one label
 // name, and a function sampled at exposition time returning one Sample
-// per label value (e.g. one per namespace). Like CounterFunc, the
-// sampled values must be monotonically non-decreasing per label; label
+// per label value (e.g. one per namespace). The sampled values read a
+// counter that already lives elsewhere — the point is to not duplicate
+// it — and must be monotonically non-decreasing per label; label
 // values that disappear (a deprovisioned namespace) simply stop being
 // emitted. The label name must be a valid metric-name-shaped
 // identifier; label values are escaped at exposition time.

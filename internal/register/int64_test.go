@@ -86,7 +86,7 @@ func TestMiddlewareScalarPair(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			meter := NewMeterSize(2)
-			stack := Wrap(tc.base, Metered(meter), DisciplineFor(SWMRTable(2), 0))
+			stack := Wrap(tc.base, Metered(meter), DisciplineFor(1, 0))
 			stack.WriteInt64(0, 9)
 			if v := stack.MaxInt64(2); v != 9 {
 				t.Fatalf("collect through the stack = %d, want 9", v)
@@ -96,7 +96,7 @@ func TestMiddlewareScalarPair(t *testing.T) {
 				t.Errorf("meter missed scalar ops: %d writes / %d reads, want 1 write and the collect's 2 reads", rep.Writes, rep.Reads)
 			}
 
-			// pid 0 may not write register 1 under SWMR.
+			// pid 0 may not write register 1 under a single writer per register.
 			defer func() {
 				if recover() == nil {
 					t.Error("WriteInt64 against the discipline did not panic")

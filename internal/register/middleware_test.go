@@ -87,17 +87,16 @@ func TestMeteredSharedAcrossStacks(t *testing.T) {
 	}
 }
 
-// DisciplineFor enforces the table per process and is the identity for
-// algorithms with no table.
+// DisciplineFor enforces the writer rule per process and is the identity
+// for algorithms that permit any writer.
 func TestDisciplineForEnforcement(t *testing.T) {
 	base := NewAtomicArray(2)
-	table := SWMRTable(2)
 
-	if mw := DisciplineFor(nil, 0); mw != nil {
-		t.Error("nil table must yield a nil middleware")
+	if mw := DisciplineFor(0, 0); mw != nil {
+		t.Error("zero writers per register must yield a nil middleware")
 	}
 
-	own := Wrap(base, DisciplineFor(table, 1))
+	own := Wrap(base, DisciplineFor(1, 1))
 	own.Write(1, "mine") // permitted
 	if base.Read(1) != "mine" {
 		t.Error("permitted write did not land")
@@ -164,10 +163,9 @@ func TestStampFirstOpCollect(t *testing.T) {
 func TestFullStackComposition(t *testing.T) {
 	base := newPlainMem(2)
 	meter := NewMeterSize(2)
-	table := [][]int{{0}, nil}
 
 	stack := func(pid int) Mem {
-		return Wrap(base, Metered(meter), DisciplineFor(table, pid))
+		return Wrap(base, Metered(meter), DisciplineFor(1, pid))
 	}
 
 	p0, p1 := stack(0), stack(1)
@@ -193,7 +191,7 @@ func ExampleWrap() {
 	meter := NewMeterSize(2)
 	mem := Wrap(NewAtomicArray(2),
 		Metered(meter),
-		DisciplineFor(SWMRTable(2), 0),
+		DisciplineFor(1, 0),
 	)
 	mem.Write(0, "hello")
 	fmt.Println(mem.Read(0), meter.Report().Writes)

@@ -166,39 +166,47 @@ func TestMeterConcurrentSafety(t *testing.T) {
 	}
 }
 
-func TestTwoWriterTable(t *testing.T) {
-	for _, tc := range []struct {
-		n, m int
-	}{{1, 1}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {10, 5}, {11, 6}} {
-		table := TwoWriterTable(tc.n)
-		if len(table) != tc.m {
-			t.Errorf("n=%d: table size %d, want ⌈n/2⌉=%d", tc.n, len(table), tc.m)
-		}
-		seen := map[int]bool{}
-		for i, ws := range table {
-			if len(ws) == 0 || len(ws) > 2 {
-				t.Errorf("n=%d register %d writers %v", tc.n, i, ws)
-			}
-			for _, w := range ws {
-				if w < 0 || w >= tc.n {
-					t.Errorf("n=%d register %d invalid writer %d", tc.n, i, w)
+// TestWriterRule pins the one writer rule: with w writers per register
+// over ⌈n/w⌉ registers, every pid < n writes exactly register pid/w, and
+// every register has between 1 and w writers — w = 1 is single-writer,
+// w = 2 Algorithm 2's pairing of processes 2i and 2i+1.
+func TestWriterRule(t *testing.T) {
+	for _, w := range []int{1, 2} {
+		for _, n := range []int{1, 2, 3, 4, 5, 10, 11} {
+			m := (n + w - 1) / w
+			writers := make([]int, m)
+			for pid := 0; pid < n; pid++ {
+				mem := Wrap(NewAtomicArray(m), DisciplineFor(w, pid))
+				for i := 0; i < m; i++ {
+					permitted := !panics(func() { mem.Write(i, pid) })
+					if permitted != (i == pid/w) {
+						t.Errorf("w=%d n=%d: p%d write r%d permitted=%v, want %v", w, n, pid, i, permitted, i == pid/w)
+					}
+					if permitted {
+						writers[i]++
+					}
 				}
-				if seen[w] {
-					t.Errorf("n=%d writer %d assigned twice", tc.n, w)
-				}
-				seen[w] = true
 			}
-		}
-		if len(seen) != tc.n {
-			t.Errorf("n=%d only %d processes assigned a register", tc.n, len(seen))
+			for i, k := range writers {
+				if k < 1 || k > w {
+					t.Errorf("w=%d n=%d: register %d has %d writers, want 1..%d", w, n, i, k, w)
+				}
+			}
 		}
 	}
 }
 
+// panics reports whether op panics.
+func panics(op func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	op()
+	return false
+}
+
 func TestWriteQuorumEnforcement(t *testing.T) {
 	base := NewAtomicArray(2)
-	h0 := Wrap(base, DisciplineFor(TwoWriterTable(4), 0))
-	h3 := Wrap(base, DisciplineFor(TwoWriterTable(4), 3))
+	h0 := Wrap(base, DisciplineFor(2, 0))
+	h3 := Wrap(base, DisciplineFor(2, 3))
 
 	h0.Write(0, "ok") // process 0 may write register 0
 	h3.Write(1, "ok") // process 3 may write register 1
@@ -214,52 +222,6 @@ func TestWriteQuorumEnforcement(t *testing.T) {
 		}()
 		h0.Write(1, "bad")
 	}()
-}
-
-func TestWriteQuorumNilEntryPermitsAll(t *testing.T) {
-	base := NewAtomicArray(1)
-	for pid := 0; pid < 3; pid++ {
-		Wrap(base, DisciplineFor([][]int{nil}, pid)).Write(0, pid) // must not panic
-	}
-}
-
-func TestWriteQuorumSizeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched table should panic")
-		}
-	}()
-	Wrap(NewAtomicArray(3), DisciplineFor(TwoWriterTable(4), 0))
-}
-
-func TestSWMRTable(t *testing.T) {
-	table := SWMRTable(3)
-	if len(table) != 3 {
-		t.Fatalf("len = %d", len(table))
-	}
-	for i, ws := range table {
-		if len(ws) != 1 || ws[0] != i {
-			t.Errorf("register %d writers %v, want [%d]", i, ws, i)
-		}
-	}
-}
-
-// Both writer tables slice their rows out of one pid list, so a table
-// costs two allocations at any n, and each row is capped at its own
-// writers: appending to one row must not overwrite the next.
-func TestWriterTablesShareOnePidList(t *testing.T) {
-	for name, build := range map[string]func(int) [][]int{"swmr": SWMRTable, "two-writer": TwoWriterTable} {
-		for _, n := range []int{64, 4096} {
-			if allocs := testing.AllocsPerRun(10, func() { build(n) }); allocs != 2 {
-				t.Errorf("%s n=%d: %.0f allocations, want 2", name, n, allocs)
-			}
-		}
-		table := build(5)
-		_ = append(table[0], 99)
-		if table[1][0] == 99 {
-			t.Errorf("%s: appending to row 0 overwrote row 1: %v", name, table)
-		}
-	}
 }
 
 // Property: a sequence of writes leaves the last value readable

@@ -51,9 +51,9 @@ func (a *Alg) Registers() int { return a.n }
 // OneShot reports false: the object is long-lived.
 func (a *Alg) OneShot() bool { return false }
 
-// WriterTable declares the single-writer discipline: register i is written
-// only by process i.
-func (a *Alg) WriterTable() [][]int { return register.SWMRTable(a.n) }
+// WriterTable declares the single-writer discipline: one writer per
+// register, so register i is written only by process i.
+func (a *Alg) WriterTable() int { return 1 }
 
 // GetTS collects all registers, writes max+1 to the caller's register and
 // returns it.

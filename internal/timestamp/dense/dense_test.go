@@ -116,9 +116,11 @@ func TestTwoSilentViolatesSpec(t *testing.T) {
 	t.Logf("detected as expected: %v", v)
 }
 
+// Under the single-writer rule pid i writes register i, so the n−1
+// writer registers cover pids 0..n−2 and the silent process writes none.
 func TestWriterTableSize(t *testing.T) {
-	if got := len(New(5).WriterTable()); got != 4 {
-		t.Errorf("writer table size %d, want 4", got)
+	if a := New(5); a.WriterTable() != 1 || a.Registers() != 4 {
+		t.Errorf("%d writers per register over %d registers, want 1 over 4", a.WriterTable(), a.Registers())
 	}
 }
 

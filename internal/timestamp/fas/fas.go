@@ -80,8 +80,8 @@ func (a *Alg) OneShot() bool { return false }
 // exercise fas on real goroutines instead.
 func (a *Alg) Simulable() bool { return false }
 
-// WriterTable returns nil: the object is multi-writer.
-func (a *Alg) WriterTable() [][]int { return nil }
+// WriterTable returns 0: the object is multi-writer.
+func (a *Alg) WriterTable() int { return 0 }
 
 // GetTS swaps in a new node and returns its depth: one shared swap per
 // call. mem is ignored — swap is strictly stronger than the register

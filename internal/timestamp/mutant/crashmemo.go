@@ -60,7 +60,7 @@ func (a *CrashMemo) Registers() int { return a.n }
 func (a *CrashMemo) OneShot() bool { return false }
 
 // WriterTable declares collect's single-writer discipline.
-func (a *CrashMemo) WriterTable() [][]int { return register.SWMRTable(a.n) }
+func (a *CrashMemo) WriterTable() int { return 1 }
 
 // GetTS collects honestly the first time each (pid, seq) is invoked and
 // replays the memoized "checkpoint" on a retry, skipping both the re-scan

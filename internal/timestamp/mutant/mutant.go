@@ -72,7 +72,7 @@ func (a *StaleScan) Registers() int { return a.n }
 func (a *StaleScan) OneShot() bool { return false }
 
 // WriterTable declares collect's single-writer discipline.
-func (a *StaleScan) WriterTable() [][]int { return register.SWMRTable(a.n) }
+func (a *StaleScan) WriterTable() int { return 1 }
 
 // GetTS collects honestly on a process's first call and from the stale
 // cache afterwards.

@@ -61,9 +61,9 @@ func (a *Alg) Registers() int { return (a.n + 1) / 2 }
 // OneShot reports true: each process may call GetTS at most once.
 func (a *Alg) OneShot() bool { return true }
 
-// WriterTable declares Algorithm 2's discipline: register i is written by
-// processes 2i and 2i+1 only.
-func (a *Alg) WriterTable() [][]int { return register.TwoWriterTable(a.n) }
+// WriterTable declares Algorithm 2's discipline: two writers per
+// register, so register i is written by processes 2i and 2i+1 only.
+func (a *Alg) WriterTable() int { return 2 }
 
 // GetTS is simple-getTS (Algorithm 2). Registers hold int64 values; the
 // initial ⊥ (nil) reads as 0, matching the paper's 0-initialized

@@ -147,8 +147,8 @@ func (a *Alg) MaxCalls() int { return a.maxCalls }
 // process) rather than NewBounded.
 func (a *Alg) OneShot() bool { return a.oneShot }
 
-// WriterTable returns nil: registers are multi-writer.
-func (a *Alg) WriterTable() [][]int { return nil }
+// WriterTable returns 0: registers are multi-writer.
+func (a *Alg) WriterTable() int { return 0 }
 
 // GetTS is Algorithm 4. Line numbers in comments refer to the paper's
 // pseudocode.

@@ -74,10 +74,11 @@ type Algorithm interface {
 	// reject seq > 0 and the dense baseline derives state from it.
 	GetTS(mem register.Mem, pid, seq int) (Timestamp, error)
 	// WriterTable returns the register write-permission discipline the
-	// implementation claims (nil entries or a nil table permit anyone);
-	// harnesses enforce it to validate claims such as Algorithm 2's
-	// 2-writer registers.
-	WriterTable() [][]int
+	// implementation claims, as a count w of writers per register:
+	// register i is written only by pids w·i … w·i+w−1, and 0 permits
+	// anyone. Harnesses enforce it (register.DisciplineFor) to validate
+	// claims such as Algorithm 2's 2-writer registers.
+	WriterTable() int
 }
 
 // ScalarValued is an optional capability probe, in the style of Simulable:

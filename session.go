@@ -58,7 +58,7 @@ type Object struct {
 	meter   *register.Meter     // nil when metering is off
 	base    register.Mem        // the register array every proc's stack wraps
 	metered register.Middleware // nil when metering is off
-	table   [][]int             // the algorithm's writer discipline; nil = any writer
+	writers int                 // the algorithm's writers per register; 0 = any writer
 	leased  atomic.Int64        // pids below min(this, procs) have had a first lease
 	free    chan *proc          // detached procs, in FIFO order; capacity procs
 	closed  chan struct{}       // closed by Close
@@ -137,7 +137,7 @@ func (o *Object) Attach(ctx context.Context) (*Session, error) {
 // from overflowing an int64.
 func (o *Object) firstLease() *proc {
 	if pid := o.leased.Add(1) - 1; pid < int64(o.procs) {
-		mem := register.Wrap(o.base, o.metered, register.DisciplineFor(o.table, int(pid)))
+		mem := register.Wrap(o.base, o.metered, register.DisciplineFor(o.writers, int(pid)))
 		return &proc{pid: int(pid), mem: mem}
 	}
 	return nil

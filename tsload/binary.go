@@ -13,14 +13,13 @@ import (
 // Binary is the wire-v3 backend: the data plane (attach, pipelined getTS
 // batches, detach) runs over the daemon's persistent-connection
 // binary listener, while the control plane (health probe, /metrics space
-// report) stays on its HTTP endpoints. A BENCH row with target "binary"
-// prices the same session semantics as "http" with the HTTP/JSON harness
-// tax removed — the difference between the two rows is exactly the
-// encoding and connection model.
+// report, namespace provisioning) stays on its HTTP endpoints. A BENCH
+// row with target "binary" prices the same session semantics as "http"
+// with the HTTP/JSON harness tax removed — the difference between the
+// two rows is exactly the encoding and connection model.
 type Binary struct {
-	bin    *tsserve.BinaryClient
-	client *tsserve.Client
-	health tsserve.Health
+	daemon
+	bin *tsserve.BinaryClient
 }
 
 // ErrUnhealthy is wrapped when a probed daemon answers the health
@@ -35,58 +34,39 @@ var ErrUnhealthy = errors.New("tsload: daemon not healthy")
 // answers that attach with the typed exhaustion error, which proves the
 // listener as well as a lease would.
 func NewBinary(ctx context.Context, baseURL, binAddr string, hc *http.Client) (*Binary, error) {
-	c := tsserve.NewClient(baseURL, hc)
-	h, err := c.Health(ctx)
+	d, err := probeDaemon(ctx, baseURL, hc)
 	if err != nil {
-		return nil, fmt.Errorf("tsload: probing %s: %w", baseURL, err)
+		return nil, err
 	}
-	if h.Status != "ok" {
-		return nil, fmt.Errorf("%w: %s reports status %q", ErrUnhealthy, baseURL, h.Status)
-	}
-	bin := tsserve.NewBinaryClient(binAddr)
-	s, err := bin.Attach(ctx)
+	t := &Binary{daemon: d, bin: tsserve.NewBinaryClient(binAddr)}
+	s, err := t.Attach(ctx)
 	if err == nil {
 		err = s.Detach()
 	}
 	if err != nil && !IsExhausted(err) {
-		bin.Close()
+		t.bin.Close()
 		return nil, fmt.Errorf("tsload: probing binary listener %s: %w", binAddr, err)
 	}
-	return &Binary{bin: bin, client: c, health: h}, nil
+	return t, nil
 }
 
 // Kind returns "binary".
 func (t *Binary) Kind() string { return "binary" }
 
-// Algorithm returns the daemon's algorithm, as reported by /healthz.
-func (t *Binary) Algorithm() string { return t.health.Algorithm }
-
-// Procs returns the daemon object's paper-process count.
-func (t *Binary) Procs() int { return t.health.Procs }
-
-// OneShot reports the daemon object's one-shot flag.
-func (t *Binary) OneShot() bool { return t.health.OneShot }
-
-// Attach leases a wire-v3 session bound to its own pooled connection.
+// Attach leases a wire-v3 session in the default namespace, bound to its
+// own pooled connection.
 func (t *Binary) Attach(ctx context.Context) (tsspace.SessionAPI, error) {
-	s, err := t.bin.Attach(ctx)
+	return t.AttachNamespace(ctx, tsserve.DefaultNamespace)
+}
+
+// AttachNamespace leases a wire-v3 session via the attach_ns frame: the
+// data plane stays binary, namespace routing included.
+func (t *Binary) AttachNamespace(ctx context.Context, name string) (tsspace.SessionAPI, error) {
+	s, err := t.bin.AttachNamespace(ctx, name)
 	if err != nil {
 		return nil, err
 	}
 	return s, nil
-}
-
-// Space reads the /metrics space section over HTTP, when the daemon is
-// metered.
-func (t *Binary) Space(ctx context.Context) (SpaceReport, bool) {
-	m, err := t.client.Metrics(ctx)
-	if err != nil || m.Space == nil {
-		return SpaceReport{}, false
-	}
-	return SpaceReport{
-		Registers: m.Space.Registers, Written: m.Space.Written,
-		Reads: m.Space.Reads, Writes: m.Space.Writes,
-	}, true
 }
 
 // Close closes the binary client's pooled connections; the daemon belongs

@@ -50,55 +50,6 @@ type NamespaceProvisioner interface {
 	DeprovisionNamespace(ctx context.Context, name string) error
 }
 
-// ProvisionNamespace PUTs the namespace on the daemon's broker surface.
-func (t *HTTP) ProvisionNamespace(ctx context.Context, name string, spec NamespaceSpec) error {
-	_, err := t.client.ProvisionNamespace(ctx, name, tsserve.ProvisionRequest{
-		Algorithm: spec.Algorithm, Procs: spec.Procs, MaxSessions: spec.MaxSessions,
-	})
-	return err
-}
-
-// AttachNamespace leases a wire-v2 session through the namespace-scoped
-// routes (/ns/{name}/session...).
-func (t *HTTP) AttachNamespace(ctx context.Context, name string) (tsspace.SessionAPI, error) {
-	s, err := t.client.Namespace(name).Attach(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// DeprovisionNamespace DELETEs the namespace on the broker surface.
-func (t *HTTP) DeprovisionNamespace(ctx context.Context, name string) error {
-	_, err := t.client.DeprovisionNamespace(ctx, name)
-	return err
-}
-
-// ProvisionNamespace provisions over the daemon's HTTP broker surface —
-// the control plane, like the health probe and the space report.
-func (t *Binary) ProvisionNamespace(ctx context.Context, name string, spec NamespaceSpec) error {
-	_, err := t.client.ProvisionNamespace(ctx, name, tsserve.ProvisionRequest{
-		Algorithm: spec.Algorithm, Procs: spec.Procs, MaxSessions: spec.MaxSessions,
-	})
-	return err
-}
-
-// AttachNamespace leases a wire-v3 session via the attach_ns frame: the
-// data plane stays binary, namespace routing included.
-func (t *Binary) AttachNamespace(ctx context.Context, name string) (tsspace.SessionAPI, error) {
-	s, err := t.bin.AttachNamespace(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// DeprovisionNamespace DELETEs the namespace over HTTP.
-func (t *Binary) DeprovisionNamespace(ctx context.Context, name string) error {
-	_, err := t.client.DeprovisionNamespace(ctx, name)
-	return err
-}
-
 // nsPlan is a run's namespace routing state: the provisioned names and
 // the per-namespace measured-op counters behind Result.NamespaceOps.
 type nsPlan struct {

@@ -33,8 +33,8 @@ type Target interface {
 	// its own.
 	Attach(ctx context.Context) (tsspace.SessionAPI, error)
 	// Space reports the object's register-space footprint, when the
-	// backend exposes one (in-process metering, or the /metrics space
-	// section over HTTP).
+	// backend exposes one (in-process metering, or the default
+	// namespace's entry of /metrics over HTTP).
 	Space(ctx context.Context) (SpaceReport, bool)
 	// Close releases whatever the target owns.
 	Close() error
@@ -103,13 +103,72 @@ func (t *InProc) Space(context.Context) (SpaceReport, bool) {
 // Close closes the owned object.
 func (t *InProc) Close() error { return t.obj.Close() }
 
-// HTTP is the wire backend: Attach leases a wire-v2 session on a tsserved
-// daemon (POST /session), getTS batches pipeline on that lease, and
-// Detach releases it — the SDK's lease/churn semantics priced with the
-// full HTTP/JSON round trip per batch.
-type HTTP struct {
+// daemon is the control plane the wire targets share: the health probe
+// taken at construction, and the HTTP broker and /metrics surface of a
+// tsserved daemon. Each wire target adds its own data plane.
+type daemon struct {
 	client *tsserve.Client
 	health tsserve.Health
+}
+
+// probeDaemon checks the daemon at baseURL reports healthy.
+func probeDaemon(ctx context.Context, baseURL string, hc *http.Client) (daemon, error) {
+	c := tsserve.NewClient(baseURL, hc)
+	h, err := c.Health(ctx)
+	if err != nil {
+		return daemon{}, fmt.Errorf("tsload: probing %s: %w", baseURL, err)
+	}
+	if h.Status != "ok" {
+		return daemon{}, fmt.Errorf("%w: %s reports status %q", ErrUnhealthy, baseURL, h.Status)
+	}
+	return daemon{client: c, health: h}, nil
+}
+
+// Algorithm returns the daemon's algorithm, as reported by /healthz.
+func (d *daemon) Algorithm() string { return d.health.Algorithm }
+
+// Procs returns the daemon object's paper-process count.
+func (d *daemon) Procs() int { return d.health.Procs }
+
+// OneShot reports the daemon object's one-shot flag.
+func (d *daemon) OneShot() bool { return d.health.OneShot }
+
+// Space reads the default namespace's space report off /metrics, when
+// its object is metered.
+func (d *daemon) Space(ctx context.Context) (SpaceReport, bool) {
+	m, err := d.client.Metrics(ctx)
+	if err != nil {
+		return SpaceReport{}, false
+	}
+	for _, nm := range m.Namespaces {
+		if nm.Name == tsserve.DefaultNamespace && nm.Space != nil {
+			sp := nm.Space
+			return SpaceReport{Registers: sp.Registers, Written: sp.Written, Reads: sp.Reads, Writes: sp.Writes}, true
+		}
+	}
+	return SpaceReport{}, false
+}
+
+// ProvisionNamespace PUTs the namespace on the daemon's broker surface.
+func (d *daemon) ProvisionNamespace(ctx context.Context, name string, spec NamespaceSpec) error {
+	_, err := d.client.ProvisionNamespace(ctx, name, tsserve.ProvisionRequest{
+		Algorithm: spec.Algorithm, Procs: spec.Procs, MaxSessions: spec.MaxSessions,
+	})
+	return err
+}
+
+// DeprovisionNamespace DELETEs the namespace on the broker surface.
+func (d *daemon) DeprovisionNamespace(ctx context.Context, name string) error {
+	_, err := d.client.DeprovisionNamespace(ctx, name)
+	return err
+}
+
+// HTTP is the wire backend: Attach leases a wire-v2 session on a tsserved
+// daemon (POST /ns/default/session), getTS batches pipeline on that
+// lease, and Detach releases it — the SDK's lease/churn semantics priced
+// with the full HTTP/JSON round trip per batch.
+type HTTP struct {
+	daemon
 }
 
 // NewHTTP probes the daemon at baseURL and wraps it as a wire-v2 load
@@ -117,48 +176,29 @@ type HTTP struct {
 // unusual worker counts pass a client whose transport allows enough idle
 // connections per host.
 func NewHTTP(ctx context.Context, baseURL string, hc *http.Client) (*HTTP, error) {
-	c := tsserve.NewClient(baseURL, hc)
-	h, err := c.Health(ctx)
+	d, err := probeDaemon(ctx, baseURL, hc)
 	if err != nil {
-		return nil, fmt.Errorf("tsload: probing %s: %w", baseURL, err)
+		return nil, err
 	}
-	if h.Status != "ok" {
-		return nil, fmt.Errorf("%w: %s reports status %q", ErrUnhealthy, baseURL, h.Status)
-	}
-	return &HTTP{client: c, health: h}, nil
+	return &HTTP{d}, nil
 }
 
 // Kind returns "http".
 func (t *HTTP) Kind() string { return "http" }
 
-// Algorithm returns the daemon's algorithm, as reported by /healthz.
-func (t *HTTP) Algorithm() string { return t.health.Algorithm }
-
-// Procs returns the daemon object's paper-process count.
-func (t *HTTP) Procs() int { return t.health.Procs }
-
-// OneShot reports the daemon object's one-shot flag.
-func (t *HTTP) OneShot() bool { return t.health.OneShot }
-
-// Attach leases a wire-v2 RemoteSession.
+// Attach leases a wire-v2 RemoteSession in the default namespace.
 func (t *HTTP) Attach(ctx context.Context) (tsspace.SessionAPI, error) {
-	s, err := t.client.Attach(ctx)
+	return t.AttachNamespace(ctx, tsserve.DefaultNamespace)
+}
+
+// AttachNamespace leases a wire-v2 session through the namespace-scoped
+// routes (/ns/{name}/session...).
+func (t *HTTP) AttachNamespace(ctx context.Context, name string) (tsspace.SessionAPI, error) {
+	s, err := t.client.Namespace(name).Attach(ctx)
 	if err != nil {
 		return nil, err
 	}
 	return s, nil
-}
-
-// Space reads the /metrics space section, when the daemon is metered.
-func (t *HTTP) Space(ctx context.Context) (SpaceReport, bool) {
-	m, err := t.client.Metrics(ctx)
-	if err != nil || m.Space == nil {
-		return SpaceReport{}, false
-	}
-	return SpaceReport{
-		Registers: m.Space.Registers, Written: m.Space.Written,
-		Reads: m.Space.Reads, Writes: m.Space.Writes,
-	}, true
 }
 
 // Close is a no-op: the daemon belongs to whoever started it.

@@ -663,7 +663,7 @@ func TestClosedLoopDeadlineWithStuckTarget(t *testing.T) {
 	// the in-flight operations even though every worker is blocked.
 	quit := make(chan struct{})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/healthz" {
+		if r.URL.Path == "/ns/default/healthz" {
 			w.Header().Set("Content-Type", "application/json")
 			fmt.Fprint(w, `{"status":"ok","algorithm":"collect","procs":4}`)
 			return

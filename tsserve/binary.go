@@ -16,23 +16,22 @@ package tsserve
 //
 // Request frames (client → server) and their responses:
 //
-//	attach    []                        → attachOK    [id(16)][pid][ttl_ms][one_shot]
-//	attach_ns [len][name]               → attachNSOK  [id(16)][pid][ttl_ms][one_shot]
-//	getts     [id(16)][count]           → gettsOK     [pid][n][ts deltas]
-//	detach    [id(16)]                  → detachOK    [calls]
-//	any       —                         → error       [code(byte)][message]
+//	attach_ns 0x05 [len][name]          → attachNSOK 0x85 [id(16)][pid][ttl_ms][one_shot]
+//	getts     0x02 [id(16)][count]      → gettsOK    0x82 [pid][n][ts deltas]
+//	detach    0x03 [id(16)]             → detachOK   0x83 [calls]
+//	any       —                         → error      0xFF [code(byte)][message]
 //
-// There is no compare frame: compare(t1, t2) reads no register, so
-// clients order timestamps locally with tsspace.Less. Type 0x04 stays
-// unassigned, so an older client's compare frame is answered bad_request
-// instead of being read as some other request.
-//
-// attach_ns is attach into a named namespace (broker.go): the payload
-// carries the namespace name (uvarint length + raw bytes) and the
-// returned id binds the session into that namespace's Object. Sessions
-// from either attach form are addressed identically afterwards — getts
+// attach_ns is the one attach: the payload names a namespace (broker.go;
+// uvarint length + raw bytes, "default" for the daemon's own object) and
+// the returned id binds the session into that namespace's Object. getts
 // and detach frames carry only the capability id, so the steady-state
-// path is byte-for-byte the same with or without namespaces.
+// path is the same whichever namespace the lease is in.
+//
+// Types 0x01 and 0x04 stay unassigned, so an older client's bare attach
+// frame (0x01, into the default namespace) or compare frame (0x04) is
+// answered bad_request instead of being read as some other request.
+// There is no compare frame: compare(t1, t2) reads no register, so
+// clients order timestamps locally with tsspace.Less.
 //
 // one_shot is a single byte, 1 when the session's Object is one-shot:
 // the getts frame that issues its one timestamp also retires its lease
@@ -80,14 +79,12 @@ const MaxBinaryFrame = 1 << 20
 // token, carried verbatim.
 const binIDLen = 16
 
-// Frame types. Request types run from 0x01; response types are the
-// request type with the high bit set; frameError answers any request.
+// Frame types. Response types are the request type with the high bit
+// set; frameError answers any request.
 const (
-	frameAttach     byte = 0x01
 	frameGetTS      byte = 0x02
 	frameDetach     byte = 0x03
 	frameAttachNS   byte = 0x05
-	frameAttachOK   byte = 0x81
 	frameGetTSOK    byte = 0x82
 	frameDetachOK   byte = 0x83
 	frameAttachNSOK byte = 0x85
@@ -213,7 +210,7 @@ func sessionID(p []byte) (id, rest []byte, err error) {
 	return p[:binIDLen], p[binIDLen:], nil
 }
 
-// appendAttach encodes an attach or attach_ns response payload.
+// appendAttach encodes an attach_ns response payload.
 func appendAttach(dst []byte, id string, pid int, ttlMs int64, oneShot bool) []byte {
 	dst = append(dst, id...)
 	dst = binary.AppendUvarint(dst, uint64(pid))
@@ -225,10 +222,10 @@ func appendAttach(dst []byte, id string, pid int, ttlMs int64, oneShot bool) []b
 	return append(dst, flag)
 }
 
-// decodeAttach decodes an attach or attach_ns response payload into the
-// session id (aliasing p), the pid and the one-shot flag. The idle TTL
-// is advisory and skipped. A payload that ends at the TTL decodes as
-// long-lived, and bytes after the flag are ignored.
+// decodeAttach decodes an attach_ns response payload into the session id
+// (aliasing p), the pid and the one-shot flag. The idle TTL is advisory
+// and skipped. A payload that ends at the TTL decodes as long-lived, and
+// bytes after the flag are ignored.
 func decodeAttach(p []byte) (id []byte, pid int, oneShot bool, err error) {
 	id, rest, err := sessionID(p)
 	if err != nil {

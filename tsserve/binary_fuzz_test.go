@@ -12,9 +12,9 @@ import (
 // testID is a well-formed 16-hex-digit session id.
 const testID = "0123456789abcdef"
 
-// attachFrame returns an attachOK frame carrying payload.
+// attachFrame returns an attachNSOK frame carrying payload.
 func attachFrame(payload []byte) []byte {
-	return endFrame(append(beginFrame(nil, frameAttachOK), payload...), 0)
+	return endFrame(append(beginFrame(nil, frameAttachNSOK), payload...), 0)
 }
 
 // FuzzBinaryFrame feeds the wire-v3 frame reader arbitrary byte streams:
@@ -24,7 +24,7 @@ func attachFrame(payload []byte) []byte {
 // a frame, or the two framing violations).
 func FuzzBinaryFrame(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 1, frameAttach})                            // minimal well-formed frame
+	f.Add([]byte{0, 0, 0, 1, frameAttachNS})                          // minimal well-formed frame
 	f.Add([]byte{0, 0, 0, 0})                                         // empty frame: no type byte
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, frameGetTS})                 // oversized length claim
 	f.Add([]byte{0, 0, 0, 9, frameGetTS, 1, 2})                       // truncated payload

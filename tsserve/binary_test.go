@@ -395,7 +395,7 @@ func TestOneShotRoundTrips(t *testing.T) {
 				go front.ServeBinary(ln)
 				var sessionReqs atomic.Uint64
 				hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-					if strings.HasPrefix(r.URL.Path, "/session") {
+					if strings.HasPrefix(r.URL.Path, "/ns/default/session") {
 						sessionReqs.Add(1)
 					}
 					front.ServeHTTP(w, r)
@@ -460,13 +460,14 @@ func rawFrame(t *testing.T, c net.Conn, typ byte, payload []byte) {
 	}
 }
 
-// rawAttach sends a bare attach frame on c and splits the attachOK reply
-// into the session id and the byte after ttl_ms.
+// rawAttach sends an attach_ns frame into the default namespace on c and
+// splits the attachNSOK reply into the session id and the byte after
+// ttl_ms.
 func rawAttach(t *testing.T, c net.Conn) (id []byte, flag byte) {
 	t.Helper()
-	rawFrame(t, c, 0x01, nil) // frameAttach
+	rawFrame(t, c, 0x05, append([]byte{byte(len(tsserve.DefaultNamespace))}, tsserve.DefaultNamespace...)) // frameAttachNS
 	typ, p := readFrame(t, c)
-	if typ != 0x81 || len(p) < 16 { // frameAttachOK
+	if typ != 0x85 || len(p) < 16 { // frameAttachNSOK
 		t.Fatalf("attach reply type 0x%02x: %q", typ, p)
 	}
 	id, rest := p[:16], p[16:]
@@ -539,9 +540,9 @@ func TestBinaryAttachReplyFlag(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.WireSessions != 0 || m.Namespaces[0].WireSessions != 0 || obj.Stats().ActiveSessions != 0 {
+		if m.WireSessions != 0 || defaultEntry(t, m).WireSessions != 0 || obj.Stats().ActiveSessions != 0 {
 			t.Errorf("books after %d spent leases: %d wire leases (%d in default), %d active SDK sessions; want 0",
-				procs, m.WireSessions, m.Namespaces[0].WireSessions, obj.Stats().ActiveSessions)
+				procs, m.WireSessions, defaultEntry(t, m).WireSessions, obj.Stats().ActiveSessions)
 		}
 		if m.UnknownSessions != procs {
 			t.Errorf("unknown-session counter %d, want %d", m.UnknownSessions, procs)
@@ -558,19 +559,8 @@ func TestBinaryConnCloseReleasesSessions(t *testing.T) {
 	bc, _, _, obj := newBinaryServer(t, tsserve.ServerConfig{},
 		tsspace.WithAlgorithm("collect"), tsspace.WithProcs(1))
 	// Raw client: magic, one attach frame, then vanish without a detach.
-	c, err := net.Dial("tcp", bc.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Write([]byte(tsserve.BinaryMagic)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Write([]byte{0, 0, 0, 1, 0x01}); err != nil { // frameAttach
-		t.Fatal(err)
-	}
-	if typ, _ := readFrame(t, c); typ != 0x81 { // frameAttachOK
-		t.Fatalf("attach response type 0x%02x", typ)
-	}
+	c := rawConn(t, bc.Addr())
+	rawAttach(t, c)
 	c.Close()
 	// The one pid must become leasable again once the server notices.
 	attachCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

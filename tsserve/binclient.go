@@ -20,10 +20,10 @@ const maxIdleBinConns = 64
 
 // BinaryClient speaks the wire-v3 binary protocol to a tsserved daemon's
 // -binary-addr listener. It pools TCP connections the way an HTTP client
-// pools keep-alives: Attach takes a pooled (or freshly dialed) connection
-// and binds it to the returned session; Detach returns it. Sessions are
-// one logical client each, so one connection per live session is exactly
-// the pipelining shape the server is built for.
+// pools keep-alives: AttachNamespace takes a pooled (or freshly dialed)
+// connection and binds it to the returned session; Detach returns it.
+// Sessions are one logical client each, so one connection per live
+// session is exactly the pipelining shape the server is built for.
 //
 // The binary protocol is the data plane only — health, metrics and the
 // space report stay on the daemon's HTTP endpoints (see Client).
@@ -37,7 +37,7 @@ type BinaryClient struct {
 
 // NewBinaryClient returns a client for the daemon's binary listener at
 // addr (e.g. "127.0.0.1:8038"). No connection is made until the first
-// Attach.
+// attach.
 func NewBinaryClient(addr string) *BinaryClient {
 	return &BinaryClient{addr: addr}
 }
@@ -198,29 +198,22 @@ func (cn *binClientConn) ioErr(ctx context.Context, err error) error {
 	return err
 }
 
-// Attach leases a server-side session over a pooled binary connection and
-// binds the connection to the returned handle until Detach. The lease
-// lives in the daemon's shared wire-session table: idle past the TTL it
-// is reaped exactly like an HTTP lease, after which calls report
-// tsspace.ErrDetached.
+// Attach is AttachNamespace into the default namespace. It stays only
+// for the benchmark's callers.
 func (c *BinaryClient) Attach(ctx context.Context) (*BinarySession, error) {
-	cn, err := c.getConn(ctx)
-	if err != nil {
-		return nil, err
-	}
-	cn.arm(ctx)
-	cn.out = beginFrame(cn.out[:0], frameAttach)
-	cn.out = endFrame(cn.out, 0)
-	return c.finishAttach(ctx, cn, frameAttachOK)
+	return c.AttachNamespace(ctx, DefaultNamespace)
 }
 
-// AttachNamespace leases a session bound into the named namespace via
-// the attach_ns frame. The namespace must be provisioned over the
+// AttachNamespace leases a server-side session bound into the named
+// namespace ("default" for the daemon's own object) over a pooled
+// binary connection, and binds the connection to the returned handle
+// until Detach. Any other namespace must be provisioned over the
 // daemon's HTTP broker surface first (Client.ProvisionNamespace);
 // attaching into an unprovisioned name fails with ErrUnknownNamespace,
-// and a namespace at its session quota with ErrQuota. The returned
-// session is addressed by capability id exactly like Attach's — its
-// steady-state GetTSBatch path is byte-identical and allocation-free.
+// and a namespace at its session quota with ErrQuota. The lease lives
+// in the daemon's shared wire-session table: idle past the TTL it is
+// reaped exactly like an HTTP lease, after which calls report
+// tsspace.ErrDetached.
 func (c *BinaryClient) AttachNamespace(ctx context.Context, name string) (*BinarySession, error) {
 	cn, err := c.getConn(ctx)
 	if err != nil {
@@ -231,13 +224,7 @@ func (c *BinaryClient) AttachNamespace(ctx context.Context, name string) (*Binar
 	cn.out = binary.AppendUvarint(cn.out, uint64(len(name)))
 	cn.out = append(cn.out, name...)
 	cn.out = endFrame(cn.out, 0)
-	return c.finishAttach(ctx, cn, frameAttachNSOK)
-}
-
-// finishAttach runs the staged attach exchange and decodes the reply
-// shared by both attach forms.
-func (c *BinaryClient) finishAttach(ctx context.Context, cn *binClientConn, okType byte) (*BinarySession, error) {
-	p, err := cn.exchange(ctx, okType)
+	p, err := cn.exchange(ctx, frameAttachNSOK)
 	if err != nil {
 		c.putConn(cn) // broken conns are closed there; error frames leave it pooled
 		return nil, err

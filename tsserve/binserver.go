@@ -19,8 +19,8 @@ var ErrServerClosed = errors.New("tsserve: server closed")
 
 // ServeBinary serves the wire-v3 binary protocol on ln until the listener
 // fails or the server is closed. It shares the server's session space
-// with the HTTP front end: binary attach frames lease sessions in the
-// same table, the same idle-TTL reaper detaches abandoned leases, and
+// with the HTTP front end: attach_ns frames lease sessions in the same
+// table, the same idle-TTL reaper detaches abandoned leases, and
 // Close drains binary connections alongside the HTTP sessions. Run it on
 // its own goroutine next to the HTTP server:
 //
@@ -168,8 +168,6 @@ func (st *binServerConn) handle(typ byte, payload []byte) {
 	switch typ {
 	case frameGetTS:
 		st.getTS(payload)
-	case frameAttach:
-		st.attach(payload)
 	case frameAttachNS:
 		st.attachNS(payload)
 	case frameDetach:
@@ -208,8 +206,8 @@ func (st *binServerConn) getTS(payload []byte) {
 	ws, ok := s.lookupKey(id)
 	if !ok {
 		// Frames carry no namespace, so the rejection books under the
-		// default namespace's id.
-		st.writeError(binCodeUnknownSession, s.rejectUnknownSession(s.defaultNS.id, string(id)))
+		// default namespace's id, 0.
+		st.writeError(binCodeUnknownSession, s.rejectUnknownSession(0, string(id)))
 		return
 	}
 	// One-shot-ness is the session's namespace's property, so the check
@@ -241,20 +239,12 @@ func (st *binServerConn) getTS(payload []byte) {
 	}
 }
 
-// attach leases a session in the shared wire table, owned by this
-// connection. The bare attach frame binds into the default namespace.
-func (st *binServerConn) attach(payload []byte) {
-	if len(payload) != 0 {
-		st.writeError(binCodeBadRequest, "attach: unexpected payload")
-		return
-	}
-	st.attachInto(st.s.defaultNS, frameAttachOK)
-}
-
-// attachNS is the wire-v3 namespace-bound attach: the payload names a
-// namespace (uvarint length + raw bytes) and the lease binds into that
-// namespace's Object. An unprovisioned name answers the broker's own
-// unknown_namespace code, never unknown_session.
+// attachNS is the wire-v3 attach: the payload names a namespace
+// (uvarint length + raw bytes) and the lease, owned by this connection,
+// binds into that namespace's Object in the shared wire table. The
+// reply is flagged one-shot when the namespace's object is. An
+// unprovisioned name answers the broker's own unknown_namespace code,
+// never unknown_session.
 func (st *binServerConn) attachNS(payload []byte) {
 	s := st.s
 	l, off, err := uvarint(payload, 0)
@@ -269,19 +259,12 @@ func (st *binServerConn) attachNS(payload []byte) {
 		st.writeError(binCodeUnknownNamespace, fmt.Sprintf("unknown namespace %q (never provisioned, or already deprovisioned)", name))
 		return
 	}
-	st.attachInto(ns, frameAttachNSOK)
-}
-
-// attachInto leases a session in ns owned by this connection and
-// answers it in an okType frame, flagged one-shot when ns's object is.
-func (st *binServerConn) attachInto(ns *namespace, okType byte) {
-	s := st.s
 	ws, code, err := s.attach(s.binCtx, ns, st)
 	if err != nil {
 		st.writeError(code, err.Error())
 		return
 	}
-	st.out = beginFrame(st.out[:0], okType)
+	st.out = beginFrame(st.out[:0], frameAttachNSOK)
 	st.out = appendAttach(st.out, ws.id, ws.sess.Pid(), s.sessionTTL.Milliseconds(), ns.obj.OneShot())
 	st.out = endFrame(st.out, 0)
 	st.write()
@@ -297,7 +280,7 @@ func (st *binServerConn) detach(payload []byte) {
 	}
 	took := s.take(anyLease, string(id))
 	if len(took) == 0 {
-		st.writeError(binCodeUnknownSession, s.rejectUnknownSession(s.defaultNS.id, string(id)))
+		st.writeError(binCodeUnknownSession, s.rejectUnknownSession(0, string(id)))
 		return
 	}
 	calls := s.retire(took[0], retireDetach)

@@ -7,7 +7,7 @@ package tsserve
 //
 //	GET    /catalog      → the registered algorithms (name, summary,
 //	                       one-shot-ness, minimum procs)
-//	GET    /ns           → the provisioned namespace names
+//	GET    /ns           → the live namespace names, "default" included
 //	PUT    /ns/{name}    → provision a named Object (algorithm, procs,
 //	                       session quota); idempotent for an identical
 //	                       spec, namespace_exists for a different one
@@ -15,8 +15,8 @@ package tsserve
 //	                       close its Object; unknown_namespace if absent
 //
 // Binding is namespace-scoped session attach on both transports: the
-// wire-v2 session endpoints replicated under /ns/{name}/..., and the
-// wire-v3 attach_ns frame carrying the namespace name (binary.go).
+// wire-v2 session endpoints under /ns/{name}/..., and the wire-v3
+// attach_ns frame carrying the namespace name (binary.go).
 // Every namespace keeps its own lease accounting — a session quota
 // enforced at attach, per-namespace space/session/rejection series in
 // both /metrics views, and a namespace id on every flight-recorder
@@ -24,10 +24,10 @@ package tsserve
 // table, so the per-frame hot path stays exactly as allocation-free as
 // it was with one Object.
 //
-// The daemon's constructor Object is the "default" namespace: always
-// present, never deprovisionable, unlimited quota, owned by the caller.
-// Provisioned Objects are owned by the broker and closed on
-// deprovision or server Close.
+// The daemon's constructor Object is the "default" entry of the same
+// table: always present, never provisioned or deprovisioned, unlimited
+// quota, owned by the caller. Provisioned Objects are owned by the
+// broker and closed on deprovision or server Close.
 
 import (
 	"errors"
@@ -74,8 +74,8 @@ type CatalogResponse struct {
 	Algorithms []CatalogEntry `json:"algorithms"`
 }
 
-// NamespaceList is the GET /ns body: every live namespace name, the
-// default included, sorted.
+// NamespaceList is the GET /ns body: every live namespace name,
+// "default" included, sorted.
 type NamespaceList struct {
 	Namespaces []string `json:"namespaces"`
 }
@@ -204,13 +204,8 @@ func algorithmSummary(alg string) string {
 	return ""
 }
 
-// resolveNS maps a wire namespace name to its live namespace. The
-// empty name (the un-prefixed wire-v2 routes and the wire-v3 attach
-// frame) and "default" both resolve to the default namespace.
+// resolveNS maps a wire namespace name to its live namespace.
 func (s *Server) resolveNS(name string) (*namespace, bool) {
-	if name == "" || name == DefaultNamespace {
-		return s.defaultNS, true
-	}
 	s.nsMu.RLock()
 	ns, ok := s.namespaces[name]
 	s.nsMu.RUnlock()
@@ -240,19 +235,17 @@ func (s *Server) rejectUnknownNamespace() {
 	s.met.ring.Record(obs.EventError, 0, -1, int64(binCodeUnknownNamespace))
 }
 
-// namespaceList snapshots every live namespace, default first, then
-// provisioned sorted by name — the sample order of every
-// namespace-labeled metric family and of the JSON namespaces section.
+// namespaceList snapshots every live namespace sorted by name — the
+// order of GET /ns, of the JSON namespaces section and of the samples
+// of every namespace-labeled metric family.
 func (s *Server) namespaceList() []*namespace {
 	s.nsMu.RLock()
-	out := make([]*namespace, 0, len(s.namespaces)+1)
-	out = append(out, s.defaultNS)
+	out := make([]*namespace, 0, len(s.namespaces))
 	for _, ns := range s.namespaces {
 		out = append(out, ns)
 	}
 	s.nsMu.RUnlock()
-	rest := out[1:]
-	sort.Slice(rest, func(i, j int) bool { return rest[i].name < rest[j].name })
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }
 
@@ -273,7 +266,6 @@ func (s *Server) handleNamespaces(w http.ResponseWriter, r *http.Request) {
 	for _, ns := range s.namespaceList() {
 		names = append(names, ns.name)
 	}
-	sort.Strings(names)
 	writeJSON(w, http.StatusOK, NamespaceList{Namespaces: names})
 }
 
@@ -282,8 +274,8 @@ func (s *Server) handleNamespaces(w http.ResponseWriter, r *http.Request) {
 // namespace_exists; the server-wide namespace cap is quota_exhausted.
 // The object builds each paper-process on its first lease, so a
 // provision takes a fixed number of allocations whatever the proc count;
-// only the sizes of the register array, the writer table and the lease
-// channel grow with it.
+// only the sizes of the register array and the lease channel grow with
+// it.
 func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !validNamespaceName(name) {
@@ -296,11 +288,12 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
+	def, _ := s.resolveNS(DefaultNamespace)
 	if req.Algorithm == "" {
-		req.Algorithm = s.defaultNS.obj.Algorithm()
+		req.Algorithm = def.algorithm
 	}
 	if req.Procs < 1 {
-		req.Procs = s.defaultNS.obj.Procs()
+		req.Procs = def.procs
 	}
 	if req.MaxSessions < 0 {
 		req.MaxSessions = 0
@@ -324,7 +317,7 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("namespace %q already provisioned with a different spec", name))
 		return
 	}
-	if len(s.namespaces) >= maxNamespaces {
+	if len(s.namespaces)-1 >= maxNamespaces { // "default" is not counted
 		s.nsMu.Unlock()
 		writeError(w, http.StatusTooManyRequests, CodeQuota,
 			fmt.Sprintf("namespace cap %d reached", maxNamespaces))

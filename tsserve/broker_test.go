@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -101,6 +102,98 @@ func TestNamespaceTimestampsOrderUnderLess(t *testing.T) {
 	}
 	if id, _ := rawAttach(t, conn); len(id) != 16 {
 		t.Fatalf("attach after the unknown frame returned id %q", id)
+	}
+}
+
+// The default namespace is one entry of the namespace table: an HTTP
+// Client.Attach, a BinaryClient.Attach and an AttachNamespace into
+// "default" all lease from the daemon's one object, which the "default"
+// entry of /metrics and its labeled Prometheus samples count. The bare
+// wire-v3 attach frame (0x01) is gone: it is answered like any unknown
+// type, on a connection that stays usable. GET /ns and the JSON
+// namespaces section list the same names in the same order, "default"
+// sorted among the provisioned ones.
+func TestOneNamespaceModel(t *testing.T) {
+	bc, c, _, obj := newBinaryServer(t, tsserve.ServerConfig{},
+		tsspace.WithAlgorithm("collect"), tsspace.WithProcs(4), tsspace.WithMetering())
+	ctx := context.Background()
+
+	httpSess, err := c.Attach(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binSess, err := bc.Attach(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nsSess, err := bc.AttachNamespace(ctx, tsserve.DefaultNamespace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := defaultEntry(t, m); d.WireSessions != 3 || obj.Stats().ActiveSessions != 3 {
+		t.Fatalf("three default leases: entry %+v, %d active SDK sessions; want 3 and 3", d, obj.Stats().ActiveSessions)
+	}
+	for i, s := range []tsspace.SessionAPI{httpSess, binSess, nsSess} {
+		if _, err := s.GetTS(ctx); err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		if err := s.Detach(); err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+	}
+	if m, err = c.Metrics(ctx); err != nil {
+		t.Fatal(err)
+	}
+	d := defaultEntry(t, m)
+	if st := obj.Stats(); d.Calls != 3 || d.Attaches != 3 || st.Calls != 3 || st.Attaches != 3 {
+		t.Errorf("default entry %+v and object %+v, want 3 calls and 3 attaches in both", d, st)
+	}
+	resp, err := http.Get(c.BaseURL() + "/metrics/prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	_, err = body.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := promValue(t, body.Bytes(), `tsserve_ns_attaches_total{namespace="default"}`); got != 3 {
+		t.Errorf(`tsserve_ns_attaches_total{namespace="default"} = %d, want 3`, got)
+	}
+
+	conn := rawConn(t, bc.Addr())
+	rawFrame(t, conn, 0x01, nil) // the retired bare attach
+	typ, p := readFrame(t, conn)
+	if typ != 0xFF || len(p) < 1 || p[0] != 1 || string(p[1:]) != "unknown frame type 0x01" { // frameError, bad_request
+		t.Fatalf("frame type 0x01 answered 0x%02x %q, want bad_request \"unknown frame type 0x01\"", typ, p)
+	}
+	if id, _ := rawAttach(t, conn); len(id) != 16 {
+		t.Fatalf("attach after the unknown frame returned id %q", id)
+	}
+
+	for _, name := range []string{"zeta", "alpha"} {
+		if _, err := c.ProvisionNamespace(ctx, name, tsserve.ProvisionRequest{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	listed, err := c.Namespaces(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err = c.Metrics(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var section []string
+	for _, nm := range m.Namespaces {
+		section = append(section, nm.Name)
+	}
+	if want := []string{"alpha", "default", "zeta"}; !slices.Equal(listed, want) || !slices.Equal(section, want) {
+		t.Errorf("GET /ns lists %v and the metrics section %v, want %v in both", listed, section, want)
 	}
 }
 
@@ -350,7 +443,7 @@ func TestUnknownNamespaceDistinctFromUnknownSession(t *testing.T) {
 	// Drive the unknown-session path for contrast.
 	bogus := strings.Repeat("e", 16)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.BaseURL()+"/session/"+bogus+"/getts", bytes.NewReader([]byte(`{"count":1}`)))
+		c.BaseURL()+"/ns/default/session/"+bogus+"/getts", bytes.NewReader([]byte(`{"count":1}`)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,16 +37,16 @@ var defaultClient = sync.OnceValue(func() *http.Client {
 // wire exactly as any other client's would; timestamps are ordered
 // locally with tsspace.Less.
 //
-// A Client binds to one namespace. NewClient binds the default
-// namespace (the daemon's constructor Object); Namespace derives a
-// client bound to a provisioned one. The broker surface — Catalog,
-// ProvisionNamespace, DeprovisionNamespace, Namespaces, Metrics — is
-// daemon-global and ignores the binding.
+// A Client binds to one namespace. NewClient binds "default" (the
+// daemon's constructor Object); Namespace derives a client bound to
+// another. The broker surface — Catalog, ProvisionNamespace,
+// DeprovisionNamespace, Namespaces, Metrics — is daemon-global and
+// ignores the binding.
 type Client struct {
 	base string
 	hc   *http.Client
-	// prefix scopes the session-plane paths: "" for the default
-	// namespace, "/ns/{name}" for a bound one.
+	// prefix scopes the session-plane paths: "/ns/{name}" of the bound
+	// namespace.
 	prefix string
 }
 
@@ -59,7 +59,7 @@ func NewClient(baseURL string, hc *http.Client) *Client {
 	if hc == nil {
 		hc = defaultClient()
 	}
-	return &Client{base: baseURL, hc: hc}
+	return &Client{base: baseURL, hc: hc, prefix: "/ns/" + DefaultNamespace}
 }
 
 // BaseURL returns the daemon URL the client talks to.
@@ -72,9 +72,6 @@ func (c *Client) BaseURL() string { return c.base }
 // fail with ErrUnknownNamespace. The derived client shares the
 // transport.
 func (c *Client) Namespace(name string) *Client {
-	if name == "" || name == DefaultNamespace {
-		return &Client{base: c.base, hc: c.hc}
-	}
 	return &Client{base: c.base, hc: c.hc, prefix: "/ns/" + name}
 }
 
@@ -114,7 +111,8 @@ func (e *APIError) Is(target error) bool {
 	return false
 }
 
-// Attach leases a server-side session (wire v2) and returns its handle.
+// Attach leases a server-side session (wire v2) in the client's
+// namespace and returns its handle.
 // The lease pins one of the daemon's paper-processes until Detach — or
 // until it sits idle past the daemon's TTL and is reaped, after which the
 // handle's calls report tsspace.ErrDetached.
@@ -217,7 +215,7 @@ func (s *RemoteSession) Detach() error {
 	return nil
 }
 
-// Health fetches /healthz.
+// Health fetches the bound namespace's /ns/{name}/healthz.
 func (c *Client) Health(ctx context.Context) (Health, error) {
 	var h Health
 	err := c.get(ctx, c.scoped("/healthz"), &h)

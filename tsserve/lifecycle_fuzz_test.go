@@ -175,21 +175,15 @@ func (h *lcHarness) attach(binary bool, ns string) {
 	var sess tsspace.SessionAPI
 	var id string
 	var err error
-	switch {
-	case !binary:
-		var rs *RemoteSession
-		if rs, err = h.c.Namespace(ns).Attach(h.ctx); err == nil {
-			sess, id = rs, rs.ID()
-		}
-	case ns == DefaultNamespace:
-		var bs *BinarySession
-		if bs, err = h.bc.Attach(h.ctx); err == nil {
-			sess, id = bs, bs.ID()
-		}
-	default:
+	if binary {
 		var bs *BinarySession
 		if bs, err = h.bc.AttachNamespace(h.ctx, ns); err == nil {
 			sess, id = bs, bs.ID()
+		}
+	} else {
+		var rs *RemoteSession
+		if rs, err = h.c.Namespace(ns).Attach(h.ctx); err == nil {
+			sess, id = rs, rs.ID()
 		}
 	}
 	switch {

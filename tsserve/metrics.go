@@ -19,11 +19,11 @@ import (
 //     frame/byte counts, rejected frames) and the per-endpoint latency
 //     histograms are allocated here and written by the handlers; this
 //     struct is their only bookkeeping location.
-//   - derived: everything the SDK object already counts (calls,
-//     attaches, active sessions, register-space totals) and the session
-//     table's sizes are sampled at scrape time via CounterFunc /
-//     GaugeFunc, so the object's own atomics stay the single source of
-//     truth.
+//   - derived: everything the SDK objects already count (calls,
+//     attaches, register-space totals) and the session table's sizes
+//     are sampled at scrape time via GaugeFunc, CounterVecFunc and
+//     GaugeVecFunc, so the objects' own atomics stay the single source
+//     of truth.
 type serverMetrics struct {
 	reg  *obs.Registry
 	ring *obs.Ring
@@ -92,15 +92,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 
 	// Derived series: sampled from the SDK objects and the session table
 	// at scrape time. The objects' counters are the bookkeeping; these
-	// closures only read them. The unlabeled tsserve_* families keep
-	// their pre-broker meaning — the default namespace's object — so
-	// dashboards built against a single-object daemon read unchanged.
-	r.CounterFunc("tsserve_calls_total", "Timestamps issued by the default namespace's object (getTS calls).",
-		func() float64 { return float64(s.defaultNS.obj.Stats().Calls) })
-	r.CounterFunc("tsserve_attaches_total", "Sessions handed out by the default namespace's object, wire and in-process.",
-		func() float64 { return float64(s.defaultNS.obj.Stats().Attaches) })
-	r.GaugeFunc("tsserve_active_sessions", "Currently attached SDK sessions on the default namespace.",
-		func() float64 { return float64(s.defaultNS.obj.Stats().ActiveSessions) })
+	// closures only read them.
 	r.GaugeFunc("tsserve_wire_sessions", "Live wire leases, HTTP and binary, all namespaces.",
 		func() float64 { wire, _ := s.sessionCounts(); return float64(wire) })
 	r.GaugeFunc("tsserve_binary_sessions", "Live wire leases attached over the binary transport, all namespaces.",
@@ -108,10 +100,10 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.GaugeFunc("tsserve_uptime_seconds", "Seconds since the server was constructed.",
 		func() float64 { return time.Since(s.start).Seconds() })
 
-	// Per-namespace series, one sample per provisioned namespace labeled
-	// namespace="...". Sampled over the live namespace table at scrape
-	// time, so a PUT /ns/{name} shows up on the very next scrape with no
-	// re-registration.
+	// Per-namespace series, one sample per live namespace ("default"
+	// included) labeled namespace="...". Sampled over the namespace
+	// table at scrape time, so a PUT /ns/{name} shows up on the very
+	// next scrape with no re-registration.
 	r.GaugeVecFunc("tsserve_ns_sessions", "Live wire leases per namespace.", "namespace",
 		func() []obs.Sample {
 			return s.sampleNamespaces(func(ns *namespace) (float64, bool) { return float64(ns.active.Load()), true })
@@ -119,6 +111,10 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.CounterVecFunc("tsserve_ns_calls_total", "Timestamps issued per namespace.", "namespace",
 		func() []obs.Sample {
 			return s.sampleNamespaces(func(ns *namespace) (float64, bool) { return float64(ns.obj.Stats().Calls), true })
+		})
+	r.CounterVecFunc("tsserve_ns_attaches_total", "Sessions handed out per namespace, wire and in-process.", "namespace",
+		func() []obs.Sample {
+			return s.sampleNamespaces(func(ns *namespace) (float64, bool) { return float64(ns.obj.Stats().Attaches), true })
 		})
 	r.CounterVecFunc("tsserve_ns_reaped_total", "Idle wire sessions detached by the TTL reaper, per namespace.", "namespace",
 		func() []obs.Sample {
@@ -164,9 +160,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 	return m
 }
 
-// sampleNamespaces renders one labeled sample per live namespace, default
-// first then the rest in name order (namespaceList's canonical order, so
-// repeated scrapes diff cleanly). sample returns (value, include); a
+// sampleNamespaces renders one labeled sample per live namespace in name
+// order (namespaceList's canonical order, so repeated scrapes diff
+// cleanly). sample returns (value, include); a
 // false include drops the namespace from this family — how the metered-
 // only register series skip unmetered namespaces.
 func (s *Server) sampleNamespaces(sample func(*namespace) (float64, bool)) []obs.Sample {
@@ -198,16 +194,9 @@ func (s *Server) sessionCounts() (wire, binary int) {
 // registry handles and SDK counters the Prometheus exposition samples —
 // the two endpoints are two renderings of one set of books.
 func (s *Server) MetricsSnapshot() Metrics {
-	st := s.defaultNS.obj.Stats()
-	uptime := time.Since(s.start).Seconds()
 	wire, binSessions := s.sessionCounts()
 	m := Metrics{
-		Algorithm:         s.defaultNS.obj.Algorithm(),
-		Procs:             s.defaultNS.obj.Procs(),
-		Calls:             st.Calls,
 		Batches:           s.met.batches.Value(),
-		Attaches:          st.Attaches,
-		ActiveSessions:    st.ActiveSessions,
 		WireSessions:      wire,
 		BinarySessions:    binSessions,
 		ReapedSessions:    s.met.reaped.Value(),
@@ -219,13 +208,7 @@ func (s *Server) MetricsSnapshot() Metrics {
 		BadMagicConns:     s.met.badMagicConns.Value(),
 		UnknownSessions:   s.met.unknownSessions.Value(),
 		UnknownNamespaces: s.met.unknownNamespaces.Value(),
-		UptimeSeconds:     uptime,
-	}
-	if uptime > 0 {
-		m.CallsPerSecond = float64(st.Calls) / uptime
-	}
-	if t, metered := s.defaultNS.obj.SpaceTotals(); metered {
-		m.Space = &Space{Registers: t.Registers, Written: t.Written, Reads: t.Reads, Writes: t.Writes}
+		UptimeSeconds:     time.Since(s.start).Seconds(),
 	}
 	// Per-namespace section, same sources and order as the Prometheus
 	// tsserve_ns_* / tsspace_registers* vec families — the two /metrics
@@ -239,12 +222,16 @@ func (s *Server) MetricsSnapshot() Metrics {
 			OneShot:         ns.obj.OneShot(),
 			MaxSessions:     ns.maxSessions,
 			Calls:           nst.Calls,
+			Attaches:        nst.Attaches,
 			WireSessions:    ns.active.Load(),
 			ReapedSessions:  ns.reaped.Load(),
 			QuotaRejections: ns.quotaRejections.Load(),
 		}
 		if t, metered := ns.obj.SpaceTotals(); metered {
 			nm.Space = &Space{Registers: t.Registers, Written: t.Written, Reads: t.Reads, Writes: t.Writes}
+		}
+		if ns.name == DefaultNamespace {
+			m.Space = nm.Space
 		}
 		m.Namespaces = append(m.Namespaces, nm)
 	}

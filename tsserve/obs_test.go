@@ -149,12 +149,12 @@ func TestDebugEventsRecordUnknownSession(t *testing.T) {
 		send     func(t *testing.T, id string)
 	}{
 		{"http getts", strings.Repeat("f", 16), func(t *testing.T, id string) {
-			if got := httpStatus(t, http.MethodPost, "/session/"+id+"/getts", `{"count":1}`); got != http.StatusNotFound {
+			if got := httpStatus(t, http.MethodPost, "/ns/default/session/"+id+"/getts", `{"count":1}`); got != http.StatusNotFound {
 				t.Fatalf("status %d, want 404", got)
 			}
 		}},
 		{"http detach", strings.Repeat("e", 16), func(t *testing.T, id string) {
-			if got := httpStatus(t, http.MethodDelete, "/session/"+id, ""); got != http.StatusNotFound {
+			if got := httpStatus(t, http.MethodDelete, "/ns/default/session/"+id, ""); got != http.StatusNotFound {
 				t.Fatalf("status %d, want 404", got)
 			}
 		}},
@@ -306,7 +306,7 @@ func TestMetricsTwoViewsOneRegistry(t *testing.T) {
 	}
 	// A getts on the now-detached lease drives the unknown-session path.
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.BaseURL()+"/session/"+sess.ID()+"/getts", bytes.NewReader([]byte(`{"count":1}`)))
+		c.BaseURL()+"/ns/default/session/"+sess.ID()+"/getts", bytes.NewReader([]byte(`{"count":1}`)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,22 +338,23 @@ func TestMetricsTwoViewsOneRegistry(t *testing.T) {
 		t.Fatalf("exposition does not validate: %v\n%s", err, body.String())
 	}
 
+	d := defaultEntry(t, m)
 	for _, want := range []struct {
 		family string
 		sample string // exposition sample name; "" means the bare family
 		json   uint64
 	}{
-		{"tsserve_calls_total", "", m.Calls},
 		{"tsserve_batches_total", "", m.Batches},
-		{"tsserve_attaches_total", "", m.Attaches},
 		{"tsserve_unknown_sessions_total", "", m.UnknownSessions},
 		{"tsserve_unknown_namespaces_total", "", m.UnknownNamespaces},
 		{"tsserve_rejected_frames_oversized_total", "", m.OversizedFrames},
 		{"tsserve_rejected_conns_bad_magic_total", "", m.BadMagicConns},
-		// The register-space families are namespace-labeled; the default
-		// namespace's sample must agree with the JSON space block.
-		{"tsspace_registers_used", `tsspace_registers_used{namespace="default"}`, uint64(m.Space.Written)},
-		{"tsserve_ns_calls_total", `tsserve_ns_calls_total{namespace="default"}`, m.Calls},
+		// The object counts and the register-space families are
+		// namespace-labeled; the default namespace's samples must agree
+		// with its JSON entry.
+		{"tsspace_registers_used", `tsspace_registers_used{namespace="default"}`, uint64(d.Space.Written)},
+		{"tsserve_ns_calls_total", `tsserve_ns_calls_total{namespace="default"}`, d.Calls},
+		{"tsserve_ns_attaches_total", `tsserve_ns_attaches_total{namespace="default"}`, d.Attaches},
 	} {
 		if _, ok := families[want.family]; !ok {
 			t.Errorf("exposition missing family %s", want.family)
@@ -368,13 +369,13 @@ func TestMetricsTwoViewsOneRegistry(t *testing.T) {
 		}
 	}
 	// The JSON namespaces section must mirror the labeled families: one
-	// entry, the default namespace, same space numbers.
-	if len(m.Namespaces) != 1 || m.Namespaces[0].Name != tsserve.DefaultNamespace {
+	// entry, the default namespace, which the top-level space block
+	// repeats.
+	if len(m.Namespaces) != 1 {
 		t.Fatalf("namespaces section = %+v, want exactly the default namespace", m.Namespaces)
 	}
-	if nsm := m.Namespaces[0]; nsm.Space == nil || nsm.Space.Written != m.Space.Written || nsm.Calls != m.Calls {
-		t.Errorf("default-namespace metrics %+v disagree with the top-level view (calls %d, written %d)",
-			nsm, m.Calls, m.Space.Written)
+	if m.Space == nil || *m.Space != *d.Space {
+		t.Errorf("top-level space %v disagrees with the default namespace's %v", m.Space, *d.Space)
 	}
 	if m.UnknownSessions == 0 {
 		t.Error("unknown-session counter did not move")

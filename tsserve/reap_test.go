@@ -23,7 +23,8 @@ func TestReaperSparesBatchInFlight(t *testing.T) {
 	// ticks reap.
 	s := NewServer(obj, ServerConfig{SessionTTL: time.Hour})
 	t.Cleanup(func() { s.Close(); obj.Close() })
-	ws, _, err := s.attach(context.Background(), s.defaultNS, nil)
+	def, _ := s.resolveNS(DefaultNamespace)
+	ws, _, err := s.attach(context.Background(), def, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestReaperSparesBatchInFlight(t *testing.T) {
 
 	ws.mu.Lock() // a batch in flight, held the way issue holds it
 	s.reapIdle(past)
-	if _, ok := s.lookupIn(s.defaultNS, ws.id); !ok {
+	if _, ok := s.lookupIn(def, ws.id); !ok {
 		// No Unlock: a reaper that retired the lease has released it.
 		t.Fatal("reaper retired a lease with a batch in flight")
 	}
@@ -41,7 +42,7 @@ func TestReaperSparesBatchInFlight(t *testing.T) {
 	}
 
 	s.reapIdle(past)
-	if _, ok := s.lookupIn(s.defaultNS, ws.id); ok {
+	if _, ok := s.lookupIn(def, ws.id); ok {
 		t.Fatal("reaper kept a lease idle past its TTL once the batch ended")
 	}
 	if got := s.met.reaped.Value(); got != 1 {

@@ -15,14 +15,15 @@ import (
 	"tsspace/internal/obs"
 )
 
-// Wire v2: session-scoped endpoints. A remote caller attaches once,
-// pipelines any number of session-scoped batches over the same lease, and
-// detaches explicitly — the SDK's lease/churn semantics over HTTP instead
-// of one hidden attach per batch:
+// Wire v2: session-scoped endpoints. A remote caller attaches once into
+// a namespace ("default" for the daemon's own object), pipelines any
+// number of session-scoped batches over the same lease, and detaches
+// explicitly — the SDK's lease/churn semantics over HTTP instead of one
+// hidden attach per batch:
 //
-//	POST   /session               → {"session_id": ..., "pid": p, "idle_ttl_ms": t, "one_shot": b}
-//	POST   /session/{id}/getts    {"count": k} → {"pid": p, "timestamps": [...]}
-//	DELETE /session/{id}          → {"calls": c}
+//	POST   /ns/{name}/session       → {"session_id", "namespace", "pid", "idle_ttl_ms", "one_shot"}
+//	POST   /ns/{name}/session/{id}/getts {"count": k} → {"pid": p, "timestamps": [...]}
+//	DELETE /ns/{name}/session/{id}  → {"calls": c}
 //
 // A server-side session whose lease sits idle longer than the configured
 // TTL is reaped (detached and its pid recycled), so abandoned remote
@@ -31,9 +32,8 @@ import (
 // tsspace.ErrDetached. A one-shot lease ends with its getTS: the server
 // retires it before answering, so its client detaches without a request.
 
-// AttachResponse is the body of POST /session and POST
-// /ns/{name}/session: a leased server-side session, bound into the
-// named namespace ("default" on the un-prefixed route). The lease is
+// AttachResponse is the body of POST /ns/{name}/session: a leased
+// server-side session, bound into the named namespace. The lease is
 // renewed by every session-scoped request; after IdleTTLMs without one
 // it may be reaped. OneShot marks a lease of a one-shot object: the
 // getTS that issues its timestamp also retires it, so a later detach
@@ -46,8 +46,8 @@ type AttachResponse struct {
 	OneShot   bool   `json:"one_shot"`
 }
 
-// DetachResponse is the body of DELETE /session/{id}. Calls is the number
-// of timestamps the session issued over its lifetime.
+// DetachResponse is the body of DELETE /ns/{name}/session/{id}. Calls is
+// the number of timestamps the session issued over its lifetime.
 type DetachResponse struct {
 	Calls int `json:"calls"`
 }
@@ -300,9 +300,9 @@ func (s *Server) reapIdle(now time.Time) {
 // Close stops the idle reaper, shuts the binary listeners and
 // connections (after a short grace for in-flight frames), detaches
 // every live wire session in every namespace (recycling their pids),
-// and closes every provisioned namespace's Object. It does not close
-// the default namespace's object (the caller owns it) and is
-// idempotent. Close the server before that object on shutdown.
+// and drops and closes every provisioned namespace's Object. It leaves
+// "default" in the table and its object open (the caller owns it), and
+// is idempotent. Close the server before that object on shutdown.
 func (s *Server) Close() error {
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.binCancel()
@@ -310,7 +310,7 @@ func (s *Server) Close() error {
 	s.retireWhere(retireClose, anyLease)
 	s.nsMu.Lock()
 	provisioned := s.namespaces
-	s.namespaces = make(map[string]*namespace)
+	s.namespaces = map[string]*namespace{DefaultNamespace: provisioned[DefaultNamespace]}
 	s.nsMu.Unlock()
 	for _, ns := range provisioned {
 		if ns.owned {
@@ -320,8 +320,8 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// handleAttach is POST /session and POST /ns/{name}/session: lease an
-// SDK session in the resolved namespace for this caller.
+// handleAttach is POST /ns/{name}/session: lease an SDK session in the
+// resolved namespace for this caller.
 func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request) {
 	ns, ok := s.requestNS(w, r)
 	if !ok {
@@ -346,8 +346,8 @@ func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleSessionGetTS is POST /session/{id}/getts: one batch on the
-// caller's leased session. Requests against the same id serialize, so a
+// handleSessionGetTS is POST /ns/{name}/session/{id}/getts: one batch on
+// the caller's leased session. Requests against the same id serialize, so a
 // pipelining client sees the SDK's sequential-session semantics; a
 // one-shot lease is retired before the answer goes out.
 func (s *Server) handleSessionGetTS(w http.ResponseWriter, r *http.Request) {
@@ -399,8 +399,8 @@ func (s *Server) handleSessionGetTS(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleDetach is DELETE /session/{id} (and its /ns/{name} form):
-// return the lease explicitly.
+// handleDetach is DELETE /ns/{name}/session/{id}: return the lease
+// explicitly.
 func (s *Server) handleDetach(w http.ResponseWriter, r *http.Request) {
 	ns, ok := s.requestNS(w, r)
 	if !ok {

@@ -4,21 +4,26 @@
 // register machinery. compare(t1, t2) reads no register, so it has no
 // endpoint; clients order timestamps locally with tsspace.Less.
 //
+// Every object the server holds is a namespace (broker.go), the
+// daemon's constructor object included: it is the namespace "default".
 // Wire v2 is session-scoped, mirroring the SDK's SessionAPI — attach a
-// lease, pipeline batches on it, detach (idle leases are reaped):
+// lease in a namespace, pipeline batches on it, detach (idle leases are
+// reaped):
 //
-//	POST   /session                      → {"session_id": ..., "pid": p, "idle_ttl_ms": t, "one_shot": b}
-//	POST   /session/{id}/getts {"count": k} → {"pid": p, "timestamps": [{"rnd": r, "turn": t}, ...]}
-//	DELETE /session/{id}                 → {"calls": c}
-//	GET    /healthz                      → object identity and status
-//	GET    /metrics                      → space report + throughput counters
-//	                                       + per-endpoint latency percentiles
+//	POST   /ns/{name}/session       → {"session_id", "namespace", "pid", "idle_ttl_ms", "one_shot"}
+//	POST   /ns/{name}/session/{id}/getts {"count": k} → {"pid": p, "timestamps": [{"rnd": r, "turn": t}, ...]}
+//	DELETE /ns/{name}/session/{id}  → {"calls": c}
+//	GET    /ns/{name}/healthz       → the namespace's object identity and status
+//	GET    /healthz                 → /ns/default/healthz: the liveness probe
+//	GET    /metrics                 → per-namespace counts and space, wire counters,
+//	                                  per-endpoint latency percentiles
 //
 // Wire v3 is the same session surface over a persistent-connection,
 // length-prefixed binary protocol (ServeBinary / BinaryClient — see
 // binary.go for the framing), sharing the lease table, TTL reaper and
 // typed error codes with the endpoints above; it exists because E13
-// measured HTTP/JSON at ~100× the algorithm's in-process cost.
+// measured HTTP/JSON at ~100× the algorithm's in-process cost. Its one
+// attach frame names the namespace too.
 //
 // Either way a batch is issued back to back by one paper-process, so each
 // timestamp happens-before the next and tsspace.Less must order the
@@ -119,15 +124,11 @@ type Latency struct {
 	MaxNs  int64   `json:"max_ns"`
 }
 
-// Metrics is the /metrics body: the space report next to the throughput
-// counters and per-endpoint latency percentiles.
+// Metrics is the /metrics body: each namespace's object counts and space
+// report in Namespaces, next to the server-wide wire counters and
+// per-endpoint latency percentiles.
 type Metrics struct {
-	Algorithm      string `json:"algorithm"`
-	Procs          int    `json:"procs"`
-	Calls          uint64 `json:"calls"`
-	Batches        uint64 `json:"batches"`
-	Attaches       uint64 `json:"attaches"`
-	ActiveSessions int    `json:"active_sessions"`
+	Batches uint64 `json:"batches"`
 	// WireSessions counts every live wire lease (HTTP and binary — both
 	// protocols share one session table); BinarySessions the subset
 	// attached over the binary transport; ReapedSessions the idle leases
@@ -162,9 +163,10 @@ type Metrics struct {
 	// rejection class, deliberately separate from UnknownSessions.
 	UnknownNamespaces uint64  `json:"unknown_namespaces"`
 	UptimeSeconds     float64 `json:"uptime_seconds"`
-	CallsPerSecond    float64 `json:"calls_per_second"`
-	Space             *Space  `json:"space,omitempty"`
-	// Namespaces reports every live namespace, default first then
+	// Space repeats the default namespace's space report. It stays only
+	// for the benchmark's reader; read Namespaces instead.
+	Space *Space `json:"space,omitempty"`
+	// Namespaces reports every live namespace, "default" included,
 	// sorted by name — the JSON rendering of the same per-namespace
 	// series the Prometheus view exposes as {namespace="..."} labels.
 	Namespaces []NamespaceMetrics `json:"namespaces"`
@@ -175,8 +177,10 @@ type Metrics struct {
 // session accounting and (when the namespace's Object meters) its
 // register-space report. The same numbers render in the Prometheus
 // view as the namespace-labeled families tsserve_ns_sessions,
-// tsserve_ns_calls_total, tsserve_ns_reaped_total,
-// tsserve_ns_quota_rejections_total and tsspace_registers_*.
+// tsserve_ns_calls_total, tsserve_ns_attaches_total,
+// tsserve_ns_reaped_total, tsserve_ns_quota_rejections_total and
+// tsspace_registers_*. Calls and Attaches are the Object's own counts,
+// wire and in-process; WireSessions counts live wire leases only.
 type NamespaceMetrics struct {
 	Name            string `json:"name"`
 	Algorithm       string `json:"algorithm"`
@@ -184,6 +188,7 @@ type NamespaceMetrics struct {
 	OneShot         bool   `json:"one_shot"`
 	MaxSessions     int    `json:"max_sessions,omitempty"`
 	Calls           uint64 `json:"calls"`
+	Attaches        uint64 `json:"attaches"`
 	WireSessions    int64  `json:"wire_sessions"`
 	ReapedSessions  uint64 `json:"reaped_sessions"`
 	QuotaRejections uint64 `json:"quota_rejections"`
@@ -235,15 +240,15 @@ const (
 	// flight recorder as a slow-op event (see EventsHandler).
 	slowOp = 10 * time.Millisecond
 	// maxNamespaces caps how many namespaces may be provisioned at once
-	// (the default namespace not counted); a PUT /ns/{name} beyond the
-	// cap is rejected with quota_exhausted.
+	// ("default", which is never provisioned, not counted); a PUT
+	// /ns/{name} beyond the cap is rejected with quota_exhausted.
 	maxNamespaces = 64
 )
 
 // Server is the HTTP front end over a broker of tsspace Objects: the
-// constructor's Object serves as the always-present "default"
-// namespace, and PUT /ns/{name} provisions further named Objects next
-// to it (see broker.go). It implements http.Handler. Call Close on
+// constructor's Object is the always-present "default" entry of the
+// namespace table, and PUT /ns/{name} provisions further named Objects
+// next to it (see broker.go). It implements http.Handler. Call Close on
 // shutdown (before closing the default object) to stop the idle
 // reaper, release live wire sessions, and close every provisioned
 // namespace's Object.
@@ -257,12 +262,10 @@ type Server struct {
 	// /metrics view and the Prometheus exposition both render from it.
 	met *serverMetrics
 
-	// The namespace table. defaultNS wraps the constructor's Object and
-	// is resolvable but never in the map; nsSeq hands out
+	// The namespace table, "default" included; nsSeq hands out
 	// flight-recorder namespace ids.
 	nsMu       sync.RWMutex
 	namespaces map[string]*namespace
-	defaultNS  *namespace
 	nsSeq      uint32
 
 	// sessions is the one capability-addressed lease table both
@@ -289,9 +292,10 @@ type Server struct {
 }
 
 // NewServer builds the front end for obj, which becomes the "default"
-// namespace. The caller keeps ownership of obj (and closes it on
-// shutdown, after Close-ing the server); Objects provisioned later via
-// PUT /ns/{name} are broker-owned and closed by Close.
+// namespace: flight-recorder id 0, no session quota. The caller keeps
+// ownership of obj (and closes it on shutdown, after Close-ing the
+// server); Objects provisioned later via PUT /ns/{name} are
+// broker-owned and closed by Close.
 func NewServer(obj *tsspace.Object, cfg ServerConfig) *Server {
 	maxBatch := cfg.MaxBatch
 	if maxBatch < 1 {
@@ -310,22 +314,21 @@ func NewServer(obj *tsspace.Object, cfg ServerConfig) *Server {
 		stop:       make(chan struct{}),
 		binConns:   make(map[net.Conn]struct{}),
 	}
-	s.defaultNS = &namespace{
+	s.namespaces[DefaultNamespace] = &namespace{
 		name: DefaultNamespace, obj: obj,
 		summary:   algorithmSummary(obj.Algorithm()),
 		algorithm: obj.Algorithm(), procs: obj.Procs(), metered: metered,
 	}
 	s.met = newServerMetrics(s)
 	s.binCtx, s.binCancel = context.WithCancel(context.Background())
-	s.mux.HandleFunc("POST /session", s.timed("attach", s.handleAttach))
-	s.mux.HandleFunc("POST /session/{id}/getts", s.timed("getts", s.handleSessionGetTS))
-	s.mux.HandleFunc("DELETE /session/{id}", s.handleDetach)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		r.SetPathValue("name", DefaultNamespace)
+		s.handleHealthz(w, r)
+	})
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /metrics/prometheus", s.handlePrometheus)
-	// The broker surface (broker.go) plus the wire-v2 session routes
-	// replicated per namespace; {name} resolves through requestNS, the
-	// un-prefixed routes above serve the default namespace.
+	// The broker surface (broker.go) plus the wire-v2 session routes of
+	// every namespace; {name} resolves through requestNS.
 	s.mux.HandleFunc("GET /catalog", s.handleCatalog)
 	s.mux.HandleFunc("GET /ns", s.handleNamespaces)
 	s.mux.HandleFunc("PUT /ns/{name}", s.handleProvision)

@@ -34,6 +34,19 @@ func newTestServerCfg(t *testing.T, cfg tsserve.ServerConfig, opts ...tsspace.Op
 	return tsserve.NewClient(srv.URL, srv.Client()), obj, front
 }
 
+// defaultEntry returns the "default" entry of a /metrics namespaces
+// section.
+func defaultEntry(t *testing.T, m tsserve.Metrics) tsserve.NamespaceMetrics {
+	t.Helper()
+	for _, nm := range m.Namespaces {
+		if nm.Name == tsserve.DefaultNamespace {
+			return nm
+		}
+	}
+	t.Fatalf("metrics namespaces %+v have no %q entry", m.Namespaces, tsserve.DefaultNamespace)
+	return tsserve.NamespaceMetrics{}
+}
+
 // attachedBatch takes one batch of count timestamps on a fresh lease and
 // detaches it again.
 func attachedBatch(t *testing.T, c *tsserve.Client, count int) []tsspace.Timestamp {
@@ -101,8 +114,8 @@ func TestConcurrentClientsOverFewPids(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Calls != 32 || m.Batches != 16 {
-		t.Errorf("metrics after load: %+v, want 32 calls / 16 batches", m)
+	if calls := defaultEntry(t, m).Calls; calls != 32 || m.Batches != 16 {
+		t.Errorf("metrics after load: %d calls / %d batches, want 32 / 16", calls, m.Batches)
 	}
 }
 
@@ -163,14 +176,18 @@ func TestHealthzAndMetricsShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Calls != 1 || m.Attaches != 1 || m.Space == nil {
-		t.Fatalf("metrics = %+v, want 1 call with a space section", m)
+	d := defaultEntry(t, m)
+	if d.Calls != 1 || d.Attaches != 1 || d.Space == nil {
+		t.Fatalf("default namespace metrics = %+v, want 1 call and 1 attach with a space section", d)
 	}
-	if m.Space.Registers != 6 || m.Space.Written < 1 {
-		t.Errorf("space = %+v", *m.Space)
+	if d.Space.Registers != 6 || d.Space.Written < 1 {
+		t.Errorf("space = %+v", *d.Space)
 	}
-	if m.UptimeSeconds <= 0 || m.CallsPerSecond <= 0 {
-		t.Errorf("throughput fields not populated: %+v", m)
+	if m.Space == nil || *m.Space != *d.Space {
+		t.Errorf("top-level space %v does not repeat the default namespace's %v", m.Space, *d.Space)
+	}
+	if m.UptimeSeconds <= 0 {
+		t.Errorf("uptime not populated: %+v", m)
 	}
 }
 
@@ -228,7 +245,7 @@ func TestMetricsEndpointLatency(t *testing.T) {
 // ErrDetached across the wire.
 func TestRemoteSessionLifecycle(t *testing.T) {
 	ctx := context.Background()
-	c, _ := newTestServer(t, tsspace.WithProcs(2))
+	c, obj := newTestServer(t, tsspace.WithProcs(2))
 
 	sess, err := c.Attach(ctx)
 	if err != nil {
@@ -283,8 +300,8 @@ func TestRemoteSessionLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.WireSessions != 0 || m.ActiveSessions != 0 {
-		t.Errorf("after detach: %d wire sessions, %d active SDK sessions", m.WireSessions, m.ActiveSessions)
+	if active := obj.Stats().ActiveSessions; m.WireSessions != 0 || active != 0 {
+		t.Errorf("after detach: %d wire sessions, %d active SDK sessions", m.WireSessions, active)
 	}
 }
 
@@ -451,7 +468,7 @@ func TestRequestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Detach()
-	getts := "/session/" + sess.ID() + "/getts"
+	getts := "/ns/default/session/" + sess.ID() + "/getts"
 
 	cases := []struct {
 		name, method, path, body string
@@ -465,6 +482,7 @@ func TestRequestValidation(t *testing.T) {
 		{"wrong method getts", "GET", getts, ``, http.StatusMethodNotAllowed},
 		{"wrong method healthz", "POST", "/healthz", ``, http.StatusMethodNotAllowed},
 		{"unknown path", "GET", "/nope", ``, http.StatusNotFound},
+		{"un-prefixed attach", "POST", "/session", ``, http.StatusNotFound},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -213,7 +213,7 @@ func New(opts ...Option) (*Object, error) {
 		meter:   meter,
 		base:    base,
 		metered: metered,
-		table:   alg.WriterTable(),
+		writers: alg.WriterTable(),
 		free:    make(chan *proc, cfg.procs),
 		closed:  make(chan struct{}),
 	}

@@ -509,7 +509,7 @@ func TestNewAllocsIndependentOfProcs(t *testing.T) {
 
 // A first lease builds the Session, the proc and the proc's middleware
 // stack: one metered handle, plus one discipline handle when the
-// algorithm declares a writer table (sqrt and fas declare none).
+// algorithm restricts its writers (sqrt and fas do not).
 func TestFirstLeaseAllocs(t *testing.T) {
 	const n, runs = 1000, 100 // every measured Attach is a first lease
 	want := map[string]float64{"collect": 4, "dense": 4, "simple": 4, "fas": 3, "sqrt": 3}
