@@ -166,31 +166,42 @@ func TestMeterConcurrentSafety(t *testing.T) {
 	}
 }
 
-// TestWriterRule pins the one writer rule: with w writers per register
-// over ⌈n/w⌉ registers, every pid < n writes exactly register pid/w, and
-// every register has between 1 and w writers — w = 1 is single-writer,
-// w = 2 Algorithm 2's pairing of processes 2i and 2i+1.
-func TestWriterRule(t *testing.T) {
-	for _, w := range []int{1, 2} {
-		for _, n := range []int{1, 2, 3, 4, 5, 10, 11} {
-			m := (n + w - 1) / w
-			writers := make([]int, m)
-			for pid := 0; pid < n; pid++ {
-				mem := Wrap(NewAtomicArray(m), DisciplineFor(w, pid))
-				for i := 0; i < m; i++ {
-					permitted := !panics(func() { mem.Write(i, pid) })
-					if permitted != (i == pid/w) {
-						t.Errorf("w=%d n=%d: p%d write r%d permitted=%v, want %v", w, n, pid, i, permitted, i == pid/w)
-					}
-					if permitted {
-						writers[i]++
-					}
+// TestSWMRTable pins the single-writer rule, w = 1: over n registers,
+// every pid < n writes register pid and no other.
+func TestSWMRTable(t *testing.T) {
+	checkWriterRule(t, 1)
+}
+
+// TestTwoWriterTable pins Algorithm 2's pairing, w = 2: over ⌈n/2⌉
+// registers, processes 2i and 2i+1 write register i and no other, and
+// every register has one or two writers.
+func TestTwoWriterTable(t *testing.T) {
+	checkWriterRule(t, 2)
+}
+
+// checkWriterRule checks the writer rule with w writers per register
+// over ⌈n/w⌉ registers: every pid < n writes exactly register pid/w, and
+// every register has between 1 and w writers.
+func checkWriterRule(t *testing.T, w int) {
+	t.Helper()
+	for _, n := range []int{1, 2, 3, 4, 5, 10, 11} {
+		m := (n + w - 1) / w
+		writers := make([]int, m)
+		for pid := 0; pid < n; pid++ {
+			mem := Wrap(NewAtomicArray(m), DisciplineFor(w, pid))
+			for i := 0; i < m; i++ {
+				permitted := !panics(func() { mem.Write(i, pid) })
+				if permitted != (i == pid/w) {
+					t.Errorf("w=%d n=%d: p%d write r%d permitted=%v, want %v", w, n, pid, i, permitted, i == pid/w)
+				}
+				if permitted {
+					writers[i]++
 				}
 			}
-			for i, k := range writers {
-				if k < 1 || k > w {
-					t.Errorf("w=%d n=%d: register %d has %d writers, want 1..%d", w, n, i, k, w)
-				}
+		}
+		for i, k := range writers {
+			if k < 1 || k > w {
+				t.Errorf("w=%d n=%d: register %d has %d writers, want 1..%d", w, n, i, k, w)
 			}
 		}
 	}
@@ -222,6 +233,22 @@ func TestWriteQuorumEnforcement(t *testing.T) {
 		}()
 		h0.Write(1, "bad")
 	}()
+}
+
+// Zero writers per register is no discipline: every process may write
+// every register, and each write lands.
+func TestWriteQuorumNilEntryPermitsAll(t *testing.T) {
+	base := NewAtomicArray(2)
+	for pid := 0; pid < 3; pid++ {
+		mem := Wrap(base, DisciplineFor(0, pid))
+		for i := 0; i < base.Size(); i++ {
+			if panics(func() { mem.Write(i, pid) }) {
+				t.Errorf("w=0: p%d write r%d panicked", pid, i)
+			} else if got := base.Read(i); got != pid {
+				t.Errorf("w=0: r%d = %v after p%d's write", i, got, pid)
+			}
+		}
+	}
 }
 
 // Property: a sequence of writes leaves the last value readable
