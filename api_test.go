@@ -2,6 +2,7 @@ package tsspace_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"go/ast"
 	"go/parser"
@@ -12,6 +13,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"tsspace"
 )
 
 // TestPublicSurface is the apidiff-style gate on the SDK: it renders the
@@ -55,6 +58,19 @@ func TestPublicSurface(t *testing.T) {
 					pkg.name, golden, want, got)
 			}
 		})
+	}
+}
+
+// Space renders as the same four JSON keys on /metrics and in BENCH rows.
+// The golden prints Space as an alias of an internal type, so it cannot
+// see those keys; this pins them.
+func TestSpaceJSONKeys(t *testing.T) {
+	b, err := json.Marshal(tsspace.Space{Registers: 1, Written: 2, Reads: 3, Writes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"registers":1,"written":2,"reads":3,"writes":4}`; string(b) != want {
+		t.Errorf("Space marshals to %s, want %s", b, want)
 	}
 }
 

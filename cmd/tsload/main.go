@@ -509,11 +509,15 @@ func writeBench(dir, scenario string, results []tsload.Result) (string, error) {
 	})
 }
 
-// row renders one result as a log line.
+// row renders one result as a log line; space=W/R is the target's
+// written and allocated registers, when it reported them.
 func row(r tsload.Result) string {
 	flags := ""
+	if r.Space != nil {
+		flags = fmt.Sprintf(" space=%d/%d", r.Space.Written, r.Space.Registers)
+	}
 	if r.BatchSize > 1 {
-		flags = fmt.Sprintf(" batch=%d (%d ts)", r.BatchSize, r.Timestamps)
+		flags += fmt.Sprintf(" batch=%d (%d ts)", r.BatchSize, r.Timestamps)
 	}
 	if r.BudgetSpent {
 		flags += " budget-spent"
@@ -546,7 +550,9 @@ func row(r tsload.Result) string {
 // algorithm, plus a batch-size leg (1/16/256 in process, over wire v2 and
 // over wire v3). It fails on any *unexpected* error, any happens-before
 // violation, a row whose cross-worker happens-before check ordered no
-// operation, an empty row, or a batch row whose timestamp accounting does
+// operation, a row without a space section (every smoke target meters:
+// in-process objects are built WithMetering, and tsserved always meters),
+// an empty row, or a batch row whose timestamp accounting does
 // not match its batch size — gating on total errors would reject the
 // crash mix's fault injection, whose whole point is provoking ErrDetached
 // (counted as ExpectedErrors) while happens-before holds. The crash rows
@@ -620,6 +626,9 @@ func runSmoke(ctx context.Context, out string, opt options) error {
 		}
 		if r.HBChecked == 0 {
 			return fmt.Errorf("%s/%s/%s: the cross-worker happens-before check ordered no operation", r.Mix, r.Target, r.Algorithm)
+		}
+		if r.Space == nil {
+			return fmt.Errorf("%s/%s/%s: no space section: every smoke target meters", r.Mix, r.Target, r.Algorithm)
 		}
 		if r.Mix == "crash" {
 			crashRows++

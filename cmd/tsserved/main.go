@@ -7,7 +7,9 @@
 // paper-processes through session leasing.
 //
 // Every object the daemon serves is a namespace, its own object being
-// "default". Endpoints: wire v2 sessions (POST /ns/{name}/session,
+// "default", and every namespace meters its register space, so the
+// paper's space measure is always on both /metrics views. Endpoints:
+// wire v2 sessions (POST /ns/{name}/session,
 // POST /ns/{name}/session/{id}/getts, DELETE /ns/{name}/session/{id}),
 // GET /healthz (the default namespace's; /ns/{name}/healthz for any),
 // GET /metrics (per-namespace space and calls, wire counters),
@@ -26,7 +28,7 @@
 // Usage:
 //
 //	tsserved [-addr :8037] [-binary-addr :8038] [-debug-addr 127.0.0.1:8039]
-//	         [-alg collect] [-procs 64] [-unmetered]
+//	         [-alg collect] [-procs 64]
 //	         [-maxbatch 1024] [-session-ttl 60s]
 //	tsserved -algs                 list the servable algorithms
 //	tsserved -smoke URL            run the end-to-end smoke check against
@@ -78,7 +80,6 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "debug listen address (e.g. 127.0.0.1:8039) serving net/http/pprof, expvar, and GET /debug/events (flight-recorder dump); empty disables")
 	alg := flag.String("alg", "collect", "algorithm: one of "+strings.Join(tsspace.Algorithms(), " | "))
 	procs := flag.Int("procs", 64, "paper-processes n: the object's concurrency level (and, for one-shot algorithms, the total timestamp budget)")
-	unmetered := flag.Bool("unmetered", false, "drop space metering from the register path (disables the /metrics space section)")
 	maxBatch := flag.Int("maxbatch", 1024, "largest getts batch")
 	sessionTTL := flag.Duration("session-ttl", 60*time.Second, "idle time before a wire session's lease is reaped and its pid recycled")
 	algs := flag.Bool("algs", false, "list the servable algorithms and exit")
@@ -105,11 +106,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := []tsspace.Option{tsspace.WithAlgorithm(*alg), tsspace.WithProcs(*procs)}
-	if !*unmetered {
-		opts = append(opts, tsspace.WithMetering())
-	}
-	obj, err := tsspace.New(opts...)
+	obj, err := tsspace.New(tsspace.WithAlgorithm(*alg), tsspace.WithProcs(*procs), tsspace.WithMetering())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tsserved: %v\n", err)
 		os.Exit(2)
@@ -597,12 +594,16 @@ var requiredFamilies = []string{
 	"tsserve_ns_sessions",
 	"tsserve_unknown_namespaces_total",
 	"tsspace_registers_total",
+	"tsspace_registers_used",
+	"tsspace_register_reads_total",
+	"tsspace_register_writes_total",
 }
 
 // checkPrometheus scrapes GET /metrics/prometheus and validates it: the
 // exposition must parse strictly (obs.ParseExposition enforces the
 // metric-name charset, HELP/TYPE placement and cumulative histogram
-// buckets), and every required family must be present.
+// buckets), every required family must be present, and each
+// per-namespace one must have a sample for the default namespace.
 func checkPrometheus(ctx context.Context, url string) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimSuffix(url, "/")+"/metrics/prometheus", nil)
 	if err != nil {
@@ -628,12 +629,16 @@ func checkPrometheus(ctx context.Context, url string) error {
 		return fmt.Errorf("malformed: %w", err)
 	}
 	for _, name := range requiredFamilies {
-		if _, ok := families[name]; !ok {
+		f, ok := families[name]
+		if !ok {
 			return fmt.Errorf("required family %s missing (got %d families)", name, len(families))
 		}
-	}
-	if calls := families["tsserve_ns_calls_total"]; !slices.Contains(calls.Labels, `namespace="default"`) {
-		return fmt.Errorf("tsserve_ns_calls_total has no namespace=\"default\" sample (labels: %v)", calls.Labels)
+		// The per-namespace families sample the default namespace too:
+		// its calls and sessions, and its space, which is always metered.
+		perNS := strings.HasPrefix(name, "tsserve_ns_") || strings.HasPrefix(name, "tsspace_")
+		if perNS && !slices.Contains(f.Labels, `namespace="default"`) {
+			return fmt.Errorf("%s has no namespace=\"default\" sample (labels: %v)", name, f.Labels)
+		}
 	}
 	fmt.Printf("smoke: prometheus exposition ok: %d families, %d required present\n",
 		len(families), len(requiredFamilies))

@@ -102,7 +102,7 @@ func main() {
 		fmt.Printf("  %v worker %d action-%d\n", r.ts, r.worker, r.action)
 	}
 
-	u, _ := obj.Usage()
+	u, _ := obj.Space()
 	st := obj.Stats()
 	fmt.Printf("\nregisters written: %d (the silent process %d wrote none)\n", u.Written, poolWidth-1)
 	fmt.Printf("%s · n=%d: %d getTS() calls over %d sessions, %d reads / %d writes\n\n",

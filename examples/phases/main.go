@@ -1,11 +1,11 @@
 // Phases: watch Algorithm 4 (§6 of the paper) consume register space
 // phase by phase, through the public SDK. M sequential clients each take
 // one timestamp from the one-shot sqrt object; after every call the
-// example prints the object's write footprint (from WithMetering's usage
-// report). A register is non-⊥ exactly once it has been written, so the
-// footprint bar is the phase structure: phase k runs while k registers
-// are non-⊥, and a timestamp (rnd, turn) returned in phase k has rnd ∈
-// {k, k+1}.
+// example prints the object's write footprint (from WithMetering's space
+// measure and written set). A register is non-⊥ exactly once it has been
+// written, so the footprint bar is the phase structure: phase k runs
+// while k registers are non-⊥, and a timestamp (rnd, turn) returned in
+// phase k has rnd ∈ {k, k+1}.
 //
 // The walkthrough verifies the SDK-observable §6 claims: the written set
 // grows monotonically from the left, stays within the ⌈2√M⌉ budget
@@ -57,8 +57,8 @@ func main() {
 		}
 		s.Detach()
 
-		u, _ := obj.Usage()
-		fmt.Printf("%4d  %-9v  %5d  %s\n", call, ts, u.Written, bar(u))
+		sp, _ := obj.Space()
+		fmt.Printf("%4d  %-9v  %5d  %s\n", call, ts, sp.Written, bar(obj))
 
 		// Sequential calls are happens-before ordered: strictly increasing.
 		if call > 1 && !tsspace.Less(last, ts) {
@@ -67,29 +67,31 @@ func main() {
 		last = ts
 	}
 
-	u, _ := obj.Usage()
+	sp, _ := obj.Space()
+	written := obj.WrittenSet()
 	fmt.Printf("\nregisters written: %d of %d — within the ⌈2√M⌉ budget (Lemma 6.5)\n",
-		u.Written, u.Registers)
+		sp.Written, sp.Registers)
 	// The written set is a prefix 0..k-1: phases never skip a register.
-	for i, r := range u.WrittenSet {
+	for i, r := range written {
 		if r != i {
 			log.Fatalf("register %d written before register %d: phases do not skip", r, i)
 		}
 	}
-	if n := len(u.WrittenSet); n > 0 && u.WrittenSet[n-1] == u.Registers-1 {
+	if n := len(written); n > 0 && written[n-1] == sp.Registers-1 {
 		log.Fatal("sentinel register was written — Lemma 6.14 violated")
 	}
-	fmt.Printf("sentinel register %d: written never (Lemma 6.14)\n", u.Registers-1)
+	fmt.Printf("sentinel register %d: written never (Lemma 6.14)\n", sp.Registers-1)
 	fmt.Println("written set is a prefix: phases consume registers strictly left to right")
 }
 
-// bar renders the write footprint: ■ for written (non-⊥) registers, · for
-// ⊥.
-func bar(u tsspace.Usage) string {
+// bar renders obj's write footprint: ■ for written (non-⊥) registers, ·
+// for ⊥.
+func bar(obj *tsspace.Object) string {
+	written := obj.WrittenSet()
 	var b strings.Builder
-	next := 0 // index into the increasing WrittenSet
-	for i := 0; i < u.Registers; i++ {
-		if next < len(u.WrittenSet) && u.WrittenSet[next] == i {
+	next := 0 // index into the increasing written set
+	for i := 0; i < obj.Registers(); i++ {
+		if next < len(written) && written[next] == i {
 			b.WriteString("■")
 			next++
 		} else {

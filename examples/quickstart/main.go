@@ -71,7 +71,7 @@ func main() {
 		fmt.Printf("  client %-3d → %v\n", iss.client, iss.ts)
 	}
 
-	u, _ := obj.Usage()
+	u, _ := obj.Space()
 	fmt.Printf("\nregisters written: %d of %d allocated (sentinel stays ⊥)\n", u.Written, u.Registers)
 	fmt.Printf("total reads %d, writes %d\n", u.Reads, u.Writes)
 	st := obj.Stats()

@@ -119,7 +119,7 @@ func main() {
 		}
 		used[name] = true
 	}
-	u, _ := obj.Usage()
+	u, _ := obj.Space()
 	fmt.Printf("\nall %d names unique in [1, %d]; registers written: %d\n", n, n, u.Written)
 
 	// One-shot means one-time: the names are spent.

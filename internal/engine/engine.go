@@ -121,9 +121,9 @@ type Report struct {
 	N        int
 	// MaxCalls is the largest per-process call count of the workload.
 	MaxCalls int
-	// Space is the register footprint: operation totals and the written
-	// set.
-	Space register.SpaceReport
+	// Space is the register footprint: registers allocated and written,
+	// and the operation totals.
+	Space register.Totals
 	// Events are the completed getTS intervals in start order.
 	Events []hbcheck.Event
 	// Elapsed is the wall time of the drive phase.
@@ -176,6 +176,16 @@ func (cfg *Config) prepare() (Workload, int, error) {
 	return wl, maxCalls, nil
 }
 
+// stackMeter is the meter the process stacks count into: meter, or nil
+// on an unmetered run, whose report then carries meter's register count
+// alone.
+func (cfg *Config) stackMeter(meter *register.Meter) *register.Meter {
+	if cfg.Unmetered {
+		return nil
+	}
+	return meter
+}
+
 func (cfg *Config) report(wl Workload, maxCalls int) *Report {
 	return &Report{
 		Alg:      cfg.Alg.Name(),
@@ -191,17 +201,12 @@ func (cfg *Config) report(wl Workload, maxCalls int) *Report {
 func runAtomic(cfg Config, wl Workload, maxCalls int) (*Report, error) {
 	base := timestamp.NewMem(cfg.Alg)
 	meter := register.NewMeterSize(base.Size())
-	table := cfg.Alg.WriterTable()
 
 	// The stack is fixed per process for the whole run; build it outside
 	// the call path so the hot loop only pays for the layers themselves.
-	metered := register.Metered(meter)
-	if cfg.Unmetered {
-		metered = nil
-	}
 	mems := make([]register.Mem, cfg.N)
 	for pid := range mems {
-		mems[pid] = register.Wrap(base, metered, register.DisciplineFor(table, pid))
+		mems[pid] = register.Stack(base, cfg.stackMeter(meter), cfg.Alg.WriterTable(), pid)
 	}
 
 	var (
@@ -239,7 +244,7 @@ func runAtomic(cfg Config, wl Workload, maxCalls int) (*Report, error) {
 	}
 
 	rep := cfg.report(wl, maxCalls)
-	rep.Space = meter.Report()
+	rep.Space = meter.Totals()
 	rep.Events = rec.Events()
 	rep.Elapsed = elapsed
 	return rep, nil
@@ -263,7 +268,7 @@ func runSim(cfg Config, wl Workload, maxCalls int) (*Report, error) {
 	}
 
 	rep := cfg.report(wl, maxCalls)
-	rep.Space = meter.Report()
+	rep.Space = meter.Totals()
 	rep.Events = rec.Events()
 	rep.Elapsed = elapsed
 	rep.Steps = sys.Steps()

@@ -300,8 +300,8 @@ func TestNewSimSystemResults(t *testing.T) {
 	if rec.Len() != 4 {
 		t.Errorf("recorded %d events, want 4", rec.Len())
 	}
-	if meter.Report().Writes != 4 {
-		t.Errorf("metered %d writes, want 4", meter.Report().Writes)
+	if meter.Totals().Writes != 4 {
+		t.Errorf("metered %d writes, want 4", meter.Totals().Writes)
 	}
 }
 

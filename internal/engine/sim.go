@@ -61,14 +61,8 @@ type opCounter struct {
 	ops int
 }
 
-// counted is the per-process counting middleware behind call-span
+// countedMem is the per-process counting layer behind call-span
 // tracking.
-func counted(c *opCounter) register.Middleware {
-	return func(inner register.Mem) register.Mem {
-		return &countedMem{inner: inner, c: c}
-	}
-}
-
 type countedMem struct {
 	inner register.Mem
 	c     *opCounter
@@ -124,7 +118,6 @@ func newSimRun(cfg Config, crashes bool) *simRun {
 		wl = OneShot{}
 	}
 	n, m := cfg.N, cfg.Alg.Registers()
-	table := cfg.Alg.WriterTable()
 	r := &simRun{
 		cfg:      cfg,
 		wl:       wl,
@@ -133,10 +126,6 @@ func newSimRun(cfg Config, crashes bool) *simRun {
 		meter:    register.NewMeterSize(m),
 		spans:    newCallSpans(),
 		progress: make([]atomic.Int32, n),
-	}
-	metered := register.Metered(r.meter)
-	if cfg.Unmetered {
-		metered = nil
 	}
 	procs := n
 	if crashes {
@@ -150,11 +139,7 @@ func newSimRun(cfg Config, crashes bool) *simRun {
 		// body is single-threaded, and the counter is read only between
 		// the process's own calls.
 		counter := &opCounter{}
-		mem = register.Wrap(mem,
-			counted(counter),
-			metered,
-			register.DisciplineFor(table, paper),
-		)
+		mem = register.Stack(&countedMem{inner: mem, c: counter}, cfg.stackMeter(r.meter), cfg.Alg.WriterTable(), paper)
 		calls := wl.Calls(paper, n)
 		out := make([]timestamp.Timestamp, 0, calls)
 		// A recovery incarnation resumes where its predecessor crashed:

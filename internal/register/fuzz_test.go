@@ -18,21 +18,21 @@ func (m *sliceMem) Write(i int, v register.Value) { m.vals[i] = v }
 func (m *sliceMem) MaxInt64(n int) int64          { return register.CollectMax(m, n) }
 func (m *sliceMem) WriteInt64(i int, v int64)     { m.Write(i, v) }
 
-// FuzzMiddlewareStack drives the engine- and SDK-shaped middleware stack —
-// a shared meter under a per-process write discipline — over two
-// substrates at once: a slice memory, whose collect is the CollectMax
-// helper, and an Int64Array, whose collect is its four-lane kernel (the
-// path the daemon runs). Each op is three bytes: pid, register (bit 0x40
-// selects a write) and value. Bit 0x80 of the pid byte selects the scalar
-// operations: WriteInt64 for a write, and for a read a collect of r0..reg,
-// one MaxInt64(reg+1) call on each stack. Every input runs once per
-// discipline, w = 0, 1 and 2 writers per register. After every op both
-// stacks must agree with a plain reference array: a read sees exactly the
-// reference value, a collect returns the reference maximum over its prefix
-// (0 when all are ⊥), the discipline panics precisely on the writes its
-// rule forbids, of either kind, before any meter records them, and both
-// meters' totals equal the reference counts, a collect counting one read
-// per register.
+// FuzzMiddlewareStack drives the stack register.Stack builds for the SDK
+// and the engine — a shared meter under a per-process write discipline —
+// over two substrates at once: a slice memory, whose collect is the
+// CollectMax helper, and an Int64Array, whose collect is its four-lane
+// kernel (the path the daemon runs). Each op is three bytes: pid,
+// register (bit 0x40 selects a write) and value. Bit 0x80 of the pid byte
+// selects the scalar operations: WriteInt64 for a write, and for a read a
+// collect of r0..reg, one MaxInt64(reg+1) call on each stack. Every input
+// runs once per discipline, w = 0, 1 and 2 writers per register. After
+// every op both stacks must agree with a plain reference array: a read
+// sees exactly the reference value, a collect returns the reference
+// maximum over its prefix (0 when all are ⊥), the discipline panics
+// precisely on the writes its rule forbids, of either kind, before any
+// meter records them, and both meters' totals equal the reference counts,
+// a collect counting one read per register.
 func FuzzMiddlewareStack(f *testing.F) {
 	// The register byte selects r(b % 3): 0x40 is r1, 0x41 r2, 0x42 r0.
 	// Under w = 1 register i is p_i's and p3 writes nothing; under w = 2
@@ -66,8 +66,8 @@ func checkStack(t *testing.T, data []byte, n, m, w int) {
 	plain := make([]register.Mem, n)
 	scalar := make([]register.Mem, n)
 	for pid := 0; pid < n; pid++ {
-		plain[pid] = register.Wrap(plainBase, register.Metered(plainMeter), register.DisciplineFor(w, pid))
-		scalar[pid] = register.Wrap(scalarBase, register.Metered(scalarMeter), register.DisciplineFor(w, pid))
+		plain[pid] = register.Stack(plainBase, plainMeter, w, pid)
+		scalar[pid] = register.Stack(scalarBase, scalarMeter, w, pid)
 	}
 
 	ref := make([]register.Value, m)

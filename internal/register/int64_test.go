@@ -91,7 +91,7 @@ func TestMiddlewareScalarPair(t *testing.T) {
 			if v := stack.MaxInt64(2); v != 9 {
 				t.Fatalf("collect through the stack = %d, want 9", v)
 			}
-			rep := meter.Report()
+			rep := meter.Totals()
 			if rep.Writes != 1 || rep.Reads != 2 {
 				t.Errorf("meter missed scalar ops: %d writes / %d reads, want 1 write and the collect's 2 reads", rep.Writes, rep.Reads)
 			}

@@ -5,30 +5,14 @@ import (
 	"sync/atomic"
 )
 
-// SpaceReport summarizes the register footprint of an execution: it is the
-// measurement backing every space experiment (E3, E4, E8, E9). The paper
-// counts a register as "used" once it can be written, so the report is
-// built from the written set.
-type SpaceReport struct {
-	// Registers is the size of the underlying array (the allocation budget).
-	Registers int
-	// Written is the number of distinct registers written at least once.
-	Written int
-	// WrittenSet lists the written register indices in increasing order.
-	WrittenSet []int
-	// MaxWrittenIndex is the largest written index, or -1 if none.
-	MaxWrittenIndex int
-	// Reads and Writes are total operation counts.
-	Reads, Writes uint64
-}
-
 // Meter collects the operation counts of every Metered handle built over
-// it. Nothing on it takes a lock: each handle counts its own reads and
-// writes in its own cache line, and a write sets its register's bit in a
-// shared written-register bitmap, which costs one load once the bit is
-// set. Totals and Report sum the handles and count the bitmap when they
-// are called. Any number of per-process stacks may share one Meter, and a
-// handle may be driven from several goroutines.
+// it: the one source of an object's Totals. Nothing on it takes a lock:
+// each handle counts its own reads and writes in its own cache line, and
+// a write sets its register's bit in a shared written-register bitmap,
+// which costs one load once the bit is set. Totals and WrittenSet read
+// the handles and the bitmap when they are called. Any number of
+// per-process stacks (see Stack) may share one Meter, and a handle may be
+// driven from several goroutines.
 type Meter struct {
 	size    int
 	written []atomic.Uint64            // bit i of word i/64 is set once register i is written
@@ -62,16 +46,20 @@ func (m *Meter) markWritten(i int) {
 	}
 }
 
-// Totals is the scrape-cheap slice of a SpaceReport: the four scalar
-// space measures, without building the written set.
+// Totals is the paper's space measure of one timestamp object (cf. Θ(√n)
+// registers one-shot against Θ(n) long-lived), and the measurement behind
+// every space experiment (E3, E4, E8, E9): the four numbers every view of
+// it carries, from the meter to the SDK, both wires' /metrics and tsload's
+// BENCH rows. The JSON keys are the ones those views publish.
 type Totals struct {
 	// Registers is the allocated array size (the budget).
-	Registers int
+	Registers int `json:"registers"`
 	// Written is the number of distinct registers written at least once —
 	// the paper's "used" count that the Θ-bound certificates bound.
-	Written int
+	Written int `json:"written"`
 	// Reads and Writes are total operation counts.
-	Reads, Writes uint64
+	Reads  uint64 `json:"reads"`
+	Writes uint64 `json:"writes"`
 }
 
 // Totals returns the scalar space measures: the bitmap's population count
@@ -84,31 +72,21 @@ func (m *Meter) Totals() Totals {
 	for i := range m.written {
 		t.Written += bits.OnesCount64(m.written[i].Load())
 	}
-	t.Reads, t.Writes = m.ops()
+	for h := m.handles.Load(); h != nil; h = h.next {
+		t.Reads += h.reads.Load()
+		t.Writes += h.writes.Load()
+	}
 	return t
 }
 
-// Report returns the current space report: Totals plus the written set,
-// from one pass over the bitmap.
-func (m *Meter) Report() SpaceReport {
-	r := SpaceReport{Registers: m.size, MaxWrittenIndex: -1}
+// WrittenSet lists the written register indices in increasing order,
+// read off the bitmap; it is nil while no register has been written.
+func (m *Meter) WrittenSet() []int {
+	var set []int
 	for i := range m.written {
 		for w := m.written[i].Load(); w != 0; w &= w - 1 {
-			r.WrittenSet = append(r.WrittenSet, 64*i+bits.TrailingZeros64(w))
+			set = append(set, 64*i+bits.TrailingZeros64(w))
 		}
 	}
-	if r.Written = len(r.WrittenSet); r.Written > 0 {
-		r.MaxWrittenIndex = r.WrittenSet[r.Written-1]
-	}
-	r.Reads, r.Writes = m.ops()
-	return r
-}
-
-// ops sums the read and write counters of every handle.
-func (m *Meter) ops() (reads, writes uint64) {
-	for h := m.handles.Load(); h != nil; h = h.next {
-		reads += h.reads.Load()
-		writes += h.writes.Load()
-	}
-	return reads, writes
+	return set
 }

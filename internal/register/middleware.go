@@ -4,16 +4,11 @@ import "sync/atomic"
 
 // Middleware decorates a Mem with one cross-cutting concern — metering or
 // write discipline. Layers compose with Wrap; a nil middleware is skipped,
-// so conditional layers read naturally:
-//
-//	mem = register.Wrap(base,
-//		register.Metered(meter),
-//		register.DisciplineFor(alg.WriterTable(), pid),
-//	)
-//
-// Each layer builds one handle type, which forwards the scalar pair
-// (MaxInt64, WriteInt64) to the memory below like any other operation, so
-// a stack over an Int64Array keeps its allocation-free collect end to end.
+// so conditional layers read naturally. Stack composes the two layers
+// this package defines into a paper-process's stack. Each layer builds
+// one handle type, which forwards the scalar pair (MaxInt64, WriteInt64)
+// to the memory below like any other operation, so a stack over an
+// Int64Array keeps its allocation-free collect end to end.
 type Middleware func(Mem) Mem
 
 // Wrap applies mws to mem in order: the first middleware ends up closest
@@ -26,6 +21,20 @@ func Wrap(mem Mem, mws ...Middleware) Mem {
 		}
 	}
 	return mem
+}
+
+// Stack builds paper-process pid's register stack over base: the Metered
+// layer for meter, then the writer discipline of an algorithm with
+// writers writers per register (see DisciplineFor), outermost. A nil
+// meter leaves the stack unmetered, and writers = 0 leaves out the
+// discipline. Every per-process stack is built here, so the SDK, the
+// engine's two worlds and the tests run the same layers in the same order.
+func Stack(base Mem, meter *Meter, writers, pid int) Mem {
+	var metered Middleware
+	if meter != nil {
+		metered = Metered(meter)
+	}
+	return Wrap(base, metered, DisciplineFor(writers, pid))
 }
 
 // Metered counts every register operation passing through the layer for

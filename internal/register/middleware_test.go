@@ -59,10 +59,14 @@ func TestWrapNilIdentity(t *testing.T) {
 	if got := Wrap(base, nil, nil); got != Mem(base) {
 		t.Error("Wrap with only nil middlewares must return the base memory")
 	}
+	// An unmetered stack of an any-writer algorithm has no layer at all.
+	if got := Stack(base, nil, 0, 3); got != Mem(base) {
+		t.Error("Stack with a nil meter and no discipline must return the base memory")
+	}
 }
 
 // One shared meter aggregates operations from several per-process stacks,
-// and the report carries the written set.
+// and lists their written set.
 func TestMeteredSharedAcrossStacks(t *testing.T) {
 	base := NewAtomicArray(3)
 	meter := NewMeterSize(3)
@@ -75,15 +79,15 @@ func TestMeteredSharedAcrossStacks(t *testing.T) {
 	m0.Read(1)
 	m1.Read(1)
 
-	rep := meter.Report()
+	rep := meter.Totals()
 	if rep.Writes != 3 || rep.Reads != 2 {
 		t.Errorf("totals = %d writes / %d reads, want 3/2", rep.Writes, rep.Reads)
 	}
 	if rep.Written != 2 {
 		t.Errorf("written registers = %d, want 2", rep.Written)
 	}
-	if !slices.Equal(rep.WrittenSet, []int{0, 2}) {
-		t.Errorf("written set = %v, want [0 2]", rep.WrittenSet)
+	if got := meter.WrittenSet(); !slices.Equal(got, []int{0, 2}) {
+		t.Errorf("written set = %v, want [0 2]", got)
 	}
 }
 
@@ -164,17 +168,13 @@ func TestFullStackComposition(t *testing.T) {
 	base := newPlainMem(2)
 	meter := NewMeterSize(2)
 
-	stack := func(pid int) Mem {
-		return Wrap(base, Metered(meter), DisciplineFor(1, pid))
-	}
-
-	p0, p1 := stack(0), stack(1)
+	p0, p1 := Stack(base, meter, 1, 0), Stack(base, meter, 1, 1)
 	p0.Write(0, "zero")
 	p1.Write(1, "one")
 	if v := p1.Read(0); v != "zero" {
 		t.Errorf("p1 reads r0 = %v, want zero", v)
 	}
-	rep := meter.Report()
+	rep := meter.Totals()
 	if rep.Writes != 2 || rep.Reads != 1 || rep.Written != 2 {
 		t.Errorf("meter saw %d writes / %d reads / %d written", rep.Writes, rep.Reads, rep.Written)
 	}
@@ -194,6 +194,6 @@ func ExampleWrap() {
 		DisciplineFor(1, 0),
 	)
 	mem.Write(0, "hello")
-	fmt.Println(mem.Read(0), meter.Report().Writes)
+	fmt.Println(mem.Read(0), meter.Totals().Writes)
 	// Output: hello 1
 }

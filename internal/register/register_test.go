@@ -64,21 +64,8 @@ func TestMeterCounts(t *testing.T) {
 	m.Write(3, "c")
 	m.Read(0)
 	m.Read(4)
-	r := meter.Report()
-	if r.Registers != 5 {
-		t.Errorf("Registers = %d, want 5", r.Registers)
-	}
-	if r.Written != 2 {
-		t.Errorf("Written = %d, want 2", r.Written)
-	}
-	if r.MaxWrittenIndex != 3 {
-		t.Errorf("MaxWrittenIndex = %d, want 3", r.MaxWrittenIndex)
-	}
-	if r.Writes != 3 || r.Reads != 2 {
-		t.Errorf("Writes = %d Reads = %d", r.Writes, r.Reads)
-	}
-	if !slices.Equal(r.WrittenSet, []int{1, 3}) {
-		t.Errorf("WrittenSet = %v, want [1 3]", r.WrittenSet)
+	if got := meter.WrittenSet(); !slices.Equal(got, []int{1, 3}) {
+		t.Errorf("WrittenSet = %v, want [1 3]", got)
 	}
 	if got, want := meter.Totals(), (Totals{Registers: 5, Written: 2, Reads: 2, Writes: 3}); got != want {
 		t.Errorf("Totals = %+v, want %+v", got, want)
@@ -87,9 +74,8 @@ func TestMeterCounts(t *testing.T) {
 
 func TestMeterEmptyReport(t *testing.T) {
 	meter := NewMeterSize(3)
-	r := meter.Report()
-	if r.Written != 0 || r.MaxWrittenIndex != -1 || r.WrittenSet != nil || r.Reads != 0 || r.Writes != 0 {
-		t.Errorf("empty report = %+v", r)
+	if got := meter.WrittenSet(); got != nil {
+		t.Errorf("empty written set = %v, want nil", got)
 	}
 	if got := meter.Totals(); got != (Totals{Registers: 3}) {
 		t.Errorf("empty totals = %+v", got)
@@ -161,8 +147,8 @@ func TestMeterConcurrentSafety(t *testing.T) {
 	if got := meter.Totals(); got != want {
 		t.Errorf("Totals after join = %+v, want %+v", got, want)
 	}
-	if r := meter.Report(); !slices.Equal(r.WrittenSet, written) || r.MaxWrittenIndex != written[len(written)-1] {
-		t.Errorf("Report after join: written set %v (max %d), want %v", r.WrittenSet, r.MaxWrittenIndex, written)
+	if got := meter.WrittenSet(); !slices.Equal(got, written) {
+		t.Errorf("WrittenSet after join = %v, want %v", got, written)
 	}
 }
 
@@ -297,7 +283,6 @@ func ExampleMeter() {
 	meter := NewMeterSize(4)
 	mem := Wrap(NewAtomicArray(4), Metered(meter))
 	mem.Write(2, "hello")
-	r := meter.Report()
-	fmt.Println(r.Written, r.MaxWrittenIndex)
-	// Output: 1 2
+	fmt.Println(meter.Totals().Written, meter.WrittenSet())
+	// Output: 1 [2]
 }

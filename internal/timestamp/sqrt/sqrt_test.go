@@ -68,7 +68,7 @@ func TestSequentialSpace(t *testing.T) {
 		for k := 0; k < m; k++ {
 			mustTS(t, alg, mem, k, 0)
 		}
-		rep := meter.Report()
+		rep := meter.Totals()
 		if rep.Written > alg.Registers()-1 {
 			t.Errorf("M=%d: wrote %d registers, budget %d (sentinel must stay ⊥)", m, rep.Written, alg.Registers())
 		}
@@ -320,9 +320,9 @@ func TestPerCallWriteBound(t *testing.T) {
 	meter := register.NewMeterSize(base.Size())
 	mem := register.Wrap(base, register.Metered(meter))
 	for k := 0; k < m; k++ {
-		before := meter.Report().Writes
+		before := meter.Totals().Writes
 		mustTS(t, alg, mem, k%6, k/6)
-		delta := meter.Report().Writes - before
+		delta := meter.Totals().Writes - before
 		if delta >= uint64(alg.Registers()) {
 			t.Errorf("call %d performed %d writes, must be < m = %d", k, delta, alg.Registers())
 		}

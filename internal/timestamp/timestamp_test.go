@@ -74,7 +74,7 @@ func TestScalarGetTSAllocFree(t *testing.T) {
 		meter := register.NewMeterSize(base.Size())
 		mems := make([]register.Mem, n)
 		for pid := range mems {
-			mems[pid] = register.Wrap(base, register.Metered(meter), register.DisciplineFor(alg.WriterTable(), pid))
+			mems[pid] = register.Stack(base, meter, alg.WriterTable(), pid)
 		}
 		// One run is a getTS by every process, so a path that allocates
 		// for some processes only (dense's writers, not its silent one)

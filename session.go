@@ -55,13 +55,12 @@ type Object struct {
 	alg     timestamp.Algorithm
 	procs   int
 	oneShot bool
-	meter   *register.Meter     // nil when metering is off
-	base    register.Mem        // the register array every proc's stack wraps
-	metered register.Middleware // nil when metering is off
-	writers int                 // the algorithm's writers per register; 0 = any writer
-	leased  atomic.Int64        // pids below min(this, procs) have had a first lease
-	free    chan *proc          // detached procs, in FIFO order; capacity procs
-	closed  chan struct{}       // closed by Close
+	meter   *register.Meter // nil when metering is off
+	base    register.Mem    // the register array every proc's stack wraps
+	writers int             // the algorithm's writers per register; 0 = any writer
+	leased  atomic.Int64    // pids below min(this, procs) have had a first lease
+	free    chan *proc      // detached procs, in FIFO order; capacity procs
+	closed  chan struct{}   // closed by Close
 	once    sync.Once
 
 	mu        sync.Mutex    // cold-path bookkeeping only: never on the GetTS path
@@ -137,8 +136,7 @@ func (o *Object) Attach(ctx context.Context) (*Session, error) {
 // from overflowing an int64.
 func (o *Object) firstLease() *proc {
 	if pid := o.leased.Add(1) - 1; pid < int64(o.procs) {
-		mem := register.Wrap(o.base, o.metered, register.DisciplineFor(o.writers, int(pid)))
-		return &proc{pid: int(pid), mem: mem}
+		return &proc{pid: int(pid), mem: register.Stack(o.base, o.meter, o.writers, int(pid))}
 	}
 	return nil
 }
@@ -151,35 +149,25 @@ func (o *Object) Close() error {
 	return nil
 }
 
-// Usage reports the object's register-space footprint. The boolean is
-// false when the object was built without WithMetering, in which case only
-// Registers is populated.
-func (o *Object) Usage() (Usage, bool) {
+// Space reports the object's register-space measure. A sample counts
+// the written-register bitmap and sums one pair of counters per leased
+// pid, and takes no lock the getTS path takes, so a metrics scraper can
+// sample a live object. The boolean is false when the object was built
+// without WithMetering, in which case only Registers is populated.
+func (o *Object) Space() (Space, bool) {
 	if o.meter == nil {
-		return Usage{Registers: o.alg.Registers()}, false
+		return Space{Registers: o.alg.Registers()}, false
 	}
-	rep := o.meter.Report()
-	return Usage{
-		Registers:  rep.Registers,
-		Written:    rep.Written,
-		WrittenSet: rep.WrittenSet,
-		Reads:      rep.Reads,
-		Writes:     rep.Writes,
-	}, true
+	return o.meter.Totals(), true
 }
 
-// SpaceTotals reports the scalar register-space measures — allocated
-// registers, distinct registers written, total reads and writes —
-// without building the written set Usage carries, so a metrics scraper
-// can sample a live object cheaply. The boolean is false when the object
-// was built without WithMetering, in which case only Registers is
-// populated.
-func (o *Object) SpaceTotals() (SpaceTotals, bool) {
+// WrittenSet lists the registers written so far in increasing order. It
+// is nil when the object was built without WithMetering.
+func (o *Object) WrittenSet() []int {
 	if o.meter == nil {
-		return SpaceTotals{Registers: o.alg.Registers()}, false
+		return nil
 	}
-	t := o.meter.Totals()
-	return SpaceTotals{Registers: t.Registers, Written: t.Written, Reads: t.Reads, Writes: t.Writes}, true
+	return o.meter.WrittenSet()
 }
 
 // Stats returns the object's traffic counters.
@@ -192,33 +180,6 @@ func (o *Object) Stats() Stats {
 		Attaches:       o.attaches.Load(),
 		ActiveSessions: active,
 	}
-}
-
-// Usage is the register-space footprint of an object (cf. the paper's
-// space measures: Θ(√n) one-shot vs Θ(n) long-lived).
-type Usage struct {
-	// Registers is the allocated array size (the budget).
-	Registers int
-	// Written is the number of distinct registers written so far;
-	// WrittenSet lists them in increasing order.
-	Written    int
-	WrittenSet []int
-	// Reads and Writes are total operation counts.
-	Reads, Writes uint64
-}
-
-// SpaceTotals is the scalar slice of Usage: the live register-space
-// gauges (cf. the paper's space measures, Θ(√n) one-shot vs Θ(n)
-// long-lived). A sample counts the written-register bitmap and sums one
-// pair of counters per process, and takes no lock the getTS path takes.
-type SpaceTotals struct {
-	// Registers is the allocated array size (the budget).
-	Registers int
-	// Written is the number of distinct registers written so far — the
-	// paper's "used" count.
-	Written int
-	// Reads and Writes are total operation counts.
-	Reads, Writes uint64
 }
 
 // Stats are the object's lifetime traffic counters. The SDK reclaims no

@@ -84,21 +84,21 @@ func TestSessionChurnRaceHappensBefore(t *testing.T) {
 	if st.Calls != sessions*calls || st.Attaches != sessions || st.ActiveSessions != 0 {
 		t.Errorf("Stats = %+v, want %d calls / %d attaches / 0 active", st, sessions*calls, sessions)
 	}
-	if u, _ := obj.Usage(); u.Written != procs {
+	if u, _ := obj.Space(); u.Written != procs {
 		t.Errorf("collect over %d pids wrote %d registers, want %d", procs, u.Written, procs)
 	}
 }
 
 // The batch-first churn workload of the v2 redesign: 64 goroutines loop
 // Attach → GetTSBatch → Detach against a 16-pid object while dedicated
-// readers hammer Usage() and Stats(), and one more reads Calls() on the
-// live sessions while their batches publish it — under -race this checks
-// that the lock-free hot path, the padded procs, and the cold-path
-// bookkeeping never trade data races for the dropped object-wide mutex.
-// Afterwards every worker's batch stream goes through hbcheck: batches
-// from one worker are sequential in real time, so the whole per-worker
-// stream must be strictly ordered — in particular every batch must be
-// internally strictly ordered.
+// readers hammer Space(), WrittenSet() and Stats(), and one more reads
+// Calls() on the live sessions while their batches publish it — under
+// -race this checks that the lock-free hot path, the padded procs, and
+// the cold-path bookkeeping never trade data races for the dropped
+// object-wide mutex. Afterwards every worker's batch stream goes through
+// hbcheck: batches from one worker are sequential in real time, so the
+// whole per-worker stream must be strictly ordered — in particular every
+// batch must be internally strictly ordered.
 func TestBatchChurnRaceWithConcurrentReaders(t *testing.T) {
 	const (
 		procs    = 16
@@ -142,8 +142,12 @@ func TestBatchChurnRaceWithConcurrentReaders(t *testing.T) {
 					return
 				default:
 				}
-				if _, metered := obj.Usage(); !metered {
+				if _, metered := obj.Space(); !metered {
 					t.Error("metered object reported unmetered mid-run")
+					return
+				}
+				if set := obj.WrittenSet(); len(set) > procs {
+					t.Errorf("WrittenSet = %v with %d registers", set, procs)
 					return
 				}
 				if st := obj.Stats(); st.ActiveSessions < 0 || st.ActiveSessions > procs {
@@ -314,8 +318,8 @@ func TestFirstLeaseRace(t *testing.T) {
 	if calls != workers*200 {
 		t.Errorf("collect: %d calls, want %d", calls, workers*200)
 	}
-	if u, _ := collect.Usage(); u.Reads != uint64(calls)*64 || u.Writes != uint64(calls) {
-		t.Errorf("collect: Usage = %d reads, %d writes after %d calls, want %d and %d",
+	if u, _ := collect.Space(); u.Reads != uint64(calls)*64 || u.Writes != uint64(calls) {
+		t.Errorf("collect: Space = %d reads, %d writes after %d calls, want %d and %d",
 			u.Reads, u.Writes, calls, calls*64, calls)
 	}
 
@@ -326,7 +330,7 @@ func TestFirstLeaseRace(t *testing.T) {
 	if _, err := sqrt.Attach(ctx); !errors.Is(err, tsspace.ErrExhausted) {
 		t.Errorf("sqrt: Attach after the budget = %v, want ErrExhausted", err)
 	}
-	u, _ := sqrt.Usage()
+	u, _ := sqrt.Space()
 	if u.Written >= u.Registers {
 		t.Errorf("sqrt: wrote %d of %d registers, want fewer: the sentinel is never written", u.Written, u.Registers)
 	}

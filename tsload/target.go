@@ -32,21 +32,12 @@ type Target interface {
 	// their operation streams must be sequential; each driver worker holds
 	// its own.
 	Attach(ctx context.Context) (tsspace.SessionAPI, error)
-	// Space reports the object's register-space footprint, when the
+	// Space reports the object's register-space measure, when the
 	// backend exposes one (in-process metering, or the default
-	// namespace's entry of /metrics over HTTP).
-	Space(ctx context.Context) (SpaceReport, bool)
+	// namespace's entry of /metrics over a wire, whose read can fail).
+	Space(ctx context.Context) (tsspace.Space, bool)
 	// Close releases whatever the target owns.
 	Close() error
-}
-
-// SpaceReport is the register-space footprint of a target, as recorded in
-// BENCH_*.json (cf. the paper's Θ(√n) one-shot vs Θ(n) long-lived bounds).
-type SpaceReport struct {
-	Registers int    `json:"registers"`
-	Written   int    `json:"written"`
-	Reads     uint64 `json:"reads"`
-	Writes    uint64 `json:"writes"`
 }
 
 // IsExhausted reports whether err is the one-shot budget running out, on
@@ -91,14 +82,8 @@ func (t *InProc) Attach(ctx context.Context) (tsspace.SessionAPI, error) {
 	return s, nil
 }
 
-// Space reports the object's metered usage, when metering is on.
-func (t *InProc) Space(context.Context) (SpaceReport, bool) {
-	u, metered := t.obj.Usage()
-	if !metered {
-		return SpaceReport{}, false
-	}
-	return SpaceReport{Registers: u.Registers, Written: u.Written, Reads: u.Reads, Writes: u.Writes}, true
-}
+// Space reports the object's space measure, when metering is on.
+func (t *InProc) Space(context.Context) (tsspace.Space, bool) { return t.obj.Space() }
 
 // Close closes the owned object.
 func (t *InProc) Close() error { return t.obj.Close() }
@@ -135,18 +120,17 @@ func (d *daemon) OneShot() bool { return d.health.OneShot }
 
 // Space reads the default namespace's space report off /metrics, when
 // its object is metered.
-func (d *daemon) Space(ctx context.Context) (SpaceReport, bool) {
+func (d *daemon) Space(ctx context.Context) (tsspace.Space, bool) {
 	m, err := d.client.Metrics(ctx)
 	if err != nil {
-		return SpaceReport{}, false
+		return tsspace.Space{}, false
 	}
 	for _, nm := range m.Namespaces {
 		if nm.Name == tsserve.DefaultNamespace && nm.Space != nil {
-			sp := nm.Space
-			return SpaceReport{Registers: sp.Registers, Written: sp.Written, Reads: sp.Reads, Writes: sp.Writes}, true
+			return *nm.Space, true
 		}
 	}
-	return SpaceReport{}, false
+	return tsspace.Space{}, false
 }
 
 // ProvisionNamespace PUTs the namespace on the daemon's broker surface.

@@ -197,9 +197,9 @@ type Result struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 
-	// Space is the target's register-space footprint after the run, when
+	// Space is the target's register-space measure after the run, when
 	// the backend exposes one.
-	Space *SpaceReport `json:"space,omitempty"`
+	Space *tsspace.Space `json:"space,omitempty"`
 }
 
 const (

@@ -567,8 +567,8 @@ func (d *decreasing) Kind() string      { return "decreasing" }
 func (d *decreasing) Algorithm() string { return "decreasing" }
 func (d *decreasing) Procs() int        { return 4 }
 func (d *decreasing) OneShot() bool     { return false }
-func (d *decreasing) Space(context.Context) (tsload.SpaceReport, bool) {
-	return tsload.SpaceReport{}, false
+func (d *decreasing) Space(context.Context) (tsspace.Space, bool) {
+	return tsspace.Space{}, false
 }
 func (d *decreasing) Close() error { return nil }
 
@@ -774,6 +774,23 @@ func TestBenchReportRoundTrip(t *testing.T) {
 	got := rep.Results[0]
 	if got.Ops != res.Ops || got.LatencyNs.P99 != res.LatencyNs.P99 || got.Throughput != res.Throughput {
 		t.Errorf("round trip changed results:\n wrote %+v\n read  %+v", res, got)
+	}
+}
+
+// Every row of the committed smoke trajectory decodes a space section
+// into tsspace.Space: the keys the BENCH files carry are the type's keys.
+func TestCommittedBenchCarriesSpace(t *testing.T) {
+	rep, err := tsload.ReadBench(filepath.Join("..", "bench", "BENCH_smoke.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Results) == 0 {
+		t.Fatal("the committed smoke report has no rows")
+	}
+	for _, r := range rep.Results {
+		if r.Space == nil || r.Space.Registers == 0 || r.Space.Written > r.Space.Registers {
+			t.Errorf("%s/%s/%s: space %+v, want registers > 0 and written ≤ registers", r.Mix, r.Target, r.Algorithm, r.Space)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -256,6 +257,25 @@ func TestBinaryBatchCap(t *testing.T) {
 	// The connection survives a payload-level error: the lease still works.
 	if _, err := sess.GetTS(ctx); err != nil {
 		t.Fatalf("getts after over-cap error: %v", err)
+	}
+
+	// A count of 2^63 or more is over the cap too, and the reply names it
+	// as sent: it must not wrap negative and pass as a batch of one.
+	c := rawConn(t, bc.Addr())
+	id, _ := rawAttach(t, c)
+	getTS := func(count uint64) (byte, []byte) {
+		rawFrame(t, c, 0x02, binary.AppendUvarint(append([]byte(nil), id...), count)) // frameGetTS
+		return readFrame(t, c)
+	}
+	for _, count := range []uint64{1 << 63, math.MaxUint64} {
+		typ, p := getTS(count)
+		want := fmt.Sprintf("count %d exceeds the batch cap 4", count)
+		if typ != 0xFF || len(p) == 0 || p[0] != 1 || string(p[1:]) != want { // frameError, binCodeBadRequest
+			t.Errorf("count %d: reply type 0x%02x %q, want bad_request %q", count, typ, p, want)
+		}
+	}
+	if typ, p := getTS(1); typ != 0x82 { // frameGetTSOK
+		t.Fatalf("getts after the huge counts: type 0x%02x: %q", typ, p)
 	}
 }
 

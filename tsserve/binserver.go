@@ -195,14 +195,13 @@ func (st *binServerConn) getTS(payload []byte) {
 		st.writeError(binCodeBadRequest, "getts: malformed count")
 		return
 	}
-	count := int(cnt)
-	if count < 1 {
-		count = 1
-	}
-	if count > s.maxBatch {
-		st.writeError(binCodeBadRequest, fmt.Sprintf("count %d exceeds the batch cap %d", count, s.maxBatch))
+	// The cap is checked on the count as sent: converted first, a count
+	// of 2^63 or more would wrap negative and pass as a batch of one.
+	if cnt > uint64(s.maxBatch) {
+		st.writeError(binCodeBadRequest, fmt.Sprintf("count %d exceeds the batch cap %d", cnt, s.maxBatch))
 		return
 	}
+	count := max(int(cnt), 1)
 	ws, ok := s.lookupKey(id)
 	if !ok {
 		// Frames carry no namespace, so the rejection books under the

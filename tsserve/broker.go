@@ -82,7 +82,8 @@ type NamespaceList struct {
 
 // ProvisionRequest is the PUT /ns/{name} body. Zero values inherit
 // from the default namespace's Object, so `{}` provisions a sibling of
-// the daemon's own configuration.
+// the daemon's own configuration. Every provisioned Object is metered:
+// there is no field that turns the space measure off.
 type ProvisionRequest struct {
 	// Algorithm names a registry algorithm (see GET /catalog); empty
 	// means the default namespace's algorithm.
@@ -95,10 +96,6 @@ type ProvisionRequest struct {
 	// (both transports; 0 = unlimited). An attach beyond the cap is
 	// rejected with quota_exhausted instead of queueing for a pid.
 	MaxSessions int `json:"max_sessions,omitempty"`
-	// Unmetered disables register metering. Metering defaults on so
-	// the per-namespace space gauges (tsspace_registers_used{namespace=...})
-	// report; opt out only for peak-throughput namespaces.
-	Unmetered bool `json:"unmetered,omitempty"`
 }
 
 // ProvisionResponse is the PUT /ns/{name} body on success. Created is
@@ -140,7 +137,6 @@ type namespace struct {
 	algorithm   string
 	procs       int
 	maxSessions int
-	metered     bool
 
 	// active counts live wire leases bound into this namespace; it is
 	// the quota's book and the tsserve_ns_sessions gauge. reaped and
@@ -269,13 +265,14 @@ func (s *Server) handleNamespaces(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, NamespaceList{Namespaces: names})
 }
 
-// handleProvision is PUT /ns/{name}: create a named Object. An
-// identical spec is idempotent (Created false); a conflicting one is
-// namespace_exists; the server-wide namespace cap is quota_exhausted.
-// The object builds each paper-process on its first lease, so a
-// provision takes a fixed number of allocations whatever the proc count;
-// only the sizes of the register array and the lease channel grow with
-// it.
+// handleProvision is PUT /ns/{name}: create a named, metered Object, so
+// every provisioned namespace reports its space on both /metrics views.
+// An identical spec is idempotent (Created false); a conflicting one is
+// namespace_exists; the server-wide namespace cap is quota_exhausted; a
+// body with a field ProvisionRequest lacks is bad_request. The object
+// builds each paper-process on its first lease, so a provision takes a
+// fixed number of allocations whatever the proc count; only the sizes of
+// the register array and the lease channel grow with it.
 func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !validNamespaceName(name) {
@@ -307,7 +304,7 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 	s.nsMu.Lock()
 	if existing, ok := s.namespaces[name]; ok {
 		same := existing.algorithm == req.Algorithm && existing.procs == req.Procs &&
-			existing.maxSessions == req.MaxSessions && existing.metered == !req.Unmetered
+			existing.maxSessions == req.MaxSessions
 		s.nsMu.Unlock()
 		if same {
 			writeJSON(w, http.StatusOK, provisionResponse(existing, false))
@@ -323,11 +320,7 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("namespace cap %d reached", maxNamespaces))
 		return
 	}
-	opts := []tsspace.Option{tsspace.WithAlgorithm(req.Algorithm), tsspace.WithProcs(req.Procs)}
-	if !req.Unmetered {
-		opts = append(opts, tsspace.WithMetering())
-	}
-	obj, err := tsspace.New(opts...)
+	obj, err := tsspace.New(tsspace.WithAlgorithm(req.Algorithm), tsspace.WithProcs(req.Procs), tsspace.WithMetering())
 	if err != nil {
 		s.nsMu.Unlock()
 		if errors.Is(err, tsspace.ErrUnknownAlgorithm) || errors.Is(err, tsspace.ErrBadOption) {
@@ -342,7 +335,6 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 		name: name, id: s.nsSeq, obj: obj, owned: true,
 		summary:   algorithmSummary(req.Algorithm),
 		algorithm: req.Algorithm, procs: req.Procs, maxSessions: req.MaxSessions,
-		metered: !req.Unmetered,
 	}
 	s.namespaces[name] = ns
 	s.nsMu.Unlock()

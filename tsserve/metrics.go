@@ -126,35 +126,36 @@ func newServerMetrics(s *Server) *serverMetrics {
 		})
 
 	// Register-space metering, the paper's live space measure, labeled by
-	// namespace. The budget is always known; the used/read/write samples
-	// exist only for namespaces that meter (they would read as constant
-	// zero otherwise and invite bogus dashboards).
+	// namespace. Every provisioned namespace meters. The budget is always
+	// known; the used/read/write samples skip only a default Object built
+	// without metering (they would read as constant zero and invite bogus
+	// dashboards).
 	r.GaugeVecFunc("tsspace_registers_total", "Allocated registers (the space budget), per namespace.", "namespace",
 		func() []obs.Sample {
 			return s.sampleNamespaces(func(ns *namespace) (float64, bool) {
-				t, _ := ns.obj.SpaceTotals()
-				return float64(t.Registers), true
+				sp, _ := ns.obj.Space()
+				return float64(sp.Registers), true
 			})
 		})
 	r.GaugeVecFunc("tsspace_registers_used", "Distinct registers written — the paper's used-register count — per metered namespace.", "namespace",
 		func() []obs.Sample {
 			return s.sampleNamespaces(func(ns *namespace) (float64, bool) {
-				t, metered := ns.obj.SpaceTotals()
-				return float64(t.Written), metered
+				sp, metered := ns.obj.Space()
+				return float64(sp.Written), metered
 			})
 		})
 	r.CounterVecFunc("tsspace_register_reads_total", "Register read operations per metered namespace.", "namespace",
 		func() []obs.Sample {
 			return s.sampleNamespaces(func(ns *namespace) (float64, bool) {
-				t, metered := ns.obj.SpaceTotals()
-				return float64(t.Reads), metered
+				sp, metered := ns.obj.Space()
+				return float64(sp.Reads), metered
 			})
 		})
 	r.CounterVecFunc("tsspace_register_writes_total", "Register write operations per metered namespace.", "namespace",
 		func() []obs.Sample {
 			return s.sampleNamespaces(func(ns *namespace) (float64, bool) {
-				t, metered := ns.obj.SpaceTotals()
-				return float64(t.Writes), metered
+				sp, metered := ns.obj.Space()
+				return float64(sp.Writes), metered
 			})
 		})
 	return m
@@ -164,7 +165,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 // order (namespaceList's canonical order, so repeated scrapes diff
 // cleanly). sample returns (value, include); a
 // false include drops the namespace from this family — how the metered-
-// only register series skip unmetered namespaces.
+// only register series skip an unmetered default Object.
 func (s *Server) sampleNamespaces(sample func(*namespace) (float64, bool)) []obs.Sample {
 	nss := s.namespaceList()
 	out := make([]obs.Sample, 0, len(nss))
@@ -227,8 +228,8 @@ func (s *Server) MetricsSnapshot() Metrics {
 			ReapedSessions:  ns.reaped.Load(),
 			QuotaRejections: ns.quotaRejections.Load(),
 		}
-		if t, metered := ns.obj.SpaceTotals(); metered {
-			nm.Space = &Space{Registers: t.Registers, Written: t.Written, Reads: t.Reads, Writes: t.Writes}
+		if sp, metered := ns.obj.Space(); metered {
+			nm.Space = &sp
 		}
 		if ns.name == DefaultNamespace {
 			m.Space = nm.Space

@@ -286,10 +286,30 @@ func promValue(t *testing.T, body []byte, name string) uint64 {
 // The JSON /metrics body and the Prometheus exposition are two renderings
 // of one registry: after the same traffic, the counters they report must
 // agree exactly, and every wire-layer rejection family must be present in
-// the exposition even at zero.
+// the exposition even at zero. The space measure is one value on every
+// view: a namespace's four tsspace_* samples equal its JSON entry, and the
+// default entry equals its Object's own Space.
 func TestMetricsTwoViewsOneRegistry(t *testing.T) {
 	ctx := context.Background()
-	c, _, _ := newTestServerCfg(t, tsserve.ServerConfig{MaxBatch: 16}, tsspace.WithMetering())
+	c, obj, _ := newTestServerCfg(t, tsserve.ServerConfig{MaxBatch: 16}, tsspace.WithMetering())
+
+	// A one-shot sqrt namespace beside the default collect object, so the
+	// space views are checked on two algorithms and two meters.
+	if _, err := c.ProvisionNamespace(ctx, "tenant", tsserve.ProvisionRequest{Algorithm: "sqrt", Procs: 16}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		ts, err := c.Namespace("tenant").Attach(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ts.GetTS(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := ts.Detach(); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	sess, err := c.Attach(ctx)
 	if err != nil {
@@ -349,10 +369,8 @@ func TestMetricsTwoViewsOneRegistry(t *testing.T) {
 		{"tsserve_unknown_namespaces_total", "", m.UnknownNamespaces},
 		{"tsserve_rejected_frames_oversized_total", "", m.OversizedFrames},
 		{"tsserve_rejected_conns_bad_magic_total", "", m.BadMagicConns},
-		// The object counts and the register-space families are
-		// namespace-labeled; the default namespace's samples must agree
-		// with its JSON entry.
-		{"tsspace_registers_used", `tsspace_registers_used{namespace="default"}`, uint64(d.Space.Written)},
+		// The object counts are namespace-labeled; the default
+		// namespace's samples must agree with its JSON entry.
 		{"tsserve_ns_calls_total", `tsserve_ns_calls_total{namespace="default"}`, d.Calls},
 		{"tsserve_ns_attaches_total", `tsserve_ns_attaches_total{namespace="default"}`, d.Attaches},
 	} {
@@ -369,10 +387,30 @@ func TestMetricsTwoViewsOneRegistry(t *testing.T) {
 		}
 	}
 	// The JSON namespaces section must mirror the labeled families: one
-	// entry, the default namespace, which the top-level space block
-	// repeats.
-	if len(m.Namespaces) != 1 {
-		t.Fatalf("namespaces section = %+v, want exactly the default namespace", m.Namespaces)
+	// entry per namespace, each carrying the four space numbers its
+	// tsspace_* samples report. The top-level space block repeats the
+	// default entry, which is the default Object's own Space.
+	if len(m.Namespaces) != 2 {
+		t.Fatalf("namespaces section = %+v, want default and tenant", m.Namespaces)
+	}
+	for _, nm := range m.Namespaces {
+		if nm.Space == nil || nm.Space.Written == 0 || nm.Space.Written > nm.Space.Registers {
+			t.Fatalf("%s: space %+v, want a metered, written entry", nm.Name, nm.Space)
+		}
+		for family, json := range map[string]uint64{
+			"tsspace_registers_total":       uint64(nm.Space.Registers),
+			"tsspace_registers_used":        uint64(nm.Space.Written),
+			"tsspace_register_reads_total":  nm.Space.Reads,
+			"tsspace_register_writes_total": nm.Space.Writes,
+		} {
+			sample := family + `{namespace="` + nm.Name + `"}`
+			if got := promValue(t, body.Bytes(), sample); got != json {
+				t.Errorf("%s: prometheus %d != json %d", sample, got, json)
+			}
+		}
+	}
+	if sp, metered := obj.Space(); !metered || *d.Space != sp {
+		t.Errorf("default namespace's space %+v disagrees with its Object's %+v", *d.Space, sp)
 	}
 	if m.Space == nil || *m.Space != *d.Space {
 		t.Errorf("top-level space %v disagrees with the default namespace's %v", m.Space, *d.Space)
@@ -380,8 +418,8 @@ func TestMetricsTwoViewsOneRegistry(t *testing.T) {
 	if m.UnknownSessions == 0 {
 		t.Error("unknown-session counter did not move")
 	}
-	if m.Batches != 3 {
-		t.Errorf("batches = %d, want 3", m.Batches)
+	if m.Batches != 6 { // three batches of five on default, three getTS on tenant
+		t.Errorf("batches = %d, want 6", m.Batches)
 	}
 
 	// The getts latency histogram must cover the batches in both views.

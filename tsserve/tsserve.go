@@ -98,15 +98,6 @@ type Health struct {
 	OneShot   bool   `json:"one_shot"`
 }
 
-// Space is the register-space section of /metrics, present when the
-// object is metered.
-type Space struct {
-	Registers int    `json:"registers"`
-	Written   int    `json:"written"`
-	Reads     uint64 `json:"reads"`
-	Writes    uint64 `json:"writes"`
-}
-
 // Latency is the per-endpoint latency section of /metrics: a percentile
 // digest (nanoseconds, measured server-side around the whole handler) per
 // operation, keyed "attach" and "getts" for the HTTP handlers and
@@ -165,7 +156,7 @@ type Metrics struct {
 	UptimeSeconds     float64 `json:"uptime_seconds"`
 	// Space repeats the default namespace's space report. It stays only
 	// for the benchmark's reader; read Namespaces instead.
-	Space *Space `json:"space,omitempty"`
+	Space *tsspace.Space `json:"space,omitempty"`
 	// Namespaces reports every live namespace, "default" included,
 	// sorted by name — the JSON rendering of the same per-namespace
 	// series the Prometheus view exposes as {namespace="..."} labels.
@@ -174,25 +165,27 @@ type Metrics struct {
 }
 
 // NamespaceMetrics is one namespace's slice of /metrics: identity,
-// session accounting and (when the namespace's Object meters) its
-// register-space report. The same numbers render in the Prometheus
-// view as the namespace-labeled families tsserve_ns_sessions,
+// session accounting and its register-space report, the Object's own
+// tsspace.Space. Every provisioned namespace meters; only a default
+// Object an embedder built without tsspace.WithMetering has no Space.
+// The same numbers render in the Prometheus view as the
+// namespace-labeled families tsserve_ns_sessions,
 // tsserve_ns_calls_total, tsserve_ns_attaches_total,
 // tsserve_ns_reaped_total, tsserve_ns_quota_rejections_total and
 // tsspace_registers_*. Calls and Attaches are the Object's own counts,
 // wire and in-process; WireSessions counts live wire leases only.
 type NamespaceMetrics struct {
-	Name            string `json:"name"`
-	Algorithm       string `json:"algorithm"`
-	Procs           int    `json:"procs"`
-	OneShot         bool   `json:"one_shot"`
-	MaxSessions     int    `json:"max_sessions,omitempty"`
-	Calls           uint64 `json:"calls"`
-	Attaches        uint64 `json:"attaches"`
-	WireSessions    int64  `json:"wire_sessions"`
-	ReapedSessions  uint64 `json:"reaped_sessions"`
-	QuotaRejections uint64 `json:"quota_rejections"`
-	Space           *Space `json:"space,omitempty"`
+	Name            string         `json:"name"`
+	Algorithm       string         `json:"algorithm"`
+	Procs           int            `json:"procs"`
+	OneShot         bool           `json:"one_shot"`
+	MaxSessions     int            `json:"max_sessions,omitempty"`
+	Calls           uint64         `json:"calls"`
+	Attaches        uint64         `json:"attaches"`
+	WireSessions    int64          `json:"wire_sessions"`
+	ReapedSessions  uint64         `json:"reaped_sessions"`
+	QuotaRejections uint64         `json:"quota_rejections"`
+	Space           *tsspace.Space `json:"space,omitempty"`
 }
 
 // Error codes carried in error bodies, so clients can map failures back to
@@ -305,7 +298,6 @@ func NewServer(obj *tsspace.Object, cfg ServerConfig) *Server {
 	if ttl <= 0 {
 		ttl = 60 * time.Second
 	}
-	_, metered := obj.SpaceTotals()
 	s := &Server{
 		maxBatch: maxBatch, sessionTTL: ttl,
 		start: time.Now(), mux: http.NewServeMux(),
@@ -317,7 +309,7 @@ func NewServer(obj *tsspace.Object, cfg ServerConfig) *Server {
 	s.namespaces[DefaultNamespace] = &namespace{
 		name: DefaultNamespace, obj: obj,
 		summary:   algorithmSummary(obj.Algorithm()),
-		algorithm: obj.Algorithm(), procs: obj.Procs(), metered: metered,
+		algorithm: obj.Algorithm(), procs: obj.Procs(),
 	}
 	s.met = newServerMetrics(s)
 	s.binCtx, s.binCancel = context.WithCancel(context.Background())

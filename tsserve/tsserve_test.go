@@ -483,6 +483,8 @@ func TestRequestValidation(t *testing.T) {
 		{"wrong method healthz", "POST", "/healthz", ``, http.StatusMethodNotAllowed},
 		{"unknown path", "GET", "/nope", ``, http.StatusNotFound},
 		{"un-prefixed attach", "POST", "/session", ``, http.StatusNotFound},
+		// Every provisioned namespace meters: there is no unmetered field.
+		{"provision unmetered", "PUT", "/ns/quiet", `{"unmetered": true}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -68,6 +68,13 @@ type Timestamp = timestamp.Timestamp
 // timestamps from any transport.
 func Less(t1, t2 Timestamp) bool { return timestamp.Less(t1, t2) }
 
+// Space is the paper's space measure of an object (Θ(√n) registers
+// one-shot against Θ(n) long-lived): registers allocated and written, and
+// the reads and writes that reached them. It is the one type every view
+// of the measure carries — Object.Space, tsserve's /metrics and tsload's
+// BENCH rows — under the JSON keys registers, written, reads and writes.
+type Space = register.Totals
+
 // Typed errors of the SDK surface. Errors returned by Object and Session
 // methods match these with errors.Is.
 var (
@@ -157,15 +164,17 @@ func WithProcs(n int) Option {
 	}
 }
 
-// WithMetering records the register-space footprint of the object (see
-// Usage and SpaceTotals). Each process's stack counts its own register
-// operations with atomic adds on a cache line no other process writes,
-// and a write also loads one word of a shared written-register bitmap.
-// No register operation takes a lock. A collect (collect, dense) is one
-// call that the meter counts as its n reads with a single add, so a
-// metered collect getTS pays at most two adds whatever n is; the
-// algorithms that read register by register (sqrt, simple) pay one add per
-// register operation, and fas touches no register.
+// WithMetering records the object's register-space measure, read with
+// Object.Space and Object.WrittenSet. It is opt-in because an in-process
+// getTS pays for it, while tsserved meters every namespace it serves.
+// Each process's stack counts its own register operations with atomic
+// adds on a cache line no other process writes, and a write also loads
+// one word of a shared written-register bitmap. No register operation
+// takes a lock. A collect (collect, dense) is one call that the meter
+// counts as its n reads with a single add, so a metered collect getTS
+// pays at most two adds whatever n is; the algorithms that read register
+// by register (sqrt, simple) pay one add per register operation, and fas
+// touches no register.
 func WithMetering() Option {
 	return func(c *config) error {
 		c.metered = true
@@ -199,10 +208,8 @@ func New(opts ...Option) (*Object, error) {
 	// else gets the boxed-value array.
 	base := timestamp.NewMem(alg)
 	var meter *register.Meter
-	var metered register.Middleware
 	if cfg.metered {
 		meter = register.NewMeterSize(base.Size())
-		metered = register.Metered(meter)
 	}
 
 	o := &Object{
@@ -212,7 +219,6 @@ func New(opts ...Option) (*Object, error) {
 		oneShot: alg.OneShot(),
 		meter:   meter,
 		base:    base,
-		metered: metered,
 		writers: alg.WriterTable(),
 		free:    make(chan *proc, cfg.procs),
 		closed:  make(chan struct{}),

@@ -29,8 +29,11 @@ func TestNewDefaultsAndOptions(t *testing.T) {
 		t.Errorf("defaults: alg=%q procs=%d oneShot=%v, want collect/16/long-lived",
 			obj.Algorithm(), obj.Procs(), obj.OneShot())
 	}
-	if _, metered := obj.Usage(); metered {
+	if _, metered := obj.Space(); metered {
 		t.Error("metering must default off")
+	}
+	if set := obj.WrittenSet(); set != nil {
+		t.Errorf("unmetered WrittenSet = %v, want nil", set)
 	}
 
 	sq := mustNew(t, tsspace.WithAlgorithm("sqrt"), tsspace.WithProcs(9), tsspace.WithMetering())
@@ -40,8 +43,8 @@ func TestNewDefaultsAndOptions(t *testing.T) {
 	if sq.Registers() != 6 { // ⌈2√9⌉
 		t.Errorf("sqrt Registers = %d, want 6", sq.Registers())
 	}
-	if u, metered := sq.Usage(); !metered || u.Registers != 6 {
-		t.Errorf("Usage = (%+v, %v), want metered with 6 registers", u, metered)
+	if sp, metered := sq.Space(); !metered || sp.Registers != 6 {
+		t.Errorf("Space = (%+v, %v), want metered with 6 registers", sp, metered)
 	}
 }
 
@@ -431,7 +434,7 @@ func TestCloseWakesAndFails(t *testing.T) {
 	}
 }
 
-// Usage books the exact register footprint of one timestamp from each of
+// Space books the exact register footprint of one timestamp from each of
 // four processes: Attach leases the pids in turn, 0 to 3.
 func TestMeteredUsageTracksSpace(t *testing.T) {
 	ctx := context.Background()
@@ -459,16 +462,16 @@ func TestMeteredUsageTracksSpace(t *testing.T) {
 			}
 			s.Detach()
 		}
-		u, metered := obj.Usage()
+		sp, metered := obj.Space()
 		if !metered {
-			t.Fatalf("%s: metering on but Usage reports unmetered", tc.alg)
+			t.Fatalf("%s: metering on but Space reports unmetered", tc.alg)
 		}
-		if u.Registers != tc.registers || u.Written != tc.written || u.Writes != tc.writes || u.Reads != tc.reads {
-			t.Errorf("%s: Usage = %+v, want %d registers, %d written, %d writes, %d reads",
-				tc.alg, u, tc.registers, tc.written, tc.writes, tc.reads)
+		if sp.Registers != tc.registers || sp.Written != tc.written || sp.Writes != tc.writes || sp.Reads != tc.reads {
+			t.Errorf("%s: Space = %+v, want %d registers, %d written, %d writes, %d reads",
+				tc.alg, sp, tc.registers, tc.written, tc.writes, tc.reads)
 		}
-		if !slices.Equal(u.WrittenSet, tc.writtenSet) {
-			t.Errorf("%s: Usage.WrittenSet = %v, want %v", tc.alg, u.WrittenSet, tc.writtenSet)
+		if set := obj.WrittenSet(); !slices.Equal(set, tc.writtenSet) {
+			t.Errorf("%s: WrittenSet = %v, want %v", tc.alg, set, tc.writtenSet)
 		}
 	}
 }
@@ -605,8 +608,8 @@ func TestMeterCountsAcrossLeases(t *testing.T) {
 		}
 		s.Detach()
 	}
-	if u, _ := obj.Usage(); u.Reads != 100 || u.Writes != 50 || u.Written != 2 {
-		t.Errorf("Usage after 50 one-call leases = %+v, want 100 reads, 50 writes, 2 written", u)
+	if sp, _ := obj.Space(); sp.Reads != 100 || sp.Writes != 50 || sp.Written != 2 {
+		t.Errorf("Space after 50 one-call leases = %+v, want 100 reads, 50 writes, 2 written", sp)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		s, err := obj.Attach(ctx)
