@@ -3,7 +3,6 @@ package tsspace_test
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"go/ast"
 	"go/parser"
 	"go/printer"
@@ -23,11 +22,10 @@ import (
 // surface — added, removed or re-signed symbols — fails CI until the
 // golden is regenerated deliberately:
 //
-//	go test -run TestPublicSurface . -update-api
+//	go test -run TestPublicSurface . -update
 //
 // Initializers, function bodies and unexported members are stripped: the
 // golden tracks the surface, not the implementation.
-var updateAPI = flag.Bool("update-api", false, "rewrite the public-surface golden files")
 
 func TestPublicSurface(t *testing.T) {
 	for _, pkg := range []struct{ name, dir string }{
@@ -38,7 +36,7 @@ func TestPublicSurface(t *testing.T) {
 		t.Run(pkg.name, func(t *testing.T) {
 			got := publicSurface(t, pkg.dir)
 			golden := filepath.Join("testdata", "api", pkg.name+".golden")
-			if *updateAPI {
+			if *update {
 				if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 					t.Fatal(err)
 				}
@@ -50,11 +48,11 @@ func TestPublicSurface(t *testing.T) {
 			}
 			want, err := os.ReadFile(golden)
 			if err != nil {
-				t.Fatalf("missing golden (regenerate with `go test -run TestPublicSurface . -update-api`): %v", err)
+				t.Fatalf("missing golden (regenerate with `go test -run TestPublicSurface . -update`): %v", err)
 			}
 			if got != string(want) {
 				t.Errorf("public surface of %s changed.\n--- want (%s)\n%s\n--- got\n%s\n"+
-					"If the change is intentional, regenerate with `go test -run TestPublicSurface . -update-api`.",
+					"If the change is intentional, regenerate with `go test -run TestPublicSurface . -update`.",
 					pkg.name, golden, want, got)
 			}
 		})

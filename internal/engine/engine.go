@@ -6,8 +6,8 @@
 // discipline, recording and verification by hand. The engine owns that
 // plumbing once: it assembles the register middleware stack
 // (register.Wrap), drives the chosen workload in the chosen world, and
-// returns one Report carrying the happens-before events, the space
-// footprint (operation totals and the written set), and the wall time.
+// returns one Report carrying the happens-before events and the space
+// footprint (operation totals and the written set).
 // Adding a new scenario is a ~20-line Workload implementation, not a new
 // main().
 //
@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"tsspace/internal/hbcheck"
 	"tsspace/internal/register"
@@ -126,8 +125,6 @@ type Report struct {
 	Space register.Totals
 	// Events are the completed getTS intervals in start order.
 	Events []hbcheck.Event
-	// Elapsed is the wall time of the drive phase.
-	Elapsed time.Duration
 	// Steps and Trace are the scheduler step count and executed operations
 	// (simulated world only).
 	Steps int
@@ -234,11 +231,9 @@ func runAtomic(cfg Config, wl Workload, maxCalls int) (*Report, error) {
 		return nil
 	}
 
-	begin := time.Now()
 	if err := wl.DriveAtomic(cfg.N, issue); err != nil {
 		return nil, err
 	}
-	elapsed := time.Since(begin)
 	if firstErr != nil {
 		return nil, firstErr
 	}
@@ -246,7 +241,6 @@ func runAtomic(cfg Config, wl Workload, maxCalls int) (*Report, error) {
 	rep := cfg.report(wl, maxCalls)
 	rep.Space = meter.Totals()
 	rep.Events = rec.Events()
-	rep.Elapsed = elapsed
 	return rep, nil
 }
 
@@ -256,11 +250,9 @@ func runSim(cfg Config, wl Workload, maxCalls int) (*Report, error) {
 	defer sys.Close()
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	begin := time.Now()
 	if err := wl.DriveSim(sys, rng); err != nil {
 		return nil, err
 	}
-	elapsed := time.Since(begin)
 	for pid := 0; pid < sys.N(); pid++ {
 		if err := sys.Err(pid); err != nil {
 			return nil, err
@@ -270,7 +262,6 @@ func runSim(cfg Config, wl Workload, maxCalls int) (*Report, error) {
 	rep := cfg.report(wl, maxCalls)
 	rep.Space = meter.Totals()
 	rep.Events = rec.Events()
-	rep.Elapsed = elapsed
 	rep.Steps = sys.Steps()
 	rep.Trace = sys.Trace()
 	return rep, nil

@@ -28,8 +28,8 @@ type Bucket struct {
 }
 
 // ParseExposition is a strict parser of the subset of the Prometheus
-// text format this package writes, shared by the package tests and the
-// daemon's smoke validation: every line must be a HELP, TYPE or sample
+// text format this package writes, shared by the package tests and
+// cmd/tsserved's TestDaemon: every line must be a HELP, TYPE or sample
 // line; names must match the metric charset; TYPE must precede its
 // samples; histogram le buckets must be cumulative (monotone
 // non-decreasing counts over ascending bounds) and their +Inf bucket

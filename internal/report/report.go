@@ -9,7 +9,6 @@ import (
 	"math/big"
 	"strings"
 	"text/tabwriter"
-	"time"
 
 	"tsspace/internal/adversary"
 	"tsspace/internal/engine"
@@ -162,10 +161,10 @@ func FormatBudgets(rows []BudgetRow) string {
 // Summary renders a one-line digest of an engine run: the shared footer
 // every CLI and example prints after a run.
 func Summary(rep *engine.Report) string {
-	s := fmt.Sprintf("%s · %s world · %s · n=%d: %d getTS() calls, %d/%d registers written, %d reads / %d writes, %v",
+	s := fmt.Sprintf("%s · %s world · %s · n=%d: %d getTS() calls, %d/%d registers written, %d reads / %d writes",
 		rep.Alg, rep.World, rep.Workload, rep.N,
 		len(rep.Events), rep.Space.Written, rep.Space.Registers,
-		rep.Space.Reads, rep.Space.Writes, rep.Elapsed.Round(10*time.Microsecond))
+		rep.Space.Reads, rep.Space.Writes)
 	if rep.World == engine.Simulated {
 		s += fmt.Sprintf(" (%d scheduler steps)", rep.Steps)
 	}

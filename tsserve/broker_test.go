@@ -198,8 +198,10 @@ func TestOneNamespaceModel(t *testing.T) {
 }
 
 // PUT /ns/{name} is idempotent for an identical spec, a typed conflict
-// for a different one, and refuses to shadow the default namespace;
-// DELETE answers a typed unknown-namespace once the name is gone.
+// for a different one, and refuses to shadow the default namespace; the
+// namespace's scoped healthz names it. DELETE releases the namespace's
+// live lease, on which a getTS then answers the typed unknown-namespace,
+// as does a second DELETE.
 func TestProvisionDeprovisionTypedErrors(t *testing.T) {
 	ctx := context.Background()
 	c, _ := newTestServer(t, tsspace.WithProcs(4))
@@ -220,6 +222,9 @@ func TestProvisionDeprovisionTypedErrors(t *testing.T) {
 	}
 	if again.Created {
 		t.Fatalf("idempotent re-PUT reports Created: %+v", again)
+	}
+	if h, err := c.Namespace("team-a").Health(ctx); err != nil || h.Namespace != "team-a" || h.Algorithm != "collect" || h.Procs != 4 {
+		t.Fatalf("GET /ns/team-a/healthz = %+v, %v; want team-a's 4-proc collect", h, err)
 	}
 
 	// A different spec under the same name is a typed conflict.
@@ -262,12 +267,19 @@ func TestProvisionDeprovisionTypedErrors(t *testing.T) {
 		t.Fatalf("GET /ns = %v, want [default team-a]", names)
 	}
 
+	lease, err := c.Namespace("team-a").Attach(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dr, err := c.DeprovisionNamespace(ctx, "team-a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dr.Name != "team-a" || dr.ReleasedSessions != 0 {
-		t.Fatalf("deprovision = %+v, want team-a with no released sessions", dr)
+	if dr.Name != "team-a" || dr.ReleasedSessions != 1 {
+		t.Fatalf("deprovision = %+v, want team-a with its one live lease released", dr)
+	}
+	if _, err := lease.GetTS(ctx); !errors.Is(err, tsserve.ErrUnknownNamespace) {
+		t.Fatalf("getTS on a deprovisioned namespace's lease = %v, want ErrUnknownNamespace", err)
 	}
 	if _, err := c.DeprovisionNamespace(ctx, "team-a"); !errors.Is(err, tsserve.ErrUnknownNamespace) {
 		t.Fatalf("double deprovision = %v, want ErrUnknownNamespace", err)
@@ -308,7 +320,8 @@ func TestNamespaceCap(t *testing.T) {
 
 // A namespace's session quota is one book across both transports: leases
 // held over HTTP count against binary attaches and vice versa, rejections
-// are typed on both wires, and a detach frees the slot for either.
+// are typed on both wires and counted in the namespace's /metrics entry
+// beside its cap, and a detach frees the slot for either.
 func TestNamespaceQuotaSharedAcrossTransports(t *testing.T) {
 	bc, c, _, _ := newBinaryServer(t, tsserve.ServerConfig{},
 		tsspace.WithAlgorithm("collect"), tsspace.WithProcs(8))
@@ -353,6 +366,20 @@ func TestNamespaceQuotaSharedAcrossTransports(t *testing.T) {
 		t.Fatalf("HTTP attach after binary detach: %v", err)
 	}
 	hs2.Detach()
+
+	m, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var q tsserve.NamespaceMetrics
+	for _, nm := range m.Namespaces {
+		if nm.Name == "quota" {
+			q = nm
+		}
+	}
+	if q.QuotaRejections != 3 || q.MaxSessions != 1 {
+		t.Errorf("quota namespace's /metrics entry %+v: want 3 rejections under a cap of 1", q)
+	}
 }
 
 // Two provisioned namespaces are two Objects: separate registers,

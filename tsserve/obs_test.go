@@ -286,9 +286,10 @@ func promValue(t *testing.T, body []byte, name string) uint64 {
 // The JSON /metrics body and the Prometheus exposition are two renderings
 // of one registry: after the same traffic, the counters they report must
 // agree exactly, and every wire-layer rejection family must be present in
-// the exposition even at zero. The space measure is one value on every
-// view: a namespace's four tsspace_* samples equal its JSON entry, and the
-// default entry equals its Object's own Space.
+// the exposition even at zero. Each namespace's labeled samples equal its
+// JSON entry: its live leases and calls, and the space measure, which is
+// one value on every view: the four tsspace_* samples, and for the
+// default entry its Object's own Space.
 func TestMetricsTwoViewsOneRegistry(t *testing.T) {
 	ctx := context.Background()
 	c, obj, _ := newTestServerCfg(t, tsserve.ServerConfig{MaxBatch: 16}, tsspace.WithMetering())
@@ -310,6 +311,12 @@ func TestMetricsTwoViewsOneRegistry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A fourth tenant lease stays live through the scrape.
+	live, err := c.Namespace("tenant").Attach(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Detach()
 
 	sess, err := c.Attach(ctx)
 	if err != nil {
@@ -387,9 +394,9 @@ func TestMetricsTwoViewsOneRegistry(t *testing.T) {
 		}
 	}
 	// The JSON namespaces section must mirror the labeled families: one
-	// entry per namespace, each carrying the four space numbers its
-	// tsspace_* samples report. The top-level space block repeats the
-	// default entry, which is the default Object's own Space.
+	// entry per namespace, each carrying the live leases, calls and four
+	// space numbers its samples report. The top-level space block repeats
+	// the default entry, which is the default Object's own Space.
 	if len(m.Namespaces) != 2 {
 		t.Fatalf("namespaces section = %+v, want default and tenant", m.Namespaces)
 	}
@@ -397,7 +404,12 @@ func TestMetricsTwoViewsOneRegistry(t *testing.T) {
 		if nm.Space == nil || nm.Space.Written == 0 || nm.Space.Written > nm.Space.Registers {
 			t.Fatalf("%s: space %+v, want a metered, written entry", nm.Name, nm.Space)
 		}
+		if nm.Name == "tenant" && nm.WireSessions != 1 {
+			t.Errorf("tenant: %d live leases, want 1", nm.WireSessions)
+		}
 		for family, json := range map[string]uint64{
+			"tsserve_ns_sessions":           uint64(nm.WireSessions),
+			"tsserve_ns_calls_total":        nm.Calls,
 			"tsspace_registers_total":       uint64(nm.Space.Registers),
 			"tsspace_registers_used":        uint64(nm.Space.Written),
 			"tsspace_register_reads_total":  nm.Space.Reads,
