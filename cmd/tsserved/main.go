@@ -32,9 +32,9 @@
 //	         [-maxbatch 1024] [-session-ttl 60s]
 //	tsserved -algs                 list the servable algorithms
 //
-// TestDaemon (main_test.go) builds this command, spawns it, and drives
-// both wires, the reaper, the flight recorder, the Prometheus exposition
-// and the SIGTERM drain end to end.
+// TestCLITsserved (tsserved_test.go, in the module root) builds this
+// command, spawns it, and drives both wires, the reaper, the flight
+// recorder, the Prometheus exposition and the SIGTERM drain end to end.
 package main
 
 import (

@@ -72,28 +72,7 @@ var goldenPackages = []string{"./cmd/tscheck", "./cmd/tsspace", "./cmd/tscover",
 // for byte. Every command is deterministic: the simulated world runs
 // seeded schedules, and no output carries a wall time.
 func TestGolden(t *testing.T) {
-	bin := t.TempDir()
-	build := exec.Command("go", append([]string{"build", "-o", bin + string(filepath.Separator)}, goldenPackages...)...)
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	// go test caches a pass against the files this process opened, and
-	// the commands' sources are not among them: open every module
-	// directory they build from, so that editing one reruns the test.
-	list := exec.Command("go", append([]string{"list", "-deps", "-f", "{{if not .Standard}}{{.Dir}}{{end}}"}, goldenPackages...)...)
-	dirs, err := list.Output()
-	if err != nil {
-		t.Fatalf("go list: %v", err)
-	}
-	for _, dir := range strings.Split(string(dirs), "\n") {
-		if dir == "" {
-			continue
-		}
-		if _, err := os.ReadDir(dir); err != nil {
-			t.Fatal(err)
-		}
-	}
-
+	bin := buildCommands(t, goldenPackages...)
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
@@ -122,6 +101,34 @@ func TestGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// buildCommands builds pkgs into a fresh directory, each binary named
+// after its package directory, and returns the directory.
+func buildCommands(t *testing.T, pkgs ...string) string {
+	t.Helper()
+	bin := t.TempDir()
+	build := exec.Command("go", append([]string{"build", "-o", bin + string(filepath.Separator)}, pkgs...)...)
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	// go test caches a pass against the files this process opened, and
+	// the commands' sources are not among them: open every module
+	// directory they build from, so that editing one reruns the test.
+	list := exec.Command("go", append([]string{"list", "-deps", "-f", "{{if not .Standard}}{{.Dir}}{{end}}"}, pkgs...)...)
+	dirs, err := list.Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	for _, dir := range strings.Split(string(dirs), "\n") {
+		if dir == "" {
+			continue
+		}
+		if _, err := os.ReadDir(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return bin
 }
 
 // checkGolden compares got with the golden file, or rewrites the file

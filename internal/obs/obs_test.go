@@ -50,7 +50,7 @@ func TestRegistryRejectsBadNames(t *testing.T) {
 // TestExpositionParses validates the Prometheus text format end to end:
 // metric-name charset, HELP/TYPE lines preceding samples, cumulative le
 // buckets with monotone counts, and the histogram's +Inf/_count
-// agreement — the same checks TestDaemon (cmd/tsserved) makes on a
+// agreement — the same checks TestCLITsserved (root package) makes on a
 // spawned daemon's scrape.
 func TestExpositionParses(t *testing.T) {
 	r := NewRegistry()

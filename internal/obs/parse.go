@@ -29,9 +29,9 @@ type Bucket struct {
 
 // ParseExposition is a strict parser of the subset of the Prometheus
 // text format this package writes, shared by the package tests and
-// cmd/tsserved's TestDaemon: every line must be a HELP, TYPE or sample
-// line; names must match the metric charset; TYPE must precede its
-// samples; histogram le buckets must be cumulative (monotone
+// the root package's TestCLITsserved: every line must be a HELP, TYPE or
+// sample line; names must match the metric charset; TYPE must precede
+// its samples; histogram le buckets must be cumulative (monotone
 // non-decreasing counts over ascending bounds) and their +Inf bucket
 // must agree with _count. Any violation returns an error naming the
 // offending line.

@@ -28,7 +28,7 @@
 // Either way a batch is issued back to back by one paper-process, so each
 // timestamp happens-before the next and tsspace.Less must order the
 // batch strictly — the invariant the tests check on what the wire
-// returns, and cmd/tsserved's TestDaemon on a spawned daemon.
+// returns, and the root package's TestCLITsserved on a spawned daemon.
 // On a one-shot object (the paper's §4 and §6 model: one getTS per
 // process) a lease is one call long. The attach reply says so on both
 // wires, the getTS that issues the timestamp retires the lease before

@@ -1,4 +1,4 @@
-package main
+package tsspace_test
 
 import (
 	"bufio"
@@ -41,19 +41,23 @@ var requiredFamilies = []string{
 	"tsspace_register_writes_total",
 }
 
-// TestDaemon builds tsserved and drives the spawned process over all
-// three listeners: what the in-process tsserve tests cannot show is the
-// flag wiring, the debug mux and the signal drain. Two wire-v2 batches
-// and a wire-v3 batch on the default namespace must order under
-// tsspace.Less; an abandoned lease must be reaped after -session-ttl, as
-// the flight recorder on the debug listener tells; the Prometheus
-// exposition must parse and carry every required family; and SIGTERM
-// must drain to exit status 0.
-func TestDaemon(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "tsserved")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+// TestCLITsserved builds tsserved and drives a spawned daemon serving
+// collect, a long-lived object, over all three listeners: what the
+// in-process tsserve tests cannot show is the flag wiring, the debug mux
+// and the signal drain. The one-shot regime's lease lifecycle is pinned
+// in process (tsserve's TestOneShotLifecycleEvents).
+func TestCLITsserved(t *testing.T) {
+	bin := filepath.Join(buildCommands(t, "./cmd/tsserved"), "tsserved")
+	t.Run("collect", func(t *testing.T) { driveDaemon(t, bin) })
+}
+
+// driveDaemon spawns bin with -alg collect. Two wire-v2 batches and a
+// wire-v3 batch on the default namespace must order under tsspace.Less;
+// an abandoned lease must be reaped after -session-ttl, as the flight
+// recorder on the debug listener tells; the Prometheus exposition must
+// parse and carry every required family; and SIGTERM must drain to exit
+// status 0.
+func driveDaemon(t *testing.T, bin string) {
 	addr, binAddr, debugAddr := freeAddrs(t)
 	var logs bytes.Buffer // read only after Wait, which ends the copying
 	cmd := exec.Command(bin, "-addr", addr, "-binary-addr", binAddr, "-debug-addr", debugAddr,
